@@ -148,14 +148,7 @@ class _Lowering:
             else:
                 raise InternalError("assert survived rewrite")
 
-        # Selector ids continue the var numbering.
-        offset = len(self.vars)
-        selectors = [
-            SelectorVar(offset + i, s.list_len, s.element_class, s.name)
-            for i, s in enumerate(self.selectors)
-        ]
-        constraints = [_shift_selectors(c, offset) for c in self.constraints]
-        return ConstraintModel(self.vars, selectors, self.alldiff, constraints, layout)
+        return ConstraintModel(self.vars, self.selectors, self.alldiff, self.constraints, layout)
 
     # -- materialization ---------------------------------------------------
 
@@ -224,9 +217,12 @@ class _Lowering:
             arg = self.lower_value(expr.arg, env)
             if not isinstance(arg, _ListVal):
                 raise InternalError("nondet on a non-list after check")
-            sid = len(self.selectors)
+            # Every var is materialized before the validator is lowered, so
+            # selector ids can continue the var numbering right away.
+            index = len(self.selectors)
+            sid = len(self.vars) + index
             self.selectors.append(
-                SelectorVar(sid, len(arg.instances), arg.class_name, f"choice{sid}")
+                SelectorVar(sid, len(arg.instances), arg.class_name, f"choice{index}")
             )
             return _SelObj(sid, arg.instances)
         if isinstance(expr, Abs):
@@ -305,19 +301,3 @@ def _position_field(cls: ClassDecl) -> str | None:
     ]
     return candidates[0] if len(candidates) == 1 else None
 
-
-def _shift_selectors(expr: CExpr, offset: int) -> CExpr:
-    if isinstance(expr, CElem):
-        return CElem(expr.selector + offset, expr.table)
-    if isinstance(expr, (CLit, CVar)):
-        return expr
-    if isinstance(expr, CBin):
-        return CBin(expr.op, _shift_selectors(expr.left, offset), _shift_selectors(expr.right, offset))
-    if isinstance(expr, CAbs):
-        return CAbs(_shift_selectors(expr.arg, offset))
-    if isinstance(expr, CCmp):
-        return CCmp(expr.op, _shift_selectors(expr.left, offset), _shift_selectors(expr.right, offset))
-    if isinstance(expr, CBool):
-        return CBool(expr.op, tuple(_shift_selectors(p, offset) for p in expr.parts))
-    assert isinstance(expr, CNot)
-    return CNot(_shift_selectors(expr.arg, offset))

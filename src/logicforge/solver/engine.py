@@ -14,6 +14,23 @@ Propagation runs each constraint and all-different group to a fixpoint:
 * all-different groups remove assigned values from peers and apply
   Hall-interval reasoning over the value range.
 
+The singleton tests of the generic evaluator re-walk the constraint tree once
+per tested value. When the solver is built, each constraint whose shape the
+lowering or the ambiguity search emits gets a dedicated propagator instead
+(E is ``elem(selector, table)``, V a variable, L a literal):
+
+* ``E == L`` and ``E != L``; ``V == L`` (position pins);
+* ``E1 == E2 - L``, ``E1 < E2`` and ``abs(E1 - E2) == L`` over two distinct
+  selectors, when the value sets stay within ``_SET_CAP`` so that the generic
+  arithmetic is exact;
+* ``or(V1 != L1, ...)`` over distinct variables (blocking clauses).
+
+A dedicated propagator removes exactly the values the generic singleton tests
+remove, in the same order, and fails in the same states, so fixpoints,
+decision and propagation counts and assignments do not depend on which one
+ran. Every other shape (``and``, ``not``, ``<=``, the same selector on both
+sides, wide arithmetic, ...) uses the generic evaluator.
+
 Pruning only ever uses over-approximations of reachable values, so no value
 belonging to a satisfying assignment is removed.
 """
@@ -24,6 +41,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable
 
 from ..errors import BudgetExceeded, InternalError
@@ -224,6 +242,95 @@ def _constraint_meta(expr: CExpr) -> _ConstraintMeta:
     )
 
 
+def _elem_values(doms, sel: int, table) -> set[int]:
+    out: set[int] = set()
+    for j in doms[sel]:
+        out.update(doms[table[j]])
+    return out
+
+
+def _elem_values_except(doms, sel: int, table, var: int) -> tuple[set[int], bool]:
+    """Values of elem(sel, table) reached through vars other than ``var``,
+    and whether ``var`` itself is reachable."""
+    out: set[int] = set()
+    hit = False
+    for j in doms[sel]:
+        v = table[j]
+        if v == var:
+            hit = True
+        else:
+            out.update(doms[v])
+    return out, hit
+
+
+def _elem_pair(expr: CCmp, reach: Callable[[CElem], int]):
+    """Match ``E1 < E2``, ``E1 == E2 - L`` and ``abs(E1 - E2) == L`` over two
+    distinct selectors: (E1, E2, relation over the two sides' value sets).
+
+    ``reach`` bounds how many values an elem can take. No match where the
+    generic evaluator's arithmetic could exceed _SET_CAP and widen a set to
+    its range, which an exact relation would not do."""
+    left, right = expr.left, expr.right
+    if expr.op == "<" and isinstance(left, CElem) and isinstance(right, CElem):
+        e1, e2, relation = left, right, _less
+    elif (
+        expr.op == "=="
+        and isinstance(left, CElem)
+        and isinstance(right, CBin)
+        and right.op == "-"
+        and isinstance(right.left, CElem)
+        and isinstance(right.right, CLit)
+    ):
+        e1, e2, k = left, right.left, right.right.value
+        if reach(e2) > _SET_CAP:
+            return None
+        relation = partial(_equals_minus, k)
+    elif (
+        expr.op == "=="
+        and isinstance(right, CLit)
+        and isinstance(left, CAbs)
+        and isinstance(left.arg, CBin)
+        and left.arg.op == "-"
+        and isinstance(left.arg.left, CElem)
+        and isinstance(left.arg.right, CElem)
+    ):
+        e1, e2, k = left.arg.left, left.arg.right, right.value
+        if reach(e1) * reach(e2) > _SET_CAP:
+            return None
+        relation = partial(_abs_difference_is, k)
+    else:
+        return None
+    return (e1, e2, relation) if e1.selector != e2.selector else None
+
+
+def _less(xs: set[int], ys: set[int]) -> bool:
+    return min(xs) < max(ys)
+
+
+def _equals_minus(k: int, xs: set[int], ys: set[int]) -> bool:
+    return any(y - k in xs for y in ys)
+
+
+def _abs_difference_is(k: int, xs: set[int], ys: set[int]) -> bool:
+    return k >= 0 and any(y + k in xs or y - k in xs for y in ys)
+
+
+def _clause_literals(expr: CBool) -> tuple[tuple[int, int], ...] | None:
+    """(var, value) per literal of ``or(V != L, ...)`` over distinct vars."""
+    if expr.op != "or":
+        return None
+    lits = []
+    for p in expr.parts:
+        if not (
+            isinstance(p, CCmp) and p.op == "!=" and isinstance(p.left, CVar) and isinstance(p.right, CLit)
+        ):
+            return None
+        lits.append((p.left.var, p.right.value))
+    if len({var for var, _ in lits}) != len(lits):
+        return None
+    return tuple(lits)
+
+
 class _Solver:
     def __init__(self, model: ConstraintModel, budget: Budget, trace=None):
         self.model = model
@@ -233,6 +340,9 @@ class _Solver:
         self.n_vars = len(model.vars)
         self.n_ids = model.n_ids
         self.meta = [_constraint_meta(c) for c in model.constraints]
+        # (function, arguments) per constraint; unbound, so that a solver
+        # holds no reference cycle and is freed as soon as it is dropped
+        self.propagators = [_propagator(m, model) for m in self.meta]
         self.watchers: list[list[int]] = [[] for _ in range(self.n_ids)]
         for ci, m in enumerate(self.meta):
             for ident in m.watched:
@@ -241,8 +351,6 @@ class _Solver:
         for gi, group in enumerate(model.alldiff_groups):
             for v in group:
                 self.group_of[v].append(gi)
-        self.start = time.perf_counter()
-        self.deadline = self.start + budget.max_time
 
     # -- domain plumbing ---------------------------------------------------
 
@@ -330,7 +438,8 @@ class _Solver:
                 if item < n_groups:
                     self._propagate_group(state, item, dirty)
                 else:
-                    self._propagate_constraint(state, item - n_groups, dirty)
+                    propagator, args = self.propagators[item - n_groups]
+                    propagator(self, state, dirty, *args)
                 for ident in sorted(dirty):
                     if ident < self.n_vars:
                         for gi in self.group_of[ident]:
@@ -373,8 +482,7 @@ class _Solver:
                         for val in [x for x in doms[v] if lo <= x <= hi]:
                             self._remove(state, v, val, dirty)
 
-    def _propagate_constraint(self, state: _State, ci: int, dirty: set[int]) -> None:
-        meta = self.meta[ci]
+    def _propagate_generic(self, state: _State, dirty: set[int], meta: _ConstraintMeta) -> None:
         doms = state.doms
         can_true, _ = self._abool(meta.expr, doms)
         if not can_true:
@@ -393,6 +501,104 @@ class _Solver:
                 for a in list(doms[v]):
                     if not self._abool(meta.expr, doms, v, a)[0]:
                         self._remove(state, v, a, dirty)
+
+    # -- dedicated propagators -----------------------------------------------
+    #
+    # Each one mirrors _propagate_generic step by step for one constraint
+    # shape: the same initial entailment check, then the selector values in
+    # selector-id order, then the variables those fixed selectors (or the
+    # constraint itself) name, each value tested in domain order.
+
+    def _propagate_var_eq(self, state: _State, dirty: set[int], var: int, lit: int) -> None:
+        dom = state.doms[var]
+        if lit not in dom:
+            raise Contradiction()
+        if len(dom) > 1:
+            for a in list(dom):
+                if a != lit:
+                    self._remove(state, var, a, dirty)
+
+    def _propagate_elem_eq(self, state: _State, dirty: set[int], sel: int, table, lit: int) -> None:
+        doms = state.doms
+        choices = doms[sel]
+        if not any(lit in doms[table[j]] for j in choices):
+            raise Contradiction()
+        if len(choices) > 1:
+            for j in list(choices):
+                if lit not in doms[table[j]]:
+                    self._remove(state, sel, j, dirty)
+        if len(choices) == 1:
+            var = table[choices[0]]
+            if len(doms[var]) > 1:
+                for a in list(doms[var]):
+                    if a != lit:
+                        self._remove(state, var, a, dirty)
+
+    def _propagate_elem_ne(self, state: _State, dirty: set[int], sel: int, table, lit: int) -> None:
+        doms = state.doms
+        choices = doms[sel]
+        fixed = [lit]
+        if all(doms[table[j]] == fixed for j in choices):
+            raise Contradiction()
+        if len(choices) > 1:
+            for j in list(choices):
+                if doms[table[j]] == fixed:
+                    self._remove(state, sel, j, dirty)
+        if len(choices) == 1:
+            var = table[choices[0]]
+            if len(doms[var]) > 1 and lit in doms[var]:
+                self._remove(state, var, lit, dirty)
+
+    def _propagate_elem_pair(
+        self, state: _State, dirty: set[int], s1: int, t1, s2: int, t2, relation
+    ) -> None:
+        """relation(xs, ys) says whether values xs of elem(s1, t1) and ys of
+        elem(s2, t2) can satisfy the constraint; s1 != s2."""
+        doms = state.doms
+        if not relation(_elem_values(doms, s1, t1), _elem_values(doms, s2, t2)):
+            raise Contradiction()
+        # pinning one selector leaves the other side's value set unchanged
+        for sel in sorted((s1, s2)):
+            if len(doms[sel]) <= 1:
+                continue
+            if sel == s1:
+                ys = _elem_values(doms, s2, t2)
+                for j in list(doms[s1]):
+                    if not relation(set(doms[t1[j]]), ys):
+                        self._remove(state, s1, j, dirty)
+            else:
+                xs = _elem_values(doms, s1, t1)
+                for j in list(doms[s2]):
+                    if not relation(xs, set(doms[t2[j]])):
+                        self._remove(state, s2, j, dirty)
+        test_vars: dict[int, None] = {}
+        for sel, table in sorted(((s1, t1), (s2, t2))):
+            if len(doms[sel]) == 1:
+                test_vars[table[doms[sel][0]]] = None
+        for var in test_vars:
+            if len(doms[var]) <= 1:
+                continue
+            xs, x_hit = _elem_values_except(doms, s1, t1, var)
+            ys, y_hit = _elem_values_except(doms, s2, t2, var)
+            for a in list(doms[var]):
+                if not relation(xs | {a} if x_hit else xs, ys | {a} if y_hit else ys):
+                    self._remove(state, var, a, dirty)
+
+    def _propagate_clause(self, state: _State, dirty: set[int], lits) -> None:
+        """or(v != c, ...) over distinct vars: a literal is false only when
+        its var is fixed to c, and the clause prunes only once one is left."""
+        doms = state.doms
+        open_lit = None
+        for var, lit in lits:
+            if doms[var] != [lit]:
+                if open_lit is not None:
+                    return
+                open_lit = (var, lit)
+        if open_lit is None:
+            raise Contradiction()
+        var, lit = open_lit
+        if len(doms[var]) > 1 and lit in doms[var]:
+            self._remove(state, var, lit, dirty)
 
     # -- search --------------------------------------------------------------
 
@@ -446,6 +652,7 @@ class _Solver:
 
     def run(self) -> SolveOutcome:
         self.start = time.perf_counter()
+        self.deadline = self.start + self.budget.max_time
         try:
             state = self.initial_state()
             if not self.propagate(state):
@@ -462,6 +669,35 @@ class _Solver:
         return SolveOutcome(Status.SAT, assignment, self.stats)
 
 
+def _propagator(meta: _ConstraintMeta, model: ConstraintModel) -> tuple[Callable[..., None], tuple]:
+    """The dedicated propagator for meta's shape, else the generic one, as
+    an unbound _Solver method and the arguments that follow (state, dirty)."""
+    expr = meta.expr
+    if isinstance(expr, CBool):
+        lits = _clause_literals(expr)
+        if lits is not None:
+            return _Solver._propagate_clause, (lits,)
+    elif isinstance(expr, CCmp):
+        left, right = expr.left, expr.right
+        if isinstance(right, CLit) and expr.op in ("==", "!="):
+            if isinstance(left, CElem):
+                method = _Solver._propagate_elem_eq if expr.op == "==" else _Solver._propagate_elem_ne
+                return method, (left.selector, left.table, right.value)
+            if isinstance(left, CVar) and expr.op == "==":
+                return _Solver._propagate_var_eq, (left.var, right.value)
+
+        def reach(elem: CElem) -> int:
+            """How many values elem can take under the declared domains (the
+            domains propagation starts from and only ever narrows)."""
+            return len({value for v in elem.table for value in model.domain_of(v)})
+
+        pair = _elem_pair(expr, reach)
+        if pair is not None:
+            e1, e2, relation = pair
+            return _Solver._propagate_elem_pair, (e1.selector, e1.table, e2.selector, e2.table, relation)
+    return _Solver._propagate_generic, (meta,)
+
+
 def solve(model: ConstraintModel, budget: Budget | None = None, trace=None) -> SolveOutcome:
     """Find a first satisfying assignment, or prove Unsat by complete search.
 
@@ -474,8 +710,9 @@ def solve(model: ConstraintModel, budget: Budget | None = None, trace=None) -> S
 def propagate_domains(
     model: ConstraintModel, domains: dict[int, list[int]] | None = None
 ) -> dict[int, list[int]] | None:
-    """Run propagation alone (no search) and return the pruned domains,
-    or None on contradiction. Intended for tests and debugging."""
+    """Run propagation alone (no search) from the declared domains, narrowed
+    to ``domains`` where given, and return the pruned domains, or None on
+    contradiction. Intended for tests and debugging."""
     solver = _Solver(model, Budget())
     state = solver.initial_state()
     if domains:

@@ -1,22 +1,33 @@
 """Solver: propagation behaviour, search outcomes, ambiguity, brute force."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from logicforge.bench.puzzle import generate_puzzle
+from logicforge.bench.render import render_dsl
 from logicforge.errors import BudgetExceeded, CapExceeded, SemanticError
 from logicforge.frontend import check
 from logicforge.frontend.ast import IntRange
 from logicforge.model import decode, lower, validate_model
 from logicforge.model.constraints import (
+    CAbs,
+    CBin,
+    CBool,
     CCmp,
+    CElem,
+    CLit,
     CVar,
     ConstraintModel,
     InstanceLayout,
     RowLayout,
+    SelectorVar,
     Var,
 )
+from logicforge.solver import engine
 from logicforge.solver import (
     Budget,
     Status,
@@ -150,6 +161,7 @@ class TestSolve:
         a, b = solve(zebra_model), solve(zebra_model)
         assert a.assignment == b.assignment
         assert a.stats.decisions == b.stats.decisions
+        assert a.stats.propagations == b.stats.propagations
 
     def test_budget_exceeded_is_distinct_from_unsat(self):
         src = (
@@ -301,3 +313,225 @@ class TestOracleAgreement:
         for v in model.vars:
             reachable = {s[v.id] for s in solutions}
             assert reachable <= set(doms[v.id])
+
+
+# --- dedicated propagators -----------------------------------------------------
+
+
+def _outcome(solver, propagator, doms):
+    """Domains, dirty ids and propagation count after one propagator call,
+    or the propagation count at which it raised Contradiction."""
+    state = engine._State([list(d) for d in doms])
+    dirty: set[int] = set()
+    before = solver.stats.propagations
+    function, args = propagator
+    try:
+        function(solver, state, dirty, *args)
+    except engine.Contradiction:
+        return "contradiction", solver.stats.propagations - before
+    return state.doms, sorted(dirty), solver.stats.propagations - before
+
+
+def _sub_domains(solver, rng: random.Random) -> list[list[int]]:
+    """A random non-empty sub-domain per id: the full domain, a single
+    value or a random subset, with equal odds."""
+    doms = []
+    for dom in solver.initial_state().doms:
+        kind = rng.randrange(3)
+        if kind == 0 or len(dom) == 1:
+            doms.append(list(dom))
+        elif kind == 1:
+            doms.append([rng.choice(dom)])
+        else:
+            doms.append(sorted(rng.sample(dom, rng.randint(1, len(dom)))))
+    return doms
+
+
+def assert_matches_generic(model: ConstraintModel, rng: random.Random, trials: int = 8) -> int:
+    """Every constraint's propagator agrees with the generic evaluator from
+    random sub-domains. Returns how many constraints got a dedicated one."""
+    solver = engine._Solver(model, Budget())
+    dedicated = 0
+    for meta, propagator in zip(solver.meta, solver.propagators):
+        generic = (engine._Solver._propagate_generic, (meta,))
+        dedicated += propagator[0] is not engine._Solver._propagate_generic
+        for _ in range(trials):
+            doms = _sub_domains(solver, rng)
+            assert _outcome(solver, propagator, doms) == _outcome(solver, generic, doms), meta.expr
+    return dedicated
+
+
+def _is_generic(model: ConstraintModel) -> list[bool]:
+    solver = engine._Solver(model, Budget())
+    return [function is engine._Solver._propagate_generic for function, _ in solver.propagators]
+
+
+def _solve_and_find_second(model: ConstraintModel, monkeypatch):
+    """solve, then find_second on its assignment; also returns the models
+    find_second hands to solve, with its pins and blocking clauses."""
+    seen = []
+    real = engine.solve
+
+    def recording(m, budget=None, trace=None):
+        seen.append(m)
+        return real(m, budget, trace)
+
+    outcome = real(model)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "solve", recording)
+        report = find_second(model, outcome.assignment)
+    return outcome, report, seen
+
+
+def _model(text: str) -> ConstraintModel:
+    return compile_source(text)[1]
+
+
+def _off_by_one(text: str, n: int) -> str:
+    """The position domain one value too wide: find_second's general path."""
+    return text.replace(f"range(1, {n + 1})", f"range(1, {n + 2})", 1)
+
+
+def selector_model(domains, tables, constraints) -> ConstraintModel:
+    """Hand-built model: int vars with [lo, hi) domains, one selector per
+    table of var ids (repeats allowed), one row holding every var."""
+    model = flat_model(domains)
+    n = len(domains)
+    selectors = [SelectorVar(n + i, len(t), "C", f"choice{i}") for i, t in enumerate(tables)]
+    model = ConstraintModel(model.vars, selectors, [], list(constraints), model.layout)
+    validate_model(model)
+    return model
+
+
+class TestDedicatedPropagators:
+    """A dedicated propagator removes exactly the values the generic
+    singleton tests remove, in the same order, and fails in the same states."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(programs(max_entities=3, max_fields=3, max_domain=4), st.randoms(use_true_random=False))
+    def test_hypothesis_models_match_generic(self, program, rng):
+        try:
+            checked = check(program)
+        except SemanticError:
+            return
+        assert_matches_generic(lower(checked), rng)
+
+    @pytest.mark.parametrize("seed,n,f", [(1, 3, 3), (2, 3, 4), (3, 4, 4)])
+    def test_generated_puzzles_match_generic(self, seed, n, f, monkeypatch):
+        text = render_dsl(generate_puzzle(seed, n, f)).text
+        rng = random.Random(seed)
+        for source in (text, _off_by_one(text, n)):
+            model = _model(source)
+            # the lowering's own constraints, then find_second's pins and
+            # blocking clauses on the pinned and on the general path
+            for m in [model] + _solve_and_find_second(model, monkeypatch)[2]:
+                assert assert_matches_generic(m, rng) == len(m.constraints)
+
+    def test_repeated_table_ids_match_generic(self):
+        # tables name a var twice, and both sides of a pair share vars
+        e = CElem(4, (0, 1, 0))
+        f = CElem(5, (1, 2, 1))
+        g = CElem(6, (3, 3))
+        model = selector_model(
+            [(0, 4), (0, 4), (1, 5), (0, 3)],
+            [(0, 1, 0), (1, 2, 1), (3, 3)],
+            [
+                CCmp("==", e, CLit(2)),
+                CCmp("!=", g, CLit(1)),
+                CCmp("<", e, f),
+                CCmp("==", f, CBin("-", e, CLit(1))),
+                CCmp("==", CAbs(CBin("-", e, g)), CLit(1)),
+                CCmp("==", CAbs(CBin("-", g, f)), CLit(-1)),
+                CBool("or", (CCmp("!=", CVar(0), CLit(1)), CCmp("!=", CVar(3), CLit(2)))),
+                CBool("or", ()),
+            ],
+        )
+        assert not any(_is_generic(model))
+        rng = random.Random(7)
+        assert_matches_generic(model, rng, trials=300)
+
+    @pytest.mark.parametrize(
+        "clue",
+        [
+            "assume(x.p < x.p)",
+            "assume(x.p == x.p - 1)",
+            "assume(abs(x.p - x.q) == 1)",
+        ],
+    )
+    def test_same_selector_on_both_sides_stays_generic(self, clue):
+        model = _model(
+            "class E:\n    p: Unique[Domain[int, range(1, 4)]]\n    q: Domain[int, range(0, 3)]\n"
+            "class S:\n    items: list[E, 3]\n"
+            "def v(s: S) -> None:\n    x = nondet(s.items)\n    " + clue + "\n"
+        )
+        assert _is_generic(model) == [True]
+        assert_matches_generic(model, random.Random(3))
+        if clue == "assume(x.p < x.p)":
+            assert solve(model).status is Status.UNSAT
+
+    @pytest.mark.parametrize(
+        "clue,generic",
+        [
+            ("assume(abs(a.p - b.p) == 1)", True),
+            ("assume(a.p == b.p - 1)", False),  # one side's set of 40 stays exact
+            ("assume(a.p < b.p)", False),  # bounds only: no set arithmetic
+        ],
+    )
+    def test_wide_domains_keep_the_generic_range_collapse(self, clue, generic):
+        # 40 x 40 candidate differences exceed _SET_CAP, where the generic
+        # evaluator widens a difference set to its range
+        src = (
+            "class E:\n    p: Domain[int, range(0, 40)]\n"
+            "class S:\n    items: list[E, 2]\n"
+            "def v(s: S) -> None:\n    a = nondet(s.items)\n    b = nondet(s.items)\n"
+            "    " + clue + "\n"
+        )
+        model = _model(src)
+        assert _is_generic(model) == [generic]
+        assert_matches_generic(model, random.Random(5))
+        # even values only: no two differ by 1, but 20 x 20 = 400 pairs stay
+        # within the cap and the generic proves it; over range(0, 80), 40 x 40
+        # do not, so the range collapse keeps the domains
+        evens = list(range(0, 40, 2))
+        if clue.startswith("assume(abs"):
+            assert propagate_domains(model, {0: evens, 1: evens}) is None
+            wide = _model(src.replace("range(0, 40)", "range(0, 80)"))
+            evens = list(range(0, 80, 2))
+            assert propagate_domains(wide, {0: evens, 1: evens}) is not None
+
+
+class TestGoldenCounters:
+    """Decision and propagation counts of solve, and the number of solve
+    calls inside find_second, as the generic-only solver produced them."""
+
+    @staticmethod
+    def counters(model: ConstraintModel, monkeypatch) -> tuple[int, int, int, bool]:
+        outcome, report, solved = _solve_and_find_second(model, monkeypatch)
+        return outcome.stats.decisions, outcome.stats.propagations, len(solved), report.ambiguous
+
+    @pytest.mark.parametrize(
+        "name,expected",
+        [("zebra_4x4.lpy", (6, 104, 1, False)), ("example_6house.lpy", (26, 126, 1, True))],
+    )
+    def test_data_programs(self, name, expected, monkeypatch):
+        from conftest import DATA_DIR
+
+        model = _model((DATA_DIR / name).read_text(encoding="utf-8"))
+        assert self.counters(model, monkeypatch) == expected
+
+    @pytest.mark.parametrize(
+        "seed,n,f,off_by_one,expected",
+        [
+            (1, 3, 3, False, (4, 48, 1, False)),
+            (2, 3, 4, False, (4, 53, 1, False)),
+            (3, 4, 4, False, (6, 145, 1, False)),
+            (4, 4, 3, False, (6, 97, 1, False)),
+            # general path: five row permutations of the first table, then unsat
+            (2, 3, 4, True, (5, 59, 6, False)),
+        ],
+    )
+    def test_generated_puzzles(self, seed, n, f, off_by_one, expected, monkeypatch):
+        text = render_dsl(generate_puzzle(seed, n, f)).text
+        if off_by_one:
+            text = _off_by_one(text, n)
+        assert self.counters(_model(text), monkeypatch) == expected
