@@ -178,18 +178,15 @@ class ConstraintModel:
                     return False
         return True
 
-    def position_pinnable(self) -> bool:
-        """True when each solution table has a unique canonical instance
-        order obtained by pinning the position field to ascending values."""
+    def rows_orderable(self) -> bool:
+        """True when the rows are interchangeable (``slot_symmetric``) and
+        their position vars form an all-different group: ordering the rows
+        by position then gives each solution table exactly one encoding."""
         pf = self.layout.position_field
         if pf is None or not self.slot_symmetric():
             return False
-        rows = self.layout.rows
-        pos_vars = [r.fields[pf] for r in rows]
-        dom = self.vars[pos_vars[0]].domain
-        if domain_size(dom) != len(rows):
-            return False
-        return set(pos_vars) in [set(g) for g in self.alldiff_groups]
+        pos_vars = {r.fields[pf] for r in self.layout.rows}
+        return pos_vars in [set(g) for g in self.alldiff_groups]
 
 
 def validate_model(model: ConstraintModel) -> None:

@@ -32,6 +32,7 @@ from ..model.constraints import (
     CNot,
     CVar,
     ConstraintModel,
+    domain_size,
     walk_cexpr,
 )
 
@@ -60,17 +61,17 @@ def brute_force(model: ConstraintModel, cap: int = DEFAULT_CAP) -> list[dict[int
                 raise InternalError("brute force requires disjoint alldiff groups")
             grouped.add(v)
 
-    canonical = model.position_pinnable()
+    # with interchangeable rows and exactly one position per row, every
+    # table has one encoding: positions ascending from the lowest value
+    rows, pf = model.layout.rows, model.layout.position_field
+    canonical = model.rows_orderable() and domain_size(model.vars[rows[0].fields[pf]].domain) == len(rows)
     pinned_group: frozenset[int] = frozenset()
-    if canonical:
-        pf = model.layout.position_field
-        pinned_group = frozenset(row.fields[pf] for row in model.layout.rows)
-
     factors: list[_Factor] = []
     fixed: dict[int, int] = {}
     if canonical:
-        for i, row in enumerate(model.layout.rows):
-            vid = row.fields[model.layout.position_field]
+        pinned_group = frozenset(row.fields[pf] for row in rows)
+        for i, row in enumerate(rows):
+            vid = row.fields[pf]
             fixed[vid] = min(model.vars[vid].values()) + i
 
     count = 1

@@ -16,33 +16,40 @@ Propagation runs each constraint and all-different group to a fixpoint:
 
 The singleton tests of the generic evaluator re-walk the constraint tree once
 per tested value. When the solver is built, each constraint whose shape the
-lowering or the ambiguity search emits gets a dedicated propagator instead
-(E is ``elem(selector, table)``, V a variable, L a literal):
+lowering emits gets a dedicated propagator instead (E is
+``elem(selector, table)``, L a literal):
 
-* ``E == L`` and ``E != L``; ``V == L`` (position pins);
+* ``E == L`` and ``E != L``;
 * ``E1 == E2 - L``, ``E1 < E2`` and ``abs(E1 - E2) == L`` over two distinct
   selectors, when the value sets stay within ``_SET_CAP`` so that the generic
-  arithmetic is exact;
-* ``or(V1 != L1, ...)`` over distinct variables (blocking clauses).
+  arithmetic is exact.
 
 A dedicated propagator removes exactly the values the generic singleton tests
 remove, in the same order, and fails in the same states, so fixpoints,
 decision and propagation counts and assignments do not depend on which one
-ran. Every other shape (``and``, ``not``, ``<=``, the same selector on both
-sides, wide arithmetic, ...) uses the generic evaluator.
+ran. Every other shape (``and``, ``or``, ``not``, ``<=``, the same selector
+on both sides, wide arithmetic, ...) uses the generic evaluator.
 
 Pruning only ever uses over-approximations of reachable values, so no value
 belonging to a satisfying assignment is removed.
+
+Uniqueness (``find_second``) is one depth-first search under one deadline: the
+search of ``solve`` continued past each solution over the regular variables,
+until a solution decodes to a table other than the first one. When rows are
+interchangeable and carry a unique position field, the searched model also
+orders consecutive rows by position (a lexicographic symmetry-breaking
+constraint), so each table is met once rather than once per row permutation.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterator
 
 from ..errors import BudgetExceeded, InternalError
 from ..model.constraints import (
@@ -56,10 +63,9 @@ from ..model.constraints import (
     CNot,
     CVar,
     ConstraintModel,
-    domain_size,
     walk_cexpr,
 )
-from ..model.decode import SolutionTable, decode
+from ..model.decode import decode
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,7 @@ class SolveOutcome:
 class AmbiguityReport:
     first: dict[int, int]
     second: dict[int, int] | None
+    stats: SolveStats  # of the uniqueness search
 
     @property
     def ambiguous(self) -> bool:
@@ -315,22 +322,6 @@ def _abs_difference_is(k: int, xs: set[int], ys: set[int]) -> bool:
     return k >= 0 and any(y + k in xs or y - k in xs for y in ys)
 
 
-def _clause_literals(expr: CBool) -> tuple[tuple[int, int], ...] | None:
-    """(var, value) per literal of ``or(V != L, ...)`` over distinct vars."""
-    if expr.op != "or":
-        return None
-    lits = []
-    for p in expr.parts:
-        if not (
-            isinstance(p, CCmp) and p.op == "!=" and isinstance(p.left, CVar) and isinstance(p.right, CLit)
-        ):
-            return None
-        lits.append((p.left.var, p.right.value))
-    if len({var for var, _ in lits}) != len(lits):
-        return None
-    return tuple(lits)
-
-
 class _Solver:
     def __init__(self, model: ConstraintModel, budget: Budget, trace=None):
         self.model = model
@@ -509,15 +500,6 @@ class _Solver:
     # selector-id order, then the variables those fixed selectors (or the
     # constraint itself) name, each value tested in domain order.
 
-    def _propagate_var_eq(self, state: _State, dirty: set[int], var: int, lit: int) -> None:
-        dom = state.doms[var]
-        if lit not in dom:
-            raise Contradiction()
-        if len(dom) > 1:
-            for a in list(dom):
-                if a != lit:
-                    self._remove(state, var, a, dirty)
-
     def _propagate_elem_eq(self, state: _State, dirty: set[int], sel: int, table, lit: int) -> None:
         doms = state.doms
         choices = doms[sel]
@@ -584,22 +566,6 @@ class _Solver:
                 if not relation(xs | {a} if x_hit else xs, ys | {a} if y_hit else ys):
                     self._remove(state, var, a, dirty)
 
-    def _propagate_clause(self, state: _State, dirty: set[int], lits) -> None:
-        """or(v != c, ...) over distinct vars: a literal is false only when
-        its var is fixed to c, and the clause prunes only once one is left."""
-        doms = state.doms
-        open_lit = None
-        for var, lit in lits:
-            if doms[var] != [lit]:
-                if open_lit is not None:
-                    return
-                open_lit = (var, lit)
-        if open_lit is None:
-            raise Contradiction()
-        var, lit = open_lit
-        if len(doms[var]) > 1 and lit in doms[var]:
-            self._remove(state, var, lit, dirty)
-
     # -- search --------------------------------------------------------------
 
     def _pick(self, state: _State) -> int | None:
@@ -650,17 +616,38 @@ class _Solver:
                 self.trace(f"backtrack {ident}={value}")
         return None
 
-    def run(self) -> SolveOutcome:
+    def solutions(self, state: _State) -> Iterator[list[int]]:
+        """The depth-first search of ``search``, continued past each
+        solution: yields one solution per assignment of the regular
+        variables, its selectors completed by ``search``, so that solutions
+        that differ only in selectors are found once."""
+        ident = self._pick(state)
+        if ident is None or ident >= self.n_vars:
+            found = self.search(state)
+            if found is not None:
+                yield found
+            return
+        for value in list(state.doms[ident]):
+            self._tick()
+            child = state.copy()
+            child.doms[ident] = [value]
+            if self.propagate(child):
+                yield from self.solutions(child)
+
+    @contextmanager
+    def clock(self):
+        """Start the time budget; record the elapsed time on exit."""
         self.start = time.perf_counter()
         self.deadline = self.start + self.budget.max_time
         try:
-            state = self.initial_state()
-            if not self.propagate(state):
-                solution = None
-            else:
-                solution = self.search(state)
+            yield
         finally:
             self.stats.elapsed = time.perf_counter() - self.start
+
+    def run(self) -> SolveOutcome:
+        with self.clock():
+            state = self.initial_state()
+            solution = self.search(state) if self.propagate(state) else None
         if solution is None:
             return SolveOutcome(Status.UNSAT, None, self.stats)
         assignment = {i: solution[i] for i in range(self.n_ids)}
@@ -673,18 +660,11 @@ def _propagator(meta: _ConstraintMeta, model: ConstraintModel) -> tuple[Callable
     """The dedicated propagator for meta's shape, else the generic one, as
     an unbound _Solver method and the arguments that follow (state, dirty)."""
     expr = meta.expr
-    if isinstance(expr, CBool):
-        lits = _clause_literals(expr)
-        if lits is not None:
-            return _Solver._propagate_clause, (lits,)
-    elif isinstance(expr, CCmp):
+    if isinstance(expr, CCmp):
         left, right = expr.left, expr.right
-        if isinstance(right, CLit) and expr.op in ("==", "!="):
-            if isinstance(left, CElem):
-                method = _Solver._propagate_elem_eq if expr.op == "==" else _Solver._propagate_elem_ne
-                return method, (left.selector, left.table, right.value)
-            if isinstance(left, CVar) and expr.op == "==":
-                return _Solver._propagate_var_eq, (left.var, right.value)
+        if isinstance(right, CLit) and expr.op in ("==", "!=") and isinstance(left, CElem):
+            method = _Solver._propagate_elem_eq if expr.op == "==" else _Solver._propagate_elem_ne
+            return method, (left.selector, left.table, right.value)
 
         def reach(elem: CElem) -> int:
             """How many values elem can take under the declared domains (the
@@ -726,86 +706,48 @@ def propagate_domains(
 # --- ambiguity -------------------------------------------------------------------
 
 
-def _blocking_clause(var_ids, assignment: dict[int, int]) -> CExpr:
-    return CBool("or", tuple(CCmp("!=", CVar(v), CLit(assignment[v])) for v in var_ids))
-
-
 def find_second(
     model: ConstraintModel, first: dict[int, int], budget: Budget | None = None
 ) -> AmbiguityReport:
     """Search for a second assignment whose decoded table differs from the
-    first one's. Selector variables never count toward distinctness, and row
-    permutations of the same table are not reported as ambiguity."""
-    budget = budget or Budget()
-    regular = [v.id for v in model.vars]
+    first one's, or prove there is none. Selector variables never count
+    toward distinctness, and row permutations of the same table are not
+    reported as ambiguity.
 
-    if model.position_pinnable():
-        pinned = _pin_positions(model)
-        first_table = decode(model, first)
-        blocked = _block_table(pinned, first_table)
-        outcome = solve(blocked, budget)
-        return AmbiguityReport(first, outcome.assignment if outcome.is_sat else None)
-
-    # General path: enumerate assignments, skipping row permutations of the
-    # first table, until a genuinely different table (or exhaustion).
+    One depth-first search under one budget walks the solutions of the
+    row-ordered model (``_row_ordered``) until one decodes to a table other
+    than ``first``'s. Raises BudgetExceeded when the budget runs out first.
+    """
+    model = _row_ordered(model)
     first_key = decode(model, first).key()
-    work = ConstraintModel(
-        model.vars,
-        model.selectors,
-        model.alldiff_groups,
-        list(model.constraints) + [_blocking_clause(regular, first)],
-        model.layout,
-    )
-    for _ in range(10_000):
-        outcome = solve(work, budget)
-        if not outcome.is_sat:
-            return AmbiguityReport(first, None)
-        assert outcome.assignment is not None
-        if decode(work, outcome.assignment).key() != first_key:
-            return AmbiguityReport(first, outcome.assignment)
-        work = ConstraintModel(
-            work.vars,
-            work.selectors,
-            work.alldiff_groups,
-            list(work.constraints) + [_blocking_clause(regular, outcome.assignment)],
-            work.layout,
-        )
-    raise BudgetExceeded("too many equivalent assignments while checking ambiguity")
+    solver = _Solver(model, budget or Budget())
+    second = None
+    with solver.clock():
+        state = solver.initial_state()
+        if solver.propagate(state):
+            for solution in solver.solutions(state):
+                assignment = dict(enumerate(solution))
+                if decode(model, assignment).key() != first_key:
+                    second = assignment
+                    break
+    if second is not None and not verify(model, second):
+        raise InternalError("uniqueness search returned an assignment that fails verification")
+    return AmbiguityReport(first, second, solver.stats)
 
 
-def _pin_positions(model: ConstraintModel) -> ConstraintModel:
+def _row_ordered(model: ConstraintModel) -> ConstraintModel:
+    """``model`` plus ``pos[i] < pos[i+1]`` over consecutive rows when its
+    rows are interchangeable (``rows_orderable``): every solution table then
+    has exactly one encoding. Otherwise ``model`` itself."""
+    if not model.rows_orderable():
+        return model
     pf = model.layout.position_field
-    assert pf is not None
-    pins: list[CExpr] = []
-    for i, row in enumerate(model.layout.rows):
-        vid = row.fields[pf]
-        lo = min(model.vars[vid].values())
-        pins.append(CCmp("==", CVar(vid), CLit(lo + i)))
+    pos = [row.fields[pf] for row in model.layout.rows]
+    order = [CCmp("<", CVar(a), CVar(b)) for a, b in zip(pos, pos[1:])]
     return ConstraintModel(
         model.vars,
         model.selectors,
         model.alldiff_groups,
-        list(model.constraints) + pins,
+        list(model.constraints) + order,
         model.layout,
-    )
-
-
-def _block_table(pinned: ConstraintModel, table: SolutionTable) -> ConstraintModel:
-    """Forbid the canonical-row-order encoding of ``table`` in a pinned model."""
-    from ..model.decode import encode
-
-    canonical = encode(pinned, table)
-    pf = pinned.layout.position_field
-    lits = []
-    for row in pinned.layout.rows:
-        for col, vid in row.fields.items():
-            if col == pf:
-                continue  # pinned equal in every solution
-            lits.append(CCmp("!=", CVar(vid), CLit(canonical[vid])))
-    return ConstraintModel(
-        pinned.vars,
-        pinned.selectors,
-        pinned.alldiff_groups,
-        list(pinned.constraints) + [CBool("or", tuple(lits))],
-        pinned.layout,
     )

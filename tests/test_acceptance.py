@@ -27,14 +27,14 @@ from logicforge.bench import (
     run_bench,
     score,
 )
-from logicforge.bench.puzzle import LEFT_OF, Clue
+from logicforge.bench.puzzle import LEFT_OF, Clue, generate_puzzle
 from logicforge.bench.score import TaskResult
 from logicforge.cemit import emit
 from logicforge.frontend import SourceText, check, parse
 from logicforge.frontend.ast import Assert, Assume, DslProgram, FuncDecl
 from logicforge.model import decode, lower
 from logicforge.model.decode import SolutionTable
-from logicforge.solver import Status, brute_force, find_second, solve
+from logicforge.solver import Status, brute_force, find_second, solve, verify
 
 from conftest import DATA_DIR
 from test_agent import BrokenFormalizer, FaultInjectingFormalizer
@@ -67,6 +67,36 @@ def _solve_route(program):
     assert outcome.is_sat
     report = find_second(model, outcome.assignment)
     return decode(model, outcome.assignment), report
+
+
+# b is in house 1 and the first slot holds a: a and c take houses 2 and 3
+# in either order, unless a pin puts the first slot in house 3
+DIRECT_INDEX = (
+    "class H:\n"
+    "    p: Unique[Domain[int, range(1, 4)]]\n"
+    '    n: Unique[Domain[str, "a", "b", "c"]]\n'
+    "class S:\n"
+    "    items: list[H, 3]\n"
+    "def v(s: S) -> None:\n"
+    '    assert s.items[0].n == "a"\n'
+    "    x = nondet(s.items)\n"
+    '    assume(x.n == "b")\n'
+    "    assert x.p == 1\n"
+)
+
+
+def _assert_find_second_agrees(model) -> bool:
+    """find_second's verdict matches the oracle's table count, and a second
+    assignment is valid and decodes to a different table. Returns the verdict."""
+    outcome = solve(model)
+    tables = {decode(model, a).key() for a in brute_force(model)}
+    assert outcome.is_sat == bool(tables)
+    report = find_second(model, outcome.assignment)
+    assert report.ambiguous == (len(tables) >= 2)
+    if report.ambiguous:
+        assert verify(model, report.second)
+        assert decode(model, report.second) != decode(model, report.first)
+    return report.ambiguous
 
 
 class TestCriterion1WorkedExample:
@@ -132,11 +162,21 @@ class TestCriterion2OracleEquivalence:
         assert brute_force(model) == []
 
         loose = dataclasses.replace(zebra_instance, clues=zebra_instance.clues[1:])
-        model = lower(check(parse(render_dsl(loose))))
-        outcome = solve(model)
-        tables = {decode(model, a).key() for a in brute_force(model)}
-        assert outcome.is_sat == bool(tables)
-        assert find_second(model, outcome.assignment).ambiguous == (len(tables) >= 2)
+        _assert_find_second_agrees(lower(check(parse(render_dsl(loose)))))
+
+        # one more position than rows (rows ordered by position), and rows
+        # indexed directly (not interchangeable, so searched unordered); each
+        # pair has an ambiguous and a unique program
+        verdicts = []
+        for seed, n, f in ((1, 3, 3), (2, 3, 4)):
+            text = render_dsl(generate_puzzle(seed, n, f)).text
+            text = text.replace(f"range(1, {n + 1})", f"range(1, {n + 2})", 1)
+            verdicts.append(_assert_find_second_agrees(lower(check(parse(SourceText(text, "off-by-one"))))))
+        for pin in ("", "    assert s.items[0].p == 3\n"):
+            model = lower(check(parse(SourceText(DIRECT_INDEX + pin, "direct-index"))))
+            assert model.layout.position_field == "p" and not model.slot_symmetric()
+            verdicts.append(_assert_find_second_agrees(model))
+        assert verdicts == [True, False, True, False]
 
 
 class TestCriterion3RecoveryEdges:

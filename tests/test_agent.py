@@ -16,10 +16,13 @@ from logicforge.agent import (
 )
 from logicforge.agent.llm import RecordingFormalizer, TranscriptWriter
 from logicforge.bench.puzzle import LEFT_OF, Clue
-from logicforge.bench.render import OracleFormalizer
+from logicforge.bench.render import OracleFormalizer, render_dsl
 from logicforge.errors import FormatError, ShapeError
+from logicforge.frontend import check, parse
 from logicforge.frontend.parser import SourceText
+from logicforge.model import lower
 from logicforge.model.decode import SolutionTable
+from logicforge.solver import Budget, find_second, solve
 
 
 ZEBRA_FORMAT = ExpectedFormat(
@@ -100,6 +103,24 @@ class TestPipeline:
         assert result.attempts == 2
         assert all(stage == "ambiguity" for stage, _ in result.log)
 
+    def test_ambiguity_search_gets_what_solve_left_of_the_budget(self, zebra_instance):
+        model = lower(check(parse(render_dsl(zebra_instance))))
+        outcome = solve(model)
+        spent = outcome.stats.decisions
+        needed = find_second(model, outcome.assignment).stats.decisions
+        assert needed > 1
+
+        def run(max_decisions: int):
+            config = PipelineConfig(
+                max_attempts=1, budget=Budget(max_decisions=max_decisions), ambiguity_check=True
+            )
+            return run_pipeline(zebra_instance.text, ZEBRA_FORMAT, OracleFormalizer(zebra_instance), config)
+
+        result = run(spent + 1)
+        assert result.status is PipelineStatus.FAILED_BUDGET
+        assert [stage for stage, _ in result.log] == ["ambiguity"]
+        assert run(spent + needed).status is PipelineStatus.SOLVED
+
     def test_ambiguity_check_off_by_default(self, zebra_instance):
         clues = tuple(c for i, c in enumerate(zebra_instance.clues) if i != 1)
         loose = dataclasses.replace(zebra_instance, clues=clues)
@@ -107,9 +128,6 @@ class TestPipeline:
         assert result.status is PipelineStatus.SOLVED
 
     def test_solved_table_passes_check_solution(self, zebra_instance):
-        from logicforge.frontend import check, parse
-        from logicforge.bench.render import render_dsl
-
         result = run_pipeline(
             zebra_instance.text, ZEBRA_FORMAT, OracleFormalizer(zebra_instance)
         )

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logicforge.bench.puzzle import generate_puzzle
+from logicforge.bench.puzzle import AT_POSITION, POSITION_FIELD, Clue, generate_puzzle
 from logicforge.bench.render import render_dsl
 from logicforge.errors import BudgetExceeded, CapExceeded, SemanticError
 from logicforge.frontend import check
@@ -16,7 +16,6 @@ from logicforge.model import decode, lower, validate_model
 from logicforge.model.constraints import (
     CAbs,
     CBin,
-    CBool,
     CCmp,
     CElem,
     CLit,
@@ -236,6 +235,35 @@ class TestFindSecond:
             if report.ambiguous:
                 assert verify(model, report.second)
 
+    def test_selector_choices_are_not_enumerated(self):
+        # one table; the selector stays free, and its second value would only
+        # repeat the same regular assignment, so the search never tries it
+        src = (
+            "class E:\n    f: Unique[Domain[int, range(1, 3)]]\n"
+            "class S:\n    items: list[E, 2]\n"
+            "def v(s: S) -> None:\n" + TAUTOLOGY
+        )
+        model = _model(src)
+        report = find_second(model, solve(model).assignment)
+        assert not report.ambiguous
+        assert report.stats.decisions == 1
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_slack_position_domain_is_unique_within_one_budget(self, n):
+        # an AT_POSITION clue for every cell and one more position than rows:
+        # one table, but n! encodings of it unless the rows are ordered
+        puzzle = generate_puzzle(1, n, 3)
+        clues = tuple(
+            Clue(AT_POSITION, f.name, puzzle.truth.rows[i][f.name], pos=i + 1)
+            for f in puzzle.features
+            for i in range(n)
+        )
+        text = render_dsl(dataclasses.replace(puzzle, clues=clues)).text
+        model = _model(_off_by_one(text, n))
+        assert model.vars[model.layout.var_of(0, POSITION_FIELD)].values() == tuple(range(1, n + 2))
+        outcome = solve(model)
+        assert not find_second(model, outcome.assignment, Budget(max_time=1.0)).ambiguous
+
 
 class TestBruteForce:
     def test_worked_example_unique_table(self, zebra_model):
@@ -366,29 +394,12 @@ def _is_generic(model: ConstraintModel) -> list[bool]:
     return [function is engine._Solver._propagate_generic for function, _ in solver.propagators]
 
 
-def _solve_and_find_second(model: ConstraintModel, monkeypatch):
-    """solve, then find_second on its assignment; also returns the models
-    find_second hands to solve, with its pins and blocking clauses."""
-    seen = []
-    real = engine.solve
-
-    def recording(m, budget=None, trace=None):
-        seen.append(m)
-        return real(m, budget, trace)
-
-    outcome = real(model)
-    with monkeypatch.context() as patch:
-        patch.setattr(engine, "solve", recording)
-        report = find_second(model, outcome.assignment)
-    return outcome, report, seen
-
-
 def _model(text: str) -> ConstraintModel:
     return compile_source(text)[1]
 
 
 def _off_by_one(text: str, n: int) -> str:
-    """The position domain one value too wide: find_second's general path."""
+    """The position domain one value too wide, one more position than rows."""
     return text.replace(f"range(1, {n + 1})", f"range(1, {n + 2})", 1)
 
 
@@ -417,15 +428,16 @@ class TestDedicatedPropagators:
         assert_matches_generic(lower(checked), rng)
 
     @pytest.mark.parametrize("seed,n,f", [(1, 3, 3), (2, 3, 4), (3, 4, 4)])
-    def test_generated_puzzles_match_generic(self, seed, n, f, monkeypatch):
+    def test_generated_puzzles_match_generic(self, seed, n, f):
         text = render_dsl(generate_puzzle(seed, n, f)).text
         rng = random.Random(seed)
         for source in (text, _off_by_one(text, n)):
             model = _model(source)
-            # the lowering's own constraints, then find_second's pins and
-            # blocking clauses on the pinned and on the general path
-            for m in [model] + _solve_and_find_second(model, monkeypatch)[2]:
-                assert assert_matches_generic(m, rng) == len(m.constraints)
+            # the model find_second searches: every lowered constraint has a
+            # dedicated propagator, the n - 1 row-order constraints are generic
+            ordered = engine._row_ordered(model)
+            assert len(ordered.constraints) == len(model.constraints) + n - 1
+            assert assert_matches_generic(ordered, rng) == len(model.constraints)
 
     def test_repeated_table_ids_match_generic(self):
         # tables name a var twice, and both sides of a pair share vars
@@ -442,8 +454,6 @@ class TestDedicatedPropagators:
                 CCmp("==", f, CBin("-", e, CLit(1))),
                 CCmp("==", CAbs(CBin("-", e, g)), CLit(1)),
                 CCmp("==", CAbs(CBin("-", g, f)), CLit(-1)),
-                CBool("or", (CCmp("!=", CVar(0), CLit(1)), CCmp("!=", CVar(3), CLit(2)))),
-                CBool("or", ()),
             ],
         )
         assert not any(_is_generic(model))
@@ -501,37 +511,44 @@ class TestDedicatedPropagators:
 
 
 class TestGoldenCounters:
-    """Decision and propagation counts of solve, and the number of solve
-    calls inside find_second, as the generic-only solver produced them."""
+    """Decision and propagation counts of solve, as the generic-only solver
+    produced them, and of the uniqueness search in find_second."""
 
     @staticmethod
-    def counters(model: ConstraintModel, monkeypatch) -> tuple[int, int, int, bool]:
-        outcome, report, solved = _solve_and_find_second(model, monkeypatch)
-        return outcome.stats.decisions, outcome.stats.propagations, len(solved), report.ambiguous
+    def counters(model: ConstraintModel) -> tuple[int, int, int, int, bool]:
+        outcome = solve(model)
+        report = find_second(model, outcome.assignment)
+        return (
+            outcome.stats.decisions,
+            outcome.stats.propagations,
+            report.stats.decisions,
+            report.stats.propagations,
+            report.ambiguous,
+        )
 
     @pytest.mark.parametrize(
         "name,expected",
-        [("zebra_4x4.lpy", (6, 104, 1, False)), ("example_6house.lpy", (26, 126, 1, True))],
+        [("zebra_4x4.lpy", (6, 104, 3, 110, False)), ("example_6house.lpy", (26, 126, 22, 142, True))],
     )
-    def test_data_programs(self, name, expected, monkeypatch):
+    def test_data_programs(self, name, expected):
         from conftest import DATA_DIR
 
         model = _model((DATA_DIR / name).read_text(encoding="utf-8"))
-        assert self.counters(model, monkeypatch) == expected
+        assert self.counters(model) == expected
 
     @pytest.mark.parametrize(
         "seed,n,f,off_by_one,expected",
         [
-            (1, 3, 3, False, (4, 48, 1, False)),
-            (2, 3, 4, False, (4, 53, 1, False)),
-            (3, 4, 4, False, (6, 145, 1, False)),
-            (4, 4, 3, False, (6, 97, 1, False)),
-            # general path: five row permutations of the first table, then unsat
-            (2, 3, 4, True, (5, 59, 6, False)),
+            (1, 3, 3, False, (4, 48, 3, 54, False)),
+            (2, 3, 4, False, (4, 53, 2, 56, False)),
+            (3, 4, 4, False, (6, 145, 7, 229, False)),
+            (4, 4, 3, False, (6, 97, 21, 544, False)),
+            # one more position than rows
+            (2, 3, 4, True, (5, 59, 4, 66, False)),
         ],
     )
-    def test_generated_puzzles(self, seed, n, f, off_by_one, expected, monkeypatch):
+    def test_generated_puzzles(self, seed, n, f, off_by_one, expected):
         text = render_dsl(generate_puzzle(seed, n, f)).text
         if off_by_one:
             text = _off_by_one(text, n)
-        assert self.counters(_model(text), monkeypatch) == expected
+        assert self.counters(_model(text)) == expected
