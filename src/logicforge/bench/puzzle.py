@@ -4,19 +4,23 @@ A puzzle assigns one value per feature to each of n positions ("houses",
 numbered 1..n left to right). The generator draws a random ground-truth
 table, samples clues that are true of it, extends the set until the solution
 is provably unique, then greedily drops clues that uniqueness does not need.
-Uniqueness is certified with the solver's second-solution search on the
-rendered program, so every emitted instance is solvable and unambiguous.
+The candidate program is rendered, parsed and checked once. A uniqueness
+check lowers the chosen clues' statement blocks in program order and runs one
+second-solution search against the truth table. A final solve confirms that
+the kept clues accept their own truth, so every emitted instance is solvable
+and unambiguous.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..errors import BudgetExceeded, GenerationError
 from ..frontend.check import check
 from ..frontend.parser import parse
-from ..model.decode import SolutionTable
+from ..model.constraints import ConstraintModel
+from ..model.decode import SolutionTable, decode, encode
 from ..model.lower import lower
 from ..solver.engine import Budget, find_second, solve
 
@@ -149,7 +153,9 @@ def generate_puzzle(
     puzzle_id: str | None = None,
     budget: Budget | None = None,
 ) -> PuzzleInstance:
-    """Deterministically generate a puzzle with a certified-unique solution."""
+    """Deterministically generate a puzzle with a certified-unique solution.
+
+    ``budget`` bounds each uniqueness check's search, and the final solve."""
     if not (2 <= n_entities <= 6 and 2 <= n_features <= 6):
         raise GenerationError(
             f"unsupported shape {n_entities}x{n_features}: entities and features must be in 2..6"
@@ -167,10 +173,10 @@ def generate_puzzle(
         rng.shuffle(values)
         truth[f.name] = tuple(values)
 
-    candidates = _sample_candidates(rng, features, truth, n_entities)
-    clues = _minimal_unique_set(rng, candidates, features, truth, n_entities, budget)
-
     truth_table = _truth_table(features, truth, n_entities)
+    candidates = _sample_candidates(rng, features, truth, n_entities)
+    clues = _minimal_unique_set(rng, candidates, features, truth_table, n_entities, budget)
+
     instance = PuzzleInstance(
         id=puzzle_id or f"{n_entities}x{n_features}-{seed}",
         n_entities=n_entities,
@@ -261,56 +267,52 @@ def _minimal_unique_set(
     rng: random.Random,
     candidates: list[Clue],
     features: tuple[Feature, ...],
-    truth: dict[str, tuple[str, ...]],
+    truth: SolutionTable,
     n: int,
     budget: Budget,
 ) -> list[Clue]:
+    from .render import clue_blocks, render_instance_dsl  # late import: render depends on this module
+
     relational = [c for c in candidates if c.kind != AT_POSITION]
     pins = [c for c in candidates if c.kind == AT_POSITION]
     rng.shuffle(relational)
     rng.shuffle(pins)
+    selected = relational + pins
+    program = check(parse(render_instance_dsl(features, selected, n)))
+    blocks = clue_blocks(program.entry.body, len(selected))
 
-    # grow until unique: all relational clues first, then pins one by one
-    selected = list(relational)
-    if not _is_unique(selected, features, truth, n, budget):
-        for pin in pins:
-            selected.append(pin)
-            if _is_unique(selected, features, truth, n, budget):
+    def model_of(indices) -> ConstraintModel:
+        """The candidate program cut down to the given clues, in program order."""
+        body = tuple(stmt for i in sorted(indices) for stmt in blocks[i])
+        return lower(replace(program, entry=replace(program.entry, body=body)))
+
+    def is_unique(indices) -> bool:
+        model = model_of(indices)
+        return not find_second(model, encode(model, truth), budget).ambiguous
+
+    try:
+        # grow until unique: all relational clues first, then pins one by one
+        size = len(relational)
+        while not is_unique(range(size)):
+            if size == len(selected):
+                raise GenerationError("could not certify uniqueness even with all pins")
+            size += 1
+
+        # greedily drop what uniqueness does not need (locally minimal, not global)
+        order = list(range(size))
+        rng.shuffle(order)
+        kept = set(order)
+        for idx in order:
+            if len(kept) == 1:
                 break
-        else:
-            raise GenerationError("could not certify uniqueness even with all pins")
-
-    # greedily drop what uniqueness does not need (locally minimal, not global)
-    order = list(range(len(selected)))
-    rng.shuffle(order)
-    kept = set(order)
-    for idx in order:
-        if len(kept) == 1:
-            break
-        trial = [selected[i] for i in sorted(kept - {idx})]
-        if _is_unique(trial, features, truth, n, budget):
-            kept.remove(idx)
+            if is_unique(kept - {idx}):
+                kept.remove(idx)
+        final = model_of(kept)
+        outcome = solve(final, budget)
+    except BudgetExceeded as exc:
+        raise GenerationError(f"uniqueness check exceeded the solver budget: {exc}")
+    if not outcome.is_sat or decode(final, outcome.assignment) != truth:
+        raise GenerationError("sampled clues rejected their own truth table")
     result = [selected[i] for i in sorted(kept)]
     rng.shuffle(result)
     return result
-
-
-def _is_unique(
-    clues: list[Clue],
-    features: tuple[Feature, ...],
-    truth: dict[str, tuple[str, ...]],
-    n: int,
-    budget: Budget,
-) -> bool:
-    from .render import render_instance_dsl
-
-    source = render_instance_dsl(features, clues, n)
-    model = lower(check(parse(source)))
-    try:
-        outcome = solve(model, budget)
-        if not outcome.is_sat:
-            raise GenerationError("sampled clues rejected their own truth table")
-        report = find_second(model, outcome.assignment, budget)
-    except BudgetExceeded as exc:
-        raise GenerationError(f"uniqueness check exceeded the solver budget: {exc}")
-    return not report.ambiguous

@@ -6,6 +6,8 @@ that encodes every clue exactly. All emitted string values are lowercase.
 
 from __future__ import annotations
 
+from ..errors import InternalError
+from ..frontend.ast import Assert, Stmt
 from ..frontend.parser import SourceText
 from .puzzle import (
     AT_POSITION,
@@ -81,6 +83,20 @@ def render_constraints(clues: tuple[Clue, ...] | list[Clue]) -> SourceText:
         lines.append(f"    assume({name}.{POSITION_FIELD} >= 1)")
     lines.append("")
     return SourceText("\n".join(lines), "oracle:constraints")
+
+
+def clue_blocks(body: tuple[Stmt, ...], n_clues: int) -> list[tuple[Stmt, ...]]:
+    """Split a validator body rendered by ``render_constraints`` into one
+    statement block per clue: each clue's statements end in its one assert."""
+    blocks: list[tuple[Stmt, ...]] = []
+    start = 0
+    for i, stmt in enumerate(body):
+        if isinstance(stmt, Assert):
+            blocks.append(body[start : i + 1])
+            start = i + 1
+    if len(blocks) != n_clues or start != len(body):
+        raise InternalError(f"{n_clues} clues rendered into {len(blocks)} assert blocks")
+    return blocks
 
 
 def render_instance_dsl(

@@ -23,26 +23,9 @@ EOF = "EOF"
 
 KEYWORDS = frozenset({"class", "def", "assert", "and", "or", "not", "None"})
 
-# Longest-match first.
-_OPERATORS = (
-    "->",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "<",
-    ">",
-    "=",
-    "+",
-    "-",
-    "*",
-    "(",
-    ")",
-    "[",
-    "]",
-    ":",
-    ",",
-    ".",
+# Two-character operators are tried before one-character ones.
+_OPERATORS = frozenset(
+    ("->", "==", "!=", "<=", ">=", "<", ">", "=", "+", "-", "*", "(", ")", "[", "]", ":", ",", ".")
 )
 
 _OPEN = {"(": ")", "[": "]"}
@@ -149,20 +132,20 @@ def tokenize(text: str, origin: str = "<string>") -> list[Token]:
                 tokens.append(Token(STRING, "".join(buf), line_no, col))
                 i = j
             else:
-                for op in _OPERATORS:
-                    if raw.startswith(op, i):
-                        tok = Token(OP, op, line_no, col)
-                        if op in _OPEN:
-                            brackets.append(tok)
-                        elif op in _CLOSE:
-                            if not brackets or brackets[-1].text != _CLOSE[op]:
-                                raise err(f"unmatched {op!r}", line_no, col)
-                            brackets.pop()
-                        tokens.append(tok)
-                        i += len(op)
-                        break
-                else:
+                op = raw[i : i + 2]
+                if op not in _OPERATORS:
+                    op = ch
+                if op not in _OPERATORS:
                     raise err(f"unexpected character {ch!r}", line_no, col)
+                tok = Token(OP, op, line_no, col)
+                if op in _OPEN:
+                    brackets.append(tok)
+                elif op in _CLOSE:
+                    if not brackets or brackets[-1].text != _CLOSE[op]:
+                        raise err(f"unmatched {op!r}", line_no, col)
+                    brackets.pop()
+                tokens.append(tok)
+                i += len(op)
             produced = True
 
         if produced and not brackets:

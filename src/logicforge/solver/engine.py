@@ -1,9 +1,11 @@
 """Native finite-domain solver: backtracking search with propagation.
 
-Search is depth-first over explicit domains with minimum-remaining-values
-variable order (ties to the lowest id) and ascending value order; selector
-variables are branched only after every regular variable is fixed. This makes
-outcomes and decision counts fully deterministic.
+There is one search, depth-first over explicit domains with
+minimum-remaining-values variable order (ties to the lowest id) and ascending
+value order; selector variables are branched only after every regular
+variable is fixed, and only until they complete a solution. ``solve`` takes
+its first solution. This makes outcomes and decision counts fully
+deterministic.
 
 Propagation runs each constraint and all-different group to a fixpoint:
 
@@ -598,10 +600,15 @@ class _Solver:
                 time.perf_counter() - self.start,
             )
 
-    def search(self, state: _State) -> list[int] | None:
+    def solutions(self, state: _State) -> Iterator[list[int]]:
+        """Depth-first search from ``state``, yielding one solution per
+        assignment of the regular variables: below the last regular
+        variable, selectors are branched only until they complete a
+        solution, so solutions that differ only in selectors are found once."""
         ident = self._pick(state)
         if ident is None:
-            return [d[0] for d in state.doms]
+            yield [d[0] for d in state.doms]
+            return
         for value in list(state.doms[ident]):
             self._tick()
             if self.trace:
@@ -609,30 +616,12 @@ class _Solver:
             child = state.copy()
             child.doms[ident] = [value]
             if self.propagate(child):
-                found = self.search(child)
-                if found is not None:
-                    return found
+                for found in self.solutions(child):
+                    yield found
+                    if ident >= self.n_vars:
+                        return
             if self.trace:
                 self.trace(f"backtrack {ident}={value}")
-        return None
-
-    def solutions(self, state: _State) -> Iterator[list[int]]:
-        """The depth-first search of ``search``, continued past each
-        solution: yields one solution per assignment of the regular
-        variables, its selectors completed by ``search``, so that solutions
-        that differ only in selectors are found once."""
-        ident = self._pick(state)
-        if ident is None or ident >= self.n_vars:
-            found = self.search(state)
-            if found is not None:
-                yield found
-            return
-        for value in list(state.doms[ident]):
-            self._tick()
-            child = state.copy()
-            child.doms[ident] = [value]
-            if self.propagate(child):
-                yield from self.solutions(child)
 
     @contextmanager
     def clock(self):
@@ -647,7 +636,7 @@ class _Solver:
     def run(self) -> SolveOutcome:
         with self.clock():
             state = self.initial_state()
-            solution = self.search(state) if self.propagate(state) else None
+            solution = next(self.solutions(state), None) if self.propagate(state) else None
         if solution is None:
             return SolveOutcome(Status.UNSAT, None, self.stats)
         assignment = {i: solution[i] for i in range(self.n_ids)}

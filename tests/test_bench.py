@@ -1,7 +1,9 @@
 """Puzzle generation, rendering, dataset files, metrics, and the runner."""
 
 import dataclasses
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,14 +24,20 @@ from logicforge.bench import (
     score,
     task_from_instance,
 )
-from logicforge.bench.puzzle import DIRECTLY_LEFT, NEXT_TO, Clue
-from logicforge.bench.render import clue_text, render_constraints
+from logicforge.bench import puzzle
+from logicforge.bench.puzzle import DIRECTLY_LEFT, NEXT_TO, NOT_AT_POSITION, Clue
+from logicforge.bench.render import (
+    clue_blocks,
+    clue_text,
+    render_constraints,
+    render_instance_dsl,
+)
 from logicforge.bench.score import EmptyInput, TaskResult
-from logicforge.errors import DatasetError, GenerationError
+from logicforge.errors import DatasetError, GenerationError, InternalError
 from logicforge.frontend import check, parse
-from logicforge.model import decode, lower
+from logicforge.model import decode, dump_model, lower
 from logicforge.model.decode import SolutionTable
-from logicforge.solver import brute_force, find_second, solve
+from logicforge.solver import Budget, brute_force, find_second, solve
 
 
 def make_table(cells_by_house: dict[int, dict[str, str]]) -> SolutionTable:
@@ -105,6 +113,70 @@ class TestGenerator:
 
         program = check(parse(render_dsl(instance)))
         assert check_solution(program, instance.truth)
+
+
+def truth_columns(instance) -> dict[str, tuple[str, ...]]:
+    return {
+        f.name: tuple(row[f.name] for row in instance.truth.rows) for f in instance.features
+    }
+
+
+class TestCompiledCandidates:
+    """The generator compiles its candidate program once and cuts it into
+    per-clue blocks for each uniqueness check."""
+
+    def test_cut_program_lowers_like_the_rendered_subset(self):
+        instance = generate_puzzle(42, 4, 4)
+        n, features = instance.n_entities, instance.features
+        rng = random.Random(3)
+        candidates = puzzle._sample_candidates(rng, features, truth_columns(instance), n)
+        rng.shuffle(candidates)
+        program = check(parse(render_instance_dsl(features, candidates, n)))
+        blocks = clue_blocks(program.entry.body, len(candidates))
+        for _ in range(20):
+            subset = sorted(rng.sample(range(len(candidates)), rng.randint(1, len(candidates))))
+            body = tuple(stmt for i in subset for stmt in blocks[i])
+            cut = lower(dataclasses.replace(program, entry=dataclasses.replace(program.entry, body=body)))
+            rendered = lower(check(parse(render_instance_dsl(features, [candidates[i] for i in subset], n))))
+            assert dump_model(cut) == dump_model(rendered)
+
+    def test_block_count_must_match_clue_count(self):
+        instance = generate_puzzle(1, 3, 3)
+        body = check(parse(render_dsl(instance))).entry.body
+        assert len(clue_blocks(body, len(instance.clues))) == len(instance.clues)
+        with pytest.raises(InternalError):
+            clue_blocks(body, len(instance.clues) + 1)
+
+    def test_one_compile_one_search_per_check(self, monkeypatch):
+        calls: dict[str, list] = {"parse": [], "check": [], "lower": [], "solve": [], "find_second": []}
+
+        def counting(name):
+            fn = getattr(puzzle, name)
+
+            def wrapper(*args):
+                calls[name].append(args)
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(puzzle, name, counting(name))
+        budget = Budget(max_time=20.0)
+        generate_puzzle(42, 4, 4, budget=budget)
+        assert len(calls["parse"]) == len(calls["check"]) == len(calls["solve"]) == 1
+        # one lowering per check, plus the final solve's model
+        assert len(calls["find_second"]) == len(calls["lower"]) - 1 > 1
+        assert all(args[-1] is budget for args in calls["solve"] + calls["find_second"])
+
+    def test_clues_that_reject_the_truth_are_refused(self, monkeypatch):
+        # the first person's name is in no house: no table satisfies the clues
+        def contradictory(rng, features, truth, n):
+            name = truth["name"][0]
+            return [Clue(NOT_AT_POSITION, "name", name, pos=p) for p in range(1, n + 1)]
+
+        monkeypatch.setattr(puzzle, "_sample_candidates", contradictory)
+        with pytest.raises(GenerationError, match="rejected their own truth table"):
+            generate_puzzle(5, 3, 3)
 
 
 class TestRenderDsl:
@@ -289,6 +361,12 @@ class TestRunner:
         a = [t.to_json_dict() for t in generate_tasks(spec)]
         b = [t.to_json_dict() for t in generate_tasks(spec)]
         assert a == b
+
+    def test_generated_tasks_match_their_golden_digest(self, small_tasks, tmp_path):
+        path = tmp_path / "d.jsonl"
+        save_dataset(small_tasks, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "4df276c2570339b43c0199d59d086db35c2160b51c4e8ca1d7a2e2d477f7db9d"
 
     def test_duplicate_task_ids_rejected(self, small_tasks):
         from logicforge.errors import LogicForgeError
