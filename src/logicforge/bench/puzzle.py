@@ -4,11 +4,12 @@ A puzzle assigns one value per feature to each of n positions ("houses",
 numbered 1..n left to right). The generator draws a random ground-truth
 table, samples clues that are true of it, extends the set until the solution
 is provably unique, then greedily drops clues that uniqueness does not need.
-The candidate program is rendered, parsed and checked once. A uniqueness
-check lowers the chosen clues' statement blocks in program order and runs one
-second-solution search against the truth table. A final solve confirms that
-the kept clues accept their own truth, so every emitted instance is solvable
-and unambiguous.
+The candidate program is rendered, parsed, checked and lowered once, and its
+constraint list is cut into one slice per clue. A uniqueness check keeps the
+model's variables and selectors, takes the chosen clues' slices in program
+order, and runs one second-solution search against the truth table. A final
+solve confirms that the kept clues accept their own truth, so every emitted
+instance is solvable and unambiguous.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from ..errors import BudgetExceeded, GenerationError
+from ..errors import BudgetExceeded, GenerationError, InternalError
 from ..frontend.check import check
 from ..frontend.parser import parse
-from ..model.constraints import ConstraintModel
+from ..model.constraints import CExpr, ConstraintModel
 from ..model.decode import SolutionTable, decode, encode
 from ..model.lower import lower
 from ..solver.engine import Budget, find_second, solve
@@ -188,15 +189,7 @@ def generate_puzzle(
     )
     from .render import render_text  # late import: render depends on this module
 
-    return PuzzleInstance(
-        instance.id,
-        instance.n_entities,
-        instance.n_features,
-        instance.features,
-        instance.clues,
-        render_text(instance),
-        instance.truth,
-    )
+    return replace(instance, text=render_text(instance))
 
 
 def _truth_table(
@@ -263,6 +256,30 @@ def _sample_candidates(
     return list(unique.values())
 
 
+def _compile_candidates(
+    features: tuple[Feature, ...], clues: list[Clue], n: int
+) -> tuple[ConstraintModel, list[list[CExpr]]]:
+    """Lower the program of every candidate clue once, and cut its
+    constraint list into one slice per clue: lowering emits one constraint
+    per assume or assert, in program order."""
+    from .render import clue_ends, render_instance_dsl  # late import: render depends on this module
+
+    program = check(parse(render_instance_dsl(features, clues, n)))
+    model = lower(program)
+    ends = clue_ends(program.entry.body)
+    slices = [model.constraints[start:end] for start, end in zip([0] + ends, ends)]
+    if len(slices) != len(clues) or sum(map(len, slices)) != len(model.constraints):
+        raise InternalError(f"{len(clues)} clues lowered into {len(slices)} assert slices")
+    return model, slices
+
+
+def _cut(model: ConstraintModel, slices: list[list[CExpr]], indices) -> ConstraintModel:
+    """The candidate model constrained by the given clues only, in program
+    order. It keeps every candidate's selector; the solver does not branch
+    the ones no constraint references."""
+    return replace(model, constraints=[c for i in sorted(indices) for c in slices[i]])
+
+
 def _minimal_unique_set(
     rng: random.Random,
     candidates: list[Clue],
@@ -271,24 +288,16 @@ def _minimal_unique_set(
     n: int,
     budget: Budget,
 ) -> list[Clue]:
-    from .render import clue_blocks, render_instance_dsl  # late import: render depends on this module
-
     relational = [c for c in candidates if c.kind != AT_POSITION]
     pins = [c for c in candidates if c.kind == AT_POSITION]
     rng.shuffle(relational)
     rng.shuffle(pins)
     selected = relational + pins
-    program = check(parse(render_instance_dsl(features, selected, n)))
-    blocks = clue_blocks(program.entry.body, len(selected))
-
-    def model_of(indices) -> ConstraintModel:
-        """The candidate program cut down to the given clues, in program order."""
-        body = tuple(stmt for i in sorted(indices) for stmt in blocks[i])
-        return lower(replace(program, entry=replace(program.entry, body=body)))
+    model, slices = _compile_candidates(features, selected, n)
+    first = encode(model, truth)
 
     def is_unique(indices) -> bool:
-        model = model_of(indices)
-        return not find_second(model, encode(model, truth), budget).ambiguous
+        return not find_second(_cut(model, slices, indices), first, budget).ambiguous
 
     try:
         # grow until unique: all relational clues first, then pins one by one
@@ -307,7 +316,7 @@ def _minimal_unique_set(
                 break
             if is_unique(kept - {idx}):
                 kept.remove(idx)
-        final = model_of(kept)
+        final = _cut(model, slices, kept)
         outcome = solve(final, budget)
     except BudgetExceeded as exc:
         raise GenerationError(f"uniqueness check exceeded the solver budget: {exc}")

@@ -6,8 +6,7 @@ that encodes every clue exactly. All emitted string values are lowercase.
 
 from __future__ import annotations
 
-from ..errors import InternalError
-from ..frontend.ast import Assert, Stmt
+from ..frontend.ast import Assert, Assume, Stmt
 from ..frontend.parser import SourceText
 from .puzzle import (
     AT_POSITION,
@@ -85,18 +84,11 @@ def render_constraints(clues: tuple[Clue, ...] | list[Clue]) -> SourceText:
     return SourceText("\n".join(lines), "oracle:constraints")
 
 
-def clue_blocks(body: tuple[Stmt, ...], n_clues: int) -> list[tuple[Stmt, ...]]:
-    """Split a validator body rendered by ``render_constraints`` into one
-    statement block per clue: each clue's statements end in its one assert."""
-    blocks: list[tuple[Stmt, ...]] = []
-    start = 0
-    for i, stmt in enumerate(body):
-        if isinstance(stmt, Assert):
-            blocks.append(body[start : i + 1])
-            start = i + 1
-    if len(blocks) != n_clues or start != len(body):
-        raise InternalError(f"{n_clues} clues rendered into {len(blocks)} assert blocks")
-    return blocks
+def clue_ends(body: tuple[Stmt, ...]) -> list[int]:
+    """For a validator body rendered by ``render_constraints``, the number of
+    assumes and asserts up to and including each clue's one assert."""
+    conditions = [s for s in body if isinstance(s, (Assume, Assert))]
+    return [i + 1 for i, s in enumerate(conditions) if isinstance(s, Assert)]
 
 
 def render_instance_dsl(

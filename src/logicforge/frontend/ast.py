@@ -199,12 +199,6 @@ class DslProgram:
     classes: tuple[ClassDecl, ...]
     functions: tuple[FuncDecl, ...]
 
-    def class_named(self, name: str) -> ClassDecl | None:
-        for c in self.classes:
-            if c.name == name:
-                return c
-        return None
-
 
 def walk(expr: Expr):
     """Yield expr and all of its sub-expressions, depth first."""

@@ -159,9 +159,6 @@ class ConstraintModel:
             return self.vars[ident].values()
         return self.selectors[ident - len(self.vars)].values()
 
-    def is_selector(self, ident: int) -> bool:
-        return ident >= len(self.vars)
-
     def row_var_ids(self) -> frozenset[int]:
         return frozenset(v for row in self.layout.rows for v in row.fields.values())
 

@@ -3,11 +3,13 @@
 There is one search, depth-first over explicit domains with
 minimum-remaining-values variable order (ties to the lowest id) and ascending
 value order; selector variables are branched only after every regular
-variable is fixed, and only until they complete a solution. ``solve`` takes
-its first solution. This makes outcomes and decision counts fully
-deterministic.
+variable is fixed, only if some constraint references them, and only until
+they complete a solution. ``solve`` takes its first solution. This makes
+outcomes and decision counts fully deterministic, and a model with extra
+unreferenced selectors searches exactly like the same model without them.
 
-Propagation runs each constraint and all-different group to a fixpoint:
+Propagation runs one work list of propagators, the all-different groups
+first and then the constraints, to a fixpoint:
 
 * three-valued constraint evaluation over possible-value sets detects
   contradictions and prunes, via singleton tests, both selector values whose
@@ -48,7 +50,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterator
@@ -333,17 +335,18 @@ class _Solver:
         self.n_vars = len(model.vars)
         self.n_ids = model.n_ids
         self.meta = [_constraint_meta(c) for c in model.constraints]
-        # (function, arguments) per constraint; unbound, so that a solver
-        # holds no reference cycle and is freed as soon as it is dropped
-        self.propagators = [_propagator(m, model) for m in self.meta]
+        # (function, arguments) per all-different group, then per constraint;
+        # unbound, so that a solver holds no reference cycle and is freed as
+        # soon as it is dropped
+        self.propagators = [(_Solver._propagate_group, (group,)) for group in model.alldiff_groups]
+        self.propagators += [_propagator(m, model) for m in self.meta]
+        watched = list(model.alldiff_groups) + [m.watched for m in self.meta]
         self.watchers: list[list[int]] = [[] for _ in range(self.n_ids)]
-        for ci, m in enumerate(self.meta):
-            for ident in m.watched:
-                self.watchers[ident].append(ci)
-        self.group_of: list[list[int]] = [[] for _ in range(self.n_ids)]
-        for gi, group in enumerate(model.alldiff_groups):
-            for v in group:
-                self.group_of[v].append(gi)
+        for item, ids in enumerate(watched):
+            for ident in ids:
+                self.watchers[ident].append(item)
+        # a selector no constraint references leaves every solution as it is
+        self.branched_selectors = [s for s in range(self.n_vars, self.n_ids) if self.watchers[s]]
 
     # -- domain plumbing ---------------------------------------------------
 
@@ -419,36 +422,25 @@ class _Solver:
         """Run to fixpoint. Returns False on contradiction. The fixpoint is
         unique (all propagators are monotone), so processing order only
         affects intermediate work, never the result."""
-        n_groups = len(self.model.alldiff_groups)
-        # work items: 0..n_groups-1 are groups, then constraints
-        queued = [True] * (n_groups + len(self.meta))
+        queued = [True] * len(self.propagators)
         queue = deque(range(len(queued)))
         try:
             while queue:
                 item = queue.popleft()
                 queued[item] = False
                 dirty: set[int] = set()
-                if item < n_groups:
-                    self._propagate_group(state, item, dirty)
-                else:
-                    propagator, args = self.propagators[item - n_groups]
-                    propagator(self, state, dirty, *args)
+                propagator, args = self.propagators[item]
+                propagator(self, state, dirty, *args)
                 for ident in sorted(dirty):
-                    if ident < self.n_vars:
-                        for gi in self.group_of[ident]:
-                            if not queued[gi]:
-                                queued[gi] = True
-                                queue.append(gi)
-                    for ci in self.watchers[ident]:
-                        if not queued[n_groups + ci]:
-                            queued[n_groups + ci] = True
-                            queue.append(n_groups + ci)
+                    for watcher in self.watchers[ident]:
+                        if not queued[watcher]:
+                            queued[watcher] = True
+                            queue.append(watcher)
             return True
         except Contradiction:
             return False
 
-    def _propagate_group(self, state: _State, gi: int, dirty: set[int]) -> None:
-        group = self.model.alldiff_groups[gi]
+    def _propagate_group(self, state: _State, dirty: set[int], group: tuple[int, ...]) -> None:
         doms = state.doms
         # assigned values leave every peer
         for v in group:
@@ -579,7 +571,7 @@ class _Solver:
                 best, best_size = ident, size
         if best is not None:
             return best
-        for ident in range(self.n_vars, self.n_ids):
+        for ident in self.branched_selectors:
             size = len(state.doms[ident])
             if size > 1 and (best_size is None or size < best_size):
                 best, best_size = ident, size
@@ -733,10 +725,4 @@ def _row_ordered(model: ConstraintModel) -> ConstraintModel:
     pf = model.layout.position_field
     pos = [row.fields[pf] for row in model.layout.rows]
     order = [CCmp("<", CVar(a), CVar(b)) for a, b in zip(pos, pos[1:])]
-    return ConstraintModel(
-        model.vars,
-        model.selectors,
-        model.alldiff_groups,
-        list(model.constraints) + order,
-        model.layout,
-    )
+    return replace(model, constraints=list(model.constraints) + order)

@@ -24,10 +24,9 @@ from logicforge.bench import (
     score,
     task_from_instance,
 )
-from logicforge.bench import puzzle
+from logicforge.bench import puzzle, render
 from logicforge.bench.puzzle import DIRECTLY_LEFT, NEXT_TO, NOT_AT_POSITION, Clue
 from logicforge.bench.render import (
-    clue_blocks,
     clue_text,
     render_constraints,
     render_instance_dsl,
@@ -35,8 +34,8 @@ from logicforge.bench.render import (
 from logicforge.bench.score import EmptyInput, TaskResult
 from logicforge.errors import DatasetError, GenerationError, InternalError
 from logicforge.frontend import check, parse
-from logicforge.model import decode, dump_model, lower
-from logicforge.model.decode import SolutionTable
+from logicforge.model import decode, lower
+from logicforge.model.decode import SolutionTable, encode
 from logicforge.solver import Budget, brute_force, find_second, solve
 
 
@@ -122,33 +121,43 @@ def truth_columns(instance) -> dict[str, tuple[str, ...]]:
 
 
 class TestCompiledCandidates:
-    """The generator compiles its candidate program once and cuts it into
-    per-clue blocks for each uniqueness check."""
+    """The generator lowers its candidate program once and cuts its
+    constraint list into per-clue slices for each uniqueness check."""
 
-    def test_cut_program_lowers_like_the_rendered_subset(self):
-        instance = generate_puzzle(42, 4, 4)
-        n, features = instance.n_entities, instance.features
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_cut_model_searches_like_the_rendered_subset(self, n):
+        instance = generate_puzzle(42, n, n)
+        features = instance.features
         rng = random.Random(3)
         candidates = puzzle._sample_candidates(rng, features, truth_columns(instance), n)
         rng.shuffle(candidates)
-        program = check(parse(render_instance_dsl(features, candidates, n)))
-        blocks = clue_blocks(program.entry.body, len(candidates))
+        model, slices = puzzle._compile_candidates(features, candidates, n)
         for _ in range(20):
             subset = sorted(rng.sample(range(len(candidates)), rng.randint(1, len(candidates))))
-            body = tuple(stmt for i in subset for stmt in blocks[i])
-            cut = lower(dataclasses.replace(program, entry=dataclasses.replace(program.entry, body=body)))
-            rendered = lower(check(parse(render_instance_dsl(features, [candidates[i] for i in subset], n))))
-            assert dump_model(cut) == dump_model(rendered)
+            cut = find_second(puzzle._cut(model, slices, subset), encode(model, instance.truth))
+            rendered_model = lower(check(parse(render_instance_dsl(features, [candidates[i] for i in subset], n))))
+            rendered = find_second(rendered_model, encode(rendered_model, instance.truth))
+            assert cut.ambiguous == rendered.ambiguous
+            assert (cut.stats.decisions, cut.stats.propagations) == (
+                rendered.stats.decisions,
+                rendered.stats.propagations,
+            )
 
-    def test_block_count_must_match_clue_count(self):
-        instance = generate_puzzle(1, 3, 3)
-        body = check(parse(render_dsl(instance))).entry.body
-        assert len(clue_blocks(body, len(instance.clues))) == len(instance.clues)
-        with pytest.raises(InternalError):
-            clue_blocks(body, len(instance.clues) + 1)
+    def test_slice_count_must_match_clue_count(self, monkeypatch):
+        rendered = render.render_instance_dsl
+
+        def one_assert_too_many(features, clues, n):
+            source = rendered(features, clues, n)
+            extra = "    assert solution.houses[0].house_number >= 1\n"
+            return dataclasses.replace(source, text=source.text + extra)
+
+        monkeypatch.setattr(render, "render_instance_dsl", one_assert_too_many)
+        with pytest.raises(InternalError, match="assert slices"):
+            generate_puzzle(1, 3, 3)
 
     def test_one_compile_one_search_per_check(self, monkeypatch):
-        calls: dict[str, list] = {"parse": [], "check": [], "lower": [], "solve": [], "find_second": []}
+        names = ("parse", "check", "lower", "solve", "find_second", "_cut")
+        calls: dict[str, list] = {name: [] for name in names}
 
         def counting(name):
             fn = getattr(puzzle, name)
@@ -163,9 +172,9 @@ class TestCompiledCandidates:
             monkeypatch.setattr(puzzle, name, counting(name))
         budget = Budget(max_time=20.0)
         generate_puzzle(42, 4, 4, budget=budget)
-        assert len(calls["parse"]) == len(calls["check"]) == len(calls["solve"]) == 1
-        # one lowering per check, plus the final solve's model
-        assert len(calls["find_second"]) == len(calls["lower"]) - 1 > 1
+        assert [len(calls[name]) for name in ("parse", "check", "lower", "solve")] == [1, 1, 1, 1]
+        # one cut per check, plus the final solve's model
+        assert len(calls["find_second"]) == len(calls["_cut"]) - 1 > 1
         assert all(args[-1] is budget for args in calls["solve"] + calls["find_second"])
 
     def test_clues_that_reject_the_truth_are_refused(self, monkeypatch):

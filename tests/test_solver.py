@@ -248,6 +248,20 @@ class TestFindSecond:
         assert not report.ambiguous
         assert report.stats.decisions == 1
 
+    def test_unreferenced_selector_is_not_branched(self):
+        # a nondet that no assume or assert uses changes no solution, so the
+        # search does not branch it: the zebra program's counts stay as they are
+        from conftest import DATA_DIR
+
+        text = (DATA_DIR / "zebra_4x4.lpy").read_text(encoding="utf-8")
+        model = _model(text + "    unused = nondet(solution.houses)\n")
+        assert len(model.selectors) == len(_model(text).selectors) + 1
+        outcome = solve(model)
+        assert outcome.stats.decisions == 6
+        report = find_second(model, outcome.assignment)
+        assert not report.ambiguous
+        assert report.stats.decisions == 3
+
     @pytest.mark.parametrize("n", [5, 6])
     def test_slack_position_domain_is_unique_within_one_budget(self, n):
         # an AT_POSITION clue for every cell and one more position than rows:
@@ -380,7 +394,9 @@ def assert_matches_generic(model: ConstraintModel, rng: random.Random, trials: i
     random sub-domains. Returns how many constraints got a dedicated one."""
     solver = engine._Solver(model, Budget())
     dedicated = 0
-    for meta, propagator in zip(solver.meta, solver.propagators):
+    # the all-different groups' propagators come first in the work list
+    constraint_propagators = solver.propagators[len(model.alldiff_groups) :]
+    for meta, propagator in zip(solver.meta, constraint_propagators):
         generic = (engine._Solver._propagate_generic, (meta,))
         dedicated += propagator[0] is not engine._Solver._propagate_generic
         for _ in range(trials):
@@ -391,7 +407,8 @@ def assert_matches_generic(model: ConstraintModel, rng: random.Random, trials: i
 
 def _is_generic(model: ConstraintModel) -> list[bool]:
     solver = engine._Solver(model, Budget())
-    return [function is engine._Solver._propagate_generic for function, _ in solver.propagators]
+    constraint_propagators = solver.propagators[len(model.alldiff_groups) :]
+    return [function is engine._Solver._propagate_generic for function, _ in constraint_propagators]
 
 
 def _model(text: str) -> ConstraintModel:
