@@ -200,20 +200,35 @@ class DslProgram:
     functions: tuple[FuncDecl, ...]
 
 
+def children(expr: Expr) -> tuple[Expr, ...]:
+    """The direct sub-expressions of expr, left to right."""
+    if isinstance(expr, (FieldAccess, Index)):
+        return (expr.obj,)
+    if isinstance(expr, (Nondet, Abs)):
+        return (expr.arg,)
+    if isinstance(expr, (Binary, Compare)):
+        return (expr.left, expr.right)
+    if isinstance(expr, BoolOp):
+        return expr.operands
+    if isinstance(expr, Not):
+        return (expr.operand,)
+    return ()
+
+
 def walk(expr: Expr):
     """Yield expr and all of its sub-expressions, depth first."""
     yield expr
-    if isinstance(expr, FieldAccess):
-        yield from walk(expr.obj)
-    elif isinstance(expr, Index):
-        yield from walk(expr.obj)
-    elif isinstance(expr, (Nondet, Abs)):
-        yield from walk(expr.arg)
-    elif isinstance(expr, (Binary, Compare)):
-        yield from walk(expr.left)
-        yield from walk(expr.right)
-    elif isinstance(expr, BoolOp):
-        for op in expr.operands:
-            yield from walk(op)
-    elif isinstance(expr, Not):
-        yield from walk(expr.operand)
+    for child in children(expr):
+        yield from walk(child)
+
+
+def height(expr: Expr) -> int:
+    """Edges on the longest path from expr down to a leaf. Iterative, so it
+    measures trees of any depth."""
+    out = 0
+    stack = [(expr, 0)]
+    while stack:
+        node, depth = stack.pop()
+        out = max(out, depth)
+        stack.extend((child, depth + 1) for child in children(node))
+    return out

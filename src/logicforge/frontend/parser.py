@@ -37,11 +37,24 @@ from .ast import (
     Pos,
     Stmt,
     StrLit,
+    height,
 )
 
 BUILTINS = frozenset({"assume", "nondet", "abs"})
 
 _COMPARE_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
+
+# Deepest expression nesting accepted, measured two ways and each held to the
+# limit. The parser's own recursion: a statement's expression is level 1, and
+# each parenthesis, call argument and `not` adds one. The height of the
+# statement's expression tree, in edges: every operator, call, field access
+# and index adds one, so a long `+` chain or `.field` chain counts one level
+# per link although the parser builds it in a loop. Every later stage (check,
+# lower, solve, find_second, C emission) recurses on the expression tree, and
+# a program at this depth passes all of them under the default recursion
+# limit. Without the limit the parser itself overflows the stack between 100
+# and 150 levels of parentheses, and the later stages on a 1000-term sum.
+MAX_NESTING = 50
 
 
 @dataclass(frozen=True)
@@ -65,6 +78,7 @@ class _Parser:
         self.tokens = tokens
         self.origin = origin
         self.i = 0
+        self.depth = 0
 
     # -- token plumbing --------------------------------------------------
 
@@ -102,6 +116,14 @@ class _Parser:
     def err(self, msg: str, tok: lexer.Token | None = None) -> DslSyntaxError:
         tok = tok or self.peek()
         return DslSyntaxError(msg, self.origin, tok.line, tok.col)
+
+    def int_of(self, tok: lexer.Token) -> int:
+        """The value of an integer token. Python refuses to convert a digit
+        string longer than its limit (4300 digits by default)."""
+        try:
+            return int(tok.text)
+        except ValueError:
+            raise self.err("integer literal too long", tok) from None
 
     def pos(self, tok: lexer.Token) -> Pos:
         return Pos(tok.line, tok.col)
@@ -170,7 +192,7 @@ class _Parser:
             elem_tok = self.expect(lexer.NAME, what="element class name")
             self.expect(lexer.OP, ",")
             size_tok = self.expect(lexer.INT, what="list size")
-            size = int(size_tok.text)
+            size = self.int_of(size_tok)
             if size <= 0:
                 raise self.err("list size must be positive", size_tok)
             self.expect(lexer.OP, "]")
@@ -195,7 +217,7 @@ class _Parser:
     def parse_int_literal(self) -> int:
         neg = self.match(lexer.OP, "-") is not None
         tok = self.expect(lexer.INT, what="integer literal")
-        value = int(tok.text)
+        value = self.int_of(tok)
         return -value if neg else value
 
     def parse_func(self) -> FuncDecl:
@@ -256,7 +278,22 @@ class _Parser:
     # -- expressions (precedence: or < and < not < compare < add < mul) ---
 
     def parse_expr(self) -> Expr:
-        return self.parse_or()
+        start = self.peek()
+        self.nest()
+        expr = self.parse_or()
+        self.depth -= 1
+        if not self.depth and height(expr) > MAX_NESTING:
+            raise self.too_deep(start)
+        return expr
+
+    def nest(self) -> None:
+        """Enter one more level of nesting, within MAX_NESTING."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.too_deep()
+
+    def too_deep(self, tok: lexer.Token | None = None) -> DslSyntaxError:
+        return self.err(f"expression nested too deeply (more than {MAX_NESTING} levels)", tok)
 
     def parse_or(self) -> Expr:
         first_tok = self.peek()
@@ -279,7 +316,10 @@ class _Parser:
     def parse_not(self) -> Expr:
         tok = self.peek()
         if self.match(lexer.NAME, "not"):
-            return Not(self.parse_not(), self.pos(tok))
+            self.nest()
+            expr = Not(self.parse_not(), self.pos(tok))
+            self.depth -= 1
+            return expr
         return self.parse_comparison()
 
     def parse_comparison(self) -> Expr:
@@ -321,10 +361,10 @@ class _Parser:
         if tok.kind == lexer.OP and tok.text == "-":
             self.advance()
             lit = self.expect(lexer.INT, what="integer literal after unary '-'")
-            return self.parse_trailers(IntLit(-int(lit.text), self.pos(tok)))
+            return self.parse_trailers(IntLit(-self.int_of(lit), self.pos(tok)))
         if tok.kind == lexer.INT:
             self.advance()
-            return self.parse_trailers(IntLit(int(tok.text), self.pos(tok)))
+            return self.parse_trailers(IntLit(self.int_of(tok), self.pos(tok)))
         if tok.kind == lexer.STRING:
             self.advance()
             return self.parse_trailers(StrLit(tok.text, self.pos(tok)))
@@ -360,7 +400,7 @@ class _Parser:
                 self.advance()
                 idx = self.expect(lexer.INT, what="integer index")
                 self.expect(lexer.OP, "]")
-                expr = Index(expr, int(idx.text), self.pos(tok))
+                expr = Index(expr, self.int_of(idx), self.pos(tok))
             elif tok.kind == lexer.OP and tok.text == "(":
                 raise self.err("only 'nondet' and 'abs' may be called", tok)
             else:

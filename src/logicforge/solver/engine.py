@@ -8,6 +8,15 @@ they complete a solution. ``solve`` takes its first solution. This makes
 outcomes and decision counts fully deterministic, and a model with extra
 unreferenced selectors searches exactly like the same model without them.
 
+Each domain is one int bit mask: bit ``i`` is the value ``base + i``. A
+selector's base is 0, so its bits are its values. A variable's base is the
+lowest declared value among the variables it shares an elem table or an
+all-different group with, so the masks that one propagator ORs together
+share bit positions, and a mask is as wide as its variable's value range,
+not as large as its values. The search state is the list of masks, so a
+child state is a plain list copy, and membership, union and shift tests are
+word operations.
+
 Propagation runs one work list of propagators, the all-different groups
 first and then the constraints, to a fixpoint:
 
@@ -20,19 +29,22 @@ first and then the constraints, to a fixpoint:
 
 The singleton tests of the generic evaluator re-walk the constraint tree once
 per tested value. When the solver is built, each constraint whose shape the
-lowering emits gets a dedicated propagator instead (E is
-``elem(selector, table)``, L a literal):
+lowering or the row order of ``find_second`` emits gets a dedicated
+propagator instead (E is ``elem(selector, table)``, L a literal, V a
+variable):
 
 * ``E == L`` and ``E != L``;
 * ``E1 == E2 - L``, ``E1 < E2`` and ``abs(E1 - E2) == L`` over two distinct
   selectors, when the value sets stay within ``_SET_CAP`` so that the generic
-  arithmetic is exact.
+  arithmetic is exact, and the literal shifts a mask by less than its width;
+* ``V1 < V2`` over two distinct variables.
 
 A dedicated propagator removes exactly the values the generic singleton tests
 remove, in the same order, and fails in the same states, so fixpoints,
 decision and propagation counts and assignments do not depend on which one
-ran. Every other shape (``and``, ``or``, ``not``, ``<=``, the same selector
-on both sides, wide arithmetic, ...) uses the generic evaluator.
+ran. The generic evaluator, which converts masks to value sets at its
+boundary, now serves only shapes that neither emits (``and``, ``or``,
+``not``, ``<=``, the same selector on both sides, wide arithmetic, ...).
 
 Pruning only ever uses over-approximations of reachable values, so no value
 belonging to a satisfying assignment is removed.
@@ -212,16 +224,21 @@ def _cmp_sets(op: str, ls, rs) -> tuple[bool, bool]:
     return hi_l >= lo_r, lo_l < hi_r
 
 
-class _State:
-    """Mutable search state: one explicit domain per id (vars then selectors)."""
+_BYTE_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))
 
-    __slots__ = ("doms",)
 
-    def __init__(self, doms: list[list[int]]):
-        self.doms = doms
-
-    def copy(self) -> "_State":
-        return _State([d[:] for d in self.doms])
+def _bits(mask: int):
+    """Positions of the set bits of ``mask``, ascending. One table serves
+    each byte, so nothing grows with the masks seen."""
+    if mask < 256:
+        return _BYTE_BITS[mask]
+    out: list[int] = []
+    base = 0
+    while mask:
+        out += [base + i for i in _BYTE_BITS[mask & 255]]
+        mask >>= 8
+        base += 8
+    return out
 
 
 class Contradiction(Exception):
@@ -253,37 +270,51 @@ def _constraint_meta(expr: CExpr) -> _ConstraintMeta:
     )
 
 
-def _elem_values(doms, sel: int, table) -> set[int]:
-    out: set[int] = set()
-    for j in doms[sel]:
-        out.update(doms[table[j]])
+def _bases(lows: list[int], ties, n_selectors: int) -> list[int]:
+    """The mask base of each id: 0 for a selector; for a variable, the lowest
+    of ``lows`` (each variable's lowest declared value) over the variables it
+    is tied to, directly or through others, by one of ``ties``."""
+    base = list(lows)
+    changed = True
+    while changed:  # one pass when every tie holds one domain, as lowered
+        changed = False
+        for ids in ties:
+            low = min([base[v] for v in ids])
+            for v in ids:
+                if base[v] != low:
+                    base[v] = low
+                    changed = True
+    return base + [0] * n_selectors
+
+
+def _elem_values(doms, sel: int, table) -> int:
+    """Mask of the values elem(sel, table) can take."""
+    out = 0
+    for i in _bits(doms[sel]):
+        out |= doms[table[i]]
     return out
 
 
-def _elem_values_except(doms, sel: int, table, var: int) -> tuple[set[int], bool]:
-    """Values of elem(sel, table) reached through vars other than ``var``,
-    and whether ``var`` itself is reachable."""
-    out: set[int] = set()
+def _elem_values_except(doms, sel: int, table, var: int) -> tuple[int, bool]:
+    """Mask of the values of elem(sel, table) reached through vars other
+    than ``var``, and whether ``var`` itself is reachable."""
+    out = 0
     hit = False
-    for j in doms[sel]:
-        v = table[j]
+    for i in _bits(doms[sel]):
+        v = table[i]
         if v == var:
             hit = True
         else:
-            out.update(doms[v])
+            out |= doms[v]
     return out, hit
 
 
-def _elem_pair(expr: CCmp, reach: Callable[[CElem], int]):
+def _elem_pair(expr: CCmp) -> tuple[CElem, CElem, str, int] | None:
     """Match ``E1 < E2``, ``E1 == E2 - L`` and ``abs(E1 - E2) == L`` over two
-    distinct selectors: (E1, E2, relation over the two sides' value sets).
-
-    ``reach`` bounds how many values an elem can take. No match where the
-    generic evaluator's arithmetic could exceed _SET_CAP and widen a set to
-    its range, which an exact relation would not do."""
+    distinct selectors: (E1, E2, the shape ``<``, ``-`` or ``abs``, L)."""
     left, right = expr.left, expr.right
     if expr.op == "<" and isinstance(left, CElem) and isinstance(right, CElem):
-        e1, e2, relation = left, right, _less
+        e1, e2, shape, k = left, right, "<", 0
     elif (
         expr.op == "=="
         and isinstance(left, CElem)
@@ -292,10 +323,7 @@ def _elem_pair(expr: CCmp, reach: Callable[[CElem], int]):
         and isinstance(right.left, CElem)
         and isinstance(right.right, CLit)
     ):
-        e1, e2, k = left, right.left, right.right.value
-        if reach(e2) > _SET_CAP:
-            return None
-        relation = partial(_equals_minus, k)
+        e1, e2, shape, k = left, right.left, "-", right.right.value
     elif (
         expr.op == "=="
         and isinstance(right, CLit)
@@ -305,25 +333,36 @@ def _elem_pair(expr: CCmp, reach: Callable[[CElem], int]):
         and isinstance(left.arg.left, CElem)
         and isinstance(left.arg.right, CElem)
     ):
-        e1, e2, k = left.arg.left, left.arg.right, right.value
-        if reach(e1) * reach(e2) > _SET_CAP:
-            return None
-        relation = partial(_abs_difference_is, k)
+        e1, e2, shape, k = left.arg.left, left.arg.right, "abs", right.value
     else:
         return None
-    return (e1, e2, relation) if e1.selector != e2.selector else None
+    return (e1, e2, shape, k) if e1.selector != e2.selector else None
 
 
-def _less(xs: set[int], ys: set[int]) -> bool:
-    return min(xs) < max(ys)
+# Relations over a value mask xs of one side and ys of the other, where bit j
+# of ys is value d + j in the bits of xs (d: the difference of the bases);
+# each is truthy when some x of xs and y of ys satisfy it. A shift t matches
+# bit j of ys with bit j + t of xs.
 
 
-def _equals_minus(k: int, xs: set[int], ys: set[int]) -> bool:
-    return any(y - k in xs for y in ys)
+def _less(d: int, xs: int, ys: int) -> bool:
+    """min(xs) < max(ys): the lowest bit of xs below the highest of ys."""
+    return (xs & -xs).bit_length() < ys.bit_length() + d
 
 
-def _abs_difference_is(k: int, xs: set[int], ys: set[int]) -> bool:
-    return k >= 0 and any(y + k in xs or y - k in xs for y in ys)
+def _equals_minus(t: int, xs: int, ys: int) -> int:
+    """x == y - L, where t = d - L."""
+    return xs & (ys << t if t >= 0 else ys >> -t)
+
+
+def _abs_difference_is(t1: int, t2: int, xs: int, ys: int) -> int:
+    """abs(x - y) == L for L >= 0, where t1 = d + L and t2 = d - L."""
+    return xs & ((ys << t1 if t1 >= 0 else ys >> -t1) | (ys << t2 if t2 >= 0 else ys >> -t2))
+
+
+def _never(xs: int, ys: int) -> bool:
+    """abs(x - y) == L for L < 0."""
+    return False
 
 
 class _Solver:
@@ -335,11 +374,20 @@ class _Solver:
         self.n_vars = len(model.vars)
         self.n_ids = model.n_ids
         self.meta = [_constraint_meta(c) for c in model.constraints]
+        declared = [model.domain_of(i) for i in range(self.n_ids)]
+        lows = [values[0] for values in declared[: self.n_vars]]
+        # the tables a dedicated propagator ORs are those of meta.selectors
+        # (one per selector); clues repeat the same few, so each is joined once
+        ties = {*model.alldiff_groups, *(t for m in self.meta for _, t in m.selectors)}
+        self.base = _bases(lows, ties, len(model.selectors))
+        self.declared = [self.mask(i, values) for i, values in enumerate(declared)]
+        # no literal shifts a mask by this much or more
+        self.width = max(m.bit_length() for m in self.declared)
         # (function, arguments) per all-different group, then per constraint;
         # unbound, so that a solver holds no reference cycle and is freed as
         # soon as it is dropped
         self.propagators = [(_Solver._propagate_group, (group,)) for group in model.alldiff_groups]
-        self.propagators += [_propagator(m, model) for m in self.meta]
+        self.propagators += [self._propagator(m) for m in self.meta]
         watched = list(model.alldiff_groups) + [m.watched for m in self.meta]
         self.watchers: list[list[int]] = [[] for _ in range(self.n_ids)]
         for item, ids in enumerate(watched):
@@ -350,15 +398,30 @@ class _Solver:
 
     # -- domain plumbing ---------------------------------------------------
 
-    def initial_state(self) -> _State:
-        return _State([sorted(self.model.domain_of(i)) for i in range(self.n_ids)])
+    def mask(self, ident: int, values) -> int:
+        """The mask of ``values`` of ``ident``, each at least its base."""
+        base = self.base[ident]
+        out = 0
+        for value in values:
+            out |= 1 << (value - base)
+        return out
 
-    def _remove(self, state: _State, ident: int, value: int, dirty: set[int]) -> None:
-        dom = state.doms[ident]
-        dom.remove(value)
-        self.stats.propagations += 1
+    def values(self, ident: int, mask: int) -> list[int]:
+        """The values of a mask of ``ident``, ascending."""
+        base = self.base[ident]
+        return [base + i for i in _bits(mask)]
+
+    def initial_state(self) -> list[int]:
+        return list(self.declared)
+
+    def _remove(self, doms: list[int], ident: int, mask: int, dirty: set[int]) -> None:
+        """Remove ``mask``, a non-empty subset of ``ident``'s domain, with one
+        propagation counted per value."""
+        dom = doms[ident] & ~mask
+        self.stats.propagations += mask.bit_count()
         if not dom:
             raise Contradiction()
+        doms[ident] = dom
         dirty.add(ident)
 
     # -- abstract evaluation over current domains --------------------------
@@ -369,19 +432,19 @@ class _Solver:
         if isinstance(expr, CVar):
             if expr.var == pin_id:
                 return {pin_val}
-            return set(doms[expr.var])
+            return set(self.values(expr.var, doms[expr.var]))
         if isinstance(expr, CElem):
             if expr.selector == pin_id:
-                choices = (pin_val,)
+                choices = [pin_val]
             else:
-                choices = doms[expr.selector]
+                choices = _bits(doms[expr.selector])
             out: set[int] = set()
             for j in choices:
                 v = expr.table[j]
                 if v == pin_id:
                     out.add(pin_val)
                 else:
-                    out.update(doms[v])
+                    out.update(self.values(v, doms[v]))
             return out
         if isinstance(expr, CBin):
             return _apply_bin(
@@ -418,7 +481,7 @@ class _Solver:
 
     # -- propagation --------------------------------------------------------
 
-    def propagate(self, state: _State) -> bool:
+    def propagate(self, doms: list[int]) -> bool:
         """Run to fixpoint. Returns False on contradiction. The fixpoint is
         unique (all propagators are monotone), so processing order only
         affects intermediate work, never the result."""
@@ -430,7 +493,7 @@ class _Solver:
                 queued[item] = False
                 dirty: set[int] = set()
                 propagator, args = self.propagators[item]
-                propagator(self, state, dirty, *args)
+                propagator(self, doms, dirty, *args)
                 for ident in sorted(dirty):
                     for watcher in self.watchers[ident]:
                         if not queued[watcher]:
@@ -440,139 +503,247 @@ class _Solver:
         except Contradiction:
             return False
 
-    def _propagate_group(self, state: _State, dirty: set[int], group: tuple[int, ...]) -> None:
-        doms = state.doms
+    # Each propagator removes, per id, one batch: the values it would remove
+    # one by one. No test within a batch reads the id being pruned, so the
+    # removals, counts and contradiction points are those of single removals.
+
+    def _propagate_group(self, doms: list[int], dirty: set[int], group: tuple[int, ...]) -> None:
         # assigned values leave every peer
         for v in group:
-            if len(doms[v]) == 1:
-                val = doms[v][0]
+            val = doms[v]
+            if not val & (val - 1):
                 for w in group:
-                    if w != v and val in doms[w]:
-                        self._remove(state, w, val, dirty)
+                    if w != v and doms[w] & val:
+                        self._remove(doms, w, val, dirty)
         # Hall intervals over the remaining value range
-        union = sorted({val for v in group for val in doms[v]})
-        if len(union) < len(group):
+        union = 0
+        for v in group:
+            union |= doms[v]
+        bits = _bits(union)
+        if len(bits) < len(group):
             raise Contradiction()
-        for ai in range(len(union)):
-            for bi in range(ai, len(union)):
-                lo, hi = union[ai], union[bi]
+        for ai, low in enumerate(bits):
+            below = (1 << low) - 1
+            for bi in range(ai, len(bits)):
+                interval = ((2 << bits[bi]) - 1) ^ below
+                beyond = ~interval
+                outside = [v for v in group if doms[v] & beyond]
                 capacity = bi - ai + 1
-                inside = [v for v in group if doms[v][0] >= lo and doms[v][-1] <= hi]
-                if len(inside) > capacity:
+                inside = len(group) - len(outside)
+                if inside > capacity:
                     raise Contradiction()
-                if len(inside) == capacity:
-                    for v in group:
-                        if v in inside:
-                            continue
-                        for val in [x for x in doms[v] if lo <= x <= hi]:
-                            self._remove(state, v, val, dirty)
+                if inside == capacity:
+                    for v in outside:
+                        hit = doms[v] & interval
+                        if hit:
+                            self._remove(doms, v, hit, dirty)
 
-    def _propagate_generic(self, state: _State, dirty: set[int], meta: _ConstraintMeta) -> None:
-        doms = state.doms
-        can_true, _ = self._abool(meta.expr, doms)
-        if not can_true:
+    def _propagate_generic(self, doms: list[int], dirty: set[int], meta: _ConstraintMeta) -> None:
+        if not self._abool(meta.expr, doms)[0]:
             raise Contradiction()
         for sel, table in meta.selectors:
-            if len(doms[sel]) > 1:
-                for j in list(doms[sel]):
-                    if not self._abool(meta.expr, doms, sel, j)[0]:
-                        self._remove(state, sel, j, dirty)
+            if doms[sel] & (doms[sel] - 1):
+                self._prune_generic(doms, dirty, meta.expr, sel)
         test_vars = dict.fromkeys(meta.bare_vars)
         for sel, table in meta.selectors:
-            if len(doms[sel]) == 1:
-                test_vars[table[doms[sel][0]]] = None
+            choice = doms[sel]
+            if not choice & (choice - 1):
+                test_vars[table[choice.bit_length() - 1]] = None
         for v in test_vars:
-            if len(doms[v]) > 1:
-                for a in list(doms[v]):
-                    if not self._abool(meta.expr, doms, v, a)[0]:
-                        self._remove(state, v, a, dirty)
+            if doms[v] & (doms[v] - 1):
+                self._prune_generic(doms, dirty, meta.expr, v)
+
+    def _prune_generic(self, doms: list[int], dirty: set[int], expr: CExpr, ident: int) -> None:
+        """Remove the values of ``ident`` whose singleton test fails."""
+        base = self.base[ident]
+        bad = 0
+        for i in _bits(doms[ident]):
+            if not self._abool(expr, doms, ident, base + i)[0]:
+                bad |= 1 << i
+        if bad:
+            self._remove(doms, ident, bad, dirty)
 
     # -- dedicated propagators -----------------------------------------------
     #
     # Each one mirrors _propagate_generic step by step for one constraint
     # shape: the same initial entailment check, then the selector values in
     # selector-id order, then the variables those fixed selectors (or the
-    # constraint itself) name, each value tested in domain order.
+    # constraint itself) name, each value tested in domain order. ``bit`` is
+    # a literal's single-bit mask in the bits of its table's vars, 0 when it
+    # lies outside every mask.
 
-    def _propagate_elem_eq(self, state: _State, dirty: set[int], sel: int, table, lit: int) -> None:
-        doms = state.doms
+    def _propagate_elem_eq(self, doms: list[int], dirty: set[int], sel: int, table, bit: int) -> None:
         choices = doms[sel]
-        if not any(lit in doms[table[j]] for j in choices):
+        hits = 0  # selector bits whose var can take the literal
+        for i in _bits(choices):
+            if doms[table[i]] & bit:
+                hits |= 1 << i
+        if not hits:
             raise Contradiction()
-        if len(choices) > 1:
-            for j in list(choices):
-                if lit not in doms[table[j]]:
-                    self._remove(state, sel, j, dirty)
-        if len(choices) == 1:
-            var = table[choices[0]]
-            if len(doms[var]) > 1:
-                for a in list(doms[var]):
-                    if a != lit:
-                        self._remove(state, var, a, dirty)
+        if hits != choices:
+            self._remove(doms, sel, choices ^ hits, dirty)
+        if not hits & (hits - 1):
+            var = table[hits.bit_length() - 1]
+            if doms[var] != bit:
+                self._remove(doms, var, doms[var] ^ bit, dirty)
 
-    def _propagate_elem_ne(self, state: _State, dirty: set[int], sel: int, table, lit: int) -> None:
-        doms = state.doms
+    def _propagate_elem_ne(self, doms: list[int], dirty: set[int], sel: int, table, bit: int) -> None:
         choices = doms[sel]
-        fixed = [lit]
-        if all(doms[table[j]] == fixed for j in choices):
+        fixed = 0  # selector bits whose var is fixed to the literal
+        for i in _bits(choices):
+            if doms[table[i]] == bit:
+                fixed |= 1 << i
+        if fixed == choices:
             raise Contradiction()
-        if len(choices) > 1:
-            for j in list(choices):
-                if doms[table[j]] == fixed:
-                    self._remove(state, sel, j, dirty)
-        if len(choices) == 1:
-            var = table[choices[0]]
-            if len(doms[var]) > 1 and lit in doms[var]:
-                self._remove(state, var, lit, dirty)
+        if fixed:
+            self._remove(doms, sel, fixed, dirty)
+            choices ^= fixed
+        if not choices & (choices - 1):
+            var = table[choices.bit_length() - 1]
+            if doms[var] & bit and doms[var] != bit:
+                self._remove(doms, var, bit, dirty)
 
     def _propagate_elem_pair(
-        self, state: _State, dirty: set[int], s1: int, t1, s2: int, t2, relation
+        self, doms: list[int], dirty: set[int], s1: int, t1, s2: int, t2, relation
     ) -> None:
         """relation(xs, ys) says whether values xs of elem(s1, t1) and ys of
         elem(s2, t2) can satisfy the constraint; s1 != s2."""
-        doms = state.doms
         if not relation(_elem_values(doms, s1, t1), _elem_values(doms, s2, t2)):
             raise Contradiction()
+        ordered = ((s1, t1), (s2, t2)) if s1 < s2 else ((s2, t2), (s1, t1))
         # pinning one selector leaves the other side's value set unchanged
-        for sel in sorted((s1, s2)):
-            if len(doms[sel]) <= 1:
+        for sel, _ in ordered:
+            choices = doms[sel]
+            if not choices & (choices - 1):
                 continue
+            bad = 0
             if sel == s1:
                 ys = _elem_values(doms, s2, t2)
-                for j in list(doms[s1]):
-                    if not relation(set(doms[t1[j]]), ys):
-                        self._remove(state, s1, j, dirty)
+                for i in _bits(choices):
+                    if not relation(doms[t1[i]], ys):
+                        bad |= 1 << i
             else:
                 xs = _elem_values(doms, s1, t1)
-                for j in list(doms[s2]):
-                    if not relation(xs, set(doms[t2[j]])):
-                        self._remove(state, s2, j, dirty)
+                for i in _bits(choices):
+                    if not relation(xs, doms[t2[i]]):
+                        bad |= 1 << i
+            if bad:
+                self._remove(doms, sel, bad, dirty)
         test_vars: dict[int, None] = {}
-        for sel, table in sorted(((s1, t1), (s2, t2))):
-            if len(doms[sel]) == 1:
-                test_vars[table[doms[sel][0]]] = None
+        for sel, table in ordered:
+            choice = doms[sel]
+            if not choice & (choice - 1):
+                test_vars[table[choice.bit_length() - 1]] = None
         for var in test_vars:
-            if len(doms[var]) <= 1:
+            dom = doms[var]
+            if not dom & (dom - 1):
                 continue
             xs, x_hit = _elem_values_except(doms, s1, t1, var)
             ys, y_hit = _elem_values_except(doms, s2, t2, var)
-            for a in list(doms[var]):
-                if not relation(xs | {a} if x_hit else xs, ys | {a} if y_hit else ys):
-                    self._remove(state, var, a, dirty)
+            bad = 0
+            for i in _bits(dom):
+                a = 1 << i
+                if not relation(xs | a if x_hit else xs, ys | a if y_hit else ys):
+                    bad |= a
+            if bad:
+                self._remove(doms, var, bad, dirty)
+
+    def _propagate_less_vars(
+        self, doms: list[int], dirty: set[int], a: int, b: int, d: int
+    ) -> None:
+        """V_a < V_b over two distinct vars: the row order of find_second;
+        d is base(b) - base(a). Once the check holds, min(a) < max(b) survive
+        both prunings, so each var's removals do not depend on the other's,
+        nor on their order."""
+        xs, ys = doms[a], doms[b]
+        if not _less(d, xs, ys):
+            raise Contradiction()
+        top = ys.bit_length() - 1 + d  # max(b) as a bit of a, above min(a)
+        above = xs >> top << top
+        if above:
+            self._remove(doms, a, above, dirty)
+        low = (xs & -xs).bit_length() - 1 - d  # min(a) as a bit of b, below max(b)
+        below = ys & ((2 << low) - 1) if low >= 0 else 0
+        if below:
+            self._remove(doms, b, below, dirty)
+
+    def _propagator(self, meta: _ConstraintMeta) -> tuple[Callable[..., None], tuple]:
+        """The dedicated propagator for meta's shape, else the generic one, as
+        an unbound _Solver method and the arguments that follow (doms, dirty)."""
+        expr = meta.expr
+        if isinstance(expr, CCmp):
+            left, right = expr.left, expr.right
+            if (
+                expr.op == "<"
+                and isinstance(left, CVar)
+                and isinstance(right, CVar)
+                and left.var != right.var
+            ):
+                d = self.base[right.var] - self.base[left.var]
+                return _Solver._propagate_less_vars, (left.var, right.var, d)
+            if isinstance(right, CLit) and expr.op in ("==", "!=") and isinstance(left, CElem):
+                method = _Solver._propagate_elem_eq if expr.op == "==" else _Solver._propagate_elem_ne
+                i = right.value - self.base[left.table[0]]
+                bit = 1 << i if 0 <= i < self.width else 0
+                return method, (left.selector, left.table, bit)
+            pair = _elem_pair(expr)
+            relation = self._pair_relation(*pair) if pair else None
+            if relation is not None:
+                e1, e2 = pair[:2]
+                return _Solver._propagate_elem_pair, (
+                    e1.selector,
+                    e1.table,
+                    e2.selector,
+                    e2.table,
+                    relation,
+                )
+        return _Solver._propagate_generic, (meta,)
+
+    def _pair_relation(self, e1: CElem, e2: CElem, shape: str, k: int):
+        """The relation between the value masks of e1 and e2 for a matched
+        pair shape, or None where the generic evaluator serves: where its
+        arithmetic could exceed _SET_CAP and widen a set to its range, which
+        an exact relation would not do, or where L shifts a mask by the
+        widest mask's width or more (no two values can then satisfy it)."""
+        d = self.base[e2.table[0]] - self.base[e1.table[0]]
+        if shape == "<":
+            return partial(_less, d)
+        r1, r2 = self._reach(e1), self._reach(e2)
+        if shape == "-":
+            if r2.bit_count() > _SET_CAP:
+                return None
+            shifts: tuple[int, ...] = (d - k,)
+        else:
+            if r1.bit_count() * r2.bit_count() > _SET_CAP:
+                return None
+            if k < 0:
+                return _never
+            shifts = (d + k, d - k)
+        if any(abs(t) >= self.width for t in shifts):
+            return None
+        return partial(_equals_minus if shape == "-" else _abs_difference_is, *shifts)
+
+    def _reach(self, elem: CElem) -> int:
+        """The mask of values elem can take under the declared domains (the
+        domains propagation starts from and only ever narrows)."""
+        out = 0
+        for v in elem.table:
+            out |= self.declared[v]
+        return out
 
     # -- search --------------------------------------------------------------
 
-    def _pick(self, state: _State) -> int | None:
+    def _pick(self, doms: list[int]) -> int | None:
         best = None
         best_size = None
         for ident in range(self.n_vars):
-            size = len(state.doms[ident])
+            size = doms[ident].bit_count()
             if size > 1 and (best_size is None or size < best_size):
                 best, best_size = ident, size
         if best is not None:
             return best
         for ident in self.branched_selectors:
-            size = len(state.doms[ident])
+            size = doms[ident].bit_count()
             if size > 1 and (best_size is None or size < best_size):
                 best, best_size = ident, size
         return best
@@ -592,28 +763,29 @@ class _Solver:
                 time.perf_counter() - self.start,
             )
 
-    def solutions(self, state: _State) -> Iterator[list[int]]:
-        """Depth-first search from ``state``, yielding one solution per
+    def solutions(self, doms: list[int]) -> Iterator[list[int]]:
+        """Depth-first search from ``doms``, yielding one solution per
         assignment of the regular variables: below the last regular
         variable, selectors are branched only until they complete a
         solution, so solutions that differ only in selectors are found once."""
-        ident = self._pick(state)
+        ident = self._pick(doms)
         if ident is None:
-            yield [d[0] for d in state.doms]
+            yield [base + d.bit_length() - 1 for base, d in zip(self.base, doms)]
             return
-        for value in list(state.doms[ident]):
+        base = self.base[ident]
+        for i in _bits(doms[ident]):
             self._tick()
             if self.trace:
-                self.trace(f"decide {ident}={value}")
-            child = state.copy()
-            child.doms[ident] = [value]
+                self.trace(f"decide {ident}={base + i}")
+            child = list(doms)
+            child[ident] = 1 << i
             if self.propagate(child):
                 for found in self.solutions(child):
                     yield found
                     if ident >= self.n_vars:
                         return
             if self.trace:
-                self.trace(f"backtrack {ident}={value}")
+                self.trace(f"backtrack {ident}={base + i}")
 
     @contextmanager
     def clock(self):
@@ -627,36 +799,14 @@ class _Solver:
 
     def run(self) -> SolveOutcome:
         with self.clock():
-            state = self.initial_state()
-            solution = next(self.solutions(state), None) if self.propagate(state) else None
+            doms = self.initial_state()
+            solution = next(self.solutions(doms), None) if self.propagate(doms) else None
         if solution is None:
             return SolveOutcome(Status.UNSAT, None, self.stats)
         assignment = {i: solution[i] for i in range(self.n_ids)}
         if not verify(self.model, assignment):
             raise InternalError("solver returned an assignment that fails verification")
         return SolveOutcome(Status.SAT, assignment, self.stats)
-
-
-def _propagator(meta: _ConstraintMeta, model: ConstraintModel) -> tuple[Callable[..., None], tuple]:
-    """The dedicated propagator for meta's shape, else the generic one, as
-    an unbound _Solver method and the arguments that follow (state, dirty)."""
-    expr = meta.expr
-    if isinstance(expr, CCmp):
-        left, right = expr.left, expr.right
-        if isinstance(right, CLit) and expr.op in ("==", "!=") and isinstance(left, CElem):
-            method = _Solver._propagate_elem_eq if expr.op == "==" else _Solver._propagate_elem_ne
-            return method, (left.selector, left.table, right.value)
-
-        def reach(elem: CElem) -> int:
-            """How many values elem can take under the declared domains (the
-            domains propagation starts from and only ever narrows)."""
-            return len({value for v in elem.table for value in model.domain_of(v)})
-
-        pair = _elem_pair(expr, reach)
-        if pair is not None:
-            e1, e2, relation = pair
-            return _Solver._propagate_elem_pair, (e1.selector, e1.table, e2.selector, e2.table, relation)
-    return _Solver._propagate_generic, (meta,)
 
 
 def solve(model: ConstraintModel, budget: Budget | None = None, trace=None) -> SolveOutcome:
@@ -673,15 +823,16 @@ def propagate_domains(
 ) -> dict[int, list[int]] | None:
     """Run propagation alone (no search) from the declared domains, narrowed
     to ``domains`` where given, and return the pruned domains, or None on
-    contradiction. Intended for tests and debugging."""
+    contradiction. A given value outside the declared domain is ignored.
+    Intended for tests and debugging."""
     solver = _Solver(model, Budget())
-    state = solver.initial_state()
-    if domains:
-        for ident, dom in domains.items():
-            state.doms[ident] = sorted(dom)
-    if not solver.propagate(state):
+    doms = solver.initial_state()
+    for ident, values in (domains or {}).items():
+        declared = set(model.domain_of(ident))
+        doms[ident] = solver.mask(ident, (v for v in values if v in declared))
+    if not all(doms) or not solver.propagate(doms):
         return None
-    return {i: list(d) for i, d in enumerate(state.doms)}
+    return {i: solver.values(i, d) for i, d in enumerate(doms)}
 
 
 # --- ambiguity -------------------------------------------------------------------
@@ -704,9 +855,9 @@ def find_second(
     solver = _Solver(model, budget or Budget())
     second = None
     with solver.clock():
-        state = solver.initial_state()
-        if solver.propagate(state):
-            for solution in solver.solutions(state):
+        doms = solver.initial_state()
+        if solver.propagate(doms):
+            for solution in solver.solutions(doms):
                 assignment = dict(enumerate(solution))
                 if decode(model, assignment).key() != first_key:
                     second = assignment

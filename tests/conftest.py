@@ -100,3 +100,24 @@ def compile_source(text: str):
     """parse + check + lower in one step for inline test programs."""
     program = check(parse(SourceText(text, "<test>")), "<test>")
     return program, lower(program)
+
+
+def nested_condition(local: str, levels: int) -> str:
+    """An always-true condition on ``local.house_number`` that an ``assert``
+    nests ``levels`` deep, the statement's own level included. Each ``not``
+    and each parenthesis adds a level: the parser's two nesting points."""
+    pairs, extra = divmod(levels - 1, 2)
+    field = f"{local}.house_number"
+    return (
+        "(" * extra
+        + f"not ({field} < 1 and " * pairs
+        + f"{field} > 0"
+        + ")" * (pairs + extra)
+    )
+
+
+def chained_condition(local: str, levels: int) -> str:
+    """An always-true condition on ``local.house_number`` whose expression
+    tree is ``levels`` edges high: a comparison over a left-deep sum, which
+    the parser builds in a loop, one level per ``+``."""
+    return f"{local}.house_number" + " + 0" * (levels - 2) + " > 0"

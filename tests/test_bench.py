@@ -33,10 +33,12 @@ from logicforge.bench.render import (
 )
 from logicforge.bench.score import EmptyInput, TaskResult
 from logicforge.errors import DatasetError, GenerationError, InternalError
-from logicforge.frontend import check, parse
+from logicforge.frontend import SourceText, check, parse
 from logicforge.model import decode, lower
 from logicforge.model.decode import SolutionTable, encode
 from logicforge.solver import Budget, brute_force, find_second, solve
+
+from conftest import chained_condition, nested_condition
 
 
 def make_table(cells_by_house: dict[int, dict[str, str]]) -> SolutionTable:
@@ -382,6 +384,51 @@ class TestRunner:
 
         with pytest.raises(LogicForgeError):
             run_bench([small_tasks[0], small_tasks[0]], oracle_formalizer_factory)
+
+    @pytest.mark.parametrize(
+        "clue,status",
+        [
+            # 150 levels of nesting overflow the stack of a parser without a
+            # depth limit; the RecursionError would then abort the whole run
+            (nested_condition("a", 150), "FailedSyntax"),
+            # a 1000-term sum parses in a loop, but every later stage recurses
+            # on its 1000-deep tree
+            (chained_condition("a", 1000), "FailedSyntax"),
+            # literals far outside every domain: no domain mask may be
+            # shifted by them
+            ("a.house_number == 1000000000000", "FailedUnsat"),
+            ("abs(a.house_number - b.house_number) == 1000000000000", "FailedUnsat"),
+            ("a.house_number == b.house_number - -1000000000000", "FailedUnsat"),
+            # more digits than Python converts to an int
+            ("a.house_number == " + "1" * 5000, "FailedSyntax"),
+        ],
+        ids=["nested", "chained", "huge-equals", "huge-abs", "huge-minus", "long-literal"],
+    )
+    def test_hostile_program_fails_only_its_own_task(self, small_tasks, tmp_path, clue, status):
+        hostile = small_tasks[0].id
+
+        class HostileFormalizer(OracleFormalizer):
+            def gen_constraints(self, data_structure_source, puzzle_text):
+                text = super().gen_constraints(data_structure_source, puzzle_text).text
+                extra = (
+                    "    a = nondet(solution.houses)\n"
+                    "    b = nondet(solution.houses)\n"
+                    "    assert " + clue + "\n"
+                )
+                return SourceText(text + "\n" + extra)
+
+        def factory(task):
+            if task.id == hostile:
+                return HostileFormalizer(task.instance)
+            return oracle_formalizer_factory(task)
+
+        out = tmp_path / "report.json"
+        report = run_bench(small_tasks, factory, concurrency=2, out_path=out)
+        statuses = {r.task_id: r.status for r in report.results}
+        assert statuses.pop(hostile) == status
+        assert set(statuses.values()) == {"Solved"}
+        assert report.status_counts == {status: 1, "Solved": len(small_tasks) - 1}
+        assert out.exists()
 
     def test_partial_results_survive_an_aborted_run(self, small_tasks, tmp_path):
         out = tmp_path / "report.json"

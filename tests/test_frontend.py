@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from logicforge.bench.puzzle import generate_puzzle
 from logicforge.bench.render import render_dsl
+from logicforge.cemit import emit
 from logicforge.errors import DslSyntaxError, SemanticError
 from logicforge.frontend import SourceText, check, parse, pretty
 from logicforge.frontend.ast import (
@@ -21,6 +22,11 @@ from logicforge.frontend.ast import (
     LocalRef,
     Nondet,
 )
+from logicforge.frontend.parser import MAX_NESTING
+from logicforge.model import lower
+from logicforge.solver import find_second, solve
+
+from conftest import chained_condition, nested_condition
 
 FIG_STYLE_SOURCE = """\
 class House:
@@ -121,6 +127,23 @@ class TestParse:
         assert info.value.diagnostic() == (
             "puzzle.lpy:1:8: syntax: expected ':', found newline"
         )
+
+    @pytest.mark.parametrize("condition", [nested_condition, chained_condition])
+    def test_nesting_limit_covers_every_later_stage(self, zebra_source, condition):
+        # at the limit, every stage that recurses on the expression tree
+        # passes under the default recursion limit; one level more is a
+        # syntax error, whether the parser recurses (parentheses, not) or
+        # loops (a chain of + operators)
+        text = zebra_source.text + "    assert " + condition("engineer", MAX_NESTING) + "\n"
+        program = check(parse(text))
+        model = lower(program)
+        outcome = solve(model)
+        assert outcome.is_sat
+        assert not find_second(model, outcome.assignment).ambiguous
+        assert emit(program).text
+        deeper = zebra_source.text + "    assert " + condition("engineer", MAX_NESTING + 1) + "\n"
+        with pytest.raises(DslSyntaxError, match="nested too deeply"):
+            parse(deeper)
 
 
 class TestPretty:

@@ -64,6 +64,14 @@ class TestPropagate:
         assert doms[1] == [2, 3]
         assert doms[2] == [2, 3]
 
+    def test_alldiff_hall_interval_prunes_outside_vars(self):
+        # vars 0 and 1 fill {1, 2} between them, so vars 2 and 3 take 3 and 4
+        model = flat_model([(1, 5)] * 4, groups=[(0, 1, 2, 3)])
+        doms = propagate_domains(model, {0: [1, 2], 1: [1, 2]})
+        assert doms[2] == doms[3] == [3, 4]
+        # three vars cannot share two values
+        assert propagate_domains(model, {0: [1, 2], 1: [1, 2], 2: [1, 2]}) is None
+
     def test_bounds_consistency_on_less_than(self):
         # a < b with a in 3..6, b in 1..4 pins a=3, b=4
         model = flat_model(
@@ -111,6 +119,11 @@ class TestPropagate:
             ],
         )
         assert propagate_domains(model) is None
+
+    def test_given_values_outside_the_declared_domain_are_ignored(self, zebra_model):
+        # var 0 is a position in 1..4: -5 and 9 narrow nothing and are not returned
+        assert propagate_domains(zebra_model, {0: [-5, 2, 9]}) == propagate_domains(zebra_model, {0: [2]})
+        assert propagate_domains(zebra_model, {0: [-5]}) is None
 
 
 def _lit(value: int):
@@ -363,22 +376,22 @@ class TestOracleAgreement:
 def _outcome(solver, propagator, doms):
     """Domains, dirty ids and propagation count after one propagator call,
     or the propagation count at which it raised Contradiction."""
-    state = engine._State([list(d) for d in doms])
+    masks = [solver.mask(i, d) for i, d in enumerate(doms)]
     dirty: set[int] = set()
     before = solver.stats.propagations
     function, args = propagator
     try:
-        function(solver, state, dirty, *args)
+        function(solver, masks, dirty, *args)
     except engine.Contradiction:
         return "contradiction", solver.stats.propagations - before
-    return state.doms, sorted(dirty), solver.stats.propagations - before
+    return [solver.values(i, m) for i, m in enumerate(masks)], sorted(dirty), solver.stats.propagations - before
 
 
 def _sub_domains(solver, rng: random.Random) -> list[list[int]]:
     """A random non-empty sub-domain per id: the full domain, a single
     value or a random subset, with equal odds."""
     doms = []
-    for dom in solver.initial_state().doms:
+    for dom in map(solver.values, range(solver.n_ids), solver.initial_state()):
         kind = rng.randrange(3)
         if kind == 0 or len(dom) == 1:
             doms.append(list(dom))
@@ -448,13 +461,16 @@ class TestDedicatedPropagators:
     def test_generated_puzzles_match_generic(self, seed, n, f):
         text = render_dsl(generate_puzzle(seed, n, f)).text
         rng = random.Random(seed)
-        for source in (text, _off_by_one(text, n)):
+        # the last source moves the position domain below zero, so domain
+        # masks start at a negative offset
+        below_zero = text.replace(f"range(1, {n + 1})", f"range({-n}, 0)", 1)
+        for source in (text, _off_by_one(text, n), below_zero):
             model = _model(source)
-            # the model find_second searches: every lowered constraint has a
-            # dedicated propagator, the n - 1 row-order constraints are generic
+            # the model find_second searches: every lowered constraint and each
+            # of the n - 1 row-order constraints has a dedicated propagator
             ordered = engine._row_ordered(model)
             assert len(ordered.constraints) == len(model.constraints) + n - 1
-            assert assert_matches_generic(ordered, rng) == len(model.constraints)
+            assert assert_matches_generic(ordered, rng) == len(ordered.constraints)
 
     def test_repeated_table_ids_match_generic(self):
         # tables name a var twice, and both sides of a pair share vars
@@ -525,6 +541,52 @@ class TestDedicatedPropagators:
             wide = _model(src.replace("range(0, 40)", "range(0, 80)"))
             evens = list(range(0, 80, 2))
             assert propagate_domains(wide, {0: evens, 1: evens}) is not None
+
+
+class TestMaskBases:
+    """A domain mask starts at its variable's lowest declared value, so its
+    width follows the domain's size, not the size of its values."""
+
+    def test_shifted_domain_searches_alike(self, zebra_source):
+        # house numbers 1990..1993 instead of 1..4, with the two position
+        # literals moved along: the masks stay 4 bits wide, and both searches
+        # take the same steps to the same table
+        text = zebra_source.text
+        shifted = text.replace("range(1, 5)", "range(1990, 1994)")
+        for op in ("==", "!="):
+            assert shifted.count(f"house_number {op} 2\n") == 1
+            shifted = shifted.replace(f"house_number {op} 2\n", f"house_number {op} 1991\n")
+        model, moved = _model(text), _model(shifted)
+        assert max(m.bit_length() for m in engine._Solver(moved, Budget()).declared) == 4
+        first, second = solve(model), solve(moved)
+        assert first.stats.decisions == second.stats.decisions
+        assert first.stats.propagations == second.stats.propagations
+        positions = {row.fields[POSITION_FIELD] for row in model.layout.rows}
+        assert second.assignment == {
+            i: v + 1989 if i in positions else v for i, v in first.assignment.items()
+        }
+        report, moved_report = find_second(model, first.assignment), find_second(moved, second.assignment)
+        assert not report.ambiguous and not moved_report.ambiguous
+        assert report.stats.decisions == moved_report.stats.decisions
+        assert report.stats.propagations == moved_report.stats.propagations
+
+    @pytest.mark.parametrize(
+        "clue,generic",
+        [
+            ("engineer.house_number == 1000000000000", False),
+            ("engineer.house_number == -1000000000000", False),
+            ("abs(engineer.house_number - galaxy_owner.house_number) == 1000000000000", True),
+            ("engineer.house_number == galaxy_owner.house_number - 1000000000000", True),
+            ("engineer.house_number == galaxy_owner.house_number - -1000000000000", True),
+        ],
+    )
+    def test_literals_beyond_every_mask_are_unsat(self, zebra_source, clue, generic):
+        # no mask is shifted by such a literal: E == L gets an empty literal
+        # mask, and the pair shapes leave the proof to the generic evaluator
+        model = _model(zebra_source.text + "    assert " + clue + "\n")
+        assert _is_generic(model)[-1] is generic
+        assert solve(model).status is Status.UNSAT
+        assert_matches_generic(model, random.Random(11))
 
 
 class TestGoldenCounters:
