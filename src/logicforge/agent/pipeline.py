@@ -70,6 +70,7 @@ class PipelineConfig:
 
 class PipelineStatus(Enum):
     SOLVED = "Solved"
+    FAILED_FORMALIZE = "FailedFormalize"  # no program: transport or extraction failed
     FAILED_SYNTAX = "FailedSyntax"
     FAILED_SEMANTIC = "FailedSemantic"
     FAILED_UNSAT = "FailedUnsat"
@@ -141,7 +142,7 @@ def _run_attempt(
         data_structure = formalizer.gen_data_structure(puzzle_text, expected_format)
         constraints = formalizer.gen_constraints(data_structure, puzzle_text)
     except (TransportError, ExtractionError) as exc:
-        raise _AttemptFailed("formalize", PipelineStatus.FAILED_SYNTAX, str(exc))
+        raise _AttemptFailed("formalize", PipelineStatus.FAILED_FORMALIZE, str(exc))
 
     source = SourceText(data_structure.text + "\n" + constraints.text, origin)
     try:

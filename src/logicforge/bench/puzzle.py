@@ -4,12 +4,13 @@ A puzzle assigns one value per feature to each of n positions ("houses",
 numbered 1..n left to right). The generator draws a random ground-truth
 table, samples clues that are true of it, extends the set until the solution
 is provably unique, then greedily drops clues that uniqueness does not need.
-The candidate program is rendered, parsed, checked and lowered once, and its
-constraint list is cut into one slice per clue. A uniqueness check keeps the
-model's variables and selectors, takes the chosen clues' slices in program
-order, and runs one second-solution search against the truth table. A final
-solve confirms that the kept clues accept their own truth, so every emitted
-instance is solvable and unambiguous.
+The candidate program is rendered, parsed, checked and lowered once, its
+solver model is built once, and its constraint list is cut into one index
+range per clue. A uniqueness check switches the chosen clues' constraints on
+and the others off (a ``ModelView``), and runs one second-solution search
+against the truth table. A final solve over the same kind of view confirms
+that the kept clues accept their own truth, so every emitted instance is
+solvable and unambiguous.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from dataclasses import dataclass, replace
 from ..errors import BudgetExceeded, GenerationError, InternalError
 from ..frontend.check import check
 from ..frontend.parser import parse
-from ..model.constraints import CExpr, ConstraintModel
 from ..model.decode import SolutionTable, decode, encode
 from ..model.lower import lower
-from ..solver.engine import Budget, find_second, solve
+from ..solver.engine import Budget, CompiledModel, ModelView, find_second, solve
 
 POSITION_FIELD = "house_number"
 
@@ -258,26 +258,24 @@ def _sample_candidates(
 
 def _compile_candidates(
     features: tuple[Feature, ...], clues: list[Clue], n: int
-) -> tuple[ConstraintModel, list[list[CExpr]]]:
-    """Lower the program of every candidate clue once, and cut its
-    constraint list into one slice per clue: lowering emits one constraint
-    per assume or assert, in program order."""
+) -> tuple[CompiledModel, list[range]]:
+    """Lower the program of every candidate clue once, build its solver model
+    once, and cut its constraint list into one index range per clue:
+    lowering emits one constraint per assume or assert, in program order."""
     from .render import clue_ends, render_instance_dsl  # late import: render depends on this module
 
     program = check(parse(render_instance_dsl(features, clues, n)))
     model = lower(program)
     ends = clue_ends(program.entry.body)
-    slices = [model.constraints[start:end] for start, end in zip([0] + ends, ends)]
+    slices = [range(start, end) for start, end in zip([0] + ends, ends)]
     if len(slices) != len(clues) or sum(map(len, slices)) != len(model.constraints):
         raise InternalError(f"{len(clues)} clues lowered into {len(slices)} assert slices")
-    return model, slices
+    return CompiledModel(model), slices
 
 
-def _cut(model: ConstraintModel, slices: list[list[CExpr]], indices) -> ConstraintModel:
-    """The candidate model constrained by the given clues only, in program
-    order. It keeps every candidate's selector; the solver does not branch
-    the ones no constraint references."""
-    return replace(model, constraints=[c for i in sorted(indices) for c in slices[i]])
+def _view(compiled: CompiledModel, slices: list[range], indices) -> ModelView:
+    """The candidate model with only the given clues' constraints on."""
+    return compiled.view(i for clue in indices for i in slices[clue])
 
 
 def _minimal_unique_set(
@@ -288,16 +286,23 @@ def _minimal_unique_set(
     n: int,
     budget: Budget,
 ) -> list[Clue]:
+    """A locally minimal set of candidate clues whose only solution is
+    ``truth``, in shuffled order.
+
+    The candidates are compiled once. Each uniqueness check is one
+    ``find_second`` over a view of that one compiled model with the chosen
+    clues' constraints on; the final ``solve`` confirms the kept clues
+    accept their own truth."""
     relational = [c for c in candidates if c.kind != AT_POSITION]
     pins = [c for c in candidates if c.kind == AT_POSITION]
     rng.shuffle(relational)
     rng.shuffle(pins)
     selected = relational + pins
-    model, slices = _compile_candidates(features, selected, n)
-    first = encode(model, truth)
+    compiled, slices = _compile_candidates(features, selected, n)
+    first = encode(compiled.model, truth)
 
     def is_unique(indices) -> bool:
-        return not find_second(_cut(model, slices, indices), first, budget).ambiguous
+        return not find_second(_view(compiled, slices, indices), first, budget).ambiguous
 
     try:
         # grow until unique: all relational clues first, then pins one by one
@@ -316,11 +321,10 @@ def _minimal_unique_set(
                 break
             if is_unique(kept - {idx}):
                 kept.remove(idx)
-        final = _cut(model, slices, kept)
-        outcome = solve(final, budget)
+        outcome = solve(_view(compiled, slices, kept), budget)
     except BudgetExceeded as exc:
         raise GenerationError(f"uniqueness check exceeded the solver budget: {exc}")
-    if not outcome.is_sat or decode(final, outcome.assignment) != truth:
+    if not outcome.is_sat or decode(compiled.model, outcome.assignment) != truth:
         raise GenerationError("sampled clues rejected their own truth table")
     result = [selected[i] for i in sorted(kept)]
     rng.shuffle(result)

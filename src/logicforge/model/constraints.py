@@ -122,6 +122,11 @@ def walk_cexpr(expr: CExpr):
             yield from walk_cexpr(p)
 
 
+def direct_vars(expr: CExpr) -> set[int]:
+    """The variables ``expr`` names directly, outside elem tables."""
+    return {node.var for node in walk_cexpr(expr) if isinstance(node, CVar)}
+
+
 # --- layout (for decoding) ----------------------------------------------------
 
 
@@ -162,28 +167,35 @@ class ConstraintModel:
     def row_var_ids(self) -> frozenset[int]:
         return frozenset(v for row in self.layout.rows for v in row.fields.values())
 
+    def row_tied(self, named_vars) -> set[int]:
+        """The indices of the constraints that name a row variable directly,
+        given the ``direct_vars`` of each constraint in order. With more than
+        one row, each such constraint ties a row to its instance slot."""
+        if len(self.layout.rows) <= 1:
+            return set()
+        rows = self.row_var_ids()
+        return {i for i, named in enumerate(named_vars) if not rows.isdisjoint(named)}
+
     def slot_symmetric(self) -> bool:
         """True when constraints reach row variables only through selectors,
         so permuting the instance order permutes solutions without changing
         the set of solution tables."""
-        if len(self.layout.rows) <= 1:
-            return True
-        rows = self.row_var_ids()
-        for c in self.constraints:
-            for node in walk_cexpr(c):
-                if isinstance(node, CVar) and node.var in rows:
-                    return False
-        return True
+        return not self.row_tied(map(direct_vars, self.constraints))
+
+    def position_vars(self) -> list[int] | None:
+        """Each row's position variable, in row order, when the model has a
+        position field whose variables form an all-different group."""
+        pf = self.layout.position_field
+        if pf is None:
+            return None
+        pos = [row.fields[pf] for row in self.layout.rows]
+        return pos if set(pos) in [set(g) for g in self.alldiff_groups] else None
 
     def rows_orderable(self) -> bool:
         """True when the rows are interchangeable (``slot_symmetric``) and
         their position vars form an all-different group: ordering the rows
         by position then gives each solution table exactly one encoding."""
-        pf = self.layout.position_field
-        if pf is None or not self.slot_symmetric():
-            return False
-        pos_vars = {r.fields[pf] for r in self.layout.rows}
-        return pos_vars in [set(g) for g in self.alldiff_groups]
+        return self.position_vars() is not None and self.slot_symmetric()
 
 
 def validate_model(model: ConstraintModel) -> None:

@@ -17,8 +17,17 @@ not as large as its values. The search state is the list of masks, so a
 child state is a plain list copy, and membership, union and shift tests are
 word operations.
 
+A model is compiled once (``CompiledModel``): each constraint's propagator,
+the watch lists, the mask bases and the declared masks. Each search runs over
+a ``ModelView``, the compiled model with a subset of its constraints switched
+on, as in solving under assumptions (Eén and Sörensson, SAT 2003): the
+constraints that are off are never put on the work list, and the selectors
+only they reference are not branched. ``solve`` and ``find_second`` compile a
+plain ``ConstraintModel`` with every constraint on; the puzzle generator
+compiles its candidate program once and switches clue slices per check.
+
 Propagation runs one work list of propagators, the all-different groups
-first and then the constraints, to a fixpoint:
+first and then the constraints that are on, to a fixpoint:
 
 * three-valued constraint evaluation over possible-value sets detects
   contradictions and prunes, via singleton tests, both selector values whose
@@ -28,7 +37,7 @@ first and then the constraints, to a fixpoint:
   Hall-interval reasoning over the value range.
 
 The singleton tests of the generic evaluator re-walk the constraint tree once
-per tested value. When the solver is built, each constraint whose shape the
+per tested value. When the model is compiled, each constraint whose shape the
 lowering or the row order of ``find_second`` emits gets a dedicated
 propagator instead (E is ``elem(selector, table)``, L a literal, V a
 variable):
@@ -52,9 +61,11 @@ belonging to a satisfying assignment is removed.
 Uniqueness (``find_second``) is one depth-first search under one deadline: the
 search of ``solve`` continued past each solution over the regular variables,
 until a solution decodes to a table other than the first one. When rows are
-interchangeable and carry a unique position field, the searched model also
-orders consecutive rows by position (a lexicographic symmetry-breaking
-constraint), so each table is met once rather than once per row permutation.
+interchangeable under the constraints that are on and carry a unique position
+field, the search also orders consecutive rows by position (a lexicographic
+symmetry-breaking constraint), so each table is met once rather than once per
+row permutation. The row-order propagators are compiled by the first search
+that needs them, so a plain ``solve`` builds none.
 """
 
 from __future__ import annotations
@@ -62,7 +73,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterator
@@ -170,6 +181,10 @@ _CMP: dict[str, Callable[[int, int], bool]] = {
 def verify(model: ConstraintModel, assignment: dict[int, int]) -> bool:
     """Independent check that an assignment satisfies every constraint,
     every all-different group, and every domain."""
+    return _verify(model, assignment, model.constraints)
+
+
+def _verify(model: ConstraintModel, assignment: dict[int, int], constraints) -> bool:
     for v in model.vars:
         if assignment.get(v.id) not in set(v.values()):
             return False
@@ -180,7 +195,7 @@ def verify(model: ConstraintModel, assignment: dict[int, int]) -> bool:
         seen = [assignment[v] for v in group]
         if len(set(seen)) != len(seen):
             return False
-    return all(eval_cexpr(c, assignment) for c in model.constraints)
+    return all(eval_cexpr(c, assignment) for c in constraints)
 
 
 # --- abstract evaluation -------------------------------------------------------
@@ -249,7 +264,7 @@ class Contradiction(Exception):
 class _ConstraintMeta:
     expr: CExpr
     selectors: list[tuple[int, tuple[int, ...]]]  # (selector id, var table)
-    bare_vars: list[int]  # vars referenced outside elem tables
+    bare_vars: list[int]  # vars referenced outside elem tables (direct_vars)
     watched: list[int]  # every id whose domain change re-triggers this
 
 
@@ -365,12 +380,17 @@ def _never(xs: int, ys: int) -> bool:
     return False
 
 
-class _Solver:
-    def __init__(self, model: ConstraintModel, budget: Budget, trace=None):
+class CompiledModel:
+    """What the solver builds once per model, for any number of searches over
+    any subsets of its constraints: each constraint's meta and propagator,
+    the watch lists, mask bases, declared masks and width, and, from the
+    first search that orders rows, the row-order propagators.
+
+    The work list holds the all-different groups first, then one item per
+    constraint in model order, then the row order."""
+
+    def __init__(self, model: ConstraintModel):
         self.model = model
-        self.budget = budget
-        self.trace = trace
-        self.stats = SolveStats()
         self.n_vars = len(model.vars)
         self.n_ids = model.n_ids
         self.meta = [_constraint_meta(c) for c in model.constraints]
@@ -383,18 +403,67 @@ class _Solver:
         self.declared = [self.mask(i, values) for i, values in enumerate(declared)]
         # no literal shifts a mask by this much or more
         self.width = max(m.bit_length() for m in self.declared)
-        # (function, arguments) per all-different group, then per constraint;
-        # unbound, so that a solver holds no reference cycle and is freed as
-        # soon as it is dropped
-        self.propagators = [(_Solver._propagate_group, (group,)) for group in model.alldiff_groups]
-        self.propagators += [self._propagator(m) for m in self.meta]
-        watched = list(model.alldiff_groups) + [m.watched for m in self.meta]
+        # (function, arguments) per work-list item; unbound, so that a model
+        # holds no reference cycle and is freed as soon as it is dropped
+        self.propagators: list[tuple[Callable[..., None], tuple]] = []
         self.watchers: list[list[int]] = [[] for _ in range(self.n_ids)]
-        for item, ids in enumerate(watched):
-            for ident in ids:
-                self.watchers[ident].append(item)
-        # a selector no constraint references leaves every solution as it is
-        self.branched_selectors = [s for s in range(self.n_vars, self.n_ids) if self.watchers[s]]
+        for group in model.alldiff_groups:
+            self._add((_Search._propagate_group, (group,)), group)
+        self.n_groups = len(model.alldiff_groups)
+        for m in self.meta:
+            self._add(self._propagator(m), m.watched)
+        # constraints that tie a row to its slot keep the row order off
+        self.row_tied = model.row_tied(m.bare_vars for m in self.meta)
+        self.position_vars = model.position_vars()
+        self._row_order: list[int] | None = None
+        self._first: dict[int, int] | None = None
+        self._first_key: tuple = ()
+
+    def _add(self, propagator: tuple[Callable[..., None], tuple], watched) -> None:
+        item = len(self.propagators)
+        self.propagators.append(propagator)
+        for ident in watched:
+            self.watchers[ident].append(item)
+
+    def view(self, active) -> "ModelView":
+        """This model with only the constraints at ``active`` (indices into
+        ``model.constraints``) on."""
+        on = tuple(sorted(set(active)))
+        if on and not (0 <= on[0] and on[-1] < len(self.model.constraints)):
+            raise InternalError(f"constraint indices {on[0]}..{on[-1]} outside the model")
+        return ModelView(self, on)
+
+    def referenced_selectors(self, active: tuple[int, ...]) -> list[int]:
+        """The selectors some active constraint references, ascending; any
+        other selector leaves every solution as it is."""
+        return sorted({s for i in active for s, _ in self.meta[i].selectors})
+
+    def orders_rows(self, active: tuple[int, ...]) -> bool:
+        """Whether the rows are interchangeable under the active constraints
+        and carry a unique position field (``rows_orderable`` of the model
+        cut to them): ordering them by position then gives each solution
+        table exactly one encoding."""
+        return self.position_vars is not None and self.row_tied.isdisjoint(active)
+
+    def row_order(self) -> list[int]:
+        """The work-list items of ``pos[i] < pos[i+1]`` over consecutive rows,
+        built by the first search that orders rows."""
+        if self._row_order is None:
+            start = len(self.propagators)
+            pos = self.position_vars
+            for a, b in zip(pos, pos[1:]):
+                meta = _constraint_meta(CCmp("<", CVar(a), CVar(b)))
+                self.meta.append(meta)
+                self._add(self._propagator(meta), meta.watched)
+            self._row_order = list(range(start, len(self.propagators)))
+        return self._row_order
+
+    def table_key(self, assignment: dict[int, int]) -> tuple:
+        """The decoded table's key. The generator checks every clue subset
+        against one truth assignment, so the last one is decoded once."""
+        if assignment != self._first:
+            self._first, self._first_key = dict(assignment), decode(self.model, assignment).key()
+        return self._first_key
 
     # -- domain plumbing ---------------------------------------------------
 
@@ -414,6 +483,115 @@ class _Solver:
     def initial_state(self) -> list[int]:
         return list(self.declared)
 
+    # -- propagator matching -------------------------------------------------
+
+    def _propagator(self, meta: _ConstraintMeta) -> tuple[Callable[..., None], tuple]:
+        """The dedicated propagator for meta's shape, else the generic one, as
+        an unbound _Search method and the arguments that follow (doms, dirty)."""
+        expr = meta.expr
+        if isinstance(expr, CCmp):
+            left, right = expr.left, expr.right
+            if (
+                expr.op == "<"
+                and isinstance(left, CVar)
+                and isinstance(right, CVar)
+                and left.var != right.var
+            ):
+                d = self.base[right.var] - self.base[left.var]
+                return _Search._propagate_less_vars, (left.var, right.var, d)
+            if isinstance(right, CLit) and expr.op in ("==", "!=") and isinstance(left, CElem):
+                method = _Search._propagate_elem_eq if expr.op == "==" else _Search._propagate_elem_ne
+                i = right.value - self.base[left.table[0]]
+                bit = 1 << i if 0 <= i < self.width else 0
+                return method, (left.selector, left.table, bit)
+            pair = _elem_pair(expr)
+            relation = self._pair_relation(*pair) if pair else None
+            if relation is not None:
+                e1, e2 = pair[:2]
+                return _Search._propagate_elem_pair, (
+                    e1.selector,
+                    e1.table,
+                    e2.selector,
+                    e2.table,
+                    relation,
+                )
+        return _Search._propagate_generic, (meta,)
+
+    def _pair_relation(self, e1: CElem, e2: CElem, shape: str, k: int):
+        """The relation between the value masks of e1 and e2 for a matched
+        pair shape, or None where the generic evaluator serves: where its
+        arithmetic could exceed _SET_CAP and widen a set to its range, which
+        an exact relation would not do, or where L shifts a mask by the
+        widest mask's width or more (no two values can then satisfy it)."""
+        d = self.base[e2.table[0]] - self.base[e1.table[0]]
+        if shape == "<":
+            return partial(_less, d)
+        r1, r2 = self._reach(e1), self._reach(e2)
+        if shape == "-":
+            if r2.bit_count() > _SET_CAP:
+                return None
+            shifts: tuple[int, ...] = (d - k,)
+        else:
+            if r1.bit_count() * r2.bit_count() > _SET_CAP:
+                return None
+            if k < 0:
+                return _never
+            shifts = (d + k, d - k)
+        if any(abs(t) >= self.width for t in shifts):
+            return None
+        return partial(_equals_minus if shape == "-" else _abs_difference_is, *shifts)
+
+    def _reach(self, elem: CElem) -> int:
+        """The mask of values elem can take under the declared domains (the
+        domains propagation starts from and only ever narrows)."""
+        out = 0
+        for v in elem.table:
+            out |= self.declared[v]
+        return out
+
+
+@dataclass(frozen=True)
+class ModelView:
+    """A compiled model with only the constraints at ``active`` on: ascending
+    indices into ``compiled.model.constraints``. It is what ``solve`` and
+    ``find_second`` search; a plain model is compiled with all of them on."""
+
+    compiled: CompiledModel
+    active: tuple[int, ...]
+
+    def verify(self, assignment: dict[int, int]) -> bool:
+        """``verify`` over the active constraints only."""
+        constraints = self.compiled.model.constraints
+        return _verify(self.compiled.model, assignment, [constraints[i] for i in self.active])
+
+
+def _view(model: ConstraintModel | ModelView) -> ModelView:
+    if isinstance(model, ModelView):
+        return model
+    return CompiledModel(model).view(range(len(model.constraints)))
+
+
+class _Search:
+    """One search over a view: its budget, clock, counters and trace, and the
+    work-list items that are on. An item that is off starts queued and is
+    never put on the queue, so it never runs."""
+
+    def __init__(self, view: ModelView, budget: Budget, trace=None, ordered: bool = False):
+        compiled = self.compiled = view.compiled
+        self.view = view
+        self.budget = budget
+        self.trace = trace
+        self.stats = SolveStats()
+        self.n_vars = compiled.n_vars
+        self.base = compiled.base
+        groups = compiled.n_groups
+        self.initial = [*range(groups), *(groups + i for i in view.active)]
+        if ordered and compiled.orders_rows(view.active):
+            self.initial += compiled.row_order()
+        self.propagators = compiled.propagators
+        self.watchers = compiled.watchers
+        self.branched_selectors = compiled.referenced_selectors(view.active)
+
     def _remove(self, doms: list[int], ident: int, mask: int, dirty: set[int]) -> None:
         """Remove ``mask``, a non-empty subset of ``ident``'s domain, with one
         propagation counted per value."""
@@ -432,7 +610,7 @@ class _Solver:
         if isinstance(expr, CVar):
             if expr.var == pin_id:
                 return {pin_val}
-            return set(self.values(expr.var, doms[expr.var]))
+            return set(self.compiled.values(expr.var, doms[expr.var]))
         if isinstance(expr, CElem):
             if expr.selector == pin_id:
                 choices = [pin_val]
@@ -444,7 +622,7 @@ class _Solver:
                 if v == pin_id:
                     out.add(pin_val)
                 else:
-                    out.update(self.values(v, doms[v]))
+                    out.update(self.compiled.values(v, doms[v]))
             return out
         if isinstance(expr, CBin):
             return _apply_bin(
@@ -482,11 +660,11 @@ class _Solver:
     # -- propagation --------------------------------------------------------
 
     def propagate(self, doms: list[int]) -> bool:
-        """Run to fixpoint. Returns False on contradiction. The fixpoint is
-        unique (all propagators are monotone), so processing order only
-        affects intermediate work, never the result."""
+        """Run the items that are on to fixpoint. Returns False on
+        contradiction. The fixpoint is unique (all propagators are monotone),
+        so processing order only affects intermediate work, never the result."""
         queued = [True] * len(self.propagators)
-        queue = deque(range(len(queued)))
+        queue = deque(self.initial)
         try:
             while queue:
                 item = queue.popleft()
@@ -667,70 +845,6 @@ class _Solver:
         if below:
             self._remove(doms, b, below, dirty)
 
-    def _propagator(self, meta: _ConstraintMeta) -> tuple[Callable[..., None], tuple]:
-        """The dedicated propagator for meta's shape, else the generic one, as
-        an unbound _Solver method and the arguments that follow (doms, dirty)."""
-        expr = meta.expr
-        if isinstance(expr, CCmp):
-            left, right = expr.left, expr.right
-            if (
-                expr.op == "<"
-                and isinstance(left, CVar)
-                and isinstance(right, CVar)
-                and left.var != right.var
-            ):
-                d = self.base[right.var] - self.base[left.var]
-                return _Solver._propagate_less_vars, (left.var, right.var, d)
-            if isinstance(right, CLit) and expr.op in ("==", "!=") and isinstance(left, CElem):
-                method = _Solver._propagate_elem_eq if expr.op == "==" else _Solver._propagate_elem_ne
-                i = right.value - self.base[left.table[0]]
-                bit = 1 << i if 0 <= i < self.width else 0
-                return method, (left.selector, left.table, bit)
-            pair = _elem_pair(expr)
-            relation = self._pair_relation(*pair) if pair else None
-            if relation is not None:
-                e1, e2 = pair[:2]
-                return _Solver._propagate_elem_pair, (
-                    e1.selector,
-                    e1.table,
-                    e2.selector,
-                    e2.table,
-                    relation,
-                )
-        return _Solver._propagate_generic, (meta,)
-
-    def _pair_relation(self, e1: CElem, e2: CElem, shape: str, k: int):
-        """The relation between the value masks of e1 and e2 for a matched
-        pair shape, or None where the generic evaluator serves: where its
-        arithmetic could exceed _SET_CAP and widen a set to its range, which
-        an exact relation would not do, or where L shifts a mask by the
-        widest mask's width or more (no two values can then satisfy it)."""
-        d = self.base[e2.table[0]] - self.base[e1.table[0]]
-        if shape == "<":
-            return partial(_less, d)
-        r1, r2 = self._reach(e1), self._reach(e2)
-        if shape == "-":
-            if r2.bit_count() > _SET_CAP:
-                return None
-            shifts: tuple[int, ...] = (d - k,)
-        else:
-            if r1.bit_count() * r2.bit_count() > _SET_CAP:
-                return None
-            if k < 0:
-                return _never
-            shifts = (d + k, d - k)
-        if any(abs(t) >= self.width for t in shifts):
-            return None
-        return partial(_equals_minus if shape == "-" else _abs_difference_is, *shifts)
-
-    def _reach(self, elem: CElem) -> int:
-        """The mask of values elem can take under the declared domains (the
-        domains propagation starts from and only ever narrows)."""
-        out = 0
-        for v in elem.table:
-            out |= self.declared[v]
-        return out
-
     # -- search --------------------------------------------------------------
 
     def _pick(self, doms: list[int]) -> int | None:
@@ -799,23 +913,25 @@ class _Solver:
 
     def run(self) -> SolveOutcome:
         with self.clock():
-            doms = self.initial_state()
+            doms = self.compiled.initial_state()
             solution = next(self.solutions(doms), None) if self.propagate(doms) else None
         if solution is None:
             return SolveOutcome(Status.UNSAT, None, self.stats)
-        assignment = {i: solution[i] for i in range(self.n_ids)}
-        if not verify(self.model, assignment):
+        assignment = dict(enumerate(solution))
+        if not self.view.verify(assignment):
             raise InternalError("solver returned an assignment that fails verification")
         return SolveOutcome(Status.SAT, assignment, self.stats)
 
 
-def solve(model: ConstraintModel, budget: Budget | None = None, trace=None) -> SolveOutcome:
+def solve(
+    model: ConstraintModel | ModelView, budget: Budget | None = None, trace=None
+) -> SolveOutcome:
     """Find a first satisfying assignment, or prove Unsat by complete search.
 
     Raises BudgetExceeded when the decision or time budget runs out: the
     caller must treat that as "unknown", never as Unsat.
     """
-    return _Solver(model, budget or Budget(), trace).run()
+    return _Search(_view(model), budget or Budget(), trace).run()
 
 
 def propagate_domains(
@@ -825,21 +941,22 @@ def propagate_domains(
     to ``domains`` where given, and return the pruned domains, or None on
     contradiction. A given value outside the declared domain is ignored.
     Intended for tests and debugging."""
-    solver = _Solver(model, Budget())
-    doms = solver.initial_state()
+    view = _view(model)
+    compiled = view.compiled
+    doms = compiled.initial_state()
     for ident, values in (domains or {}).items():
         declared = set(model.domain_of(ident))
-        doms[ident] = solver.mask(ident, (v for v in values if v in declared))
-    if not all(doms) or not solver.propagate(doms):
+        doms[ident] = compiled.mask(ident, (v for v in values if v in declared))
+    if not all(doms) or not _Search(view, Budget()).propagate(doms):
         return None
-    return {i: solver.values(i, d) for i, d in enumerate(doms)}
+    return {i: compiled.values(i, d) for i, d in enumerate(doms)}
 
 
 # --- ambiguity -------------------------------------------------------------------
 
 
 def find_second(
-    model: ConstraintModel, first: dict[int, int], budget: Budget | None = None
+    model: ConstraintModel | ModelView, first: dict[int, int], budget: Budget | None = None
 ) -> AmbiguityReport:
     """Search for a second assignment whose decoded table differs from the
     first one's, or prove there is none. Selector variables never count
@@ -847,33 +964,24 @@ def find_second(
     reported as ambiguity.
 
     One depth-first search under one budget walks the solutions of the
-    row-ordered model (``_row_ordered``) until one decodes to a table other
-    than ``first``'s. Raises BudgetExceeded when the budget runs out first.
+    active constraints until one decodes to a table other than ``first``'s.
+    When the rows are interchangeable under them (``orders_rows``), the
+    search also orders the rows by position, so each table is met once.
+    Raises BudgetExceeded when the budget runs out first.
     """
-    model = _row_ordered(model)
-    first_key = decode(model, first).key()
-    solver = _Solver(model, budget or Budget())
+    view = _view(model)
+    compiled = view.compiled
+    first_key = compiled.table_key(first)
+    solver = _Search(view, budget or Budget(), ordered=True)
     second = None
     with solver.clock():
-        doms = solver.initial_state()
+        doms = compiled.initial_state()
         if solver.propagate(doms):
             for solution in solver.solutions(doms):
                 assignment = dict(enumerate(solution))
-                if decode(model, assignment).key() != first_key:
+                if decode(compiled.model, assignment).key() != first_key:
                     second = assignment
                     break
-    if second is not None and not verify(model, second):
+    if second is not None and not view.verify(second):
         raise InternalError("uniqueness search returned an assignment that fails verification")
     return AmbiguityReport(first, second, solver.stats)
-
-
-def _row_ordered(model: ConstraintModel) -> ConstraintModel:
-    """``model`` plus ``pos[i] < pos[i+1]`` over consecutive rows when its
-    rows are interchangeable (``rows_orderable``): every solution table then
-    has exactly one encoding. Otherwise ``model`` itself."""
-    if not model.rows_orderable():
-        return model
-    pf = model.layout.position_field
-    pos = [row.fields[pf] for row in model.layout.rows]
-    order = [CCmp("<", CVar(a), CVar(b)) for a, b in zip(pos, pos[1:])]
-    return replace(model, constraints=list(model.constraints) + order)

@@ -32,7 +32,7 @@ from logicforge.bench.render import (
     render_instance_dsl,
 )
 from logicforge.bench.score import EmptyInput, TaskResult
-from logicforge.errors import DatasetError, GenerationError, InternalError
+from logicforge.errors import BudgetExceeded, DatasetError, GenerationError, InternalError
 from logicforge.frontend import SourceText, check, parse
 from logicforge.model import decode, lower
 from logicforge.model.decode import SolutionTable, encode
@@ -122,28 +122,158 @@ def truth_columns(instance) -> dict[str, tuple[str, ...]]:
     }
 
 
-class TestCompiledCandidates:
-    """The generator lowers its candidate program once and cuts its
-    constraint list into per-clue slices for each uniqueness check."""
+# Names slot 0's position var directly: a program with it does not let rows
+# trade places, so find_second must not order them.
+ROW_CLUE = "    assert solution.houses[0].house_number == 1\n"
 
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_cut_model_searches_like_the_rendered_subset(self, n):
-        instance = generate_puzzle(42, n, n)
+
+def lowered_subset(features, clues, n, row_clue=False):
+    """The model of the program rendered from ``clues`` alone, plus ROW_CLUE."""
+    text = render_instance_dsl(features, clues, n).text + (ROW_CLUE if row_clue else "")
+    return lower(check(parse(text)))
+
+
+def compile_with_row_clue(monkeypatch, features, candidates, n):
+    """The generator's compiled candidates with ROW_CLUE as one more clue,
+    the last."""
+    rendered = render.render_instance_dsl
+
+    def plus_row_clue(features, clues, n):
+        source = rendered(features, clues[:-1], n)
+        return dataclasses.replace(source, text=source.text + ROW_CLUE)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(render, "render_instance_dsl", plus_row_clue)
+        return puzzle._compile_candidates(features, candidates + [None], n)
+
+
+def shuffled_candidates(n, seed):
+    instance = generate_puzzle(42, n, n)
+    rng = random.Random(seed)
+    candidates = puzzle._sample_candidates(rng, instance.features, truth_columns(instance), n)
+    rng.shuffle(candidates)
+    return instance, candidates, rng
+
+
+def search_counts(view, first, budget=None) -> tuple:
+    """Verdict and counters of find_second and of solve over a view."""
+    report = find_second(view, first, budget)
+    outcome = solve(view, budget)
+    stats = (report.stats.decisions, report.stats.propagations)
+    return report.ambiguous, stats, (outcome.stats.decisions, outcome.stats.propagations)
+
+
+def assert_searches_alike(view, first, model, model_first) -> tuple[int, int]:
+    """find_second and solve take the same steps to the same tables over the
+    view as over ``model``, the lowered program of its clues alone. Returns
+    the uniqueness search's (decisions, propagations)."""
+    ours, theirs = find_second(view, first), find_second(model, model_first)
+    assert ours.ambiguous == theirs.ambiguous
+    assert (ours.stats.decisions, ours.stats.propagations) == (
+        theirs.stats.decisions,
+        theirs.stats.propagations,
+    )
+    if ours.ambiguous:
+        assert decode(view.compiled.model, ours.second) == decode(model, theirs.second)
+    solved, reference = solve(view), solve(model)
+    assert (solved.stats.decisions, solved.stats.propagations) == (
+        reference.stats.decisions,
+        reference.stats.propagations,
+    )
+    assert decode(view.compiled.model, solved.assignment) == decode(model, reference.assignment)
+    return ours.stats.decisions, ours.stats.propagations
+
+
+class TestCompiledCandidates:
+    """The generator lowers its candidate program and builds its solver
+    model once; each uniqueness check switches per-clue constraint slices on."""
+
+    @pytest.mark.parametrize("n,golden", [(4, (33, 2707)), (5, (112, 4507))], ids=["4", "5"])
+    def test_view_searches_like_the_rendered_subset(self, n, golden):
+        instance, candidates, rng = shuffled_candidates(n, 3)
         features = instance.features
-        rng = random.Random(3)
-        candidates = puzzle._sample_candidates(rng, features, truth_columns(instance), n)
-        rng.shuffle(candidates)
-        model, slices = puzzle._compile_candidates(features, candidates, n)
+        compiled, slices = puzzle._compile_candidates(features, candidates, n)
+        first = encode(compiled.model, instance.truth)
+        total = (0, 0)
         for _ in range(20):
             subset = sorted(rng.sample(range(len(candidates)), rng.randint(1, len(candidates))))
-            cut = find_second(puzzle._cut(model, slices, subset), encode(model, instance.truth))
-            rendered_model = lower(check(parse(render_instance_dsl(features, [candidates[i] for i in subset], n))))
-            rendered = find_second(rendered_model, encode(rendered_model, instance.truth))
-            assert cut.ambiguous == rendered.ambiguous
-            assert (cut.stats.decisions, cut.stats.propagations) == (
-                rendered.stats.decisions,
-                rendered.stats.propagations,
-            )
+            model = lowered_subset(features, [candidates[i] for i in subset], n)
+            view = puzzle._view(compiled, slices, subset)
+            counts = assert_searches_alike(view, first, model, encode(model, instance.truth))
+            total = (total[0] + counts[0], total[1] + counts[1])
+        # summed uniqueness counters as the per-check solver build gave them,
+        # which a fault that hits views and plain models alike still moves
+        assert total == golden
+
+    def test_a_clue_naming_a_row_var_switches_the_row_order_off(self, monkeypatch):
+        n = 4
+        instance, candidates, rng = shuffled_candidates(n, 5)
+        features = instance.features
+        compiled, slices = compile_with_row_clue(monkeypatch, features, candidates, n)
+        first = encode(compiled.model, instance.truth)
+        row_clue = len(candidates)
+        differ = 0
+        for k in range(12):
+            subset = sorted(rng.sample(range(len(candidates)), rng.randint(1, len(candidates))))
+            counts = []
+            for on in (True, False):
+                view = puzzle._view(compiled, slices, subset + [row_clue] * on)
+                model = lowered_subset(features, [candidates[i] for i in subset], n, row_clue=on)
+                assert compiled.orders_rows(view.active) is model.rows_orderable() is not on
+                counts.append(assert_searches_alike(view, first, model, encode(model, instance.truth)))
+            differ += counts[0] != counts[1]
+        # the two orders search differently, so the comparisons above tell them apart
+        assert differ
+
+    def test_a_compiled_model_searches_each_view_like_a_fresh_build(self, monkeypatch):
+        n = 4
+        instance, candidates, rng = shuffled_candidates(n, 7)
+        features = instance.features
+        compiled, slices = compile_with_row_clue(monkeypatch, features, candidates, n)
+        first = encode(compiled.model, instance.truth)
+        row_clue = len(candidates)
+        few = sorted(rng.sample(range(len(candidates)), 3))
+        many = sorted(rng.sample(range(len(candidates)), len(candidates) // 2))
+        subsets = [few, few + [row_clue], many, many + [row_clue]]
+
+        def fresh(subset, truth=first):
+            rebuilt, rebuilt_slices = compile_with_row_clue(monkeypatch, features, candidates, n)
+            return search_counts(puzzle._view(rebuilt, rebuilt_slices, subset), truth)
+
+        expected = [fresh(subset) for subset in subsets]
+        views = [puzzle._view(compiled, slices, subset) for subset in subsets]
+        # row order off first, then built, then off again; each view twice
+        for i in (1, 1, 0, 3, 2, 1, 0, 2, 3):
+            assert search_counts(views[i], first) == expected[i]
+        # a check cut short by its budget leaves nothing behind for the next
+        decisions = expected[0][1][0]
+        assert decisions > 1
+        with pytest.raises(BudgetExceeded):
+            find_second(views[0], first, Budget(max_decisions=decisions - 1))
+        for i in (0, 2, 1):
+            assert search_counts(views[i], first) == expected[i]
+        # a check against another first table compares with that table
+        other = find_second(views[0], first).second
+        assert other is not None
+        assert search_counts(views[2], other) == fresh(subsets[2], other)
+        assert search_counts(views[2], first) == expected[2]
+
+    @pytest.mark.parametrize(
+        "n,golden", [(4, (32, 47, 4318)), (5, (60, 164, 16531))], ids=["4", "5"]
+    )
+    def test_generator_checks_count_as_a_build_per_check_did(self, monkeypatch, n, golden):
+        # (checks, decisions, propagations) summed over one puzzle's
+        # uniqueness checks, as a solver built per check counted them
+        reports = []
+
+        def recording(*args):
+            reports.append(find_second(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(puzzle, "find_second", recording)
+        generate_puzzle(42, n, n)
+        decisions = sum(r.stats.decisions for r in reports)
+        assert (len(reports), decisions, sum(r.stats.propagations for r in reports)) == golden
 
     def test_slice_count_must_match_clue_count(self, monkeypatch):
         rendered = render.render_instance_dsl
@@ -158,15 +288,16 @@ class TestCompiledCandidates:
             generate_puzzle(1, 3, 3)
 
     def test_one_compile_one_search_per_check(self, monkeypatch):
-        names = ("parse", "check", "lower", "solve", "find_second", "_cut")
+        names = ("parse", "check", "lower", "CompiledModel", "_view", "solve", "find_second")
         calls: dict[str, list] = {name: [] for name in names}
 
         def counting(name):
             fn = getattr(puzzle, name)
 
             def wrapper(*args):
-                calls[name].append(args)
-                return fn(*args)
+                result = fn(*args)
+                calls[name].append((args, result))
+                return result
 
             return wrapper
 
@@ -174,10 +305,14 @@ class TestCompiledCandidates:
             monkeypatch.setattr(puzzle, name, counting(name))
         budget = Budget(max_time=20.0)
         generate_puzzle(42, 4, 4, budget=budget)
-        assert [len(calls[name]) for name in ("parse", "check", "lower", "solve")] == [1, 1, 1, 1]
-        # one cut per check, plus the final solve's model
-        assert len(calls["find_second"]) == len(calls["_cut"]) - 1 > 1
-        assert all(args[-1] is budget for args in calls["solve"] + calls["find_second"])
+        once = ("parse", "check", "lower", "CompiledModel", "solve")
+        assert [len(calls[name]) for name in once] == [1] * len(once)
+        # one view per check, plus the final solve's
+        assert len(calls["find_second"]) == len(calls["_view"]) - 1 > 1
+        ((_, compiled),) = calls["CompiledModel"]
+        searched = calls["solve"] + calls["find_second"]
+        assert all(args[0].compiled is compiled for args, _ in searched)
+        assert all(args[-1] is budget for args, _ in searched)
 
     def test_clues_that_reject_the_truth_are_refused(self, monkeypatch):
         # the first person's name is in no house: no table satisfies the clues

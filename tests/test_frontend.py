@@ -1,5 +1,7 @@
 """Lexer, parser, pretty-printer, and semantic checker."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from logicforge.bench.puzzle import generate_puzzle
 from logicforge.bench.render import render_dsl
 from logicforge.cemit import emit
-from logicforge.errors import DslSyntaxError, SemanticError
+from logicforge.errors import DslSyntaxError, InternalError, LogicForgeError, SemanticError
 from logicforge.frontend import SourceText, check, parse, pretty
 from logicforge.frontend.ast import (
     Assign,
@@ -24,9 +26,10 @@ from logicforge.frontend.ast import (
 )
 from logicforge.frontend.parser import MAX_NESTING
 from logicforge.model import lower
-from logicforge.solver import find_second, solve
+from logicforge.solver import Budget, find_second, solve
 
 from conftest import chained_condition, nested_condition
+from strategies import programs
 
 FIG_STYLE_SOURCE = """\
 class House:
@@ -335,3 +338,54 @@ class TestCheck:
         assert info.value.diagnostic() == (
             "prog.lpy:1:1: NoEntryFunction: no validation function defined"
         )
+
+
+# --- mutated source text --------------------------------------------------------
+
+_TOKEN = re.compile(r'"[^"\n]*"|\w+|\s+|.')
+_NESTINGS = (("(", ")"), ("abs(", ")"), ("not (", ")"), ("[", "]"), ("nondet(", ")"))
+
+
+@st.composite
+def mutated_sources(draw) -> str:
+    """A printed random program after one to three token edits: delete,
+    duplicate or nest a token span, or repeat a body line up to 30 times."""
+    tokens = _TOKEN.findall(pretty(draw(programs(max_entities=3, max_fields=3, max_domain=4))))
+    for _ in range(draw(st.integers(1, 3))):
+        words = [i for i, t in enumerate(tokens) if not t.isspace()]
+        kind = draw(st.sampled_from(("delete", "duplicate", "nest", "repeat")))
+        i = draw(st.sampled_from(words))
+        if kind == "delete":
+            del tokens[i]
+        elif kind == "duplicate":
+            tokens.insert(i, tokens[i])
+        elif kind == "nest":
+            j = draw(st.sampled_from([w for w in words if w >= i]))
+            opener, closer = draw(st.sampled_from(_NESTINGS))
+            tokens[i : j + 1] = [opener, *tokens[i : j + 1], closer]
+        else:
+            lines = "".join(tokens).split("\n")
+            body = [k for k, line in enumerate(lines) if line.startswith("    ")] or [len(lines) - 1]
+            k = draw(st.sampled_from(body))
+            lines[k:k] = [lines[k]] * draw(st.integers(1, 29))
+            tokens = _TOKEN.findall("\n".join(lines))
+    return "".join(tokens)
+
+
+class TestMutatedSource:
+    """Every stage either returns or raises a typed LogicForgeError on
+    mangled source; an InternalError would be a bug, so it fails too."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_sources())
+    def test_every_stage_returns_or_raises_a_typed_error(self, text):
+        budget = Budget(max_decisions=500, max_time=1.0)
+        try:
+            model = lower(check(parse(text)))
+            outcome = solve(model, budget)
+            if outcome.is_sat:
+                find_second(model, outcome.assignment, budget)
+        except InternalError:
+            raise
+        except LogicForgeError:
+            pass

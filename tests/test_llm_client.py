@@ -6,14 +6,16 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from logicforge.agent import ExpectedFormat
+from logicforge.agent import ExpectedFormat, PipelineConfig, PipelineStatus, run_pipeline
 from logicforge.agent.llm import (
     LlmClientConfig,
     LlmFormalizer,
     Prompts,
+    ReplayFormalizer,
     TranscriptWriter,
     extract_code_block,
 )
+from logicforge.bench import GenSpec, generate_tasks, run_bench
 from logicforge.errors import ExtractionError, TransportError
 from logicforge.frontend.parser import SourceText
 
@@ -151,6 +153,41 @@ class TestClient:
         assert entries[0]["step"] == "data_structure"
         assert entries[0]["request"]["model"] == "test-model"
         assert FIG_BLOCK in entries[0]["response_text"]
+
+
+@pytest.fixture(scope="module")
+def two_tasks():
+    return generate_tasks(GenSpec(seed=5, shapes=(("2x3", 2),)))
+
+
+class TestFormalizerFailures:
+    """A formalizer that yields no program ends the attempt FailedFormalize,
+    not FailedSyntax, and the bench still scores the task and writes its
+    report."""
+
+    def test_http_error_fails_formalize(self, stub_server, two_tasks, tmp_path):
+        endpoint, handler = stub_server
+        config = PipelineConfig(max_attempts=2)
+        handler.replies.extend([(500, "boom")] * config.max_attempts * len(two_tasks))
+        out = tmp_path / "report.json"
+        report = run_bench(
+            two_tasks, lambda task: make_formalizer(endpoint), concurrency=1, out_path=out, config=config
+        )
+        assert report.status_counts == {"FailedFormalize": len(two_tasks)}
+        assert len(handler.requests) == config.max_attempts * len(two_tasks)
+        assert json.loads(out.read_text())["status_counts"] == {"FailedFormalize": len(two_tasks)}
+
+    def test_exhausted_transcript_fails_formalize(self, two_tasks, tmp_path):
+        transcript = tmp_path / "empty.jsonl"
+        transcript.write_text("")
+        task = two_tasks[0]
+        result = run_pipeline(task.text, task.fmt, ReplayFormalizer(transcript))
+        assert result.status is PipelineStatus.FAILED_FORMALIZE
+        assert result.log == [("formalize", "transcript exhausted")] * PipelineConfig().max_attempts
+        out = tmp_path / "report.json"
+        report = run_bench(two_tasks, lambda task: ReplayFormalizer(transcript), concurrency=2, out_path=out)
+        assert report.status_counts == {"FailedFormalize": len(two_tasks)}
+        assert out.exists()
 
 
 class TestPromptAssets:

@@ -376,7 +376,8 @@ class TestOracleAgreement:
 def _outcome(solver, propagator, doms):
     """Domains, dirty ids and propagation count after one propagator call,
     or the propagation count at which it raised Contradiction."""
-    masks = [solver.mask(i, d) for i, d in enumerate(doms)]
+    compiled = solver.compiled
+    masks = [compiled.mask(i, d) for i, d in enumerate(doms)]
     dirty: set[int] = set()
     before = solver.stats.propagations
     function, args = propagator
@@ -384,14 +385,14 @@ def _outcome(solver, propagator, doms):
         function(solver, masks, dirty, *args)
     except engine.Contradiction:
         return "contradiction", solver.stats.propagations - before
-    return [solver.values(i, m) for i, m in enumerate(masks)], sorted(dirty), solver.stats.propagations - before
+    return [compiled.values(i, m) for i, m in enumerate(masks)], sorted(dirty), solver.stats.propagations - before
 
 
-def _sub_domains(solver, rng: random.Random) -> list[list[int]]:
+def _sub_domains(compiled, rng: random.Random) -> list[list[int]]:
     """A random non-empty sub-domain per id: the full domain, a single
     value or a random subset, with equal odds."""
     doms = []
-    for dom in map(solver.values, range(solver.n_ids), solver.initial_state()):
+    for dom in map(compiled.values, range(compiled.n_ids), compiled.initial_state()):
         kind = rng.randrange(3)
         if kind == 0 or len(dom) == 1:
             doms.append(list(dom))
@@ -402,26 +403,28 @@ def _sub_domains(solver, rng: random.Random) -> list[list[int]]:
     return doms
 
 
-def assert_matches_generic(model: ConstraintModel, rng: random.Random, trials: int = 8) -> int:
+def assert_matches_generic(model, rng: random.Random, trials: int = 8) -> int:
     """Every constraint's propagator agrees with the generic evaluator from
-    random sub-domains. Returns how many constraints got a dedicated one."""
-    solver = engine._Solver(model, Budget())
+    random sub-domains. Returns how many constraints got a dedicated one.
+    ``model`` is a ConstraintModel or a CompiledModel."""
+    compiled = model if isinstance(model, engine.CompiledModel) else engine.CompiledModel(model)
+    solver = engine._Search(compiled.view(()), Budget())
     dedicated = 0
     # the all-different groups' propagators come first in the work list
-    constraint_propagators = solver.propagators[len(model.alldiff_groups) :]
-    for meta, propagator in zip(solver.meta, constraint_propagators):
-        generic = (engine._Solver._propagate_generic, (meta,))
-        dedicated += propagator[0] is not engine._Solver._propagate_generic
+    constraint_propagators = compiled.propagators[compiled.n_groups :]
+    for meta, propagator in zip(compiled.meta, constraint_propagators):
+        generic = (engine._Search._propagate_generic, (meta,))
+        dedicated += propagator[0] is not engine._Search._propagate_generic
         for _ in range(trials):
-            doms = _sub_domains(solver, rng)
+            doms = _sub_domains(compiled, rng)
             assert _outcome(solver, propagator, doms) == _outcome(solver, generic, doms), meta.expr
     return dedicated
 
 
 def _is_generic(model: ConstraintModel) -> list[bool]:
-    solver = engine._Solver(model, Budget())
-    constraint_propagators = solver.propagators[len(model.alldiff_groups) :]
-    return [function is engine._Solver._propagate_generic for function, _ in constraint_propagators]
+    compiled = engine.CompiledModel(model)
+    constraint_propagators = compiled.propagators[compiled.n_groups :]
+    return [function is engine._Search._propagate_generic for function, _ in constraint_propagators]
 
 
 def _model(text: str) -> ConstraintModel:
@@ -466,11 +469,13 @@ class TestDedicatedPropagators:
         below_zero = text.replace(f"range(1, {n + 1})", f"range({-n}, 0)", 1)
         for source in (text, _off_by_one(text, n), below_zero):
             model = _model(source)
-            # the model find_second searches: every lowered constraint and each
-            # of the n - 1 row-order constraints has a dedicated propagator
-            ordered = engine._row_ordered(model)
-            assert len(ordered.constraints) == len(model.constraints) + n - 1
-            assert assert_matches_generic(ordered, rng) == len(ordered.constraints)
+            # the propagators find_second runs: every lowered constraint and
+            # each of the n - 1 row-order constraints has a dedicated one
+            compiled = engine.CompiledModel(model)
+            assert compiled.orders_rows(tuple(range(len(model.constraints))))
+            compiled.row_order()
+            assert len(compiled.meta) == len(model.constraints) + n - 1
+            assert assert_matches_generic(compiled, rng) == len(compiled.meta)
 
     def test_repeated_table_ids_match_generic(self):
         # tables name a var twice, and both sides of a pair share vars
@@ -557,7 +562,7 @@ class TestMaskBases:
             assert shifted.count(f"house_number {op} 2\n") == 1
             shifted = shifted.replace(f"house_number {op} 2\n", f"house_number {op} 1991\n")
         model, moved = _model(text), _model(shifted)
-        assert max(m.bit_length() for m in engine._Solver(moved, Budget()).declared) == 4
+        assert max(m.bit_length() for m in engine.CompiledModel(moved).declared) == 4
         first, second = solve(model), solve(moved)
         assert first.stats.decisions == second.stats.decisions
         assert first.stats.propagations == second.stats.propagations
