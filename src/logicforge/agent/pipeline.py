@@ -27,7 +27,7 @@ from ..frontend.check import check
 from ..frontend.parser import SourceText, parse
 from ..model.decode import SolutionTable, decode
 from ..model.lower import lower
-from ..solver.engine import Budget, find_second, solve
+from ..solver.engine import Budget, compile_model, find_second, solve
 
 log = logging.getLogger(__name__)
 
@@ -153,8 +153,9 @@ def _run_attempt(
         raise _AttemptFailed("check", PipelineStatus.FAILED_SEMANTIC, exc.diagnostic())
 
     model = lower(program)
+    view = compile_model(model)  # one solver build for solve and find_second
     try:
-        outcome = solve(model, config.budget)
+        outcome = solve(view, config.budget)
     except BudgetExceeded as exc:
         raise _AttemptFailed("solve", PipelineStatus.FAILED_BUDGET, str(exc))
     if not outcome.is_sat:
@@ -168,7 +169,7 @@ def _run_attempt(
             config.budget.max_decisions - spent.decisions, config.budget.max_time - spent.elapsed
         )
         try:
-            report = find_second(model, outcome.assignment, remaining)
+            report = find_second(view, outcome.assignment, remaining)
         except BudgetExceeded as exc:
             raise _AttemptFailed("ambiguity", PipelineStatus.FAILED_BUDGET, str(exc))
         if report.ambiguous:

@@ -7,7 +7,7 @@ annotation may span several lines. Comments are discarded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import DslSyntaxError
 
@@ -32,8 +32,7 @@ _OPEN = {"(": ")", "[": "]"}
 _CLOSE = {")": "(", "]": "["}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int

@@ -23,11 +23,20 @@ a ``ModelView``, the compiled model with a subset of its constraints switched
 on, as in solving under assumptions (Eén and Sörensson, SAT 2003): the
 constraints that are off are never put on the work list, and the selectors
 only they reference are not branched. ``solve`` and ``find_second`` compile a
-plain ``ConstraintModel`` with every constraint on; the puzzle generator
-compiles its candidate program once and switches clue slices per check.
+plain ``ConstraintModel`` with every constraint on (``compile_model``; the
+pipeline calls it once per attempt and hands the view to both); the puzzle
+generator compiles its candidate program once and switches clue slices per
+check.
 
 Propagation runs one work list of propagators, the all-different groups
-first and then the constraints that are on, to a fixpoint:
+first and then the constraints that are on, to a fixpoint. It is
+event-driven (Schulte and Stuckey, TOPLAS 2008): a propagator watches the ids
+it reads and prunes, and after a search decision only the watchers of the
+decided id, and then of each id they narrow, run again. The parent state is
+a fixpoint of every propagator, so one whose ids did not change would change
+nothing. The items still run in the order of a full pass over the work list
+followed by a FIFO queue, so each removal, contradiction point and
+propagation count is that of the full pass. The propagators:
 
 * three-valued constraint evaluation over possible-value sets detects
   contradictions and prunes, via singleton tests, both selector values whose
@@ -76,6 +85,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from heapq import heappop, heappush
 from typing import Callable, Iterator
 
 from ..errors import BudgetExceeded, InternalError
@@ -186,7 +196,7 @@ def verify(model: ConstraintModel, assignment: dict[int, int]) -> bool:
 
 def _verify(model: ConstraintModel, assignment: dict[int, int], constraints) -> bool:
     for v in model.vars:
-        if assignment.get(v.id) not in set(v.values()):
+        if assignment.get(v.id) not in v.values():
             return False
     for s in model.selectors:
         if not (0 <= assignment.get(s.id, -1) < s.list_len):
@@ -565,16 +575,20 @@ class ModelView:
         return _verify(self.compiled.model, assignment, [constraints[i] for i in self.active])
 
 
-def _view(model: ConstraintModel | ModelView) -> ModelView:
-    if isinstance(model, ModelView):
-        return model
+def compile_model(model: ConstraintModel) -> ModelView:
+    """``model`` compiled once with every constraint on: a view that any
+    number of ``solve`` and ``find_second`` calls can share."""
     return CompiledModel(model).view(range(len(model.constraints)))
 
 
+def _view(model: ConstraintModel | ModelView) -> ModelView:
+    return model if isinstance(model, ModelView) else compile_model(model)
+
+
 class _Search:
-    """One search over a view: its budget, clock, counters and trace, and the
-    work-list items that are on. An item that is off starts queued and is
-    never put on the queue, so it never runs."""
+    """One search over a view: its budget, clock, counters and trace, the
+    work-list items that are on, and each id's watchers among them, so an
+    item that is off never runs."""
 
     def __init__(self, view: ModelView, budget: Budget, trace=None, ordered: bool = False):
         compiled = self.compiled = view.compiled
@@ -589,7 +603,10 @@ class _Search:
         if ordered and compiled.orders_rows(view.active):
             self.initial += compiled.row_order()
         self.propagators = compiled.propagators
-        self.watchers = compiled.watchers
+        on = set(self.initial)
+        # each id's watchers among the items that are on, ascending
+        self.watchers = [[w for w in ws if w in on] for ws in compiled.watchers]
+        self.end = len(self.propagators)  # above every item that is on
         self.branched_selectors = compiled.referenced_selectors(view.active)
 
     def _remove(self, doms: list[int], ident: int, mask: int, dirty: set[int]) -> None:
@@ -659,24 +676,46 @@ class _Search:
 
     # -- propagation --------------------------------------------------------
 
-    def propagate(self, doms: list[int]) -> bool:
+    def propagate(self, doms: list[int], changed: int | None = None) -> bool:
         """Run the items that are on to fixpoint. Returns False on
-        contradiction. The fixpoint is unique (all propagators are monotone),
-        so processing order only affects intermediate work, never the result."""
-        queued = [True] * len(self.propagators)
-        queue = deque(self.initial)
+        contradiction.
+
+        A scan walks the items that are on in index order, then a FIFO queue
+        takes the items that a removal re-triggers after the scan passed
+        them. Without ``changed``, the scan runs every item. With
+        ``changed``, ``doms`` is a fixpoint in which only ``changed`` was
+        narrowed since, and the scan runs only the items that are stale: a
+        watcher of ``changed`` or of an id removed from since. The others
+        would read what they read at the fixpoint and change nothing, so
+        both calls make the same removals in the same order, count the same
+        propagations and fail at the same point."""
+        propagators, watchers = self.propagators, self.watchers
+        # the stale items still ahead of the scan, a heap
+        ahead = list(self.initial if changed is None else watchers[changed])
+        pending = set(ahead)  # stale items ahead of the scan, and queued items
+        queue: deque[int] = deque()
+        scanned = -1  # the scan's position; past every item once it is done
+        dirty: set[int] = set()
         try:
-            while queue:
-                item = queue.popleft()
-                queued[item] = False
-                dirty: set[int] = set()
-                propagator, args = self.propagators[item]
+            while ahead or queue:
+                if ahead:
+                    item = scanned = heappop(ahead)
+                else:
+                    item, scanned = queue.popleft(), self.end
+                pending.discard(item)
+                propagator, args = propagators[item]
                 propagator(self, doms, dirty, *args)
+                if not dirty:
+                    continue
                 for ident in sorted(dirty):
-                    for watcher in self.watchers[ident]:
-                        if not queued[watcher]:
-                            queued[watcher] = True
-                            queue.append(watcher)
+                    for watcher in watchers[ident]:
+                        if watcher not in pending:
+                            pending.add(watcher)
+                            if watcher > scanned:
+                                heappush(ahead, watcher)
+                            else:
+                                queue.append(watcher)
+                dirty.clear()
             return True
         except Contradiction:
             return False
@@ -893,7 +932,7 @@ class _Search:
                 self.trace(f"decide {ident}={base + i}")
             child = list(doms)
             child[ident] = 1 << i
-            if self.propagate(child):
+            if self.propagate(child, ident):
                 for found in self.solutions(child):
                     yield found
                     if ident >= self.n_vars:

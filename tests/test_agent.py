@@ -14,6 +14,7 @@ from logicforge.agent import (
     format_output,
     run_pipeline,
 )
+from logicforge.agent import pipeline
 from logicforge.agent.llm import RecordingFormalizer, TranscriptWriter
 from logicforge.bench.puzzle import LEFT_OF, Clue
 from logicforge.bench.render import OracleFormalizer, render_dsl
@@ -22,7 +23,7 @@ from logicforge.frontend import check, parse
 from logicforge.frontend.parser import SourceText
 from logicforge.model import lower
 from logicforge.model.decode import SolutionTable
-from logicforge.solver import Budget, find_second, solve
+from logicforge.solver import Budget, engine, find_second, solve
 
 
 ZEBRA_FORMAT = ExpectedFormat(
@@ -120,6 +121,64 @@ class TestPipeline:
         assert result.status is PipelineStatus.FAILED_BUDGET
         assert [stage for stage, _ in result.log] == ["ambiguity"]
         assert run(spent + needed).status is PipelineStatus.SOLVED
+
+    def test_one_solver_build_per_attempt(self, zebra_instance, monkeypatch):
+        # an ambiguous program, then the correct one: each attempt runs solve
+        # and find_second over one compiled model
+        clues = tuple(c for i, c in enumerate(zebra_instance.clues) if i != 1)
+        loose = dataclasses.replace(zebra_instance, clues=clues)
+        sources = []
+        for instance in (loose, zebra_instance):
+            oracle = OracleFormalizer(instance)
+            ds = oracle.gen_data_structure(instance.text, ZEBRA_FORMAT)
+            sources.append((ds, oracle.gen_constraints(ds, instance.text)))
+
+        def counters(outcome, report):
+            return (outcome.assignment, outcome.stats.decisions, outcome.stats.propagations,
+                    report.second, report.stats.decisions, report.stats.propagations)
+
+        expected = []  # each call compiling its own model
+        for ds, cs in sources:
+            model = lower(check(parse(SourceText(ds.text + "\n" + cs.text, "<test>"))))
+            outcome = solve(model)
+            expected.append(counters(outcome, find_second(model, outcome.assignment)))
+
+        builds, searches = [], []
+        original_init = engine.CompiledModel.__init__
+
+        def counting_init(self, model):
+            builds.append(model)
+            original_init(self, model)
+
+        def recording(function):
+            def wrapped(view, *args):
+                result = function(view, *args)
+                searches.append((view, result))
+                return result
+
+            return wrapped
+
+        class Scripted:
+            steps = iter([text for pair in sources for text in pair])
+
+            def gen_data_structure(self, puzzle_text, expected_format):
+                return next(self.steps)
+
+            def gen_constraints(self, data_structure_source, puzzle_text):
+                return next(self.steps)
+
+        monkeypatch.setattr(engine.CompiledModel, "__init__", counting_init)
+        monkeypatch.setattr(pipeline, "solve", recording(solve))
+        monkeypatch.setattr(pipeline, "find_second", recording(find_second))
+        config = PipelineConfig(max_attempts=2, ambiguity_check=True)
+        result = run_pipeline(zebra_instance.text, ZEBRA_FORMAT, Scripted(), config)
+        assert [stage for stage, _ in result.log] == ["ambiguity", "solved"]
+        assert result.solution == zebra_instance.truth
+        assert len(builds) == 2 and len(searches) == 4
+        for attempt in range(2):
+            (view, outcome), (same_view, report) = searches[2 * attempt : 2 * attempt + 2]
+            assert view is same_view and view.compiled.model is builds[attempt]
+            assert counters(outcome, report) == expected[attempt]
 
     def test_ambiguity_check_off_by_default(self, zebra_instance):
         clues = tuple(c for i, c in enumerate(zebra_instance.clues) if i != 1)

@@ -1,11 +1,14 @@
 """Lexer, parser, pretty-printer, and semantic checker."""
 
 import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import logicforge
 from logicforge.bench.puzzle import generate_puzzle
 from logicforge.bench.render import render_dsl
 from logicforge.cemit import emit
@@ -389,3 +392,57 @@ class TestMutatedSource:
             raise
         except LogicForgeError:
             pass
+
+
+def _repeated_validator(text: str, copies: int) -> str:
+    """``text`` with its validator body repeated ``copies`` times, each copy's
+    locals renamed apart."""
+    head, body = text.split("def validate(solution: PuzzleSolution) -> None:\n")
+    names = sorted(set(re.findall(r"^\s+(\w+) = nondet\(", body, re.MULTILINE)))
+    local = re.compile(r"\b(" + "|".join(names) + r")\b")
+    bodies = [local.sub(rf"\1_{k}", body) for k in range(copies)]
+    return head + "def validate(solution: PuzzleSolution) -> None:\n" + "\n".join(bodies)
+
+
+def _lines_executed(function, *args) -> tuple[int, object]:
+    """Line events in logicforge's own code during ``function(*args)``, and
+    its result: a count of work that does not depend on the host's speed."""
+    package = str(Path(logicforge.__file__).parent)
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(package) else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        result = function(*args)
+    finally:
+        sys.settrace(previous)
+    return count, result
+
+
+class TestGrowth:
+    """Doubling the clauses of a program about doubles the work of parse,
+    check and lower: no stage grows quadratically with the clause count."""
+
+    def test_each_stage_grows_linearly_in_the_clauses(self):
+        from conftest import DATA_DIR
+
+        text = (DATA_DIR / "example_6house.lpy").read_text(encoding="utf-8")
+        work = []  # (parse, check, lower) lines per copy count
+        for copies in (1, 2, 4):
+            source = SourceText(_repeated_validator(text, copies), "<growth>")
+            parse_lines, tree = _lines_executed(parse, source)
+            check_lines, program = _lines_executed(check, tree)
+            lower_lines, model = _lines_executed(lower, program)
+            assert len(model.constraints) == 7 * copies  # 3 asserts, 4 assumes
+            work.append((parse_lines, check_lines, lower_lines))
+        for stage, (one, two, four) in zip(("parse", "check", "lower"), zip(*work)):
+            assert two > one, stage
+            assert four - two <= 2.2 * (two - one), (stage, one, two, four)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +140,16 @@ class TestSolve:
         table = decode(zebra_model, outcome.assignment)
         assert [r["name"] for r in table.rows] == ["Alice", "Peter", "Eric", "Arnold"]
         assert verify(zebra_model, outcome.assignment)
+
+    def test_verify_rejects_values_outside_the_declared_domain(self, zebra_model):
+        assignment = solve(zebra_model).assignment
+        assert verify(zebra_model, assignment)
+        # var 0 is a position in 1..4
+        for bad in (0, 5, -1, None):
+            assert not verify(zebra_model, {**assignment, 0: bad})
+        missing = dict(assignment)
+        del missing[0]
+        assert not verify(zebra_model, missing)
 
     def test_direct_contradiction_is_unsat(self):
         model = flat_model(
@@ -592,6 +603,80 @@ class TestMaskBases:
         assert _is_generic(model)[-1] is generic
         assert solve(model).status is Status.UNSAT
         assert_matches_generic(model, random.Random(11))
+
+
+class _CheckedSearch(engine._Search):
+    """A search whose every child propagation also runs in full on a copy:
+    both must return the same verdict, leave the same domains and count the
+    same propagations. ``nodes`` counts the children compared, ``failed``
+    those that end in a contradiction."""
+
+    nodes = failed = 0
+
+    def propagate(self, doms, changed=None):
+        if changed is None:
+            return super().propagate(doms)
+        full = list(doms)
+        before = self.stats.propagations
+        full_ok = super().propagate(full)
+        full_count = self.stats.propagations - before
+        self.stats.propagations = before
+        ok = super().propagate(doms, changed)
+        assert (ok, doms, self.stats.propagations - before) == (full_ok, full, full_count)
+        _CheckedSearch.nodes += 1
+        _CheckedSearch.failed += not ok
+        return ok
+
+
+def checked_searches(model, budget: Budget | None = None) -> tuple[int, int]:
+    """Run solve and, when it finds a solution, find_second on ``model`` (a
+    ConstraintModel or a ModelView) with every child propagation checked
+    against the full one. Returns how many children were compared and how
+    many of them ended in a contradiction."""
+    _CheckedSearch.nodes = _CheckedSearch.failed = 0
+    with mock.patch.object(engine, "_Search", _CheckedSearch):
+        outcome = solve(model, budget)
+        if outcome.is_sat:
+            find_second(model, outcome.assignment, budget)
+    return _CheckedSearch.nodes, _CheckedSearch.failed
+
+
+def _false_clue(instance) -> Clue:
+    """The first feature's value of house 1 put in the last house."""
+    feature = instance.features[0].name
+    return Clue(AT_POSITION, feature, instance.truth.rows[0][feature], pos=instance.n_entities)
+
+
+class TestEventDrivenPropagation:
+    """A child propagation that starts from the watchers of the decided id
+    equals the full propagation of the child: the same verdict, domains and
+    propagation count, also at a contradiction."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(programs(max_entities=3, max_fields=3, max_domain=4))
+    def test_hypothesis_models(self, program):
+        try:
+            checked = check(program)
+        except SemanticError:
+            return
+        try:
+            checked_searches(lower(checked), Budget(max_decisions=5_000, max_time=10.0))
+        except BudgetExceeded:
+            pass
+
+    @pytest.mark.parametrize("seed,n,f", [(1, 3, 3), (2, 3, 4), (3, 4, 4), (4, 4, 3)])
+    def test_generated_puzzles(self, seed, n, f):
+        instance = generate_puzzle(seed, n, f)
+        text = render_dsl(instance).text
+        false_clue = dataclasses.replace(instance, clues=instance.clues + (_false_clue(instance),))
+        model = _model(text)
+        unsat = _model(render_dsl(false_clue).text)
+        assert solve(unsat).status is Status.UNSAT
+        # every other constraint on: a view, as the generator checks subsets
+        half = engine.CompiledModel(model).view(range(0, len(model.constraints), 2))
+        counts = [checked_searches(m) for m in (model, _model(_off_by_one(text, n)), unsat, half)]
+        assert all(nodes > 0 for nodes, _ in counts)
+        assert sum(failed for _, failed in counts) > 0
 
 
 class TestGoldenCounters:
