@@ -164,12 +164,8 @@ def _run_attempt(
     assert outcome.assignment is not None
     if config.ambiguity_check:
         # one budget per attempt: the ambiguity search gets what solve left
-        spent = outcome.stats
-        remaining = Budget(
-            config.budget.max_decisions - spent.decisions, config.budget.max_time - spent.elapsed
-        )
         try:
-            report = find_second(view, outcome.assignment, remaining)
+            report = find_second(view, outcome.assignment, config.budget.after(outcome.stats))
         except BudgetExceeded as exc:
             raise _AttemptFailed("ambiguity", PipelineStatus.FAILED_BUDGET, str(exc))
         if report.ambiguous:

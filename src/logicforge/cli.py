@@ -8,16 +8,14 @@ import sys
 from pathlib import Path
 
 from .agent.pipeline import PipelineConfig
-from .bench.dataset import load_dataset, save_dataset, task_from_instance
-from .bench.puzzle import generate_puzzle
+from .bench.dataset import load_dataset, save_dataset
 from .bench.render import render_dsl
 from .bench.runner import GenSpec, generate_tasks, oracle_formalizer_factory, run_bench
-from .bench.score import parse_size
 from .cemit import emit
 from .errors import LogicForgeError
 from .frontend import SourceText, check, parse
 from .model import decode, lower
-from .solver import Budget, find_second, solve
+from .solver.engine import Budget, compile_model, find_second, solve
 
 
 def _load_program(path: str):
@@ -66,12 +64,13 @@ def cmd_emit_c(args) -> int:
 def cmd_check_ambiguity(args) -> int:
     program = _load_program(args.file)
     model = lower(program)
+    view = compile_model(model)  # one solver build for solve and find_second
     budget = Budget(args.max_decisions, args.max_time)
-    outcome = solve(model, budget)
+    outcome = solve(view, budget)
     if not outcome.is_sat:
         print("unsat")
         return 1
-    report = find_second(model, outcome.assignment, budget)
+    report = find_second(view, outcome.assignment, budget.after(outcome.stats))
     if report.ambiguous:
         print("ambiguous: a second solution table exists")
         print("--- first ---")
@@ -85,16 +84,11 @@ def cmd_check_ambiguity(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    entities, feats = parse_size(args.size)
+    tasks = generate_tasks(GenSpec(args.seed, ((args.size, args.count),)))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tasks = []
-    for i in range(args.count):
-        instance = generate_puzzle(
-            args.seed + i, entities, feats, puzzle_id=f"{args.size}-{args.seed}-{i:04d}"
-        )
-        tasks.append(task_from_instance(instance))
-        (out_dir / f"{instance.id}.lpy").write_text(render_dsl(instance).text, encoding="utf-8")
+    for task in tasks:
+        (out_dir / f"{task.id}.lpy").write_text(render_dsl(task.instance).text, encoding="utf-8")
     dataset_path = out_dir / "dataset.jsonl"
     save_dataset(tasks, dataset_path)
     print(f"wrote {len(tasks)} puzzles to {dataset_path}")

@@ -1,4 +1,5 @@
-"""Frontend: lexing, parsing, pretty-printing, and semantic checking."""
+"""Frontend: parsing (Python's own parser plus a converter to the DSL AST),
+pretty-printing, and semantic checking."""
 
 from .ast import DslProgram
 from .check import CheckedProgram, check

@@ -221,14 +221,3 @@ def walk(expr: Expr):
     for child in children(expr):
         yield from walk(child)
 
-
-def height(expr: Expr) -> int:
-    """Edges on the longest path from expr down to a leaf. Iterative, so it
-    measures trees of any depth."""
-    out = 0
-    stack = [(expr, 0)]
-    while stack:
-        node, depth = stack.pop()
-        out = max(out, depth)
-        stack.extend((child, depth + 1) for child in children(node))
-    return out

@@ -1,19 +1,28 @@
-"""Recursive-descent parser for the search DSL.
+"""Parser for the search DSL.
 
-The grammar is a closed subset: class declarations with annotated fields,
-function definitions whose bodies contain only assignments, assume(...) calls
-and assert statements, and a fixed expression language. Anything else --
-loops, imports, calls other than nondet/abs/assume, chained comparisons --
-is a syntax error.
+Logic.py is Python syntax, so Python's own parser (``ast.parse``) reads the
+source, and one recursive converter maps Python's syntax tree onto the DSL
+AST. The converter accepts only the closed grammar: class declarations with
+annotated fields, function definitions whose bodies contain only
+assignments, assume(...) calls and assert statements, and a fixed expression
+language. Anything else -- imports, loops, calls other than
+nondet/abs/assume, chained comparisons, decorators, defaults -- is a syntax
+error, as is every error Python's parser reports. Two lexical rules are the
+DSL's own: no tab in the indentation of a class, def, field or statement
+line, and no control character other than tab in a string's value.
 """
 
 from __future__ import annotations
 
+import ast
+import re
+import threading
 from dataclasses import dataclass
 
 from ..errors import DslSyntaxError
-from . import lexer
 from .ast import (
+    INT,
+    STR,
     Abs,
     Assert,
     Assign,
@@ -22,6 +31,7 @@ from .ast import (
     BoolOp,
     ClassDecl,
     Compare,
+    DomainSpec,
     DslProgram,
     EnumValues,
     Expr,
@@ -37,24 +47,29 @@ from .ast import (
     Pos,
     Stmt,
     StrLit,
-    height,
 )
 
-BUILTINS = frozenset({"assume", "nondet", "abs"})
+RESERVED = frozenset({"assume", "nondet", "abs"})
 
-_COMPARE_OPS = frozenset({"==", "!=", "<", "<=", ">", ">="})
-
-# Deepest expression nesting accepted, measured two ways and each held to the
-# limit. The parser's own recursion: a statement's expression is level 1, and
-# each parenthesis, call argument and `not` adds one. The height of the
-# statement's expression tree, in edges: every operator, call, field access
-# and index adds one, so a long `+` chain or `.field` chain counts one level
-# per link although the parser builds it in a loop. Every later stage (check,
-# lower, solve, find_second, C emission) recurses on the expression tree, and
-# a program at this depth passes all of them under the default recursion
-# limit. Without the limit the parser itself overflows the stack between 100
-# and 150 levels of parentheses, and the later stages on a 1000-term sum.
+# Deepest expression nesting accepted: the height of a statement's expression
+# tree, in edges, which the converter's recursion depth measures. Every
+# operator, call, field access and index adds one level; parentheses add
+# none, since Python's parser drops them (and itself rejects more than 200).
+# Every later stage (check, lower, solve, find_second, C emission) recurses
+# on the expression tree, and a program at this depth passes all of them
+# under the default recursion limit.
 MAX_NESTING = 50
+
+# Two threads building Python syntax trees at once can fail with
+# "SystemError: AST constructor recursion depth mismatch" (CPython 3.11.7).
+_PYTHON_PARSER = threading.Lock()
+
+_CONTROL = re.compile(r"[\x00-\x08\x0a-\x1f\x7f-\x9f]")
+_COMPARE_OPS = {
+    ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="
+}
+_BINARY_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
+_BOOL_OPS = {ast.And: "and", ast.Or: "or"}
 
 
 @dataclass(frozen=True)
@@ -69,339 +84,235 @@ def parse(source: SourceText | str) -> DslProgram:
     """Parse source text into a DslProgram or raise DslSyntaxError."""
     if isinstance(source, str):
         source = SourceText(source)
-    tokens = lexer.tokenize(source.text, source.origin)
-    return _Parser(tokens, source.origin).parse_program()
+    return _Converter(source).program()
 
 
-class _Parser:
-    def __init__(self, tokens: list[lexer.Token], origin: str):
-        self.tokens = tokens
-        self.origin = origin
-        self.i = 0
-        self.depth = 0
+class _Converter:
+    def __init__(self, source: SourceText):
+        self.text = source.text
+        self.origin = source.origin
+        # Python starts a new line at \n, \r\n and a lone \r.
+        self.lines = self.text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        self.ascii = self.text.isascii()
+        self.tabs = "\t" in self.text
 
-    # -- token plumbing --------------------------------------------------
+    # -- positions and errors ----------------------------------------------
 
-    def peek(self) -> lexer.Token:
-        return self.tokens[self.i]
+    def column(self, line: int, offset: int) -> int:
+        """The 0-based character index of a UTF-8 byte offset on a line."""
+        if self.ascii:
+            return offset
+        return len(self.lines[line - 1].encode()[:offset].decode(errors="ignore"))
 
-    def advance(self) -> lexer.Token:
-        tok = self.tokens[self.i]
-        if tok.kind != lexer.EOF:
-            self.i += 1
-        return tok
+    def pos(self, node: ast.AST) -> Pos:
+        return Pos(node.lineno, self.column(node.lineno, node.col_offset) + 1)
 
-    def check(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
+    def after(self, node: ast.expr) -> Pos:
+        """The first token after ``node`` and its closing parentheses: the
+        operator, '.' or '[' that follows it."""
+        line = node.end_lineno
+        col = self.column(line, node.end_col_offset)
+        while line <= len(self.lines):
+            text = self.lines[line - 1]
+            while col < len(text) and text[col] in " \t\f)":
+                col += 1
+            if col < len(text) and text[col] not in "#\\":
+                return Pos(line, col + 1)
+            line, col = line + 1, 0
+        return self.pos(node)
 
-    def match(self, kind: str, text: str | None = None) -> lexer.Token | None:
-        if self.check(kind, text):
-            return self.advance()
-        return None
+    def err(self, where: ast.AST | Pos, message: str) -> DslSyntaxError:
+        pos = where if isinstance(where, Pos) else self.pos(where)
+        return DslSyntaxError(message, self.origin, pos.line, pos.col)
 
-    def expect(self, kind: str, text: str | None = None, what: str | None = None) -> lexer.Token:
-        tok = self.peek()
-        if tok.kind == kind and (text is None or tok.text == text):
-            return self.advance()
-        expected = what or (text if text is not None else kind)
-        raise self.err(f"expected {expected!r}, found {self._describe(tok)}", tok)
+    def untabbed(self, node: ast.AST) -> None:
+        if self.tabs:
+            text = self.lines[node.lineno - 1]
+            tab = text.find("\t", 0, len(text) - len(text.lstrip()))
+            if tab >= 0:
+                raise self.err(Pos(node.lineno, tab + 1), "tab character in indentation")
 
-    @staticmethod
-    def _describe(tok: lexer.Token) -> str:
-        if tok.kind in (lexer.NEWLINE, lexer.INDENT, lexer.DEDENT, lexer.EOF):
-            return tok.kind.lower()
-        return repr(tok.text)
+    def not_reserved(self, name: str, node: ast.AST) -> None:
+        if name in RESERVED:
+            raise self.err(node, f"{name!r} is reserved")
 
-    def err(self, msg: str, tok: lexer.Token | None = None) -> DslSyntaxError:
-        tok = tok or self.peek()
-        return DslSyntaxError(msg, self.origin, tok.line, tok.col)
+    # -- declarations ------------------------------------------------------
 
-    def int_of(self, tok: lexer.Token) -> int:
-        """The value of an integer token. Python refuses to convert a digit
-        string longer than its limit (4300 digits by default)."""
+    def program(self) -> DslProgram:
         try:
-            return int(tok.text)
-        except ValueError:
-            raise self.err("integer literal too long", tok) from None
-
-    def pos(self, tok: lexer.Token) -> Pos:
-        return Pos(tok.line, tok.col)
-
-    # -- grammar ---------------------------------------------------------
-
-    def parse_program(self) -> DslProgram:
+            with _PYTHON_PARSER:
+                tree = ast.parse(self.text, self.origin)
+        except SyntaxError as exc:  # IndentationError and TabError too
+            line, col = exc.lineno or 1, max(exc.offset or 1, 1)
+            raise DslSyntaxError(exc.msg, self.origin, line, col) from None
+        except ValueError as exc:  # a lone surrogate; a NUL byte on Python 3.10
+            raise DslSyntaxError(str(exc), self.origin, 1, 1) from None
+        except (RecursionError, MemoryError):  # the C parser's depth guards
+            raise DslSyntaxError("source nested too deeply to parse", self.origin, 1, 1) from None
         classes: list[ClassDecl] = []
         functions: list[FuncDecl] = []
-        while not self.check(lexer.EOF):
-            if self.check(lexer.NAME, "class"):
-                classes.append(self.parse_class())
-            elif self.check(lexer.NAME, "def"):
-                functions.append(self.parse_func())
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                classes.append(self.class_decl(node))
+            elif isinstance(node, ast.FunctionDef):
+                functions.append(self.func_decl(node))
             else:
-                raise self.err(
-                    f"expected a class or function definition, found {self._describe(self.peek())}"
-                )
+                raise self.err(node, "expected a class or function definition")
         return DslProgram(tuple(classes), tuple(functions))
 
-    def parse_class(self) -> ClassDecl:
-        start = self.expect(lexer.NAME, "class")
-        name = self.expect(lexer.NAME, what="class name").text
-        self._reserved_check(name, start)
-        self.expect(lexer.OP, ":")
-        self.expect(lexer.NEWLINE)
-        self.expect(lexer.INDENT, what="an indented class body")
-        fields: list[FieldDecl] = []
-        while not self.check(lexer.DEDENT):
-            fields.append(self.parse_field())
-        self.expect(lexer.DEDENT)
-        return ClassDecl(name, tuple(fields), self.pos(start))
+    def class_decl(self, node: ast.ClassDef) -> ClassDecl:
+        self.untabbed(node)
+        if node.bases or node.keywords or node.decorator_list or getattr(node, "type_params", ()):
+            raise self.err(node, "a class takes no bases, keywords, decorators or type parameters")
+        self.not_reserved(node.name, node)
+        return ClassDecl(node.name, tuple(self.field_decl(f) for f in node.body), self.pos(node))
 
-    def parse_field(self) -> FieldDecl:
-        name_tok = self.expect(lexer.NAME, what="field name")
-        self._reserved_check(name_tok.text, name_tok)
-        self.expect(lexer.OP, ":")
-        unique, base, domain, list_len = self.parse_annotation()
-        self.expect(lexer.NEWLINE)
-        return FieldDecl(name_tok.text, base, unique, domain, list_len, self.pos(name_tok))
+    def field_decl(self, node: ast.stmt) -> FieldDecl:
+        self.untabbed(node)
+        field = isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        if not field or node.value is not None or not node.simple:
+            raise self.err(node, "expected a field declaration 'name: type'")
+        self.not_reserved(node.target.id, node)
+        unique, base, domain, list_len = self.annotation(node.annotation)
+        return FieldDecl(node.target.id, base, unique, domain, list_len, self.pos(node))
 
-    def parse_annotation(self) -> tuple[bool, str, IntRange | EnumValues | None, int | None]:
-        tok = self.peek()
-        if self.match(lexer.NAME, "Unique"):
-            self.expect(lexer.OP, "[")
-            inner = self.peek()
-            if inner.kind == lexer.NAME and inner.text == "Unique":
-                raise self.err("'Unique' cannot be nested", inner)
-            unique, base, domain, list_len = self.parse_annotation()
+    def annotation(self, node: ast.expr) -> tuple[bool, str, DomainSpec | None, int | None]:
+        if isinstance(node, ast.Name):
+            return False, node.id, None, None
+        if not (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)):
+            raise self.err(node, "expected a type annotation")
+        kind = node.value.id
+        args = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+        if kind == "Unique" and len(args) == 1:
+            inner = args[0]
+            if isinstance(inner, ast.Subscript) and getattr(inner.value, "id", None) == "Unique":
+                raise self.err(inner, "'Unique' cannot be nested")
+            _, base, domain, list_len = self.annotation(inner)
             if list_len is not None:
-                raise self.err("'Unique' cannot wrap a list annotation", tok)
-            self.expect(lexer.OP, "]")
+                raise self.err(node, "'Unique' cannot wrap a list annotation")
             return True, base, domain, None
-        if self.match(lexer.NAME, "Domain"):
-            self.expect(lexer.OP, "[")
-            base_tok = self.expect(lexer.NAME, what="base type")
-            base = base_tok.text
-            if base not in ("int", "str"):
-                raise self.err("'Domain' base type must be 'int' or 'str'", base_tok)
-            self.expect(lexer.OP, ",")
-            domain = self.parse_domain_args(base)
-            self.expect(lexer.OP, "]")
-            return False, base, domain, None
-        if self.match(lexer.NAME, "list"):
-            self.expect(lexer.OP, "[")
-            elem_tok = self.expect(lexer.NAME, what="element class name")
-            self.expect(lexer.OP, ",")
-            size_tok = self.expect(lexer.INT, what="list size")
-            size = self.int_of(size_tok)
+        if kind == "Domain" and len(args) >= 2:
+            base = getattr(args[0], "id", None)
+            if base == INT and len(args) == 2 and self.is_call(args[1], "range", 2):
+                lo, hi = args[1].args
+                return False, base, IntRange(self.int_value(lo), self.int_value(hi)), None
+            if base == STR:
+                return False, base, EnumValues(tuple(self.string(v) for v in args[1:])), None
+            raise self.err(node, "expected Domain[int, range(lo, hi)] or Domain[str, \"a\", ...]")
+        if kind == "list" and len(args) == 2 and isinstance(args[0], ast.Name):
+            size = self.int_value(args[1])
             if size <= 0:
-                raise self.err("list size must be positive", size_tok)
-            self.expect(lexer.OP, "]")
-            return False, elem_tok.text, None, size
-        name_tok = self.expect(lexer.NAME, what="type annotation")
-        return False, name_tok.text, None, None
+                raise self.err(args[1], "list size must be positive")
+            return False, args[0].id, None, size
+        raise self.err(node, f"unsupported type annotation {kind!r}")
 
-    def parse_domain_args(self, base: str) -> IntRange | EnumValues:
-        if base == "int":
-            self.expect(lexer.NAME, "range")
-            self.expect(lexer.OP, "(")
-            lo = self.parse_int_literal()
-            self.expect(lexer.OP, ",")
-            hi = self.parse_int_literal()
-            self.expect(lexer.OP, ")")
-            return IntRange(lo, hi)
-        values = [self.expect(lexer.STRING, what="string literal").text]
-        while self.match(lexer.OP, ","):
-            values.append(self.expect(lexer.STRING, what="string literal").text)
-        return EnumValues(tuple(values))
+    def func_decl(self, node: ast.FunctionDef) -> FuncDecl:
+        self.untabbed(node)
+        if node.decorator_list or getattr(node, "type_params", ()):
+            raise self.err(node, "a function takes no decorators or type parameters")
+        args = node.args
+        extra = args.posonlyargs or args.vararg or args.kwonlyargs or args.kwarg or args.defaults
+        if extra or len(args.args) != 1 or not isinstance(args.args[0].annotation, ast.Name):
+            raise self.err(node, "expected exactly one parameter, annotated with its class")
+        if node.returns is not None and not (
+            isinstance(node.returns, ast.Constant) and node.returns.value is None
+        ):
+            raise self.err(node.returns, "the return annotation must be None")
+        param = args.args[0]
+        self.not_reserved(node.name, node)
+        self.not_reserved(param.arg, node)
+        body = tuple(self.stmt(s) for s in node.body)
+        return FuncDecl(node.name, param.arg, param.annotation.id, body, self.pos(node))
 
-    def parse_int_literal(self) -> int:
-        neg = self.match(lexer.OP, "-") is not None
-        tok = self.expect(lexer.INT, what="integer literal")
-        value = self.int_of(tok)
-        return -value if neg else value
+    def stmt(self, node: ast.stmt) -> Stmt:
+        self.untabbed(node)
+        if isinstance(node, ast.Assert):
+            if node.msg is not None:
+                raise self.err(node.msg, "assert messages are not supported")
+            return Assert(self.expr(node.test), self.pos(node))
+        if isinstance(node, ast.Expr) and self.is_call(node.value, "assume", 1):
+            return Assume(self.expr(node.value.args[0]), self.pos(node))
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name):
+                self.not_reserved(target.id, target)
+                return Assign(target.id, self.expr(node.value), self.pos(node))
+        raise self.err(node, "expected an assignment, 'assume(...)' or 'assert' statement")
 
-    def parse_func(self) -> FuncDecl:
-        start = self.expect(lexer.NAME, "def")
-        name = self.expect(lexer.NAME, what="function name").text
-        self._reserved_check(name, start)
-        self.expect(lexer.OP, "(")
-        param = self.expect(lexer.NAME, what="parameter name").text
-        self._reserved_check(param, start)
-        self.expect(lexer.OP, ":")
-        param_type = self.expect(lexer.NAME, what="parameter type").text
-        self.expect(lexer.OP, ")")
-        if self.match(lexer.OP, "->"):
-            self.expect(lexer.NAME, "None")
-        self.expect(lexer.OP, ":")
-        self.expect(lexer.NEWLINE)
-        self.expect(lexer.INDENT, what="an indented function body")
-        body: list[Stmt] = []
-        while not self.check(lexer.DEDENT):
-            body.append(self.parse_stmt())
-        self.expect(lexer.DEDENT)
-        return FuncDecl(name, param, param_type, tuple(body), self.pos(start))
+    # -- expressions -------------------------------------------------------
 
-    def _reserved_check(self, name: str, tok: lexer.Token) -> None:
-        if name in BUILTINS or name in lexer.KEYWORDS:
-            raise self.err(f"{name!r} is reserved", tok)
+    def expr(self, node: ast.expr, depth: int = 0) -> Expr:
+        """``node`` as a DSL expression ``depth`` edges below its statement."""
+        if depth > MAX_NESTING:
+            raise self.err(node, f"expression nested too deeply (more than {MAX_NESTING} levels)")
+        depth += 1
+        if isinstance(node, ast.Attribute):
+            return FieldAccess(self.expr(node.value, depth), node.attr, self.after(node.value))
+        if isinstance(node, ast.Compare):
+            if len(node.ops) > 1:
+                second = self.after(node.comparators[0])
+                raise self.err(second, "chained comparisons are not supported")
+            op = self.operator(_COMPARE_OPS, node.ops[0], node.left)
+            left, right = self.expr(node.left, depth), self.expr(node.comparators[0], depth)
+            return Compare(op, left, right, self.after(node.left))
+        if isinstance(node, ast.Name):
+            self.not_reserved(node.id, node)
+            return LocalRef(node.id, self.pos(node))
+        if isinstance(node, ast.Constant):
+            if type(node.value) is str:
+                return StrLit(self.string(node), self.pos(node))
+            return IntLit(self.int_value(node), self.pos(node))
+        if isinstance(node, ast.Call):
+            if self.is_call(node, "nondet", 1):
+                return Nondet(self.expr(node.args[0], depth), self.pos(node))
+            if self.is_call(node, "abs", 1):
+                return Abs(self.expr(node.args[0], depth), self.pos(node))
+            raise self.err(node, "only 'nondet' and 'abs' may be called, with one argument")
+        if isinstance(node, ast.BoolOp):
+            operands = tuple(self.expr(v, depth) for v in node.values)
+            return BoolOp(_BOOL_OPS[type(node.op)], operands, self.pos(node))
+        if isinstance(node, ast.BinOp):
+            op = self.operator(_BINARY_OPS, node.op, node.left)
+            left, right = self.expr(node.left, depth), self.expr(node.right, depth)
+            return Binary(op, left, right, self.after(node.left))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            return Not(self.expr(node.operand, depth), self.pos(node))
+        if isinstance(node, ast.UnaryOp):
+            return IntLit(self.int_value(node), self.pos(node))
+        if isinstance(node, ast.Subscript):
+            obj = self.expr(node.value, depth)
+            return Index(obj, self.int_value(node.slice), self.after(node.value))
+        raise self.err(node, f"unsupported expression ({type(node).__name__})")
 
-    def parse_stmt(self) -> Stmt:
-        tok = self.peek()
-        if tok.kind == lexer.NAME and tok.text == "assert":
-            self.advance()
-            expr = self.parse_expr()
-            if self.match(lexer.OP, ","):
-                raise self.err("assert messages are not supported")
-            self.expect(lexer.NEWLINE)
-            return Assert(expr, self.pos(tok))
-        if tok.kind == lexer.NAME and tok.text == "assume":
-            self.advance()
-            self.expect(lexer.OP, "(")
-            expr = self.parse_expr()
-            self.expect(lexer.OP, ")")
-            self.expect(lexer.NEWLINE)
-            return Assume(expr, self.pos(tok))
-        if tok.kind == lexer.NAME and self.tokens[self.i + 1].text == "=" and self.tokens[
-            self.i + 1
-        ].kind == lexer.OP:
-            self._reserved_check(tok.text, tok)
-            self.advance()
-            self.advance()
-            value = self.parse_expr()
-            self.expect(lexer.NEWLINE)
-            return Assign(tok.text, value, self.pos(tok))
-        raise self.err(
-            "expected an assignment, 'assume(...)' or 'assert' statement, "
-            f"found {self._describe(tok)}"
+    def operator(self, ops: dict, op: ast.AST, left: ast.expr) -> str:
+        if type(op) not in ops:
+            raise self.err(self.after(left), f"unsupported operator ({type(op).__name__})")
+        return ops[type(op)]
+
+    @staticmethod
+    def is_call(node: ast.expr, name: str, arity: int) -> bool:
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == name
+            and len(node.args) == arity
+            and not node.keywords
         )
 
-    # -- expressions (precedence: or < and < not < compare < add < mul) ---
+    def int_value(self, node: ast.expr) -> int:
+        """An integer literal, optionally negated."""
+        sign = 1
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            sign, node = -1, node.operand
+        if not (isinstance(node, ast.Constant) and type(node.value) is int):
+            raise self.err(node, "expected an integer literal")
+        if node.value.bit_length() > 14_000:  # str() refuses more than 4300 digits
+            raise self.err(node, "integer literal too long")
+        return sign * node.value
 
-    def parse_expr(self) -> Expr:
-        start = self.peek()
-        self.nest()
-        expr = self.parse_or()
-        self.depth -= 1
-        if not self.depth and height(expr) > MAX_NESTING:
-            raise self.too_deep(start)
-        return expr
-
-    def nest(self) -> None:
-        """Enter one more level of nesting, within MAX_NESTING."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise self.too_deep()
-
-    def too_deep(self, tok: lexer.Token | None = None) -> DslSyntaxError:
-        return self.err(f"expression nested too deeply (more than {MAX_NESTING} levels)", tok)
-
-    def parse_or(self) -> Expr:
-        first_tok = self.peek()
-        operands = [self.parse_and()]
-        while self.match(lexer.NAME, "or"):
-            operands.append(self.parse_and())
-        if len(operands) == 1:
-            return operands[0]
-        return BoolOp("or", tuple(operands), self.pos(first_tok))
-
-    def parse_and(self) -> Expr:
-        first_tok = self.peek()
-        operands = [self.parse_not()]
-        while self.match(lexer.NAME, "and"):
-            operands.append(self.parse_not())
-        if len(operands) == 1:
-            return operands[0]
-        return BoolOp("and", tuple(operands), self.pos(first_tok))
-
-    def parse_not(self) -> Expr:
-        tok = self.peek()
-        if self.match(lexer.NAME, "not"):
-            self.nest()
-            expr = Not(self.parse_not(), self.pos(tok))
-            self.depth -= 1
-            return expr
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Expr:
-        left = self.parse_arith()
-        tok = self.peek()
-        if tok.kind == lexer.OP and tok.text in _COMPARE_OPS:
-            self.advance()
-            right = self.parse_arith()
-            nxt = self.peek()
-            if nxt.kind == lexer.OP and nxt.text in _COMPARE_OPS:
-                raise self.err("chained comparisons are not supported", nxt)
-            return Compare(tok.text, left, right, self.pos(tok))
-        return left
-
-    def parse_arith(self) -> Expr:
-        left = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok.kind == lexer.OP and tok.text in ("+", "-"):
-                self.advance()
-                right = self.parse_term()
-                left = Binary(tok.text, left, right, self.pos(tok))
-            else:
-                return left
-
-    def parse_term(self) -> Expr:
-        left = self.parse_atom()
-        while True:
-            tok = self.peek()
-            if tok.kind == lexer.OP and tok.text == "*":
-                self.advance()
-                right = self.parse_atom()
-                left = Binary("*", left, right, self.pos(tok))
-            else:
-                return left
-
-    def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == lexer.OP and tok.text == "-":
-            self.advance()
-            lit = self.expect(lexer.INT, what="integer literal after unary '-'")
-            return self.parse_trailers(IntLit(-self.int_of(lit), self.pos(tok)))
-        if tok.kind == lexer.INT:
-            self.advance()
-            return self.parse_trailers(IntLit(self.int_of(tok), self.pos(tok)))
-        if tok.kind == lexer.STRING:
-            self.advance()
-            return self.parse_trailers(StrLit(tok.text, self.pos(tok)))
-        if tok.kind == lexer.OP and tok.text == "(":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect(lexer.OP, ")")
-            return self.parse_trailers(inner)
-        if tok.kind == lexer.NAME:
-            if tok.text in ("nondet", "abs"):
-                self.advance()
-                self.expect(lexer.OP, "(")
-                arg = self.parse_expr()
-                self.expect(lexer.OP, ")")
-                node = Nondet(arg, self.pos(tok)) if tok.text == "nondet" else Abs(
-                    arg, self.pos(tok)
-                )
-                return self.parse_trailers(node)
-            if tok.text in lexer.KEYWORDS or tok.text == "assume":
-                raise self.err(f"unexpected {tok.text!r} in expression", tok)
-            self.advance()
-            return self.parse_trailers(LocalRef(tok.text, self.pos(tok)))
-        raise self.err(f"expected an expression, found {self._describe(tok)}", tok)
-
-    def parse_trailers(self, expr: Expr) -> Expr:
-        while True:
-            tok = self.peek()
-            if tok.kind == lexer.OP and tok.text == ".":
-                self.advance()
-                name = self.expect(lexer.NAME, what="field name")
-                expr = FieldAccess(expr, name.text, self.pos(tok))
-            elif tok.kind == lexer.OP and tok.text == "[":
-                self.advance()
-                idx = self.expect(lexer.INT, what="integer index")
-                self.expect(lexer.OP, "]")
-                expr = Index(expr, self.int_of(idx), self.pos(tok))
-            elif tok.kind == lexer.OP and tok.text == "(":
-                raise self.err("only 'nondet' and 'abs' may be called", tok)
-            else:
-                return expr
+    def string(self, node: ast.expr) -> str:
+        if not (isinstance(node, ast.Constant) and type(node.value) is str):
+            raise self.err(node, "expected a string literal")
+        if _CONTROL.search(node.value):
+            raise self.err(node, "control character in string literal")
+        return node.value

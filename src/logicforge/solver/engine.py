@@ -110,6 +110,10 @@ class Budget:
     max_decisions: int = 10_000_000
     max_time: float = 30.0
 
+    def after(self, spent: SolveStats) -> Budget:
+        """What is left of this budget once a search has spent ``spent``."""
+        return Budget(self.max_decisions - spent.decisions, self.max_time - spent.elapsed)
+
 
 class Status(Enum):
     SAT = "sat"

@@ -103,16 +103,15 @@ def compile_source(text: str):
 
 
 def nested_condition(local: str, levels: int) -> str:
-    """An always-true condition on ``local.house_number`` that an ``assert``
-    nests ``levels`` deep, the statement's own level included. Each ``not``
-    and each parenthesis adds a level: the parser's two nesting points."""
-    pairs, extra = divmod(levels - 1, 2)
+    """An always-true condition on ``local.house_number`` whose expression
+    tree is ``levels`` edges high (``levels`` >= 2): each ``not (... and``
+    adds two levels, a ``not`` at the bottom one more."""
+    pairs, extra = divmod(levels - 2, 2)
     field = f"{local}.house_number"
     return (
-        "(" * extra
-        + f"not ({field} < 1 and " * pairs
-        + f"{field} > 0"
-        + ")" * (pairs + extra)
+        f"not ({field} < 1 and " * pairs
+        + (f"not {field} < 1" if extra else f"{field} > 0")
+        + ")" * pairs
     )
 
 

@@ -529,6 +529,10 @@ class TestRunner:
             # a 1000-term sum parses in a loop, but every later stage recurses
             # on its 1000-deep tree
             (chained_condition("a", 1000), "FailedSyntax"),
+            # Python's own parser gives up on these: its C stack guard on
+            # 10^5 nested `not`, its limit of 200 on the parentheses
+            ("not " * 10**5 + "a.house_number > 0", "FailedSyntax"),
+            ("(" * 300 + "a.house_number > 0" + ")" * 300, "FailedSyntax"),
             # literals far outside every domain: no domain mask may be
             # shifted by them
             ("a.house_number == 1000000000000", "FailedUnsat"),
@@ -537,7 +541,10 @@ class TestRunner:
             # more digits than Python converts to an int
             ("a.house_number == " + "1" * 5000, "FailedSyntax"),
         ],
-        ids=["nested", "chained", "huge-equals", "huge-abs", "huge-minus", "long-literal"],
+        ids=[
+            "nested", "chained", "deep-not", "parentheses",
+            "huge-equals", "huge-abs", "huge-minus", "long-literal",
+        ],
     )
     def test_hostile_program_fails_only_its_own_task(self, small_tasks, tmp_path, clue, status):
         hostile = small_tasks[0].id

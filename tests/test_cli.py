@@ -2,6 +2,7 @@
 
 import json
 
+from logicforge.bench import GenSpec, generate_tasks, render_dsl, save_dataset
 from logicforge.cli import main
 
 from conftest import DATA_DIR
@@ -64,6 +65,13 @@ class TestCheckAmbiguity:
         assert main(["check-ambiguity", str(path)]) == 2
         assert "ambiguous" in capsys.readouterr().out
 
+    def test_find_second_gets_what_solve_left_of_the_budget(self, capsys):
+        # solve takes 6 decisions and find_second 3: one budget of 8 runs out
+        assert main(["check-ambiguity", ZEBRA, "--max-decisions", "8"]) == 2
+        assert "decision budget exhausted" in capsys.readouterr().err
+        assert main(["check-ambiguity", ZEBRA, "--max-decisions", "9"]) == 0
+        assert "unique" in capsys.readouterr().out
+
 
 class TestGenAndBench:
     def test_gen_writes_dataset_and_sources(self, tmp_path, capsys):
@@ -74,6 +82,16 @@ class TestGenAndBench:
         lines = dataset.read_text().splitlines()
         assert len(lines) == 2
         assert len(list(out_dir.glob("*.lpy"))) == 2
+
+    def test_gen_writes_what_generate_tasks_returns(self, tmp_path, capsys):
+        out_dir = tmp_path / "puzzles"
+        assert main(["gen", "--seed", "3", "--size", "2x3", "-n", "2", "-o", str(out_dir)]) == 0
+        tasks = generate_tasks(GenSpec(3, (("2x3", 2),)))
+        save_dataset(tasks, tmp_path / "expected.jsonl")
+        assert (out_dir / "dataset.jsonl").read_bytes() == (tmp_path / "expected.jsonl").read_bytes()
+        for task in tasks:
+            expected = render_dsl(task.instance).text.encode("utf-8")
+            assert (out_dir / f"{task.id}.lpy").read_bytes() == expected
 
     def test_bench_on_generated_dataset(self, tmp_path, capsys):
         out_dir = tmp_path / "puzzles"

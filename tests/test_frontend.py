@@ -2,6 +2,7 @@
 
 import re
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -129,9 +130,9 @@ class TestParse:
 
     def test_diagnostic_format(self):
         with pytest.raises(DslSyntaxError) as info:
-            parse(SourceText("class C\n", "puzzle.lpy"))
+            parse(SourceText("def f(x: C) -> None:\n    assert 1 < 2 < 3\n", "puzzle.lpy"))
         assert info.value.diagnostic() == (
-            "puzzle.lpy:1:8: syntax: expected ':', found newline"
+            "puzzle.lpy:2:18: syntax: chained comparisons are not supported"
         )
 
     @pytest.mark.parametrize("condition", [nested_condition, chained_condition])
@@ -150,6 +151,52 @@ class TestParse:
         deeper = zebra_source.text + "    assert " + condition("engineer", MAX_NESTING + 1) + "\n"
         with pytest.raises(DslSyntaxError, match="nested too deeply"):
             parse(deeper)
+
+    def test_concurrent_parses_each_get_their_own_result(self, zebra_source):
+        # CPython 3.11 keeps one recursion counter for all threads building
+        # Python syntax trees. A collection inside one build can run a
+        # finalizer, hand the GIL to another thread's build, and end the
+        # first in "SystemError: AST constructor recursion depth mismatch".
+        at_limit = zebra_source.text + "    assert " + nested_condition("engineer", MAX_NESTING) + "\n"
+        hostile = "def v(x: C) -> None:\n    assert " + "not " * 10**5 + "x.a == 1\n"
+        expected = parse(at_limit)
+        start = threading.Barrier(8, timeout=30)
+        results = []
+
+        class Cycle:
+            def __init__(self):
+                self.me = self
+
+            def __del__(self):
+                sum(range(50))
+
+        def run(index):
+            start.wait()
+            for _ in range(10):
+                garbage = [Cycle() for _ in range(10)]
+                del garbage
+                try:
+                    results.append((index, parse(hostile if index % 2 else at_limit)))
+                except Exception as exc:
+                    results.append((index, exc))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 80
+        for index, result in results:
+            if index % 2:
+                assert isinstance(result, DslSyntaxError), result
+            else:
+                assert result == expected, result
 
 
 class TestPretty:
