@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import LogicForgeError
+from ..errors import GenerationError, LogicForgeError
 from ..model.decode import SolutionTable
 
 EASY_SHAPES = frozenset({(2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3)})
@@ -29,8 +29,13 @@ def classify_shape(n_entities: int, n_features: int) -> str:
 
 
 def parse_size(size: str) -> tuple[int, int]:
-    entities, _, feats = size.lower().partition("x")
-    return int(entities), int(feats)
+    """``"NxM"`` as (entities N, features M)."""
+    parts = size.lower().split("x")
+    try:
+        entities, feats = map(int, parts)
+    except ValueError:
+        raise GenerationError(f"size {size!r} is not of the form NxM, e.g. 4x4") from None
+    return entities, feats
 
 
 @dataclass(frozen=True)

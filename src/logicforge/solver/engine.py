@@ -21,8 +21,8 @@ A model is compiled once (``CompiledModel``): each constraint's propagator,
 the watch lists, the mask bases and the declared masks. Each search runs over
 a ``ModelView``, the compiled model with a subset of its constraints switched
 on, as in solving under assumptions (Eén and Sörensson, SAT 2003): the
-constraints that are off are never put on the work list, and the selectors
-only they reference are not branched. ``solve`` and ``find_second`` compile a
+constraints that are off are never scheduled, and the selectors only they
+reference are not branched. ``solve`` and ``find_second`` compile a
 plain ``ConstraintModel`` with every constraint on (``compile_model``; the
 pipeline calls it once per attempt and hands the view to both); the puzzle
 generator compiles its candidate program once and switches clue slices per
@@ -34,9 +34,19 @@ event-driven (Schulte and Stuckey, TOPLAS 2008): a propagator watches the ids
 it reads and prunes, and after a search decision only the watchers of the
 decided id, and then of each id they narrow, run again. The parent state is
 a fixpoint of every propagator, so one whose ids did not change would change
-nothing. The items still run in the order of a full pass over the work list
-followed by a FIFO queue, so each removal, contradiction point and
-propagation count is that of the full pass. The propagators:
+nothing. Each search state also carries one int mask of inert items, which
+are never scheduled: the items that are off, and each dedicated propagator
+whose last run left a state that entails it (Schulte and Stuckey's subsumed
+propagators: ``E == L`` once its selector is fixed and its var is the
+literal, ``E != L`` once its selector is fixed and its var lacks the literal,
+a pair once both selectors and both vars are fixed, ``V1 < V2`` once
+``max(V1) < min(V2)``, a group once every var is fixed). Such an item would
+change nothing in the state's subtree; a child copies the mask, so
+backtracking restores it. The items still run in the order of a full pass
+over the work list followed by a FIFO queue, minus runs that change nothing,
+so each removal, contradiction point and propagation count is that of the
+full pass. The work list, the watch lists and the inert mask are int masks
+with bit ``i`` for item ``i``. The propagators:
 
 * three-valued constraint evaluation over possible-value sets detects
   contradictions and prunes, via singleton tests, both selector values whose
@@ -44,6 +54,15 @@ propagation count is that of the full pass. The propagators:
   variables (bounds-and-membership filtering for comparisons and arithmetic);
 * all-different groups remove assigned values from peers and apply
   Hall-interval reasoning over the value range.
+
+The fixpoint of a root is unique (every propagator only narrows, and
+removes at least as much from a narrower state), so it does not depend on
+the order the items run in, nor does its removal count. The compiled model caches the fixpoint of the groups and the
+row order on the declared domains, with its removal count and inert items,
+and an ordered search (``find_second``'s) starts from a copy of it, where
+only the active constraints are stale. A root that fails from there is
+propagated again from the declared domains, so that the count stops where a
+full pass fails.
 
 The singleton tests of the generic evaluator re-walk the constraint tree once
 per tested value. When the model is compiled, each constraint whose shape the
@@ -85,7 +104,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from heapq import heappop, heappush
 from typing import Callable, Iterator
 
 from ..errors import BudgetExceeded, InternalError
@@ -419,8 +437,9 @@ class CompiledModel:
         self.width = max(m.bit_length() for m in self.declared)
         # (function, arguments) per work-list item; unbound, so that a model
         # holds no reference cycle and is freed as soon as it is dropped
-        self.propagators: list[tuple[Callable[..., None], tuple]] = []
-        self.watchers: list[list[int]] = [[] for _ in range(self.n_ids)]
+        self.propagators: list[tuple[Callable[..., bool], tuple]] = []
+        # per id, the mask of the items that watch it: bit i is item i
+        self.watchers: list[int] = [0] * self.n_ids
         for group in model.alldiff_groups:
             self._add((_Search._propagate_group, (group,)), group)
         self.n_groups = len(model.alldiff_groups)
@@ -429,15 +448,16 @@ class CompiledModel:
         # constraints that tie a row to its slot keep the row order off
         self.row_tied = model.row_tied(m.bare_vars for m in self.meta)
         self.position_vars = model.position_vars()
-        self._row_order: list[int] | None = None
+        self._row_order: int | None = None
+        self._ordered_root: tuple[list[int] | None, int, int] | None = None
         self._first: dict[int, int] | None = None
         self._first_key: tuple = ()
 
-    def _add(self, propagator: tuple[Callable[..., None], tuple], watched) -> None:
-        item = len(self.propagators)
+    def _add(self, propagator: tuple[Callable[..., bool], tuple], watched) -> None:
+        bit = 1 << len(self.propagators)
         self.propagators.append(propagator)
         for ident in watched:
-            self.watchers[ident].append(item)
+            self.watchers[ident] |= bit
 
     def view(self, active) -> "ModelView":
         """This model with only the constraints at ``active`` (indices into
@@ -459,9 +479,9 @@ class CompiledModel:
         table exactly one encoding."""
         return self.position_vars is not None and self.row_tied.isdisjoint(active)
 
-    def row_order(self) -> list[int]:
-        """The work-list items of ``pos[i] < pos[i+1]`` over consecutive rows,
-        built by the first search that orders rows."""
+    def row_order(self) -> int:
+        """The mask of the work-list items of ``pos[i] < pos[i+1]`` over
+        consecutive rows, built by the first search that orders rows."""
         if self._row_order is None:
             start = len(self.propagators)
             pos = self.position_vars
@@ -469,8 +489,23 @@ class CompiledModel:
                 meta = _constraint_meta(CCmp("<", CVar(a), CVar(b)))
                 self.meta.append(meta)
                 self._add(self._propagator(meta), meta.watched)
-            self._row_order = list(range(start, len(self.propagators)))
+            self._row_order = (1 << len(self.propagators)) - (1 << start)
         return self._row_order
+
+    def ordered_root(self) -> tuple[list[int] | None, int, int]:
+        """The fixpoint of the all-different groups and the row order on the
+        declared domains, computed once: (its masks, the values it removed,
+        its inert items), with None for masks when it fails. Every ordered
+        search runs these items, so it can start from here."""
+        if self._ordered_root is None:
+            search = _Search(self.view(()), Budget(), ordered=True)
+            doms = self.initial_state()
+            inert = search.propagate(doms, search.off, search.on)
+            if inert is None:
+                self._ordered_root = None, 0, 0
+            else:
+                self._ordered_root = doms, search.stats.propagations, inert ^ search.off
+        return self._ordered_root
 
     def table_key(self, assignment: dict[int, int]) -> tuple:
         """The decoded table's key. The generator checks every clue subset
@@ -499,7 +534,7 @@ class CompiledModel:
 
     # -- propagator matching -------------------------------------------------
 
-    def _propagator(self, meta: _ConstraintMeta) -> tuple[Callable[..., None], tuple]:
+    def _propagator(self, meta: _ConstraintMeta) -> tuple[Callable[..., bool], tuple]:
         """The dedicated propagator for meta's shape, else the generic one, as
         an unbound _Search method and the arguments that follow (doms, dirty)."""
         expr = meta.expr
@@ -590,9 +625,11 @@ def _view(model: ConstraintModel | ModelView) -> ModelView:
 
 
 class _Search:
-    """One search over a view: its budget, clock, counters and trace, the
-    work-list items that are on, and each id's watchers among them, so an
-    item that is off never runs."""
+    """One search over a view: its budget, clock, counters and trace, and
+    the work-list items that are on. Each search state carries a mask of
+    inert items, which are never scheduled: the items that are off, and
+    those whose domains entail them (Schulte and Stuckey's subsumed
+    propagators), which would change nothing in the state's subtree."""
 
     def __init__(self, view: ModelView, budget: Budget, trace=None, ordered: bool = False):
         compiled = self.compiled = view.compiled
@@ -602,15 +639,18 @@ class _Search:
         self.stats = SolveStats()
         self.n_vars = compiled.n_vars
         self.base = compiled.base
+        # masks of work-list items: bit i is item i
         groups = compiled.n_groups
-        self.initial = [*range(groups), *(groups + i for i in view.active)]
-        if ordered and compiled.orders_rows(view.active):
-            self.initial += compiled.row_order()
+        self.constraints = 0
+        for i in view.active:
+            self.constraints |= 1 << (groups + i)
+        self.on = self.constraints | ((1 << groups) - 1)
+        self.ordered = ordered and compiled.orders_rows(view.active)
+        if self.ordered:
+            self.on |= compiled.row_order()
         self.propagators = compiled.propagators
-        on = set(self.initial)
-        # each id's watchers among the items that are on, ascending
-        self.watchers = [[w for w in ws if w in on] for ws in compiled.watchers]
-        self.end = len(self.propagators)  # above every item that is on
+        self.watchers = compiled.watchers
+        self.off = ((1 << len(self.propagators)) - 1) ^ self.on
         self.branched_selectors = compiled.referenced_selectors(view.active)
 
     def _remove(self, doms: list[int], ident: int, mask: int, dirty: set[int]) -> None:
@@ -680,55 +720,81 @@ class _Search:
 
     # -- propagation --------------------------------------------------------
 
-    def propagate(self, doms: list[int], changed: int | None = None) -> bool:
-        """Run the items that are on to fixpoint. Returns False on
-        contradiction.
+    def propagate(self, doms: list[int], inert: int, stale: int) -> int | None:
+        """Run the items that are on to fixpoint from ``doms``, a fixpoint of
+        every item but those of the mask ``stale``. Returns the inert mask of
+        the fixpoint, ``inert`` and the items that became entailed, or None
+        on contradiction.
 
-        A scan walks the items that are on in index order, then a FIFO queue
-        takes the items that a removal re-triggers after the scan passed
-        them. Without ``changed``, the scan runs every item. With
-        ``changed``, ``doms`` is a fixpoint in which only ``changed`` was
-        narrowed since, and the scan runs only the items that are stale: a
-        watcher of ``changed`` or of an id removed from since. The others
-        would read what they read at the fixpoint and change nothing, so
-        both calls make the same removals in the same order, count the same
-        propagations and fail at the same point."""
+        A scan walks the stale items in index order, then a FIFO queue takes
+        the items that a removal re-triggers after the scan passed them; a
+        watcher of an id a run narrows is stale too. An item that is not
+        stale would read what it read at the fixpoint, and an inert one is
+        entailed, so neither would change anything: every call from the same
+        state makes the removals of a full pass (all items stale, none inert
+        but the items that are off) in the same order, counts the same
+        propagations and fails at the same point."""
         propagators, watchers = self.propagators, self.watchers
-        # the stale items still ahead of the scan, a heap
-        ahead = list(self.initial if changed is None else watchers[changed])
-        pending = set(ahead)  # stale items ahead of the scan, and queued items
-        queue: deque[int] = deque()
-        scanned = -1  # the scan's position; past every item once it is done
+        ahead = (stale | inert) ^ inert  # the stale items ahead of the scan
+        busy = inert | ahead  # inert items, stale items ahead of the scan, queued items
+        queue: deque[int] = deque()  # single-bit masks
         dirty: set[int] = set()
         try:
-            while ahead or queue:
+            while True:
                 if ahead:
-                    item = scanned = heappop(ahead)
+                    bit = ahead & -ahead
+                    ahead ^= bit
+                    passed = (bit << 1) - 1  # the items the scan passed
+                elif queue:
+                    bit = queue.popleft()
+                    passed = -1  # the scan is done
                 else:
-                    item, scanned = queue.popleft(), self.end
-                pending.discard(item)
-                propagator, args = propagators[item]
-                propagator(self, doms, dirty, *args)
+                    return busy  # nothing is stale: the inert items
+                propagator, args = propagators[bit.bit_length() - 1]
+                if not propagator(self, doms, dirty, *args):
+                    busy ^= bit  # an entailed item stays busy: inert
                 if not dirty:
                     continue
                 for ident in sorted(dirty):
-                    for watcher in watchers[ident]:
-                        if watcher not in pending:
-                            pending.add(watcher)
-                            if watcher > scanned:
-                                heappush(ahead, watcher)
-                            else:
-                                queue.append(watcher)
+                    new = (watchers[ident] | busy) ^ busy
+                    if new:
+                        busy |= new
+                        behind = new & passed
+                        ahead |= new ^ behind
+                        while behind:  # queued in index order
+                            low = behind & -behind
+                            queue.append(low)
+                            behind ^= low
                 dirty.clear()
-            return True
         except Contradiction:
-            return False
+            return None
+
+    def root(self) -> tuple[list[int], int] | None:
+        """The root state, propagated, and its inert mask; None when it
+        fails. An ordered search starts from the model's cached fixpoint of
+        the groups and the row order, where only the active constraints are
+        stale. The root fixpoint is unique, so it is the one a full pass
+        reaches, with the same removals counted; where it fails, the full
+        pass runs instead, so that the count stops where the full pass fails."""
+        if self.ordered:
+            cached, removed, entailed = self.compiled.ordered_root()
+            if cached is not None:
+                doms = list(cached)
+                before = self.stats.propagations
+                inert = self.propagate(doms, self.off | entailed, self.constraints)
+                if inert is not None:
+                    self.stats.propagations += removed
+                    return doms, inert
+                self.stats.propagations = before
+        doms = self.compiled.initial_state()
+        inert = self.propagate(doms, self.off, self.on)
+        return None if inert is None else (doms, inert)
 
     # Each propagator removes, per id, one batch: the values it would remove
     # one by one. No test within a batch reads the id being pruned, so the
     # removals, counts and contradiction points are those of single removals.
 
-    def _propagate_group(self, doms: list[int], dirty: set[int], group: tuple[int, ...]) -> None:
+    def _propagate_group(self, doms: list[int], dirty: set[int], group: tuple[int, ...]) -> bool:
         # assigned values leave every peer
         for v in group:
             val = doms[v]
@@ -758,8 +824,13 @@ class _Search:
                         hit = doms[v] & interval
                         if hit:
                             self._remove(doms, v, hit, dirty)
+        # entailed once every var is fixed (to distinct values, or it failed)
+        for v in group:
+            if doms[v] & (doms[v] - 1):
+                return False
+        return True
 
-    def _propagate_generic(self, doms: list[int], dirty: set[int], meta: _ConstraintMeta) -> None:
+    def _propagate_generic(self, doms: list[int], dirty: set[int], meta: _ConstraintMeta) -> bool:
         if not self._abool(meta.expr, doms)[0]:
             raise Contradiction()
         for sel, table in meta.selectors:
@@ -773,6 +844,7 @@ class _Search:
         for v in test_vars:
             if doms[v] & (doms[v] - 1):
                 self._prune_generic(doms, dirty, meta.expr, v)
+        return False  # entailment is not tested
 
     def _prune_generic(self, doms: list[int], dirty: set[int], expr: CExpr, ident: int) -> None:
         """Remove the values of ``ident`` whose singleton test fails."""
@@ -791,9 +863,10 @@ class _Search:
     # selector-id order, then the variables those fixed selectors (or the
     # constraint itself) name, each value tested in domain order. ``bit`` is
     # a literal's single-bit mask in the bits of its table's vars, 0 when it
-    # lies outside every mask.
+    # lies outside every mask. Each returns whether the state it leaves
+    # entails the constraint, so that no narrower state lets it prune.
 
-    def _propagate_elem_eq(self, doms: list[int], dirty: set[int], sel: int, table, bit: int) -> None:
+    def _propagate_elem_eq(self, doms: list[int], dirty: set[int], sel: int, table, bit: int) -> bool:
         choices = doms[sel]
         hits = 0  # selector bits whose var can take the literal
         for i in _bits(choices):
@@ -807,8 +880,10 @@ class _Search:
             var = table[hits.bit_length() - 1]
             if doms[var] != bit:
                 self._remove(doms, var, doms[var] ^ bit, dirty)
+            return True  # the selector is fixed and its var is the literal
+        return False
 
-    def _propagate_elem_ne(self, doms: list[int], dirty: set[int], sel: int, table, bit: int) -> None:
+    def _propagate_elem_ne(self, doms: list[int], dirty: set[int], sel: int, table, bit: int) -> bool:
         choices = doms[sel]
         fixed = 0  # selector bits whose var is fixed to the literal
         for i in _bits(choices):
@@ -823,10 +898,12 @@ class _Search:
             var = table[choices.bit_length() - 1]
             if doms[var] & bit and doms[var] != bit:
                 self._remove(doms, var, bit, dirty)
+            return True  # the selector is fixed and its var lacks the literal
+        return False
 
     def _propagate_elem_pair(
         self, doms: list[int], dirty: set[int], s1: int, t1, s2: int, t2, relation
-    ) -> None:
+    ) -> bool:
         """relation(xs, ys) says whether values xs of elem(s1, t1) and ys of
         elem(s2, t2) can satisfy the constraint; s1 != s2."""
         if not relation(_elem_values(doms, s1, t1), _elem_values(doms, s2, t2)):
@@ -868,10 +945,19 @@ class _Search:
                     bad |= a
             if bad:
                 self._remove(doms, var, bad, dirty)
+        # entailed once both selectors and both vars are fixed
+        for sel, table in ordered:
+            choice = doms[sel]
+            if choice & (choice - 1):
+                return False
+            dom = doms[table[choice.bit_length() - 1]]
+            if dom & (dom - 1):
+                return False
+        return True
 
     def _propagate_less_vars(
         self, doms: list[int], dirty: set[int], a: int, b: int, d: int
-    ) -> None:
+    ) -> bool:
         """V_a < V_b over two distinct vars: the row order of find_second;
         d is base(b) - base(a). Once the check holds, min(a) < max(b) survive
         both prunings, so each var's removals do not depend on the other's,
@@ -887,6 +973,8 @@ class _Search:
         below = ys & ((2 << low) - 1) if low >= 0 else 0
         if below:
             self._remove(doms, b, below, dirty)
+        # entailed once max(a) < min(b)
+        return doms[a].bit_length() < (doms[b] & -doms[b]).bit_length() + d
 
     # -- search --------------------------------------------------------------
 
@@ -920,8 +1008,9 @@ class _Search:
                 time.perf_counter() - self.start,
             )
 
-    def solutions(self, doms: list[int]) -> Iterator[list[int]]:
-        """Depth-first search from ``doms``, yielding one solution per
+    def solutions(self, doms: list[int], inert: int) -> Iterator[list[int]]:
+        """Depth-first search from ``doms``, a fixpoint with ``inert`` its
+        inert mask, yielding one solution per
         assignment of the regular variables: below the last regular
         variable, selectors are branched only until they complete a
         solution, so solutions that differ only in selectors are found once."""
@@ -936,8 +1025,9 @@ class _Search:
                 self.trace(f"decide {ident}={base + i}")
             child = list(doms)
             child[ident] = 1 << i
-            if self.propagate(child, ident):
-                for found in self.solutions(child):
+            child_inert = self.propagate(child, inert, self.watchers[ident])
+            if child_inert is not None:
+                for found in self.solutions(child, child_inert):
                     yield found
                     if ident >= self.n_vars:
                         return
@@ -956,8 +1046,8 @@ class _Search:
 
     def run(self) -> SolveOutcome:
         with self.clock():
-            doms = self.compiled.initial_state()
-            solution = next(self.solutions(doms), None) if self.propagate(doms) else None
+            root = self.root()
+            solution = next(self.solutions(*root), None) if root else None
         if solution is None:
             return SolveOutcome(Status.UNSAT, None, self.stats)
         assignment = dict(enumerate(solution))
@@ -990,7 +1080,10 @@ def propagate_domains(
     for ident, values in (domains or {}).items():
         declared = set(model.domain_of(ident))
         doms[ident] = compiled.mask(ident, (v for v in values if v in declared))
-    if not all(doms) or not _Search(view, Budget()).propagate(doms):
+    if not all(doms):
+        return None
+    search = _Search(view, Budget())
+    if search.propagate(doms, search.off, search.on) is None:
         return None
     return {i: compiled.values(i, d) for i, d in enumerate(doms)}
 
@@ -1018,9 +1111,9 @@ def find_second(
     solver = _Search(view, budget or Budget(), ordered=True)
     second = None
     with solver.clock():
-        doms = compiled.initial_state()
-        if solver.propagate(doms):
-            for solution in solver.solutions(doms):
+        root = solver.root()
+        if root:
+            for solution in solver.solutions(*root):
                 assignment = dict(enumerate(solution))
                 if decode(compiled.model, assignment).key() != first_key:
                     second = assignment

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from logicforge.bench import GenSpec, generate_tasks, render_dsl, save_dataset
 from logicforge.cli import main
 
@@ -121,6 +123,22 @@ class TestGenAndBench:
         assert main(["bench", "--gen-spec", str(spec_path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["tasks"] == 2
+
+    @pytest.mark.parametrize("size", ["9", "4x", "x4", "4x4x4", "fourxfour"])
+    def test_gen_rejects_a_size_not_of_the_form_nxm(self, tmp_path, capsys, size):
+        out_dir = tmp_path / "puzzles"
+        assert main(["gen", "--seed", "1", "--size", size, "-o", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "NxM" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_bench_rejects_a_gen_spec_size_not_of_the_form_nxm(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"seed": 4, "shapes": [{"size": "3", "count": 1}]}))
+        assert main(["bench", "--gen-spec", str(spec_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "NxM" in captured.err
+        assert captured.out == ""
 
     def test_bench_requires_exactly_one_source(self, capsys):
         assert main(["bench"]) == 2

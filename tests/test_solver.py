@@ -27,6 +27,7 @@ from logicforge.model.constraints import (
     SelectorVar,
     Var,
 )
+from logicforge.model.decode import encode
 from logicforge.solver import engine
 from logicforge.solver import (
     Budget,
@@ -606,26 +607,35 @@ class TestMaskBases:
 
 
 class _CheckedSearch(engine._Search):
-    """A search whose every child propagation also runs in full on a copy:
-    both must return the same verdict, leave the same domains and count the
-    same propagations. ``nodes`` counts the children compared, ``failed``
-    those that end in a contradiction."""
+    """A search whose every propagation (a child's, or an ordered root's
+    from the cached fixpoint) also runs in full on a copy: every item that
+    is on runs, and none is inert but the items that are off. Both must
+    return the same verdict, leave the same domains and count the same
+    propagations, and no item may be inert that the full pass leaves
+    stale. ``nodes`` counts the calls compared, ``failed`` those that end
+    in a contradiction."""
 
     nodes = failed = 0
 
-    def propagate(self, doms, changed=None):
-        if changed is None:
-            return super().propagate(doms)
+    def propagate(self, doms, inert, stale):
         full = list(doms)
         before = self.stats.propagations
-        full_ok = super().propagate(full)
+        # the full pass gets its own inert mask, so its entailments stay out
+        # of the incremental run
+        full_inert = super().propagate(full, self.off, self.on)
         full_count = self.stats.propagations - before
         self.stats.propagations = before
-        ok = super().propagate(doms, changed)
-        assert (ok, doms, self.stats.propagations - before) == (full_ok, full, full_count)
+        result = super().propagate(doms, inert, stale)
+        assert (result is None, doms, self.stats.propagations - before) == (
+            full_inert is None,
+            full,
+            full_count,
+        )
+        if result is not None:
+            assert not result & ~full_inert
         _CheckedSearch.nodes += 1
-        _CheckedSearch.failed += not ok
-        return ok
+        _CheckedSearch.failed += result is None
+        return result
 
 
 def checked_searches(model, budget: Budget | None = None) -> tuple[int, int]:
@@ -649,8 +659,17 @@ def _false_clue(instance) -> Clue:
 
 class TestEventDrivenPropagation:
     """A child propagation that starts from the watchers of the decided id
-    equals the full propagation of the child: the same verdict, domains and
-    propagation count, also at a contradiction."""
+    and skips the items its parent found entailed equals the full
+    propagation of the child with no item inert: the same verdict, domains
+    and propagation count, also at a contradiction."""
+
+    @pytest.mark.parametrize("name", ["zebra_4x4.lpy", "example_6house.lpy"])
+    def test_data_programs(self, name):
+        from conftest import DATA_DIR
+
+        text = (DATA_DIR / name).read_text(encoding="utf-8")
+        nodes, _ = checked_searches(_model(text))
+        assert nodes > 0
 
     @settings(max_examples=60, deadline=None)
     @given(programs(max_entities=3, max_fields=3, max_domain=4))
@@ -677,6 +696,74 @@ class TestEventDrivenPropagation:
         counts = [checked_searches(m) for m in (model, _model(_off_by_one(text, n)), unsat, half)]
         assert all(nodes > 0 for nodes, _ in counts)
         assert sum(failed for _, failed in counts) > 0
+
+
+def _ordered_roots(view) -> tuple[tuple, tuple]:
+    """The root of an ordered search over ``view`` as the search starts it,
+    from the model's cached fixpoint of the groups and the row order, and
+    the root propagated in full from the declared domains: each as (domains
+    or None where it fails, propagation count)."""
+    search = engine._Search(view, Budget(), ordered=True)
+    assert search.ordered
+    root = search.root()
+    full = engine._Search(view, Budget(), ordered=True)
+    doms = view.compiled.initial_state()
+    ok = full.propagate(doms, full.off, full.on) is not None
+    return (root and root[0], search.stats.propagations), (doms if ok else None, full.stats.propagations)
+
+
+class TestCachedOrderedRoot:
+    """An ordered search starts from the cached fixpoint of the groups and
+    the row order, where only the active constraints are stale. Its root has
+    the domains and the propagation count of a root propagated from the
+    declared domains, and so has a root that fails."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(programs(max_entities=3, max_fields=3, max_domain=4))
+    def test_hypothesis_models(self, program):
+        try:
+            checked = check(program)
+        except SemanticError:
+            return
+        model = lower(checked)
+        compiled = engine.CompiledModel(model)
+        free = [i for i in range(len(model.constraints)) if i not in compiled.row_tied]
+        for active in (free, free[::2], free[1::2]):
+            if compiled.orders_rows(tuple(active)):
+                cached, declared = _ordered_roots(compiled.view(active))
+                assert cached == declared
+
+    @pytest.mark.parametrize("seed,n,f", [(1, 3, 3), (2, 3, 4), (3, 4, 4), (4, 4, 3)])
+    def test_generated_puzzles(self, seed, n, f):
+        instance = generate_puzzle(seed, n, f)
+        text = render_dsl(instance).text
+        feature = instance.features[0].name
+        # a house number outside the position domain: its constraint fails
+        # before the row order runs in a full pass, after it from the cache
+        beyond = Clue(AT_POSITION, feature, instance.truth.rows[0][feature], pos=n + 1)
+        failing = [
+            _model(render_dsl(dataclasses.replace(instance, clues=instance.clues + (clue,))).text)
+            for clue in (_false_clue(instance), beyond)
+        ]
+        failed = 0
+        for model in (_model(text), _model(_off_by_one(text, n)), *failing):
+            compiled = engine.CompiledModel(model)
+            every = range(len(model.constraints))
+            for view in (compiled.view(every), compiled.view(every[::2]), compiled.view(every[1::2])):
+                cached, declared = _ordered_roots(view)
+                assert cached == declared
+                failed += cached[0] is None
+        assert failed >= 2
+        # find_second over each unsat model, with the truth as a made-up
+        # first solution: where the root fails, it is counted as in the full
+        # pass (the beyond clue's root always fails)
+        for model in failing:
+            view = engine.compile_model(model)
+            _, (doms, count) = _ordered_roots(view)
+            report = find_second(view, encode(model, instance.truth))
+            assert report.second is None
+            if doms is None:
+                assert (report.stats.decisions, report.stats.propagations) == (0, count)
 
 
 class TestGoldenCounters:
