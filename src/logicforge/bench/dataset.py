@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..agent.pipeline import ExpectedFormat
-from ..errors import DatasetError, SchemaError
+from ..errors import DatasetError, GenerationError, SchemaError
 from ..model.decode import SolutionTable
 from .puzzle import POSITION_FIELD, PuzzleInstance
+from .score import parse_size
 
 _REQUIRED = ("id", "size", "text", "format", "truth")
 
@@ -46,9 +47,14 @@ class PuzzleTask:
         missing = [k for k in _REQUIRED if k not in d]
         if missing:
             raise ValueError(f"missing keys: {', '.join(missing)}")
+        size = str(d["size"])
+        try:
+            parse_size(size)
+        except GenerationError as exc:
+            raise ValueError(str(exc)) from None
         return PuzzleTask(
             str(d["id"]),
-            str(d["size"]),
+            size,
             str(d["text"]),
             ExpectedFormat.from_json_dict(d["format"]),
             SolutionTable.from_json_dict(d["truth"]),

@@ -53,7 +53,26 @@ with bit ``i`` for item ``i``. The propagators:
   implied element constraints cannot hold and values of directly referenced
   variables (bounds-and-membership filtering for comparisons and arithmetic);
 * all-different groups remove assigned values from peers and apply
-  Hall-interval reasoning over the value range.
+  Hall-interval reasoning over the value range, to intervals of fewer
+  values than the group has vars (a wider one can prune nothing and cannot
+  fail, so the pass is linear in the range, not quadratic).
+
+A group's propagator reads and narrows only its group's masks, so it is a
+pure function of them. Each group's work-list item carries a table of its
+runs keyed by the tuple of those masks, which lives as long as the compiled
+model: a lazy form of precomputed stateless propagators (Gent, Jefferson,
+Linton, Miguel and Nightingale, "Generating special-purpose stateless
+propagators for arbitrary constraints", CP 2010). A miss runs the group pass
+and records the ids it narrowed with their masks, the propagations it
+counted, and whether it left the group entailed or failed; a hit replays the
+record, the masks at a failure point included, so every state, count and
+contradiction point is that of the plain run. The generator's uniqueness
+checks over one compiled model meet most group states again; a table stops
+taking entries at ``_GROUP_TABLE_CAP``.
+
+The time budget is read at each decision and every ``_CLOCK_EVERY`` item
+runs of a propagation, so one propagation call cannot outrun it by more than
+that many runs.
 
 The fixpoint of a root is unique (every propagator only narrows, and
 removes at least as much from a narrower state), so it does not depend on
@@ -104,7 +123,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterator, NoReturn
 
 from ..errors import BudgetExceeded, InternalError
 from ..model.constraints import (
@@ -292,6 +312,10 @@ class Contradiction(Exception):
     pass
 
 
+_GROUP_TABLE_CAP = 4096  # runs one all-different group's table records at most
+_CLOCK_EVERY = 32  # item runs of one propagation between two reads of the deadline
+
+
 @dataclass
 class _ConstraintMeta:
     expr: CExpr
@@ -441,7 +465,8 @@ class CompiledModel:
         # per id, the mask of the items that watch it: bit i is item i
         self.watchers: list[int] = [0] * self.n_ids
         for group in model.alldiff_groups:
-            self._add((_Search._propagate_group, (group,)), group)
+            # each group's table of runs by its masks (_propagate_group)
+            self._add((_Search._propagate_group, (group, itemgetter(*group), {})), group)
         self.n_groups = len(model.alldiff_groups)
         for m in self.meta:
             self._add(self._propagator(m), m.watched)
@@ -652,6 +677,9 @@ class _Search:
         self.watchers = compiled.watchers
         self.off = ((1 << len(self.propagators)) - 1) ^ self.on
         self.branched_selectors = compiled.referenced_selectors(view.active)
+        # ``clock`` restarts these; a search that only propagates keeps them
+        self.start = time.perf_counter()
+        self.deadline = self.start + budget.max_time
 
     def _remove(self, doms: list[int], ident: int, mask: int, dirty: set[int]) -> None:
         """Remove ``mask``, a non-empty subset of ``ident``'s domain, with one
@@ -735,6 +763,7 @@ class _Search:
         but the items that are off) in the same order, counts the same
         propagations and fails at the same point."""
         propagators, watchers = self.propagators, self.watchers
+        countdown = _CLOCK_EVERY  # item runs until the deadline is read
         ahead = (stale | inert) ^ inert  # the stale items ahead of the scan
         busy = inert | ahead  # inert items, stale items ahead of the scan, queued items
         queue: deque[int] = deque()  # single-bit masks
@@ -750,6 +779,11 @@ class _Search:
                     passed = -1  # the scan is done
                 else:
                     return busy  # nothing is stale: the inert items
+                countdown -= 1
+                if not countdown:
+                    countdown = _CLOCK_EVERY
+                    if time.perf_counter() > self.deadline:
+                        self._out_of_time()
                 propagator, args = propagators[bit.bit_length() - 1]
                 if not propagator(self, doms, dirty, *args):
                     busy ^= bit  # an entailed item stays busy: inert
@@ -794,7 +828,38 @@ class _Search:
     # one by one. No test within a batch reads the id being pruned, so the
     # removals, counts and contradiction points are those of single removals.
 
-    def _propagate_group(self, doms: list[int], dirty: set[int], group: tuple[int, ...]) -> bool:
+    def _propagate_group(
+        self, doms: list[int], dirty: set[int], group: tuple[int, ...], masks_of, table: dict
+    ) -> bool:
+        """The group's run, looked up in its table by the group's masks
+        (``masks_of(doms)``). A miss runs ``_group_pass`` and records (the
+        narrowed ids and their masks, the propagations counted, the entailed
+        flag or None where it failed); a hit replays that record, failure
+        point included."""
+        key = masks_of(doms)
+        entry = table.get(key)
+        if entry is None:
+            before = self.stats.propagations
+            narrowed: set[int] = set()
+            try:
+                entailed = self._group_pass(doms, narrowed, group)
+            except Contradiction:
+                entailed = None
+            dirty |= narrowed
+            if len(table) < _GROUP_TABLE_CAP:
+                changed = [(v, doms[v]) for v in narrowed]
+                table[key] = changed, self.stats.propagations - before, entailed
+        else:
+            changed, count, entailed = entry
+            for v, mask in changed:
+                doms[v] = mask
+                dirty.add(v)
+            self.stats.propagations += count
+        if entailed is None:
+            raise Contradiction()
+        return entailed
+
+    def _group_pass(self, doms: list[int], dirty: set[int], group: tuple[int, ...]) -> bool:
         # assigned values leave every peer
         for v in group:
             val = doms[v]
@@ -809,9 +874,11 @@ class _Search:
         bits = _bits(union)
         if len(bits) < len(group):
             raise Contradiction()
+        # an interval of len(group) values or more is never overfull, and is
+        # tight only with every var inside it, when no var is left to prune
         for ai, low in enumerate(bits):
             below = (1 << low) - 1
-            for bi in range(ai, len(bits)):
+            for bi in range(ai, min(ai + len(group) - 1, len(bits))):
                 interval = ((2 << bits[bi]) - 1) ^ below
                 beyond = ~interval
                 outside = [v for v in group if doms[v] & beyond]
@@ -1002,11 +1069,12 @@ class _Search:
                 time.perf_counter() - self.start,
             )
         if time.perf_counter() > self.deadline:
-            raise BudgetExceeded(
-                "time budget exhausted",
-                self.stats.decisions,
-                time.perf_counter() - self.start,
-            )
+            self._out_of_time()
+
+    def _out_of_time(self) -> NoReturn:
+        raise BudgetExceeded(
+            "time budget exhausted", self.stats.decisions, time.perf_counter() - self.start
+        )
 
     def solutions(self, doms: list[int], inert: int) -> Iterator[list[int]]:
         """Depth-first search from ``doms``, a fixpoint with ``inert`` its

@@ -1,12 +1,18 @@
 """Shared fixtures: the 4x4 worked example as source text and as a
-structured puzzle instance, plus compilation helpers."""
+structured puzzle instance, plus compilation helpers. Under CI (the ``CI``
+environment variable set), a failing hypothesis property prints the blob that
+reproduces it."""
 
 from __future__ import annotations
 
+import os
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
+import logicforge
 from logicforge.bench.puzzle import (
     AT_POSITION,
     DIRECTLY_LEFT,
@@ -25,6 +31,12 @@ from logicforge.model import decode, lower
 from logicforge.model.decode import SolutionTable
 
 DATA_DIR = Path(__file__).parent / "data"
+
+# every other setting is the active one's: hypothesis versions that load a
+# "ci" profile of their own under CI keep it
+settings.register_profile("ci", settings(), print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 ZEBRA_FEATURES = (
     Feature("name", ("alice", "eric", "arnold", "peter")),
@@ -120,3 +132,26 @@ def chained_condition(local: str, levels: int) -> str:
     tree is ``levels`` edges high: a comparison over a left-deep sum, which
     the parser builds in a loop, one level per ``+``."""
     return f"{local}.house_number" + " + 0" * (levels - 2) + " > 0"
+
+
+def lines_executed(function, *args) -> tuple[int, object]:
+    """Line events in logicforge's own code during ``function(*args)``, and
+    its result: a count of work that does not depend on the host's speed."""
+    package = str(Path(logicforge.__file__).parent)
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(package) else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        result = function(*args)
+    finally:
+        sys.settrace(previous)
+    return count, result

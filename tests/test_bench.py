@@ -459,6 +459,16 @@ class TestDataset:
         assert len(errors) == 1
         assert errors[0].line_no == 2
 
+    @pytest.mark.parametrize("size", ["9", "4x", "4x4x4", "fourxfour"])
+    def test_size_not_of_the_form_nxm_is_a_schema_error(self, tmp_path, zebra_instance, size):
+        path = tmp_path / "d.jsonl"
+        good = task_from_instance(zebra_instance).to_json_dict()
+        path.write_text("\n".join(json.dumps(d) for d in (good, {**good, "size": size}, good)) + "\n")
+        tasks, errors = load_dataset(path)
+        assert len(tasks) == 2
+        assert [e.line_no for e in errors] == [2]
+        assert "NxM" in str(errors[0])
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text("")

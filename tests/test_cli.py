@@ -117,6 +117,18 @@ class TestGenAndBench:
         assert report["puzzle_accuracy"] == 1.0
         assert report_path.with_suffix(".results.jsonl").exists()
 
+    def test_bench_skips_a_dataset_line_whose_size_is_not_of_the_form_nxm(self, tmp_path, capsys):
+        out_dir = tmp_path / "puzzles"
+        main(["gen", "--seed", "3", "--size", "3x3", "-n", "2", "-o", str(out_dir)])
+        dataset = out_dir / "dataset.jsonl"
+        first, second = dataset.read_text().splitlines()
+        dataset.write_text(first + "\n" + json.dumps({**json.loads(second), "size": "9"}) + "\n")
+        report_path = tmp_path / "report.json"
+        assert main(["bench", "--dataset", str(dataset), "--out", str(report_path)]) == 0
+        err = capsys.readouterr().err
+        assert "line 2" in err and "NxM" in err
+        assert json.loads(report_path.read_text())["tasks"] == 1
+
     def test_bench_with_gen_spec(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"seed": 4, "shapes": [{"size": "2x3", "count": 2}]}))

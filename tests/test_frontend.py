@@ -3,13 +3,11 @@
 import re
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import logicforge
 from logicforge.bench.puzzle import generate_puzzle
 from logicforge.bench.render import render_dsl
 from logicforge.cemit import emit
@@ -32,7 +30,7 @@ from logicforge.frontend.parser import MAX_NESTING
 from logicforge.model import lower
 from logicforge.solver import Budget, find_second, solve
 
-from conftest import chained_condition, nested_condition
+from conftest import chained_condition, lines_executed, nested_condition
 from strategies import programs
 
 FIG_STYLE_SOURCE = """\
@@ -451,29 +449,6 @@ def _repeated_validator(text: str, copies: int) -> str:
     return head + "def validate(solution: PuzzleSolution) -> None:\n" + "\n".join(bodies)
 
 
-def _lines_executed(function, *args) -> tuple[int, object]:
-    """Line events in logicforge's own code during ``function(*args)``, and
-    its result: a count of work that does not depend on the host's speed."""
-    package = str(Path(logicforge.__file__).parent)
-    count = 0
-
-    def local(frame, event, arg):
-        nonlocal count
-        count += event == "line"
-        return local
-
-    def calls(frame, event, arg):
-        return local if frame.f_code.co_filename.startswith(package) else None
-
-    previous = sys.gettrace()
-    sys.settrace(calls)
-    try:
-        result = function(*args)
-    finally:
-        sys.settrace(previous)
-    return count, result
-
-
 class TestGrowth:
     """Doubling the clauses of a program about doubles the work of parse,
     check and lower: no stage grows quadratically with the clause count."""
@@ -485,9 +460,9 @@ class TestGrowth:
         work = []  # (parse, check, lower) lines per copy count
         for copies in (1, 2, 4):
             source = SourceText(_repeated_validator(text, copies), "<growth>")
-            parse_lines, tree = _lines_executed(parse, source)
-            check_lines, program = _lines_executed(check, tree)
-            lower_lines, model = _lines_executed(lower, program)
+            parse_lines, tree = lines_executed(parse, source)
+            check_lines, program = lines_executed(check, tree)
+            lower_lines, model = lines_executed(lower, program)
             assert len(model.constraints) == 7 * copies  # 3 asserts, 4 assumes
             work.append((parse_lines, check_lines, lower_lines))
         for stage, (one, two, four) in zip(("parse", "check", "lower"), zip(*work)):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 from unittest import mock
 
 import pytest
@@ -39,7 +40,7 @@ from logicforge.solver import (
     verify,
 )
 
-from conftest import compile_source
+from conftest import compile_source, lines_executed
 from strategies import programs
 
 TAUTOLOGY = '    anyone = nondet(s.items)\n    assume(anyone.f == anyone.f)\n'
@@ -71,6 +72,8 @@ class TestPropagate:
         model = flat_model([(1, 5)] * 4, groups=[(0, 1, 2, 3)])
         doms = propagate_domains(model, {0: [1, 2], 1: [1, 2]})
         assert doms[2] == doms[3] == [3, 4]
+        # vars 0 to 2 fill {1, 2, 3}, so var 3 takes 4
+        assert propagate_domains(model, {0: [1, 2, 3], 1: [1, 2, 3], 2: [1, 2, 3]})[3] == [4]
         # three vars cannot share two values
         assert propagate_domains(model, {0: [1, 2], 1: [1, 2], 2: [1, 2]}) is None
 
@@ -808,3 +811,133 @@ class TestGoldenCounters:
         if off_by_one:
             text = _off_by_one(text, n)
         assert self.counters(_model(text)) == expected
+
+
+def _group_outcome(search, propagator, masks):
+    """Masks, sorted dirty ids, propagation count and the entailed flag (None
+    at a contradiction) after one all-different group run on a copy of
+    ``masks``."""
+    doms = list(masks)
+    dirty: set[int] = set()
+    before = search.stats.propagations
+    function, args = propagator
+    try:
+        entailed = function(search, doms, dirty, *args)
+    except engine.Contradiction:
+        entailed = None
+    return doms, sorted(dirty), search.stats.propagations - before, entailed
+
+
+def _group_tables(compiled) -> list[dict]:
+    return [args[-1] for _, args in compiled.propagators[: compiled.n_groups]]
+
+
+class TestGroupTable:
+    """Each all-different group's item looks its runs up in a table keyed by
+    the group's masks. A hit replays the run it recorded: the same masks,
+    dirty ids, propagation count, failure and entailed flag as running the
+    group, also at a contradiction."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 255), min_size=2, max_size=6))
+    def test_hit_replays_the_run(self, masks):
+        model = flat_model([(0, 8)] * len(masks), groups=[range(len(masks))])
+        compiled = engine.CompiledModel(model)
+        (table,) = _group_tables(compiled)
+        search = engine._Search(compiled.view(()), Budget())
+        cold = _group_outcome(search, compiled.propagators[0], masks)
+        assert len(table) == 1
+        warm = _group_outcome(search, compiled.propagators[0], masks)
+        assert warm == cold
+        assert len(table) == 1
+
+    @pytest.mark.parametrize("seed,n,f", [(1, 3, 3), (3, 4, 4), (5, 5, 3)])
+    def test_shared_model_checks_match_fresh_ones(self, seed, n, f):
+        # every uniqueness check of the generator, on its one compiled model
+        # and again on a model compiled for that check alone
+        from logicforge.bench import puzzle
+
+        checks = []
+
+        def recording(view, first, budget=None):
+            report = find_second(view, first, budget)
+            checks.append((view, first, report))
+            return report
+
+        with mock.patch.object(puzzle, "find_second", recording):
+            generate_puzzle(seed, n, f)
+        assert len(checks) > 1
+        shared = checks[0][0].compiled
+        assert all(view.compiled is shared for view, _, _ in checks)
+        fresh_entries = 0
+        for view, first, report in checks:
+            fresh = engine.CompiledModel(shared.model)
+            again = find_second(fresh.view(view.active), first)
+            assert (again.ambiguous, again.stats.decisions, again.stats.propagations, again.second) == (
+                report.ambiguous,
+                report.stats.decisions,
+                report.stats.propagations,
+                report.second,
+            )
+            fresh_entries += sum(map(len, _group_tables(fresh)))
+        # later checks hit what earlier ones recorded
+        assert sum(map(len, _group_tables(shared))) < fresh_entries
+
+    def test_a_long_search_stops_filling_a_table_at_its_cap(self):
+        # every solution of 6 vars taking 6 distinct values: 720 of them
+        model = flat_model([(0, 6)] * 6, groups=[range(6)])
+
+        def enumerate_all():
+            compiled = engine.CompiledModel(model)
+            search = engine._Search(compiled.view(()), Budget())
+            solutions = list(search.solutions(*search.root()))
+            return compiled, (len(solutions), search.stats.decisions, search.stats.propagations)
+
+        compiled, full = enumerate_all()
+        assert full[0] == 720
+        assert 16 < len(_group_tables(compiled)[0]) <= engine._GROUP_TABLE_CAP
+        with mock.patch.object(engine, "_GROUP_TABLE_CAP", 16):
+            capped, counts = enumerate_all()
+        assert len(_group_tables(capped)[0]) == 16
+        assert counts == full
+
+
+def _wide_program(n: int) -> str:
+    """Three rows, each a distinct value of range(0, n), one of them 1."""
+    return (
+        f"class E:\n    v: Unique[Domain[int, range(0, {n})]]\n"
+        "class S:\n    items: list[E, 3]\n"
+        "def f(s: S) -> None:\n    a = nondet(s.items)\n    assert a.v == 1\n"
+    )
+
+
+class TestWideDomains:
+    """A budget holds on wide domains: the Hall-interval pass of a group
+    visits only intervals of at most as many values as the group has vars,
+    so it is linear in the value range, and the deadline is read inside
+    propagation as well as at decisions."""
+
+    SLACK = 1.0  # seconds a solve may overrun its time budget
+
+    @pytest.mark.parametrize("n", [10**3, 10**4])
+    def test_solve_returns_within_the_budget(self, n):
+        model = _model(_wide_program(n))
+        budget = Budget(max_time=2.0)
+        start = time.perf_counter()
+        outcome = solve(model, budget)
+        assert time.perf_counter() - start <= budget.max_time + self.SLACK
+        assert outcome.is_sat
+        assert 1 in [outcome.assignment[v.id] for v in model.vars]
+
+    def test_solve_grows_linearly_in_the_range(self):
+        lines = [lines_executed(solve, _model(_wide_program(n)))[0] for n in (250, 500, 1000)]
+        assert lines[0] < lines[1] < lines[2]
+        assert lines[2] - lines[1] <= 2.2 * (lines[1] - lines[0]), lines
+
+    def test_the_deadline_is_read_inside_propagation(self, zebra_model):
+        # the root propagation runs more items than one: with the deadline
+        # read after each, a spent budget stops it before any decision
+        with mock.patch.object(engine, "_CLOCK_EVERY", 1):
+            with pytest.raises(BudgetExceeded) as raised:
+                solve(zebra_model, Budget(max_time=0.0))
+        assert raised.value.decisions == 0
