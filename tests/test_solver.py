@@ -2,13 +2,17 @@
 
 import dataclasses
 import random
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from logicforge.bench import load_dataset
 from logicforge.bench.puzzle import AT_POSITION, POSITION_FIELD, Clue, generate_puzzle
 from logicforge.bench.render import render_dsl
 from logicforge.errors import BudgetExceeded, CapExceeded, SemanticError
@@ -813,48 +817,95 @@ class TestGoldenCounters:
         assert self.counters(_model(text)) == expected
 
 
-def _group_outcome(search, propagator, masks):
-    """Masks, sorted dirty ids, propagation count and the entailed flag (None
-    at a contradiction) after one all-different group run on a copy of
-    ``masks``."""
-    doms = list(masks)
+def _group_run(compiled, masks) -> tuple:
+    """One run of the model's first all-different group from the declared
+    domains with the group's vars set to ``masks``, in group order: the
+    group's masks, the sorted positions within the group of the dirty ids,
+    the propagations counted and the entailed flag (None at a
+    contradiction)."""
+    group = compiled.model.alldiff_groups[0]
+    doms = compiled.initial_state()
+    for v, mask in zip(group, masks):
+        doms[v] = mask
+    search = engine._Search(compiled.view(()), Budget())
     dirty: set[int] = set()
-    before = search.stats.propagations
-    function, args = propagator
+    function, args = compiled.propagators[0]
     try:
         entailed = function(search, doms, dirty, *args)
     except engine.Contradiction:
         entailed = None
-    return doms, sorted(dirty), search.stats.propagations - before, entailed
+    positions = sorted(group.index(v) for v in dirty)
+    return [doms[v] for v in group], positions, search.stats.propagations, entailed
 
 
-def _group_tables(compiled) -> list[dict]:
-    return [args[-1] for _, args in compiled.propagators[: compiled.n_groups]]
+def _answers(text: str) -> tuple:
+    """solve's (status, decisions, propagations, assignment) and, where it
+    finds one, find_second's (ambiguous, decisions, propagations, second),
+    both on one compiled model."""
+    view = engine.compile_model(_model(text))
+    outcome = solve(view)
+    answers = (outcome.status, outcome.stats.decisions, outcome.stats.propagations, outcome.assignment)
+    if outcome.is_sat:
+        report = find_second(view, outcome.assignment)
+        answers += (report.ambiguous, report.stats.decisions, report.stats.propagations, report.second)
+    return answers
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "corpus.jsonl"
+
+
+def _corpus_programs() -> list[str]:
+    """The programs of the benchmark corpus, one per task: 3x3 to 6x6."""
+    tasks, _ = load_dataset(CORPUS)
+    return [render_dsl(task.instance).text for task in tasks]
+
+
+@pytest.fixture
+def empty_group_table():
+    """The process-wide table of group runs, emptied before and after."""
+    engine._GROUP_TABLE.clear()
+    yield engine._GROUP_TABLE
+    engine._GROUP_TABLE.clear()
 
 
 class TestGroupTable:
-    """Each all-different group's item looks its runs up in a table keyed by
-    the group's masks. A hit replays the run it recorded: the same masks,
-    dirty ids, propagation count, failure and entailed flag as running the
-    group, also at a contradiction."""
+    """One table per process holds the runs of every all-different group,
+    keyed by the group's masks alone. A hit replays the run it recorded: the
+    same masks, dirty ids, propagation count, failure and entailed flag as
+    running the group, also at a contradiction, in any model."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(1, 255), min_size=2, max_size=6))
     def test_hit_replays_the_run(self, masks):
-        model = flat_model([(0, 8)] * len(masks), groups=[range(len(masks))])
-        compiled = engine.CompiledModel(model)
-        (table,) = _group_tables(compiled)
-        search = engine._Search(compiled.view(()), Budget())
-        cold = _group_outcome(search, compiled.propagators[0], masks)
-        assert len(table) == 1
-        warm = _group_outcome(search, compiled.propagators[0], masks)
-        assert warm == cold
-        assert len(table) == 1
+        engine._GROUP_TABLE.clear()
+        compiled = engine.CompiledModel(flat_model([(0, 8)] * len(masks), groups=[range(len(masks))]))
+        cold = _group_run(compiled, masks)
+        assert len(engine._GROUP_TABLE) == 1
+        assert _group_run(compiled, masks) == cold
+        assert len(engine._GROUP_TABLE) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 255), min_size=2, max_size=6), st.integers(-20, 20))
+    def test_a_run_in_another_model_is_a_hit(self, masks, low):
+        # the second model has one more var first, lists the group's vars in
+        # descending id order and gives them another base
+        g = len(masks)
+        first = engine.CompiledModel(flat_model([(0, 8)] * g, groups=[range(g)]))
+        second = engine.CompiledModel(
+            flat_model([(0, 3)] + [(low, low + 8)] * g, groups=[range(g, 0, -1)])
+        )
+        engine._GROUP_TABLE.clear()
+        cold = _group_run(second, masks)
+        engine._GROUP_TABLE.clear()
+        _group_run(first, masks)
+        assert _group_run(second, masks) == cold
+        assert len(engine._GROUP_TABLE) == 1
 
     @pytest.mark.parametrize("seed,n,f", [(1, 3, 3), (3, 4, 4), (5, 5, 3)])
-    def test_shared_model_checks_match_fresh_ones(self, seed, n, f):
-        # every uniqueness check of the generator, on its one compiled model
-        # and again on a model compiled for that check alone
+    def test_shared_model_checks_match_fresh_ones(self, seed, n, f, empty_group_table):
+        # every uniqueness check of the generator, on its one compiled model,
+        # and again on a model compiled for that check alone, from an empty
+        # table
         from logicforge.bench import puzzle
 
         checks = []
@@ -869,8 +920,10 @@ class TestGroupTable:
         assert len(checks) > 1
         shared = checks[0][0].compiled
         assert all(view.compiled is shared for view, _, _ in checks)
+        shared_entries = len(empty_group_table)
         fresh_entries = 0
         for view, first, report in checks:
+            empty_group_table.clear()
             fresh = engine.CompiledModel(shared.model)
             again = find_second(fresh.view(view.active), first)
             assert (again.ambiguous, again.stats.decisions, again.stats.propagations, again.second) == (
@@ -879,26 +932,92 @@ class TestGroupTable:
                 report.stats.propagations,
                 report.second,
             )
-            fresh_entries += sum(map(len, _group_tables(fresh)))
+            fresh_entries += len(empty_group_table)
         # later checks hit what earlier ones recorded
-        assert sum(map(len, _group_tables(shared))) < fresh_entries
+        assert shared_entries < fresh_entries
 
-    def test_a_long_search_stops_filling_a_table_at_its_cap(self):
+    @pytest.mark.parametrize("source", ["generated", "corpus"])
+    def test_a_warm_table_answers_as_an_empty_one(self, source, empty_group_table):
+        if source == "generated":
+            shapes = [(1, 3, 3), (3, 4, 4), (5, 5, 3)]
+            texts = [render_dsl(generate_puzzle(seed, n, f)).text for seed, n, f in shapes]
+            texts.append(_off_by_one(texts[0], 3))
+            others = [render_dsl(generate_puzzle(seed, 4, 4)).text for seed in (11, 12)]
+        else:
+            programs = _corpus_programs()
+            texts, others = programs[::10], programs[5::10]
+        cold = []
+        for text in texts:
+            empty_group_table.clear()
+            cold.append(_answers(text))
+        empty_group_table.clear()
+        for text in others:
+            _answers(text)
+        assert empty_group_table
+        assert [_answers(text) for text in texts] == cold
+
+    def test_threads_share_the_table(self, empty_group_table):
+        texts = _corpus_programs()[::15]
+        serial = [_answers(text) for text in texts]
+        empty_group_table.clear()
+
+        def answer_all(start: int) -> list[tuple]:
+            # each thread solves every task, from a task of its own
+            order = [(start + i) % len(texts) for i in range(len(texts))]
+            return [(k, _answers(texts[k])) for k in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(answer_all, start) for start in range(8)]
+                results = [future.result(timeout=300) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            assert sorted(k for k, _ in result) == list(range(len(texts)))
+            for k, answers in result:
+                assert answers == serial[k]
+
+    def test_a_group_that_names_a_var_twice_is_not_tabled(self, empty_group_table):
+        # alldiff(x, y, z) from these masks removes x's value from y and
+        # fails; alldiff(x, x, y) fails with no removal
+        masks = [1, 1, 6]
+        distinct = engine.CompiledModel(flat_model([(0, 3)] * 3, groups=[range(3)]))
+        twice = engine.CompiledModel(flat_model([(0, 3)] * 2, groups=[(0, 0, 1)]))
+        assert _group_run(distinct, masks)[2:] == (1, None)
+        assert _group_run(twice, masks)[2:] == (0, None)
+
+    def test_a_wide_group_stores_nothing(self, empty_group_table):
+        assert solve(_model(_wide_program(1000))).is_sat
+        assert not empty_group_table
+
+    def test_the_table_stays_within_its_cap(self, empty_group_table):
         # every solution of 6 vars taking 6 distinct values: 720 of them
         model = flat_model([(0, 6)] * 6, groups=[range(6)])
 
         def enumerate_all():
-            compiled = engine.CompiledModel(model)
-            search = engine._Search(compiled.view(()), Budget())
+            search = engine._Search(engine.compile_model(model), Budget())
             solutions = list(search.solutions(*search.root()))
-            return compiled, (len(solutions), search.stats.decisions, search.stats.propagations)
+            return len(solutions), search.stats.decisions, search.stats.propagations
 
-        compiled, full = enumerate_all()
+        full = enumerate_all()
         assert full[0] == 720
-        assert 16 < len(_group_tables(compiled)[0]) <= engine._GROUP_TABLE_CAP
-        with mock.patch.object(engine, "_GROUP_TABLE_CAP", 16):
-            capped, counts = enumerate_all()
-        assert len(_group_tables(capped)[0]) == 16
+        assert 16 < len(empty_group_table) <= engine._GROUP_TABLE_CAP
+
+        class Sizes(dict):
+            largest = stored = 0
+
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                self.stored += 1
+                self.largest = max(self.largest, len(self))
+
+        table = Sizes()
+        with mock.patch.object(engine, "_GROUP_TABLE", table):
+            with mock.patch.object(engine, "_GROUP_TABLE_CAP", 16):
+                counts = enumerate_all()
+        assert table.largest == 16 < table.stored
         assert counts == full
 
 
@@ -911,23 +1030,103 @@ def _wide_program(n: int) -> str:
     )
 
 
+def _mask_loop_group_pass(search, doms: list[int], dirty: set[int], group: tuple[int, ...]) -> bool:
+    """``_group_pass`` as it tested each var against a Hall interval by a
+    mask (``doms[v] & ~interval``): the reference for its bit tests."""
+    for v in group:
+        val = doms[v]
+        if not val & (val - 1):
+            for w in group:
+                if w != v and doms[w] & val:
+                    search._remove(doms, w, val, dirty)
+    union = 0
+    for v in group:
+        union |= doms[v]
+    bits = engine._bits(union)
+    if len(bits) < len(group):
+        raise engine.Contradiction()
+    for ai, low in enumerate(bits):
+        below = (1 << low) - 1
+        for bi in range(ai, min(ai + len(group) - 1, len(bits))):
+            interval = ((2 << bits[bi]) - 1) ^ below
+            beyond = ~interval
+            outside = [v for v in group if doms[v] & beyond]
+            capacity = bi - ai + 1
+            inside = len(group) - len(outside)
+            if inside > capacity:
+                raise engine.Contradiction()
+            if inside == capacity:
+                for v in outside:
+                    hit = doms[v] & interval
+                    if hit:
+                        search._remove(doms, v, hit, dirty)
+    for v in group:
+        if doms[v] & (doms[v] - 1):
+            return False
+    return True
+
+
+def _sparse_masks(width: int):
+    """Masks of 1-4 bits below ``width``, or any non-empty mask below it."""
+    positions = st.sets(st.integers(0, width - 1), min_size=1, max_size=4)
+    sparse = positions.map(lambda bits: sum(1 << b for b in bits))
+    return st.one_of(sparse, st.integers(1, 2**width - 1))
+
+
 class TestWideDomains:
     """A budget holds on wide domains: the Hall-interval pass of a group
-    visits only intervals of at most as many values as the group has vars,
-    so it is linear in the value range, and the deadline is read inside
-    propagation as well as at decisions."""
+    visits only intervals of fewer values than the group has vars and tests
+    each var by its lowest and highest value, so its cost does not grow with
+    the width of the masks, and the deadline is read inside propagation and
+    inside a group pass as well as at decisions."""
 
     SLACK = 1.0  # seconds a solve may overrun its time budget
 
-    @pytest.mark.parametrize("n", [10**3, 10**4])
+    @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
     def test_solve_returns_within_the_budget(self, n):
         model = _model(_wide_program(n))
         budget = Budget(max_time=2.0)
         start = time.perf_counter()
-        outcome = solve(model, budget)
+        try:
+            outcome = solve(model, budget)
+        except BudgetExceeded:
+            outcome = None
         assert time.perf_counter() - start <= budget.max_time + self.SLACK
-        assert outcome.is_sat
-        assert 1 in [outcome.assignment[v.id] for v in model.vars]
+        if n < 10**5 or outcome is not None:  # the widest may run out of time
+            assert outcome is not None and outcome.is_sat
+            assert 1 in [outcome.assignment[v.id] for v in model.vars]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.integers(1, 8), st.integers(9, 80)).flatmap(
+            lambda w: st.lists(_sparse_masks(w), min_size=1, max_size=6)
+        )
+    )
+    @example([3, 1, 10, 12])  # a var pruned at one interval start, tested at the next
+    def test_bit_tests_match_the_mask_loop(self, masks):
+        group = tuple(range(len(masks)))
+        search = engine._Search(engine.compile_model(flat_model([(0, 1)])), Budget())
+        outcomes = []
+        for group_pass in (engine._Search._group_pass, _mask_loop_group_pass):
+            doms, dirty = list(masks), set()
+            before = search.stats.propagations
+            try:
+                entailed = group_pass(search, doms, dirty, group)
+            except engine.Contradiction:
+                entailed = None
+            outcomes.append((doms, sorted(dirty), search.stats.propagations - before, entailed))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("hi", [8, 1000])
+    def test_the_deadline_is_read_inside_a_group_pass(self, hi, empty_group_table):
+        # one group is the only item: with the deadline read only between
+        # items, a spent budget would let its one pass run to the end
+        compiled = engine.CompiledModel(flat_model([(0, hi)] * 3, groups=[range(3)]))
+        with mock.patch.object(engine, "_CLOCK_EVERY", 2):
+            search = engine._Search(compiled.view(()), Budget(max_time=0.0))
+            with pytest.raises(BudgetExceeded):
+                search.propagate(compiled.initial_state(), search.off, search.on)
+        assert not empty_group_table  # a run cut short is not recorded
 
     def test_solve_grows_linearly_in_the_range(self):
         lines = [lines_executed(solve, _model(_wide_program(n)))[0] for n in (250, 500, 1000)]
