@@ -20,6 +20,7 @@ from ..errors import (
     DslSyntaxError,
     ExtractionError,
     FormatError,
+    LogicForgeError,
     SemanticError,
     TransportError,
 )
@@ -66,6 +67,10 @@ class PipelineConfig:
     max_attempts: int = 5
     budget: Budget = dc_field(default_factory=Budget)
     ambiguity_check: bool = False
+
+    def __post_init__(self):
+        if self.max_attempts < 1:
+            raise LogicForgeError(f"max_attempts must be at least 1, not {self.max_attempts}")
 
 
 class PipelineStatus(Enum):

@@ -99,6 +99,9 @@ def cmd_bench(args) -> int:
     if bool(args.dataset) == bool(args.gen_spec):
         print("error: pass exactly one of --dataset or --gen-spec", file=sys.stderr)
         return 2
+    pipeline_config = PipelineConfig(
+        max_attempts=args.max_attempts, ambiguity_check=args.ambiguity_check
+    )
     if args.dataset:
         tasks, errors = load_dataset(args.dataset)
         for err in errors:
@@ -115,9 +118,6 @@ def cmd_bench(args) -> int:
         transcript = TranscriptWriter(args.transcript) if args.transcript else None
         shared = LlmFormalizer(config, transcript=transcript)
         factory = lambda task: shared  # noqa: E731 - one shared client
-    pipeline_config = PipelineConfig(
-        max_attempts=args.max_attempts, ambiguity_check=args.ambiguity_check
-    )
     report = run_bench(
         tasks, factory, concurrency=args.concurrency, out_path=args.out, config=pipeline_config
     )

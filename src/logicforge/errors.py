@@ -83,7 +83,7 @@ class CapExceeded(LogicForgeError):
 
 
 class EmitError(LogicForgeError):
-    """A checked program contains a construct with no C mapping (reserved)."""
+    """A checked program contains a construct with no C mapping."""
 
 
 class ShapeError(LogicForgeError):

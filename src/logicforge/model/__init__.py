@@ -8,7 +8,6 @@ from .constraints import (
     CElem,
     CExpr,
     CLit,
-    CNot,
     CVar,
     ConstraintModel,
     InstanceLayout,
@@ -28,7 +27,6 @@ __all__ = [
     "CElem",
     "CExpr",
     "CLit",
-    "CNot",
     "CVar",
     "ConstraintModel",
     "InstanceLayout",

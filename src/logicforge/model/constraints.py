@@ -89,9 +89,13 @@ class CAbs:
     arg: "CExpr"
 
 
+# The comparison operators of the model, the only ones lowering emits
+CMP_OPS = frozenset({"==", "!=", "<", "<="})
+
+
 @dataclass(frozen=True)
 class CCmp:
-    op: str  # == != < <= > >=
+    op: str  # one of CMP_OPS
     left: "CExpr"
     right: "CExpr"
 
@@ -102,12 +106,7 @@ class CBool:
     parts: tuple["CExpr", ...]
 
 
-@dataclass(frozen=True)
-class CNot:
-    arg: "CExpr"
-
-
-CExpr = Union[CLit, CVar, CElem, CBin, CAbs, CCmp, CBool, CNot]
+CExpr = Union[CLit, CVar, CElem, CBin, CAbs, CCmp, CBool]
 
 
 def walk_cexpr(expr: CExpr):
@@ -115,7 +114,7 @@ def walk_cexpr(expr: CExpr):
     if isinstance(expr, (CBin, CCmp)):
         yield from walk_cexpr(expr.left)
         yield from walk_cexpr(expr.right)
-    elif isinstance(expr, (CAbs, CNot)):
+    elif isinstance(expr, CAbs):
         yield from walk_cexpr(expr.arg)
     elif isinstance(expr, CBool):
         for p in expr.parts:
@@ -222,6 +221,8 @@ def validate_model(model: ConstraintModel) -> None:
         for node in walk_cexpr(c):
             if isinstance(node, CVar) and not (0 <= node.var < n_vars):
                 raise InternalError(f"constraint references unknown var {node.var}")
+            if isinstance(node, CCmp) and node.op not in CMP_OPS:
+                raise InternalError(f"comparison operator {node.op!r} outside the model's form")
             if isinstance(node, CElem):
                 if not (n_vars <= node.selector < model.n_ids):
                     raise InternalError(f"unknown selector {node.selector}")
@@ -268,7 +269,5 @@ def _prefix(expr: CExpr) -> str:
         return f"(abs {_prefix(expr.arg)})"
     if isinstance(expr, CCmp):
         return f"({expr.op} {_prefix(expr.left)} {_prefix(expr.right)})"
-    if isinstance(expr, CBool):
-        return f"({expr.op}" + "".join(" " + _prefix(p) for p in expr.parts) + ")"
-    assert isinstance(expr, CNot)
-    return f"(not {_prefix(expr.arg)})"
+    assert isinstance(expr, CBool)
+    return f"({expr.op}" + "".join(" " + _prefix(p) for p in expr.parts) + ")"

@@ -4,7 +4,8 @@ Type decorators expand into variables, domains, and all-different groups;
 every assert in the validator is rewritten into an assume before lowering, so
 the model is a plain conjunction of constraints. Locals are resolved by
 symbolic substitution: binding a name to ``nondet(list)`` introduces a
-selector variable, anything else is inlined.
+selector variable, anything else is inlined. Every condition lowers to
+``and``/``or`` over comparisons in one form (``_compare``), with no ``not``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .constraints import (
     CElem,
     CExpr,
     CLit,
-    CNot,
     CVar,
     ConstraintModel,
     InstanceLayout,
@@ -246,7 +246,7 @@ class _Lowering:
         assert isinstance(expr, Not)
         val = self.lower_value(expr.operand, env)
         assert isinstance(val, _BoolVal)
-        return _BoolVal(CNot(val.expr))
+        return _BoolVal(_negate(val.expr))
 
     def lower_field(self, obj: object, field_name: str) -> object:
         if isinstance(obj, _Instance):
@@ -274,15 +274,13 @@ class _Lowering:
         left = self.lower_value(expr.left, env)
         right = self.lower_value(expr.right, env)
         if isinstance(left, _IntVal) and isinstance(right, _IntVal):
-            return _BoolVal(CCmp(expr.op, left.expr, right.expr))
+            return _BoolVal(_compare(expr.op, left.expr, right.expr))
         if isinstance(left, _StrVal) and isinstance(right, _StrVal):
-            field_side = left if left.expr is not None else right
-            lit_side = right if field_side is left else left
-            if field_side.expr is None or lit_side.literal is None:
+            field, lit = (left, right) if left.expr is not None else (right, left)
+            if field.expr is None or field.domain is None or lit.literal is None:
                 raise InternalError("string comparison shape after check")
-            assert field_side.domain is not None
-            code = field_side.domain.values.index(lit_side.literal)
-            return _BoolVal(CCmp(expr.op, field_side.expr, CLit(code)))
+            code = field.domain.values.index(lit.literal)
+            return _BoolVal(CCmp(expr.op, field.expr, CLit(code)))
         raise InternalError("mixed comparison after check")
 
     def field_decl(self, class_name: str, field_name: str) -> FieldDecl:
@@ -290,6 +288,30 @@ class _Lowering:
         if f is None:
             raise InternalError(f"unknown field {field_name!r} after check")
         return f
+
+
+# The comparison that holds exactly when the model's ``op`` does not.
+_COMPLEMENT = {"==": "!=", "!=": "==", "<": ">=", "<=": ">"}
+
+
+def _compare(op: str, left: CExpr, right: CExpr) -> CCmp:
+    """The comparison in the model's one form: ``>`` and ``>=`` turned round
+    into ``<`` and ``<=``, and a lone literal on the left of ``==`` or ``!=``
+    moved to the right."""
+    if op in (">", ">="):
+        return CCmp("<" if op == ">" else "<=", right, left)
+    if isinstance(left, CLit) and not isinstance(right, CLit) and op in ("==", "!="):
+        return CCmp(op, right, left)
+    return CCmp(op, left, right)
+
+
+def _negate(expr: CExpr) -> CExpr:
+    """``not expr`` pushed down to the comparisons: De Morgan over ``and`` and
+    ``or``, and each comparison complemented."""
+    if isinstance(expr, CCmp):
+        return _compare(_COMPLEMENT[expr.op], expr.left, expr.right)
+    assert isinstance(expr, CBool)
+    return CBool("or" if expr.op == "and" else "and", tuple(map(_negate, expr.parts)))
 
 
 def _position_field(cls: ClassDecl) -> str | None:

@@ -29,7 +29,6 @@ from ..model.constraints import (
     CElem,
     CExpr,
     CLit,
-    CNot,
     CVar,
     ConstraintModel,
     domain_size,
@@ -39,6 +38,7 @@ from ..model.constraints import (
 DEFAULT_CAP = 10_000_000
 _BLOCK = 1 << 16
 _SELECTOR_CAP = 100_000
+_VEC_CMP = {"==": np.equal, "!=": np.not_equal, "<": np.less, "<=": np.less_equal}
 
 
 @dataclass(frozen=True)
@@ -224,17 +224,7 @@ def _vec_eval_bool(expr: CExpr, values: np.ndarray, pick: dict[int, int]) -> np.
     if isinstance(expr, CCmp):
         left = _vec_eval_int(expr.left, values, pick)
         right = _vec_eval_int(expr.right, values, pick)
-        if expr.op == "==":
-            return left == right
-        if expr.op == "!=":
-            return left != right
-        if expr.op == "<":
-            return left < right
-        if expr.op == "<=":
-            return left <= right
-        if expr.op == ">":
-            return left > right
-        return left >= right
+        return _VEC_CMP[expr.op](left, right)
     if isinstance(expr, CBool):
         block = values.shape[0]
         if not expr.parts:
@@ -247,6 +237,4 @@ def _vec_eval_bool(expr: CExpr, values: np.ndarray, pick: dict[int, int]) -> np.
             else:
                 out = out | _vec_eval_bool(p, values, pick)
         return out
-    if isinstance(expr, CNot):
-        return ~_vec_eval_bool(expr.arg, values, pick)
     raise InternalError(f"non-boolean constraint root: {expr!r}")

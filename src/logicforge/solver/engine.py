@@ -110,9 +110,10 @@ variable):
 A dedicated propagator removes exactly the values the generic singleton tests
 remove, in the same order, and fails in the same states, so fixpoints,
 decision and propagation counts and assignments do not depend on which one
-ran. The generic evaluator, which converts masks to value sets at its
-boundary, now serves only shapes that neither emits (``and``, ``or``,
-``not``, ``<=``, the same selector on both sides, wide arithmetic, ...).
+ran. Lowering writes each comparison one way, so a clue reaches them however
+it is spelled. The generic evaluator, which converts masks to value sets at
+its boundary, serves only shapes that neither emits (``and``, ``or``, ``<=``,
+the same selector on both sides, wide arithmetic, ...).
 
 Pruning only ever uses over-approximations of reachable values, so no value
 belonging to a satisfying assignment is removed.
@@ -147,9 +148,9 @@ from ..model.constraints import (
     CElem,
     CExpr,
     CLit,
-    CNot,
     CVar,
     ConstraintModel,
+    domain_size,
     walk_cexpr,
 )
 from ..model.decode import decode
@@ -224,12 +225,10 @@ def eval_cexpr(expr: CExpr, values) -> int | bool:
         left = eval_cexpr(expr.left, values)
         right = eval_cexpr(expr.right, values)
         return _CMP[expr.op](left, right)
-    if isinstance(expr, CBool):
-        if expr.op == "and":
-            return all(eval_cexpr(p, values) for p in expr.parts)
-        return any(eval_cexpr(p, values) for p in expr.parts)
-    assert isinstance(expr, CNot)
-    return not eval_cexpr(expr.arg, values)
+    assert isinstance(expr, CBool)
+    if expr.op == "and":
+        return all(eval_cexpr(p, values) for p in expr.parts)
+    return any(eval_cexpr(p, values) for p in expr.parts)
 
 
 _CMP: dict[str, Callable[[int, int], bool]] = {
@@ -237,8 +236,6 @@ _CMP: dict[str, Callable[[int, int], bool]] = {
     "!=": lambda a, b: a != b,
     "<": lambda a, b: a < b,
     "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
 }
 
 
@@ -295,12 +292,8 @@ def _cmp_sets(op: str, ls, rs) -> tuple[bool, bool]:
     lo_l, hi_l, lo_r, hi_r = min(ls), max(ls), min(rs), max(rs)
     if op == "<":
         return lo_l < hi_r, hi_l >= lo_r
-    if op == "<=":
-        return lo_l <= hi_r, hi_l > lo_r
-    if op == ">":
-        return hi_l > lo_r, lo_l <= hi_r
-    assert op == ">="
-    return hi_l >= lo_r, lo_l < hi_r
+    assert op == "<="
+    return lo_l <= hi_r, hi_l > lo_r
 
 
 _BYTE_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range(256))
@@ -366,10 +359,10 @@ def _constraint_meta(expr: CExpr) -> _ConstraintMeta:
     )
 
 
-def _bases(lows: list[int], ties, n_selectors: int) -> list[int]:
-    """The mask base of each id: 0 for a selector; for a variable, the lowest
-    of ``lows`` (each variable's lowest declared value) over the variables it
-    is tied to, directly or through others, by one of ``ties``."""
+def _bases(lows: list[int], ties) -> list[int]:
+    """The mask base of each id: the lowest of ``lows`` (each id's lowest
+    declared value, 0 for a selector) over the variables it is tied to,
+    directly or through others, by one of ``ties``."""
     base = list(lows)
     changed = True
     while changed:  # one pass when every tie holds one domain, as lowered
@@ -380,7 +373,7 @@ def _bases(lows: list[int], ties, n_selectors: int) -> list[int]:
                 if base[v] != low:
                     base[v] = low
                     changed = True
-    return base + [0] * n_selectors
+    return base
 
 
 def _elem_values(doms, sel: int, table) -> int:
@@ -475,13 +468,15 @@ class CompiledModel:
         self.n_vars = len(model.vars)
         self.n_ids = model.n_ids
         self.meta = [_constraint_meta(c) for c in model.constraints]
-        declared = [model.domain_of(i) for i in range(self.n_ids)]
-        lows = [values[0] for values in declared[: self.n_vars]]
+        # each id's declared values run from its lowest (an enum code's is 0)
+        lows = [getattr(v.domain, "lo", 0) for v in model.vars] + [0] * len(model.selectors)
+        sizes = [domain_size(v.domain) for v in model.vars] + [s.list_len for s in model.selectors]
         # the tables a dedicated propagator ORs are those of meta.selectors
         # (one per selector); clues repeat the same few, so each is joined once
         ties = {*model.alldiff_groups, *(t for m in self.meta for _, t in m.selectors)}
-        self.base = _bases(lows, ties, len(model.selectors))
-        self.declared = [self.mask(i, values) for i, values in enumerate(declared)]
+        self.base = _bases(lows, ties)
+        # so each declared mask is a run of bits, built without its values
+        self.declared = [((1 << n) - 1) << (lo - b) for n, lo, b in zip(sizes, lows, self.base)]
         # no literal shifts a mask by this much or more
         self.width = max(m.bit_length() for m in self.declared)
         # (function, arguments) per work-list item; unbound, so that a model
@@ -760,22 +755,10 @@ class _Search:
             rs = self._aset(expr.right, doms, pin_id, pin_val)
             return _cmp_sets(expr.op, ls, rs)
         if isinstance(expr, CBool):
+            pairs = [self._abool(p, doms, pin_id, pin_val) for p in expr.parts]
             if expr.op == "and":
-                can_true, can_false = True, False
-                for p in expr.parts:
-                    t, f = self._abool(p, doms, pin_id, pin_val)
-                    can_true = can_true and t
-                    can_false = can_false or f
-            else:
-                can_true, can_false = False, True
-                for p in expr.parts:
-                    t, f = self._abool(p, doms, pin_id, pin_val)
-                    can_true = can_true or t
-                    can_false = can_false and f
-            return can_true, can_false
-        if isinstance(expr, CNot):
-            t, f = self._abool(expr.arg, doms, pin_id, pin_val)
-            return f, t
+                return all(t for t, _ in pairs), any(f for _, f in pairs)
+            return any(t for t, _ in pairs), all(f for _, f in pairs)
         raise InternalError(f"non-boolean constraint root: {expr!r}")
 
     # -- propagation --------------------------------------------------------

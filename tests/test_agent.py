@@ -18,7 +18,7 @@ from logicforge.agent import pipeline
 from logicforge.agent.llm import RecordingFormalizer, TranscriptWriter
 from logicforge.bench.puzzle import LEFT_OF, Clue
 from logicforge.bench.render import OracleFormalizer, render_dsl
-from logicforge.errors import FormatError, ShapeError
+from logicforge.errors import FormatError, LogicForgeError, ShapeError
 from logicforge.frontend import check, parse
 from logicforge.frontend.parser import SourceText
 from logicforge.model import lower
@@ -196,6 +196,12 @@ class TestPipeline:
     def test_empty_puzzle_text_rejected(self):
         with pytest.raises(ValueError):
             run_pipeline("  ", ZEBRA_FORMAT, BrokenFormalizer())
+
+    @pytest.mark.parametrize("max_attempts", [0, -1])
+    def test_fewer_than_one_attempt_is_rejected(self, max_attempts):
+        # no attempt would run, and the result would read as a syntax failure
+        with pytest.raises(LogicForgeError, match="max_attempts"):
+            PipelineConfig(max_attempts=max_attempts)
 
 
 class TestFormatOutput:

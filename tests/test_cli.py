@@ -155,6 +155,14 @@ class TestGenAndBench:
     def test_bench_requires_exactly_one_source(self, capsys):
         assert main(["bench"]) == 2
 
+    def test_bench_rejects_fewer_than_one_attempt(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"seed": 4, "shapes": [{"size": "2x3", "count": 2}]}))
+        assert main(["bench", "--gen-spec", str(spec_path), "--max-attempts", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "max_attempts" in captured.err
+        assert captured.out == ""
+
     def test_missing_dataset_fails_before_any_output(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         rc = main(

@@ -1,16 +1,21 @@
 """Lowering, assert-to-assume rewriting, model validation, and decoding."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logicforge.errors import DecodeError
+from logicforge.agent import check_solution
+from logicforge.errors import CapExceeded, DecodeError, InternalError, SemanticError
 from logicforge.frontend import check
 from logicforge.frontend.ast import Assert, Assign, Assume, Compare, IntLit, LocalRef
 from logicforge.model import (
+    CBool,
     CCmp,
     CElem,
     CLit,
+    CVar,
     decode,
     dump_model,
     encode,
@@ -19,6 +24,7 @@ from logicforge.model import (
     validate_model,
 )
 from logicforge.model.constraints import IntRange
+from logicforge.solver import brute_force
 
 from conftest import compile_source
 from strategies import programs
@@ -95,6 +101,60 @@ class TestLower:
         _, model = compile_source(src)
         validate_model(model)
         assert len(model.alldiff_groups[0]) == 3
+
+
+_FORM_SOURCE = (
+    'class C:\n    a: Domain[int, range(0, 3)]\n    b: Domain[int, range(0, 3)]\n'
+    '    c: Domain[str, "p", "q"]\n'
+    "def v(x: C) -> None:\n"
+)
+
+
+class TestComparisonForm:
+    """Every condition lowers to ``and``/``or`` over ``==``, ``!=``, ``<`` and
+    ``<=``, with a lone literal of ``==`` and ``!=`` on the right."""
+
+    @pytest.mark.parametrize(
+        "written,lowered",
+        [
+            ("x.a > x.b", "(< v1 v0)"),
+            ("x.a >= 2", "(<= 2 v0)"),
+            ("2 < x.a", "(< 2 v0)"),
+            ("2 == x.a", "(== v0 2)"),
+            ("2 != x.a + 1", "(!= (+ v0 1) 2)"),
+            ("1 == 1", "(== 1 1)"),
+            ("not x.a < x.b", "(<= v1 v0)"),
+            ("not x.a <= 2", "(< 2 v0)"),
+            ("not x.a > x.b", "(<= v0 v1)"),
+            ("not x.a >= 2", "(< v0 2)"),
+            ("not not x.a == 1", "(== v0 1)"),
+            ('not x.c != "q"', "(== v2 1)"),
+            ('not "q" == x.c', "(!= v2 1)"),
+            ("not (x.a == 1 and x.b != 2)", "(or (!= v0 1) (== v1 2))"),
+            ("not (x.a > 1 or not x.b >= 1)", "(and (<= v0 1) (<= 1 v1))"),
+        ],
+    )
+    def test_condition_lowers_to_one_form(self, written, lowered):
+        _, model = compile_source(_FORM_SOURCE + f"    assume({written})\n")
+        assert dump_model(model).splitlines()[-1] == "constraint " + lowered
+
+    def test_not_on_a_bound_local_negates_its_expression(self):
+        _, model = compile_source(
+            _FORM_SOURCE
+            + "    p = x.a < x.b\n    assume(not p)\n"
+            + '    q = not (p or x.c == "p")\n    assert not q\n'
+        )
+        assert dump_model(model).splitlines()[-2:] == [
+            "constraint (<= v1 v0)",
+            "constraint (or (< v0 v1) (== v2 0))",
+        ]
+
+    @pytest.mark.parametrize("op", [">", ">=", "<>"])
+    def test_validation_rejects_other_operators(self, op):
+        _, model = compile_source(MINIMAL_SOURCE)
+        model.constraints = [CBool("or", (CCmp(op, CVar(0), CLit(1)),))]
+        with pytest.raises(InternalError, match="comparison operator"):
+            validate_model(model)
 
 
 class TestRewrite:
@@ -243,3 +303,26 @@ class TestFuzzLowering:
             if isinstance(stmt, Assign) and type(stmt.value).__name__ == "Nondet"
         )
         assert len(model.selectors) == n_nondet
+
+    @settings(max_examples=60, deadline=None)
+    @given(programs(max_entities=3, max_fields=2, max_domain=3))
+    def test_the_model_holds_what_the_source_accepts(self, program):
+        # the source interpreter reads the program as written, the oracle
+        # reads the lowered model: over every table the domains and groups
+        # allow, they accept the same ones. Rows stay in slot order, since a
+        # program may index them.
+        try:
+            checked = check(program)
+        except SemanticError:
+            return
+        model = lower(checked)
+        slots = dataclasses.replace(model.layout, position_field=None)
+        held_model = dataclasses.replace(model, layout=slots)
+        try:
+            tables = brute_force(dataclasses.replace(held_model, constraints=[]), cap=20_000)
+            held = {tuple(sorted(a.items())) for a in brute_force(held_model, cap=20_000)}
+        except CapExceeded:
+            return
+        for assignment in tables:
+            table = decode(held_model, assignment)
+            assert check_solution(checked, table) == (tuple(sorted(assignment.items())) in held)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -18,7 +19,7 @@ from logicforge.bench.render import render_dsl
 from logicforge.errors import BudgetExceeded, CapExceeded, SemanticError
 from logicforge.frontend import check
 from logicforge.frontend.ast import IntRange
-from logicforge.model import decode, lower, validate_model
+from logicforge.model import decode, dump_model, lower, validate_model
 from logicforge.model.constraints import (
     CAbs,
     CBin,
@@ -567,6 +568,59 @@ class TestDedicatedPropagators:
             assert propagate_domains(wide, {0: evens, 1: evens}) is not None
 
 
+# Each rendered clue line, rewritten into another spelling with the same
+# meaning (Akgün, Gent, Jefferson, Miguel and Nightingale, "Metamorphic testing
+# of constraint solvers", CP 2018), as an LLM might write it.
+_REWRITES = (
+    (re.compile(r'assume\((\S+) == ("[^"]*")\)$'), r"assume(not (\2 != \1))"),
+    (re.compile(r'assert (\S+) == ("[^"]*")$'), r"assert not (\1 != \2)"),
+    (re.compile(r"assert (\S+) == (\d+)$"), r"assert \2 == \1"),
+    (re.compile(r"assert (\S+) != (\d+)$"), r"assert not (\1 == \2)"),
+    (re.compile(r"assert (\S+) < (\S+)$"), r"assert \2 > \1"),
+    (re.compile(r"assert (\S+) == (\S+ - 1)$"), r"assert not (\1 != \2)"),
+    (re.compile(r"assert (abs\(.*\)) == 1$"), r"assert not (1 != \1)"),
+)
+
+
+def _rewritten(text: str) -> str:
+    """``text`` with every assume and assert line of a rendered puzzle
+    rewritten by the first of ``_REWRITES`` that matches it."""
+    lines = []
+    for line in text.splitlines():
+        indent, stmt = line[: len(line) - len(line.lstrip())], line.strip()
+        if stmt.startswith(("assume", "assert")):
+            pattern, replacement = next((p, r) for p, r in _REWRITES if p.match(stmt))
+            stmt = pattern.sub(replacement, stmt)
+        lines.append(indent + stmt)
+    return "\n".join(lines) + "\n"
+
+
+class TestMetamorphicRewrites:
+    """A clue written with ``not``, ``>`` or a literal on the left lowers to
+    the model of the clue as the generator writes it, so it reaches the same
+    dedicated propagators and searches alike."""
+
+    @pytest.mark.parametrize("seed,n,f", [(1, 4, 4), (2, 4, 4), (3, 5, 5), (4, 5, 5), (5, 6, 6)])
+    def test_generated_puzzles(self, seed, n, f):
+        text = render_dsl(generate_puzzle(seed, n, f)).text
+        model, model_rewritten = _model(text), _model(_rewritten(text))
+        assert dump_model(model_rewritten) == dump_model(model)
+        assert not any(_is_generic(model_rewritten))
+        first, second = solve(model), solve(model_rewritten)
+        assert first.assignment == second.assignment
+        assert (first.stats.decisions, first.stats.propagations) == (
+            second.stats.decisions,
+            second.stats.propagations,
+        )
+        report = find_second(model, first.assignment)
+        report_rewritten = find_second(model_rewritten, second.assignment)
+        assert not report.ambiguous and not report_rewritten.ambiguous
+        assert (report.stats.decisions, report.stats.propagations) == (
+            report_rewritten.stats.decisions,
+            report_rewritten.stats.propagations,
+        )
+
+
 class TestMaskBases:
     """A domain mask starts at its variable's lowest declared value, so its
     width follows the domain's size, not the size of its values."""
@@ -1095,6 +1149,18 @@ class TestWideDomains:
         if n < 10**5 or outcome is not None:  # the widest may run out of time
             assert outcome is not None and outcome.is_sat
             assert 1 in [outcome.assignment[v.id] for v in model.vars]
+
+    def test_a_wide_domain_compiles_without_listing_its_values(self, zebra_model):
+        # compilation runs before any budget starts, so it must not grow
+        # with the number of values: each declared mask is one run of bits
+        model = _model(_wide_program(10**6))
+        start = time.perf_counter()
+        compiled = engine.CompiledModel(model)
+        assert time.perf_counter() - start < self.SLACK
+        assert compiled.declared == [(1 << 10**6) - 1] * 3 + [0b111]
+        for model in (zebra_model, _model(_wide_program(1000))):
+            compiled = engine.CompiledModel(model)
+            assert compiled.declared == [compiled.mask(i, model.domain_of(i)) for i in range(model.n_ids)]
 
     @settings(max_examples=300, deadline=None)
     @given(
