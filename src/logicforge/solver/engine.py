@@ -4,9 +4,14 @@ There is one search, depth-first over explicit domains with
 minimum-remaining-values variable order (ties to the lowest id) and ascending
 value order; selector variables are branched only after every regular
 variable is fixed, only if some constraint references them, and only until
-they complete a solution. ``solve`` takes its first solution. This makes
-outcomes and decision counts fully deterministic, and a model with extra
-unreferenced selectors searches exactly like the same model without them.
+they complete a solution. When rows are interchangeable under the
+constraints that are on and carry a unique position field, the search also
+orders consecutive rows by position (a lexicographic symmetry-breaking
+constraint; Crawford, Ginsberg, Luks and Roy, KR 1996), so each solution
+table is met once rather than once per row permutation. ``solve`` takes its
+first solution. This makes outcomes and decision counts fully deterministic,
+and a model with extra unreferenced selectors searches exactly like the same
+model without them.
 
 Each domain is one int bit mask: bit ``i`` is the value ``base + i``. A
 selector's base is 0, so its bits are its values. A variable's base is the
@@ -88,16 +93,17 @@ over a wide group can outrun the budget by more than that.
 
 The fixpoint of a root is unique (every propagator only narrows, and
 removes at least as much from a narrower state), so it does not depend on
-the order the items run in, nor does its removal count. The compiled model caches the fixpoint of the groups and the
-row order on the declared domains, with its removal count and inert items,
-and an ordered search (``find_second``'s) starts from a copy of it, where
-only the active constraints are stale. A root that fails from there is
-propagated again from the declared domains, so that the count stops where a
-full pass fails.
+the order the items run in, nor does its removal count. The compiled model
+caches the fixpoint of the groups and the row order on the declared domains,
+with its removal count and inert items, and every search that orders rows
+starts from a copy of it, where only the active constraints are stale. The
+first such search computes it under its own deadline, and nothing is cached
+when that deadline passes. A root that fails from there is propagated again
+from the declared domains, so that the count stops where a full pass fails.
 
 The singleton tests of the generic evaluator re-walk the constraint tree once
 per tested value. When the model is compiled, each constraint whose shape the
-lowering or the row order of ``find_second`` emits gets a dedicated
+lowering or the row order emits gets a dedicated
 propagator instead (E is ``elem(selector, table)``, L a literal, V a
 variable):
 
@@ -120,12 +126,12 @@ belonging to a satisfying assignment is removed.
 
 Uniqueness (``find_second``) is one depth-first search under one deadline: the
 search of ``solve`` continued past each solution over the regular variables,
-until a solution decodes to a table other than the first one. When rows are
-interchangeable under the constraints that are on and carry a unique position
-field, the search also orders consecutive rows by position (a lexicographic
-symmetry-breaking constraint), so each table is met once rather than once per
-row permutation. The row-order propagators are compiled by the first search
-that needs them, so a plain ``solve`` builds none.
+until a solution decodes to a table other than the first one. ``solve``
+leaves its search suspended on the compiled model after its first solution,
+and a ``find_second`` over the same constraints and that first solution
+resumes it under its own budget rather than walk the same path again from
+the root. A search holds no reference to its model, so the model and the
+search it keeps form no reference cycle.
 """
 
 from __future__ import annotations
@@ -301,16 +307,21 @@ _BYTE_BITS = tuple(tuple(i for i in range(8) if byte >> i & 1) for byte in range
 
 def _bits(mask: int):
     """Positions of the set bits of ``mask``, ascending. One table serves
-    each byte, so nothing grows with the masks seen."""
+    each byte, so nothing grows with the masks seen, and the mask is split
+    into bytes once, so a call is linear in its width."""
     if mask < 256:
         return _BYTE_BITS[mask]
     out: list[int] = []
-    base = 0
-    while mask:
-        out += [base + i for i in _BYTE_BITS[mask & 255]]
-        mask >>= 8
-        base += 8
+    for k, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
+        if byte:
+            base = 8 * k
+            out += [base + i for i in _BYTE_BITS[byte]]
     return out
+
+
+def _values(base: int, mask: int) -> list[int]:
+    """The values of a mask whose bit ``i`` is the value ``base + i``, ascending."""
+    return [base + i for i in _bits(mask)]
 
 
 class Contradiction(Exception):
@@ -457,8 +468,9 @@ def _never(xs: int, ys: int) -> bool:
 class CompiledModel:
     """What the solver builds once per model, for any number of searches over
     any subsets of its constraints: each constraint's meta and propagator,
-    the watch lists, mask bases, declared masks and width, and, from the
-    first search that orders rows, the row-order propagators.
+    the row-order propagators, the watch lists, mask bases, declared masks
+    and width. It also keeps the ordered root (``ordered_root``) and the
+    search ``solve`` left suspended (``suspended``).
 
     The work list holds the all-different groups first, then one item per
     constraint in model order, then the row order."""
@@ -499,8 +511,20 @@ class CompiledModel:
         # constraints that tie a row to its slot keep the row order off
         self.row_tied = model.row_tied(m.bare_vars for m in self.meta)
         self.position_vars = model.position_vars()
-        self._row_order: int | None = None
+        # the row order, pos[i] < pos[i+1] over consecutive rows: the mask
+        # of its items, which a search runs where ``orders_rows`` holds
+        start = len(self.propagators)
+        pos = self.position_vars or []
+        for a, b in zip(pos, pos[1:]):
+            meta = _constraint_meta(CCmp("<", CVar(a), CVar(b)))
+            self.meta.append(meta)
+            self._add(self._propagator(meta), meta.watched)
+        self.row_order = (1 << len(self.propagators)) - (1 << start)
         self._ordered_root: tuple[list[int] | None, int, int] | None = None
+        # the active constraints of the view ``solve`` last found a solution
+        # over -> (that solution, its search, the search's solution iterator);
+        # one entry at most, taken by ``find_second`` with an atomic pop
+        self.suspended: dict[tuple[int, ...], tuple] = {}
         self._first: dict[int, int] | None = None
         self._first_key: tuple = ()
 
@@ -530,32 +554,22 @@ class CompiledModel:
         table exactly one encoding."""
         return self.position_vars is not None and self.row_tied.isdisjoint(active)
 
-    def row_order(self) -> int:
-        """The mask of the work-list items of ``pos[i] < pos[i+1]`` over
-        consecutive rows, built by the first search that orders rows."""
-        if self._row_order is None:
-            start = len(self.propagators)
-            pos = self.position_vars
-            for a, b in zip(pos, pos[1:]):
-                meta = _constraint_meta(CCmp("<", CVar(a), CVar(b)))
-                self.meta.append(meta)
-                self._add(self._propagator(meta), meta.watched)
-            self._row_order = (1 << len(self.propagators)) - (1 << start)
-        return self._row_order
-
-    def ordered_root(self) -> tuple[list[int] | None, int, int]:
+    def ordered_root(self, search: "_Search") -> tuple[list[int] | None, int, int]:
         """The fixpoint of the all-different groups and the row order on the
         declared domains, computed once: (its masks, the values it removed,
         its inert items), with None for masks when it fails. Every ordered
-        search runs these items, so it can start from here."""
+        search runs these items, so it can start from here. It is computed
+        under the clock of ``search``, the first search that asks, and a
+        ``BudgetExceeded`` caches nothing."""
         if self._ordered_root is None:
-            search = _Search(self.view(()), Budget(), ordered=True)
+            root = _Search(self.view(()), search.budget)
+            root.start, root.deadline = search.start, search.deadline
             doms = self.initial_state()
-            inert = search.propagate(doms, search.off, search.on)
+            inert = root.propagate(doms, root.off, root.on)
             if inert is None:
                 self._ordered_root = None, 0, 0
             else:
-                self._ordered_root = doms, search.stats.propagations, inert ^ search.off
+                self._ordered_root = doms, root.stats.propagations, inert ^ root.off
         return self._ordered_root
 
     def table_key(self, assignment: dict[int, int]) -> tuple:
@@ -577,8 +591,7 @@ class CompiledModel:
 
     def values(self, ident: int, mask: int) -> list[int]:
         """The values of a mask of ``ident``, ascending."""
-        base = self.base[ident]
-        return [base + i for i in _bits(mask)]
+        return _values(self.base[ident], mask)
 
     def initial_state(self) -> list[int]:
         return list(self.declared)
@@ -677,14 +690,16 @@ def _view(model: ConstraintModel | ModelView) -> ModelView:
 
 class _Search:
     """One search over a view: its budget, clock, counters and trace, and
-    the work-list items that are on. Each search state carries a mask of
-    inert items, which are never scheduled: the items that are off, and
-    those whose domains entail them (Schulte and Stuckey's subsumed
-    propagators), which would change nothing in the state's subtree."""
+    the work-list items that are on, the row order among them where
+    ``orders_rows`` holds. Each search state carries a mask of inert items,
+    which are never scheduled: the items that are off, and those whose
+    domains entail them (Schulte and Stuckey's subsumed propagators), which
+    would change nothing in the state's subtree. The search keeps the
+    compiled model's lists, not the model, so that a model can keep a
+    suspended search without a reference cycle."""
 
-    def __init__(self, view: ModelView, budget: Budget, trace=None, ordered: bool = False):
-        compiled = self.compiled = view.compiled
-        self.view = view
+    def __init__(self, view: ModelView, budget: Budget, trace=None):
+        compiled = view.compiled
         self.budget = budget
         self.trace = trace
         self.stats = SolveStats()
@@ -696,9 +711,9 @@ class _Search:
         for i in view.active:
             self.constraints |= 1 << (groups + i)
         self.on = self.constraints | ((1 << groups) - 1)
-        self.ordered = ordered and compiled.orders_rows(view.active)
+        self.ordered = compiled.orders_rows(view.active)
         if self.ordered:
-            self.on |= compiled.row_order()
+            self.on |= compiled.row_order
         self.propagators = compiled.propagators
         self.watchers = compiled.watchers
         self.off = ((1 << len(self.propagators)) - 1) ^ self.on
@@ -726,7 +741,7 @@ class _Search:
         if isinstance(expr, CVar):
             if expr.var == pin_id:
                 return {pin_val}
-            return set(self.compiled.values(expr.var, doms[expr.var]))
+            return set(_values(self.base[expr.var], doms[expr.var]))
         if isinstance(expr, CElem):
             if expr.selector == pin_id:
                 choices = [pin_val]
@@ -738,7 +753,7 @@ class _Search:
                 if v == pin_id:
                     out.add(pin_val)
                 else:
-                    out.update(self.compiled.values(v, doms[v]))
+                    out.update(_values(self.base[v], doms[v]))
             return out
         if isinstance(expr, CBin):
             return _apply_bin(
@@ -815,7 +830,7 @@ class _Search:
         except Contradiction:
             return None
 
-    def root(self) -> tuple[list[int], int] | None:
+    def root(self, compiled: CompiledModel) -> tuple[list[int], int] | None:
         """The root state, propagated, and its inert mask; None when it
         fails. An ordered search starts from the model's cached fixpoint of
         the groups and the row order, where only the active constraints are
@@ -823,7 +838,7 @@ class _Search:
         reaches, with the same removals counted; where it fails, the full
         pass runs instead, so that the count stops where the full pass fails."""
         if self.ordered:
-            cached, removed, entailed = self.compiled.ordered_root()
+            cached, removed, entailed = compiled.ordered_root(self)
             if cached is not None:
                 doms = list(cached)
                 before = self.stats.propagations
@@ -832,7 +847,7 @@ class _Search:
                     self.stats.propagations += removed
                     return doms, inert
                 self.stats.propagations = before
-        doms = self.compiled.initial_state()
+        doms = compiled.initial_state()
         inert = self.propagate(doms, self.off, self.on)
         return None if inert is None else (doms, inert)
 
@@ -1049,8 +1064,8 @@ class _Search:
     def _propagate_less_vars(
         self, doms: list[int], dirty: set[int], a: int, b: int, d: int
     ) -> bool:
-        """V_a < V_b over two distinct vars: the row order of find_second;
-        d is base(b) - base(a). Once the check holds, min(a) < max(b) survive
+        """V_a < V_b over two distinct vars: the row order; d is
+        base(b) - base(a). Once the check holds, min(a) < max(b) survive
         both prunings, so each var's removals do not depend on the other's,
         nor on their order."""
         xs, ys = doms[a], doms[b]
@@ -1132,6 +1147,20 @@ class _Search:
             if self.trace:
                 self.trace(f"backtrack {ident}={base + i}")
 
+    def from_root(self, compiled: CompiledModel) -> Iterator[list[int]]:
+        """Propagate the root (under ``clock``) and return the solutions
+        below it, none where it fails. The iterator holds no reference to
+        ``compiled``."""
+        root = self.root(compiled)
+        return self.solutions(*root) if root else iter(())
+
+    def resume(self, budget: Budget) -> None:
+        """Go on as a new search would: under ``budget``, with counters from
+        zero and no trace. ``clock`` starts the budget."""
+        self.budget = budget
+        self.stats = SolveStats()
+        self.trace = None
+
     @contextmanager
     def clock(self):
         """Start the time budget; record the elapsed time on exit."""
@@ -1142,36 +1171,40 @@ class _Search:
         finally:
             self.stats.elapsed = time.perf_counter() - self.start
 
-    def run(self) -> SolveOutcome:
-        with self.clock():
-            root = self.root()
-            solution = next(self.solutions(*root), None) if root else None
-        if solution is None:
-            return SolveOutcome(Status.UNSAT, None, self.stats)
-        assignment = dict(enumerate(solution))
-        if not self.view.verify(assignment):
-            raise InternalError("solver returned an assignment that fails verification")
-        return SolveOutcome(Status.SAT, assignment, self.stats)
-
 
 def solve(
     model: ConstraintModel | ModelView, budget: Budget | None = None, trace=None
 ) -> SolveOutcome:
     """Find a first satisfying assignment, or prove Unsat by complete search.
 
+    Where the rows are interchangeable (``orders_rows``), the search orders
+    them by position, so each table has one encoding. After a solution, the
+    search stays suspended on the compiled model for ``find_second``.
+
     Raises BudgetExceeded when the decision or time budget runs out: the
     caller must treat that as "unknown", never as Unsat.
     """
-    return _Search(_view(model), budget or Budget(), trace).run()
+    view = _view(model)
+    search = _Search(view, budget or Budget(), trace)
+    with search.clock():
+        found = search.from_root(view.compiled)
+        solution = next(found, None)
+    if solution is None:
+        return SolveOutcome(Status.UNSAT, None, search.stats)
+    assignment = dict(enumerate(solution))
+    if not view.verify(assignment):
+        raise InternalError("solver returned an assignment that fails verification")
+    view.compiled.suspended = {view.active: (dict(assignment), search, found)}
+    return SolveOutcome(Status.SAT, assignment, search.stats)
 
 
 def propagate_domains(
     model: ConstraintModel, domains: dict[int, list[int]] | None = None
 ) -> dict[int, list[int]] | None:
-    """Run propagation alone (no search) from the declared domains, narrowed
-    to ``domains`` where given, and return the pruned domains, or None on
-    contradiction. A given value outside the declared domain is ignored.
-    Intended for tests and debugging."""
+    """Run propagation alone (no search, so no row order) from the declared
+    domains, narrowed to ``domains`` where given, and return the pruned
+    domains, or None on contradiction. A given value outside the declared
+    domain is ignored. Intended for tests and debugging."""
     view = _view(model)
     compiled = view.compiled
     doms = compiled.initial_state()
@@ -1181,7 +1214,7 @@ def propagate_domains(
     if not all(doms):
         return None
     search = _Search(view, Budget())
-    if search.propagate(doms, search.off, search.on) is None:
+    if search.propagate(doms, search.off | compiled.row_order, search.on) is None:
         return None
     return {i: compiled.values(i, d) for i, d in enumerate(doms)}
 
@@ -1201,21 +1234,28 @@ def find_second(
     active constraints until one decodes to a table other than ``first``'s.
     When the rows are interchangeable under them (``orders_rows``), the
     search also orders the rows by position, so each table is met once.
-    Raises BudgetExceeded when the budget runs out first.
+    Where ``solve`` left its search suspended over the same constraints with
+    ``first`` as its solution, the search resumes there rather than walk
+    that path again; the report counts only the part it ran. Raises
+    BudgetExceeded when the budget runs out first.
     """
     view = _view(model)
     compiled = view.compiled
     first_key = compiled.table_key(first)
-    solver = _Search(view, budget or Budget(), ordered=True)
+    budget = budget or Budget()
+    suspended = compiled.suspended.pop(view.active, None)
+    if suspended is not None and suspended[0] == first:
+        _, search, found = suspended
+        search.resume(budget)
+    else:
+        search, found = _Search(view, budget), None
     second = None
-    with solver.clock():
-        root = solver.root()
-        if root:
-            for solution in solver.solutions(*root):
-                assignment = dict(enumerate(solution))
-                if decode(compiled.model, assignment).key() != first_key:
-                    second = assignment
-                    break
+    with search.clock():
+        for solution in found or search.from_root(compiled):
+            assignment = dict(enumerate(solution))
+            if decode(compiled.model, assignment).key() != first_key:
+                second = assignment
+                break
     if second is not None and not view.verify(second):
         raise InternalError("uniqueness search returned an assignment that fails verification")
-    return AmbiguityReport(first, second, solver.stats)
+    return AmbiguityReport(first, second, search.stats)

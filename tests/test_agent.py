@@ -105,26 +105,36 @@ class TestPipeline:
         assert all(stage == "ambiguity" for stage, _ in result.log)
 
     def test_ambiguity_search_gets_what_solve_left_of_the_budget(self, zebra_instance):
-        model = lower(check(parse(render_dsl(zebra_instance))))
-        outcome = solve(model)
-        spent = outcome.stats.decisions
-        needed = find_second(model, outcome.assignment).stats.decisions
-        assert needed > 1
+        # dropping the "fantasy in house 2" pin admits a second table, which
+        # the ambiguity search, resuming solve's, finds after decisions of its own
+        clues = tuple(c for i, c in enumerate(zebra_instance.clues) if i != 1)
+        loose = dataclasses.replace(zebra_instance, clues=clues)
+        view = engine.compile_model(lower(check(parse(render_dsl(loose)))))
+        outcome = solve(view)
+        report = find_second(view, outcome.assignment)
+        assert report.ambiguous
+        spent, needed = outcome.stats.decisions, report.stats.decisions
+        assert (spent, needed) == (2, 3)
 
-        def run(max_decisions: int):
+        def run(instance, max_decisions: int):
             config = PipelineConfig(
                 max_attempts=1, budget=Budget(max_decisions=max_decisions), ambiguity_check=True
             )
-            return run_pipeline(zebra_instance.text, ZEBRA_FORMAT, OracleFormalizer(zebra_instance), config)
+            result = run_pipeline(instance.text, ZEBRA_FORMAT, OracleFormalizer(instance), config)
+            return result.status, [stage for stage, _ in result.log]
 
-        result = run(spent + 1)
-        assert result.status is PipelineStatus.FAILED_BUDGET
-        assert [stage for stage, _ in result.log] == ["ambiguity"]
-        assert run(spent + needed).status is PipelineStatus.SOLVED
+        # the budget runs out after the first solution: in the ambiguity search
+        assert run(loose, spent + needed - 1) == (PipelineStatus.FAILED_BUDGET, ["ambiguity"])
+        assert run(loose, spent + needed) == (PipelineStatus.FAILED_AMBIGUOUS, ["ambiguity"])
+        # the unique puzzle's first solution ends its search: solve's
+        # decisions are the whole budget it needs, and one fewer fails in solve
+        spent = solve(lower(check(parse(render_dsl(zebra_instance))))).stats.decisions
+        assert run(zebra_instance, spent) == (PipelineStatus.SOLVED, ["solved"])
+        assert run(zebra_instance, spent - 1) == (PipelineStatus.FAILED_BUDGET, ["solve"])
 
     def test_one_solver_build_per_attempt(self, zebra_instance, monkeypatch):
         # an ambiguous program, then the correct one: each attempt runs solve
-        # and find_second over one compiled model
+        # and find_second over one compiled model, one search
         clues = tuple(c for i, c in enumerate(zebra_instance.clues) if i != 1)
         loose = dataclasses.replace(zebra_instance, clues=clues)
         sources = []
@@ -137,11 +147,20 @@ class TestPipeline:
             return (outcome.assignment, outcome.stats.decisions, outcome.stats.propagations,
                     report.second, report.stats.decisions, report.stats.propagations)
 
-        expected = []  # each call compiling its own model
+        # each call compiling its own model: find_second then searches from
+        # the root, and the pipeline's resumes solve's search, so it counts
+        # the difference
+        expected = []
         for ds, cs in sources:
             model = lower(check(parse(SourceText(ds.text + "\n" + cs.text, "<test>"))))
             outcome = solve(model)
-            expected.append(counters(outcome, find_second(model, outcome.assignment)))
+            report = find_second(model, outcome.assignment)
+            resumed = dataclasses.replace(
+                report.stats,
+                decisions=report.stats.decisions - outcome.stats.decisions,
+                propagations=report.stats.propagations - outcome.stats.propagations,
+            )
+            expected.append(counters(outcome, dataclasses.replace(report, stats=resumed)))
 
         builds, searches = [], []
         original_init = engine.CompiledModel.__init__

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from logicforge.bench import GenSpec, generate_tasks, render_dsl, save_dataset
+from logicforge.bench.puzzle import generate_puzzle
 from logicforge.cli import main
 
 from conftest import DATA_DIR
@@ -67,11 +68,14 @@ class TestCheckAmbiguity:
         assert main(["check-ambiguity", str(path)]) == 2
         assert "ambiguous" in capsys.readouterr().out
 
-    def test_find_second_gets_what_solve_left_of_the_budget(self, capsys):
-        # solve takes 6 decisions and find_second 3: one budget of 8 runs out
-        assert main(["check-ambiguity", ZEBRA, "--max-decisions", "8"]) == 2
+    def test_find_second_gets_what_solve_left_of_the_budget(self, tmp_path, capsys):
+        # solve takes 3 decisions and find_second, resuming its search, 4
+        # more: one budget of 6 runs out
+        path = tmp_path / "puzzle.lpy"
+        path.write_text(render_dsl(generate_puzzle(3, 4, 4)).text, encoding="utf-8")
+        assert main(["check-ambiguity", str(path), "--max-decisions", "6"]) == 2
         assert "decision budget exhausted" in capsys.readouterr().err
-        assert main(["check-ambiguity", ZEBRA, "--max-decisions", "9"]) == 0
+        assert main(["check-ambiguity", str(path), "--max-decisions", "7"]) == 0
         assert "unique" in capsys.readouterr().out
 
 

@@ -1,10 +1,12 @@
 """Solver: propagation behaviour, search outcomes, ambiguity, brute force."""
 
 import dataclasses
+import gc
 import random
 import re
 import sys
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -196,8 +198,11 @@ class TestSolve:
         assert a.stats.propagations == b.stats.propagations
 
     def test_budget_exceeded_is_distinct_from_unsat(self):
+        # the row order pins a lone unique field at the root, so a second
+        # one keeps the search from ending in one decision
         src = (
             "class E:\n    f: Unique[Domain[int, range(0, 6)]]\n"
+            "    g: Unique[Domain[int, range(0, 6)]]\n"
             "class S:\n    items: list[E, 6]\n"
             "def v(s: S) -> None:\n" + TAUTOLOGY
         )
@@ -290,7 +295,7 @@ class TestFindSecond:
         model = _model(text + "    unused = nondet(solution.houses)\n")
         assert len(model.selectors) == len(_model(text).selectors) + 1
         outcome = solve(model)
-        assert outcome.stats.decisions == 6
+        assert outcome.stats.decisions == 3
         report = find_second(model, outcome.assignment)
         assert not report.ambiguous
         assert report.stats.decisions == 3
@@ -393,10 +398,9 @@ class TestOracleAgreement:
 # --- dedicated propagators -----------------------------------------------------
 
 
-def _outcome(solver, propagator, doms):
+def _outcome(compiled, solver, propagator, doms):
     """Domains, dirty ids and propagation count after one propagator call,
     or the propagation count at which it raised Contradiction."""
-    compiled = solver.compiled
     masks = [compiled.mask(i, d) for i, d in enumerate(doms)]
     dirty: set[int] = set()
     before = solver.stats.propagations
@@ -437,13 +441,16 @@ def assert_matches_generic(model, rng: random.Random, trials: int = 8) -> int:
         dedicated += propagator[0] is not engine._Search._propagate_generic
         for _ in range(trials):
             doms = _sub_domains(compiled, rng)
-            assert _outcome(solver, propagator, doms) == _outcome(solver, generic, doms), meta.expr
+            assert _outcome(compiled, solver, propagator, doms) == _outcome(
+                compiled, solver, generic, doms
+            ), meta.expr
     return dedicated
 
 
 def _is_generic(model: ConstraintModel) -> list[bool]:
+    """Per lowered constraint, whether the generic evaluator serves it."""
     compiled = engine.CompiledModel(model)
-    constraint_propagators = compiled.propagators[compiled.n_groups :]
+    constraint_propagators = compiled.propagators[compiled.n_groups :][: len(model.constraints)]
     return [function is engine._Search._propagate_generic for function, _ in constraint_propagators]
 
 
@@ -489,11 +496,10 @@ class TestDedicatedPropagators:
         below_zero = text.replace(f"range(1, {n + 1})", f"range({-n}, 0)", 1)
         for source in (text, _off_by_one(text, n), below_zero):
             model = _model(source)
-            # the propagators find_second runs: every lowered constraint and
-            # each of the n - 1 row-order constraints has a dedicated one
+            # the propagators an ordered search runs: every lowered constraint
+            # and each of the n - 1 row-order constraints has a dedicated one
             compiled = engine.CompiledModel(model)
             assert compiled.orders_rows(tuple(range(len(model.constraints))))
-            compiled.row_order()
             assert len(compiled.meta) == len(model.constraints) + n - 1
             assert assert_matches_generic(compiled, rng) == len(compiled.meta)
 
@@ -764,10 +770,10 @@ def _ordered_roots(view) -> tuple[tuple, tuple]:
     from the model's cached fixpoint of the groups and the row order, and
     the root propagated in full from the declared domains: each as (domains
     or None where it fails, propagation count)."""
-    search = engine._Search(view, Budget(), ordered=True)
+    search = engine._Search(view, Budget())
     assert search.ordered
-    root = search.root()
-    full = engine._Search(view, Budget(), ordered=True)
+    root = search.root(view.compiled)
+    full = engine._Search(view, Budget())
     doms = view.compiled.initial_state()
     ok = full.propagate(doms, full.off, full.on) is not None
     return (root and root[0], search.stats.propagations), (doms if ok else None, full.stats.propagations)
@@ -828,8 +834,10 @@ class TestCachedOrderedRoot:
 
 
 class TestGoldenCounters:
-    """Decision and propagation counts of solve, as the generic-only solver
-    produced them, and of the uniqueness search in find_second."""
+    """Decision and propagation counts of solve (rows ordered by position)
+    and of the uniqueness search in find_second, each call compiling its own
+    model; a solver with every constraint on the generic propagator counts
+    the same."""
 
     @staticmethod
     def counters(model: ConstraintModel) -> tuple[int, int, int, int, bool]:
@@ -843,32 +851,166 @@ class TestGoldenCounters:
             report.ambiguous,
         )
 
+    def assert_counts(self, model: ConstraintModel, expected: tuple) -> None:
+        assert self.counters(model) == expected
+        generic = lambda compiled, meta: (engine._Search._propagate_generic, (meta,))  # noqa: E731
+        with mock.patch.object(engine.CompiledModel, "_propagator", generic):
+            assert self.counters(model) == expected
+
     @pytest.mark.parametrize(
         "name,expected",
-        [("zebra_4x4.lpy", (6, 104, 3, 110, False)), ("example_6house.lpy", (26, 126, 22, 142, True))],
+        [("zebra_4x4.lpy", (3, 110, 3, 110, False)), ("example_6house.lpy", (21, 141, 22, 142, True))],
     )
     def test_data_programs(self, name, expected):
         from conftest import DATA_DIR
 
-        model = _model((DATA_DIR / name).read_text(encoding="utf-8"))
-        assert self.counters(model) == expected
+        self.assert_counts(_model((DATA_DIR / name).read_text(encoding="utf-8")), expected)
 
     @pytest.mark.parametrize(
         "seed,n,f,off_by_one,expected",
         [
-            (1, 3, 3, False, (4, 48, 3, 54, False)),
-            (2, 3, 4, False, (4, 53, 2, 56, False)),
-            (3, 4, 4, False, (6, 145, 7, 229, False)),
-            (4, 4, 3, False, (6, 97, 21, 544, False)),
+            (1, 3, 3, False, (2, 51, 3, 54, False)),
+            (2, 3, 4, False, (2, 56, 2, 56, False)),
+            (3, 4, 4, False, (3, 151, 7, 229, False)),
+            (4, 4, 3, False, (3, 103, 21, 544, False)),
             # one more position than rows
-            (2, 3, 4, True, (5, 59, 4, 66, False)),
+            (2, 3, 4, True, (3, 58, 4, 66, False)),
         ],
     )
     def test_generated_puzzles(self, seed, n, f, off_by_one, expected):
         text = render_dsl(generate_puzzle(seed, n, f)).text
         if off_by_one:
             text = _off_by_one(text, n)
-        assert self.counters(_model(text)) == expected
+        self.assert_counts(_model(text), expected)
+
+
+def _resumed_against_fresh(model: ConstraintModel, active, budget: Budget | None = None):
+    """solve, then find_second, over one view of ``model`` with the
+    constraints at ``active`` on, checked against find_second over a fresh
+    compile of the same view: the resumed search gives the same verdict and
+    second assignment, and solve's counts plus its own are the fresh
+    search's. Returns solve's outcome and the resumed report, None where
+    solve finds no solution."""
+    view = engine.CompiledModel(model).view(active)
+    outcome = solve(view, budget)
+    if not outcome.is_sat:
+        assert not view.compiled.suspended
+        return outcome, None
+    assert list(view.compiled.suspended) == [view.active]
+    resumed = find_second(view, outcome.assignment, budget)
+    assert not view.compiled.suspended
+    fresh = find_second(engine.CompiledModel(model).view(active), outcome.assignment, budget)
+    assert (resumed.ambiguous, resumed.second) == (fresh.ambiguous, fresh.second)
+    assert (
+        outcome.stats.decisions + resumed.stats.decisions,
+        outcome.stats.propagations + resumed.stats.propagations,
+    ) == (fresh.stats.decisions, fresh.stats.propagations)
+    return outcome, resumed
+
+
+def _assert_agrees_with_brute_force(model: ConstraintModel, active, outcome, report) -> None:
+    """solve is SAT iff brute force finds an assignment of the constraints
+    at ``active``, its table is one brute force finds, and find_second calls
+    it ambiguous iff brute force finds two tables or more."""
+    cut = dataclasses.replace(model, constraints=[model.constraints[i] for i in active])
+    tables = {decode(cut, a).key() for a in brute_force(cut, cap=2_000_000)}
+    assert outcome.is_sat == bool(tables)
+    if outcome.is_sat:
+        assert decode(cut, outcome.assignment).key() in tables
+        assert report.ambiguous == (len(tables) >= 2)
+
+
+class TestResumedSearch:
+    """solve orders the rows like find_second and leaves its search
+    suspended on the compiled model; find_second over the same constraints
+    and that first solution resumes it. Both agree with brute force, and the
+    resumed search answers as a fresh one on a fresh compile, with solve's
+    counts and its own adding up to the fresh search's."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(programs(max_entities=3, max_fields=3, max_domain=4))
+    def test_hypothesis_models(self, program):
+        try:
+            checked = check(program)
+        except SemanticError:
+            return
+        model = lower(checked)
+        every = range(len(model.constraints))
+        for active in (every, every[::2]):
+            try:
+                outcome, report = _resumed_against_fresh(
+                    model, active, Budget(max_decisions=5_000, max_time=10.0)
+                )
+                _assert_agrees_with_brute_force(model, active, outcome, report)
+            except (BudgetExceeded, CapExceeded):
+                pass
+
+    @pytest.mark.parametrize("seed,n,f", [(1, 3, 3), (2, 3, 4), (3, 4, 4), (4, 4, 3)])
+    def test_generated_puzzles(self, seed, n, f):
+        instance = generate_puzzle(seed, n, f)
+        text = render_dsl(instance).text
+        false_clue = dataclasses.replace(instance, clues=instance.clues + (_false_clue(instance),))
+        verdicts = set()
+        for source in (text, _off_by_one(text, n), render_dsl(false_clue).text):
+            model = _model(source)
+            every = range(len(model.constraints))
+            # every other clue on: a view, as the generator checks subsets
+            for active in (every, every[::2]):
+                _, report = _resumed_against_fresh(model, active)
+                verdicts.add(report and report.ambiguous)
+        assert verdicts == {None, False, True}  # unsat, unique and ambiguous views
+
+    @pytest.mark.parametrize(
+        "seed,n,f,slack",
+        # a 4x4 puzzle with one more position than rows enumerates beyond
+        # brute force's cap
+        [(1, 3, 3, False), (1, 3, 3, True), (2, 3, 4, False), (2, 3, 4, True),
+         (3, 4, 4, False), (4, 4, 3, False), (4, 4, 3, True)],
+    )
+    def test_generated_puzzles_match_brute_force(self, seed, n, f, slack):
+        instance = generate_puzzle(seed, n, f)
+        false_clue = dataclasses.replace(instance, clues=instance.clues + (_false_clue(instance),))
+        for source in (render_dsl(instance).text, render_dsl(false_clue).text):
+            model = _model(_off_by_one(source, n) if slack else source)
+            every = range(len(model.constraints))
+            # brute force lists every solution of a view with half the clues
+            # off: within a test's time only for 3 rows
+            for active in (every, every[::2]) if n == 3 else (every,):
+                outcome, report = _resumed_against_fresh(model, active)
+                _assert_agrees_with_brute_force(model, active, outcome, report)
+
+    def test_a_model_keeping_a_suspended_search_is_freed_when_dropped(self, zebra_model):
+        # the search holds the model's lists, not the model: no reference
+        # cycle, so no collector run is needed to free either
+        view = engine.compile_model(zebra_model)
+        assert solve(view).is_sat and view.compiled.suspended
+        compiled = weakref.ref(view.compiled)
+        gc.disable()
+        try:
+            del view
+            assert compiled() is None
+        finally:
+            gc.enable()
+
+    def test_another_view_or_first_solution_searches_from_the_root(self, zebra_model):
+        compiled = engine.CompiledModel(zebra_model)
+        every = range(len(zebra_model.constraints))
+        full, half = compiled.view(every), compiled.view(every[::2])
+        first = solve(full).assignment
+        # the same table through another selector value
+        selector = zebra_model.selectors[0].id
+        other = {**first, selector: (first[selector] + 1) % zebra_model.selectors[0].list_len}
+
+        def counts(report):
+            return report.ambiguous, report.stats.decisions, report.stats.propagations
+
+        fresh_half = engine.CompiledModel(zebra_model).view(every[::2])
+        assert counts(find_second(half, first)) == counts(find_second(fresh_half, first))
+        assert list(compiled.suspended) == [full.active]  # still there for its own view
+        fresh = find_second(engine.compile_model(zebra_model), other)
+        assert fresh.stats.decisions > 0
+        assert counts(find_second(full, other)) == counts(fresh)
+        assert not compiled.suspended
 
 
 def _group_run(compiled, masks) -> tuple:
@@ -1051,8 +1193,9 @@ class TestGroupTable:
         model = flat_model([(0, 6)] * 6, groups=[range(6)])
 
         def enumerate_all():
-            search = engine._Search(engine.compile_model(model), Budget())
-            solutions = list(search.solutions(*search.root()))
+            view = engine.compile_model(model)
+            search = engine._Search(view, Budget())
+            solutions = list(search.solutions(*search.root(view.compiled)))
             return len(solutions), search.stats.decisions, search.stats.propagations
 
         full = enumerate_all()
@@ -1120,6 +1263,18 @@ def _mask_loop_group_pass(search, doms: list[int], dirty: set[int], group: tuple
     return True
 
 
+def _shift_loop_bits(mask: int) -> list[int]:
+    """``_bits`` as it walked the mask one byte at a time by shifting it,
+    quadratic in the mask width: the reference for its positions."""
+    out: list[int] = []
+    base = 0
+    while mask:
+        out += [base + i for i in engine._BYTE_BITS[mask & 255]]
+        mask >>= 8
+        base += 8
+    return out
+
+
 def _sparse_masks(width: int):
     """Masks of 1-4 bits below ``width``, or any non-empty mask below it."""
     positions = st.sets(st.integers(0, width - 1), min_size=1, max_size=4)
@@ -1136,7 +1291,7 @@ class TestWideDomains:
 
     SLACK = 1.0  # seconds a solve may overrun its time budget
 
-    @pytest.mark.parametrize("n", [10**3, 10**4, 10**5])
+    @pytest.mark.parametrize("n", [10**3, 10**4, 10**5, 10**6])
     def test_solve_returns_within_the_budget(self, n):
         model = _model(_wide_program(n))
         budget = Budget(max_time=2.0)
@@ -1150,6 +1305,22 @@ class TestWideDomains:
             assert outcome is not None and outcome.is_sat
             assert 1 in [outcome.assignment[v.id] for v in model.vars]
 
+    @pytest.mark.parametrize("n", [10**3, 10**6])
+    def test_find_second_returns_within_the_budget(self, n):
+        # a search that starts from the ordered root computes it under its
+        # own deadline: the groups' pass over the declared domains included
+        model = _model(_wide_program(n))
+        first = dict(enumerate([1, 2, 3, 0]))  # v = 1, 2, 3; the nondet picks row 0
+        budget = Budget(max_time=2.0)
+        start = time.perf_counter()
+        try:
+            report = find_second(model, first, budget)
+        except BudgetExceeded:
+            report = None
+        assert time.perf_counter() - start <= budget.max_time + self.SLACK
+        if n == 10**3:
+            assert report is not None and report.ambiguous
+
     def test_a_wide_domain_compiles_without_listing_its_values(self, zebra_model):
         # compilation runs before any budget starts, so it must not grow
         # with the number of values: each declared mask is one run of bits
@@ -1161,6 +1332,12 @@ class TestWideDomains:
         for model in (zebra_model, _model(_wide_program(1000))):
             compiled = engine.CompiledModel(model)
             assert compiled.declared == [compiled.mask(i, model.domain_of(i)) for i in range(model.n_ids)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(0, 2**64), st.integers(0, 2**4000)))
+    @example(1 << 3000)
+    def test_bits_match_the_shift_loop(self, mask):
+        assert list(engine._bits(mask)) == _shift_loop_bits(mask)
 
     @settings(max_examples=300, deadline=None)
     @given(
