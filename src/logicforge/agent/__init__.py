@@ -8,7 +8,6 @@ from .llm import (
     ReplayFormalizer,
     TranscriptWriter,
     extract_code_block,
-    llm_formalizer,
 )
 from .pipeline import (
     ExpectedFormat,
@@ -36,6 +35,5 @@ __all__ = [
     "check_solution",
     "extract_code_block",
     "format_output",
-    "llm_formalizer",
     "run_pipeline",
 ]

@@ -156,16 +156,6 @@ class LlmFormalizer:
         return reply, payload
 
 
-def llm_formalizer(
-    config: LlmClientConfig | None = None,
-    prompts: Prompts | None = None,
-    transcript: TranscriptWriter | None = None,
-) -> LlmFormalizer:
-    """Build the LLM formalizer, reading endpoint settings from the
-    environment when no config is given."""
-    return LlmFormalizer(config or LlmClientConfig.from_env(), prompts, transcript)
-
-
 class ReplayFormalizer:
     """Serves recorded replies in order, through the normal extraction path."""
 

@@ -17,7 +17,7 @@ from .constraints import (
     validate_model,
 )
 from .decode import SolutionTable, decode, encode
-from .lower import lower, rewrite_assert_as_assume
+from .lower import lower
 
 __all__ = [
     "CAbs",
@@ -37,6 +37,5 @@ __all__ = [
     "dump_model",
     "encode",
     "lower",
-    "rewrite_assert_as_assume",
     "validate_model",
 ]

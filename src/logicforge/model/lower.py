@@ -1,11 +1,12 @@
 """Lower a checked program into a ConstraintModel.
 
-Type decorators expand into variables, domains, and all-different groups;
-every assert in the validator is rewritten into an assume before lowering, so
-the model is a plain conjunction of constraints. Locals are resolved by
-symbolic substitution: binding a name to ``nondet(list)`` introduces a
-selector variable, anything else is inlined. Every condition lowers to
-``and``/``or`` over comparisons in one form (``_compare``), with no ``not``.
+Type decorators expand into variables, domains, and all-different groups.
+Each ``assume`` and each ``assert`` adds one constraint, in program order.
+Locals are resolved by symbolic substitution: binding a name to
+``nondet(list)`` introduces a selector variable, anything else is inlined.
+Lowering trusts ``check`` for value types: int and bool expressions lower
+straight to model expressions, every condition to ``and``/``or`` over
+comparisons in one form (``_compare``), with no ``not``.
 """
 
 from __future__ import annotations
@@ -14,26 +15,20 @@ from dataclasses import dataclass
 
 from ..errors import InternalError
 from ..frontend.ast import (
-    INT,
     Abs,
-    Assert,
     Assign,
-    Assume,
     Binary,
     BoolOp,
     ClassDecl,
     Compare,
-    EnumValues,
     Expr,
     FieldAccess,
-    FieldDecl,
     Index,
     IntLit,
     IntRange,
     LocalRef,
     Nondet,
     Not,
-    Stmt,
     StrLit,
 )
 from ..frontend.check import CheckedProgram
@@ -54,18 +49,9 @@ from .constraints import (
 )
 
 
-def rewrite_assert_as_assume(stmts: tuple[Stmt, ...] | list[Stmt]) -> tuple[Stmt, ...]:
-    """Replace every Assert(e) with Assume(e), preserving order."""
-    return tuple(
-        Assume(s.expr, s.pos) if isinstance(s, Assert) else s for s in stmts
-    )
-
-
-# Values a local may hold during lowering.
+# Objects a local may hold during lowering, besides model expressions.
 @dataclass
 class _Instance:
-    class_name: str
-    path: str
     fields: dict[str, int]  # scalar field name -> var id
     lists: dict[str, "_ListVal"]
 
@@ -82,25 +68,6 @@ class _SelObj:
 
     selector: int
     instances: tuple[_Instance, ...]
-
-
-@dataclass(frozen=True)
-class _IntVal:
-    expr: CExpr
-
-
-@dataclass(frozen=True)
-class _BoolVal:
-    expr: CExpr
-
-
-@dataclass(frozen=True)
-class _StrVal:
-    """A string field read, or a literal; only valid inside == / !=."""
-
-    expr: CExpr | None  # coded int expression; None for a bare literal
-    domain: EnumValues | None
-    literal: str | None
 
 
 def lower(program: CheckedProgram) -> ConstraintModel:
@@ -137,16 +104,11 @@ class _Lowering:
                     self.alldiff.append(tuple(inst.fields[f.name] for inst in instances))
 
         env: dict[str, object] = {entry.param_name: root}
-        for stmt in rewrite_assert_as_assume(entry.body):
+        for stmt in entry.body:
             if isinstance(stmt, Assign):
                 env[stmt.target] = self.lower_value(stmt.value, env)
-            elif isinstance(stmt, Assume):
-                val = self.lower_value(stmt.expr, env)
-                if not isinstance(val, _BoolVal):
-                    raise InternalError("assume lowered to a non-boolean")
-                self.constraints.append(val.expr)
             else:
-                raise InternalError("assert survived rewrite")
+                self.constraints.append(self.lower_value(stmt.expr, env))
 
         return ConstraintModel(self.vars, self.selectors, self.alldiff, self.constraints, layout)
 
@@ -170,7 +132,7 @@ class _Lowering:
                     raise InternalError(f"field {f.name} has no domain after check")
                 var_name = f"{path}.{f.name}" if path else f.name
                 fields[f.name] = self.new_var(var_name, f.domain)
-        inst = _Instance(cls.name, path, fields, lists)
+        inst = _Instance(fields, lists)
         if fields:
             self.instances_by_class.setdefault(cls.name, []).append(inst)
         return inst
@@ -196,10 +158,10 @@ class _Lowering:
     # -- expression lowering ------------------------------------------------
 
     def lower_value(self, expr: Expr, env: dict[str, object]) -> object:
+        """The model expression of an int or bool ``expr``; the instance,
+        list or selection of an object-valued one."""
         if isinstance(expr, IntLit):
-            return _IntVal(CLit(expr.value))
-        if isinstance(expr, StrLit):
-            return _StrVal(None, None, expr.value)
+            return CLit(expr.value)
         if isinstance(expr, LocalRef):
             try:
                 return env[expr.name]
@@ -226,68 +188,43 @@ class _Lowering:
             )
             return _SelObj(sid, arg.instances)
         if isinstance(expr, Abs):
-            arg = self.lower_value(expr.arg, env)
-            assert isinstance(arg, _IntVal)
-            return _IntVal(CAbs(arg.expr))
+            return CAbs(self.lower_value(expr.arg, env))
         if isinstance(expr, Binary):
             left = self.lower_value(expr.left, env)
-            right = self.lower_value(expr.right, env)
-            assert isinstance(left, _IntVal) and isinstance(right, _IntVal)
-            return _IntVal(CBin(expr.op, left.expr, right.expr))
+            return CBin(expr.op, left, self.lower_value(expr.right, env))
         if isinstance(expr, Compare):
             return self.lower_compare(expr, env)
         if isinstance(expr, BoolOp):
-            parts = []
-            for op in expr.operands:
-                val = self.lower_value(op, env)
-                assert isinstance(val, _BoolVal)
-                parts.append(val.expr)
-            return _BoolVal(CBool(expr.op, tuple(parts)))
+            return CBool(expr.op, tuple(self.lower_value(op, env) for op in expr.operands))
         assert isinstance(expr, Not)
-        val = self.lower_value(expr.operand, env)
-        assert isinstance(val, _BoolVal)
-        return _BoolVal(_negate(val.expr))
+        return _negate(self.lower_value(expr.operand, env))
 
     def lower_field(self, obj: object, field_name: str) -> object:
         if isinstance(obj, _Instance):
             if field_name in obj.fields:
-                vid = obj.fields[field_name]
-                f = self.field_decl(obj.class_name, field_name)
-                if f.base == INT:
-                    return _IntVal(CVar(vid))
-                assert isinstance(f.domain, EnumValues)
-                return _StrVal(CVar(vid), f.domain, None)
+                return CVar(obj.fields[field_name])
             if field_name in obj.lists:
                 return obj.lists[field_name]
-            raise InternalError(f"unknown field {field_name!r} after check")
-        if isinstance(obj, _SelObj):
-            f = self.field_decl(obj.instances[0].class_name, field_name)
-            table = tuple(inst.fields[field_name] for inst in obj.instances)
-            elem = CElem(obj.selector, table)
-            if f.base == INT:
-                return _IntVal(elem)
-            assert isinstance(f.domain, EnumValues)
-            return _StrVal(elem, f.domain, None)
-        raise InternalError("field access on a non-object after check")
+        elif isinstance(obj, _SelObj):
+            if field_name in obj.instances[0].fields:
+                table = tuple(inst.fields[field_name] for inst in obj.instances)
+                return CElem(obj.selector, table)
+        else:
+            raise InternalError("field access on a non-object after check")
+        raise InternalError(f"unknown field {field_name!r} after check")
 
-    def lower_compare(self, expr: Compare, env: dict[str, object]) -> _BoolVal:
+    def lower_compare(self, expr: Compare, env: dict[str, object]) -> CCmp:
+        """A string comparison pairs a field with a literal: the literal is
+        coded in the field var's domain and put on the right."""
+        lit, field = expr.left, expr.right
+        if not isinstance(lit, StrLit):
+            lit, field = field, lit
+        if isinstance(lit, StrLit):
+            coded = self.lower_value(field, env)
+            var = coded.var if isinstance(coded, CVar) else coded.table[0]
+            return CCmp(expr.op, coded, CLit(self.vars[var].domain.values.index(lit.value)))
         left = self.lower_value(expr.left, env)
-        right = self.lower_value(expr.right, env)
-        if isinstance(left, _IntVal) and isinstance(right, _IntVal):
-            return _BoolVal(_compare(expr.op, left.expr, right.expr))
-        if isinstance(left, _StrVal) and isinstance(right, _StrVal):
-            field, lit = (left, right) if left.expr is not None else (right, left)
-            if field.expr is None or field.domain is None or lit.literal is None:
-                raise InternalError("string comparison shape after check")
-            code = field.domain.values.index(lit.literal)
-            return _BoolVal(CCmp(expr.op, field.expr, CLit(code)))
-        raise InternalError("mixed comparison after check")
-
-    def field_decl(self, class_name: str, field_name: str) -> FieldDecl:
-        f = self.program.classes[class_name].field_named(field_name)
-        if f is None:
-            raise InternalError(f"unknown field {field_name!r} after check")
-        return f
+        return _compare(expr.op, left, self.lower_value(expr.right, env))
 
 
 # The comparison that holds exactly when the model's ``op`` does not.

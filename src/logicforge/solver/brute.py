@@ -6,10 +6,10 @@ tables for which some selector assignment satisfies all constraints. Used to
 certify solver results and puzzle uniqueness at desk scale.
 
 When the result class has a position field and constraints reach instances
-only through selectors, tables are enumerated directly by fixing the position
-group to ascending order: every table then appears exactly once instead of
-once per row permutation. Evaluation is vectorized with numpy over blocks of
-candidate tables.
+only through selectors, tables are enumerated directly by giving the rows each
+combination of the position domain in ascending order: every table then
+appears exactly once instead of once per row permutation. Evaluation is
+vectorized with numpy over blocks of candidate tables.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from ..model.constraints import (
     CLit,
     CVar,
     ConstraintModel,
-    domain_size,
     walk_cexpr,
 )
 
@@ -61,31 +60,24 @@ def brute_force(model: ConstraintModel, cap: int = DEFAULT_CAP) -> list[dict[int
                 raise InternalError("brute force requires disjoint alldiff groups")
             grouped.add(v)
 
-    # with interchangeable rows and exactly one position per row, every
-    # table has one encoding: positions ascending from the lowest value
-    rows, pf = model.layout.rows, model.layout.position_field
-    canonical = model.rows_orderable() and domain_size(model.vars[rows[0].fields[pf]].domain) == len(rows)
-    pinned_group: frozenset[int] = frozenset()
-    factors: list[_Factor] = []
-    fixed: dict[int, int] = {}
-    if canonical:
-        pinned_group = frozenset(row.fields[pf] for row in rows)
-        for i, row in enumerate(rows):
-            vid = row.fields[pf]
-            fixed[vid] = min(model.vars[vid].values()) + i
+    # with interchangeable rows, every table has one encoding: positions
+    # ascending in row order, one combination of the position domain
+    positions = model.position_vars() if model.rows_orderable() else None
 
     count = 1
+    factors: list[_Factor] = []
     for group in model.alldiff_groups:
-        if set(group) == set(pinned_group):
-            continue
         values = model.vars[group[0]].values()
-        perms = list(itertools.permutations(values, len(group)))
-        count *= len(perms)
+        if positions is not None and set(group) == set(positions):
+            group, choices = positions, list(itertools.combinations(values, len(group)))
+        else:
+            choices = list(itertools.permutations(values, len(group)))
+        count *= len(choices)
         if count > cap:
             raise CapExceeded(f"enumeration exceeds cap of {cap}")
-        factors.append(_Factor(tuple(group), np.array(perms, dtype=np.int32)))
+        factors.append(_Factor(tuple(group), np.array(choices, dtype=np.int32)))
     for v in model.vars:
-        if v.id in grouped or v.id in fixed:
+        if v.id in grouped:
             continue
         values = v.values()
         count *= len(values)
@@ -101,8 +93,6 @@ def brute_force(model: ConstraintModel, cap: int = DEFAULT_CAP) -> list[dict[int
         block = min(_BLOCK, count - start)
         table_idx = np.arange(start, start + block, dtype=np.int64)
         values = np.empty((block, n_vars), dtype=np.int32)
-        for vid, val in fixed.items():
-            values[:, vid] = val
         stride = 1
         for factor in reversed(factors):
             n_choices = factor.choices.shape[0]
@@ -116,7 +106,7 @@ def brute_force(model: ConstraintModel, cap: int = DEFAULT_CAP) -> list[dict[int
                 break
         for row in np.flatnonzero(mask):
             assignment = {vid: int(values[row, vid]) for vid in range(n_vars)}
-            if not canonical and model.layout.position_field is not None:
+            if positions is None and model.layout.position_field is not None:
                 from ..model.decode import decode
 
                 key = decode(model, assignment).key()

@@ -1,15 +1,19 @@
-"""Lowering, assert-to-assume rewriting, model validation, and decoding."""
+"""Lowering, model validation, dumping, and decoding."""
 
 import dataclasses
+import hashlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logicforge.agent import check_solution
+from logicforge.bench.dataset import load_dataset
+from logicforge.bench.render import render_dsl
 from logicforge.errors import CapExceeded, DecodeError, InternalError, SemanticError
 from logicforge.frontend import check
-from logicforge.frontend.ast import Assert, Assign, Assume, Compare, IntLit, LocalRef
+from logicforge.frontend.ast import Assert, Assign, Assume
 from logicforge.model import (
     CBool,
     CCmp,
@@ -20,7 +24,6 @@ from logicforge.model import (
     dump_model,
     encode,
     lower,
-    rewrite_assert_as_assume,
     validate_model,
 )
 from logicforge.model.constraints import IntRange
@@ -28,6 +31,9 @@ from logicforge.solver import brute_force
 
 from conftest import compile_source
 from strategies import programs
+
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "corpus.jsonl"
+CORPUS_LOWERED_SHA256 = "f603bdcdec8128f037244f10173b52ad4a5475de1c438766c38e7994b91ed048"
 
 MINIMAL_SOURCE = (
     "class C:\n    f: Domain[int, range(1, 2)]\n"
@@ -157,37 +163,18 @@ class TestComparisonForm:
             validate_model(model)
 
 
-class TestRewrite:
-    def test_assert_becomes_assume(self):
-        a = Assume(Compare("==", LocalRef("x"), IntLit(1)))
-        b = Assert(Compare("==", LocalRef("y"), IntLit(2)))
-        out = rewrite_assert_as_assume([a, b])
-        assert out == (a, Assume(b.expr))
-
-    def test_empty(self):
-        assert rewrite_assert_as_assume([]) == ()
-
-    def test_duplicates_kept(self):
-        b = Assert(Compare("==", LocalRef("y"), IntLit(2)))
-        out = rewrite_assert_as_assume([b, b])
-        assert out == (Assume(b.expr), Assume(b.expr))
-        assert len(out) == 2
-
+class TestAssertAssume:
     @settings(max_examples=30, deadline=None)
     @given(programs())
-    def test_order_preserved_and_no_asserts_remain(self, program):
-        body = program.functions[0].body
-        out = rewrite_assert_as_assume(body)
-        assert len(out) == len(body)
-        assert not any(isinstance(s, Assert) for s in out)
-        for before, after in zip(body, out):
-            if isinstance(before, Assign):
-                assert before == after
-            else:
-                assert isinstance(after, Assume)
-                assert after.expr == (before.expr)
-        # idempotent
-        assert rewrite_assert_as_assume(out) == out
+    def test_assert_and_assume_lower_alike(self, program):
+        # turning every assert into an assume, or every assume into an
+        # assert, leaves the model as it was
+        fn = program.functions[0]
+        original = dump_model(lower(check(program)))
+        for old, new in ((Assert, Assume), (Assume, Assert)):
+            body = tuple(new(s.expr, s.pos) if isinstance(s, old) else s for s in fn.body)
+            swapped = dataclasses.replace(program, functions=(dataclasses.replace(fn, body=body),))
+            assert dump_model(lower(check(swapped))) == original
 
 
 class TestDecode:
@@ -280,6 +267,16 @@ class TestDump:
             "constraint (== (elem s6 [v1 v3 v5]) 1)\n"
         )
         assert dump_model(model) == expected
+
+    def test_corpus_lowers_to_the_golden_digest(self):
+        # pins lowering byte for byte over the benchmark corpus, 3x3 to 6x6;
+        # a change that alters lowering on purpose restates the digest
+        tasks, _ = load_dataset(CORPUS)
+        dumps = "".join(
+            dump_model(compile_source(render_dsl(task.instance).text)[1]) for task in tasks
+        )
+        assert len(tasks) == 106
+        assert hashlib.sha256(dumps.encode()).hexdigest() == CORPUS_LOWERED_SHA256
 
 
 class TestFuzzLowering:
