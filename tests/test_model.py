@@ -176,6 +176,24 @@ class TestAssertAssume:
             swapped = dataclasses.replace(program, functions=(dataclasses.replace(fn, body=body),))
             assert dump_model(lower(check(swapped))) == original
 
+    def test_one_constraint_per_statement_in_program_order(self):
+        # an assert and an assume each add one constraint where they stand;
+        # a repeated condition is kept, and an assignment adds none
+        src = (
+            "class C:\n    f: Domain[int, range(1, 4)]\n"
+            "def v(x: C) -> None:\n"
+            "    assert x.f != 3\n"
+            "    y = x.f\n"
+            "    assume(y == 1)\n"
+            "    assert x.f != 3\n"
+        )
+        _, model = compile_source(src)
+        assert model.constraints == [
+            CCmp("!=", CVar(0), CLit(3)),
+            CCmp("==", CVar(0), CLit(1)),
+            CCmp("!=", CVar(0), CLit(3)),
+        ]
+
 
 class TestDecode:
     def test_rows_ordered_by_position_field(self, zebra_model):

@@ -344,6 +344,23 @@ class TestBruteForce:
         with pytest.raises(CapExceeded):
             brute_force(model, cap=1_000_000)
 
+    def test_slack_position_domain_enumerates_combinations(self):
+        # 4 rows over 5 positions: 5 ordered position choices, not 5P4 = 120,
+        # so 5 * 24**3 tables stay under a cap that the permutations pass
+        n = 4
+        puzzle = generate_puzzle(1, n, 3)
+        clues = tuple(
+            Clue(AT_POSITION, f.name, puzzle.truth.rows[i][f.name], pos=i + 1)
+            for f in puzzle.features
+            for i in range(n)
+        )
+        text = render_dsl(dataclasses.replace(puzzle, clues=clues)).text
+        model = _model(_off_by_one(text, n))
+        assert model.rows_orderable()
+        solutions = brute_force(model, cap=100_000)
+        assert len(solutions) == 1
+        assert decode(model, solutions[0]) == decode(model, solve(model).assignment)
+
 
 class TestOracleAgreement:
     """solve / find_second / brute_force agree on random small programs."""
