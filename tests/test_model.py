@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from logicforge.agent import check_solution
 from logicforge.bench.dataset import load_dataset
-from logicforge.bench.render import render_dsl
+from logicforge.bench.render import render_constraints, render_data_structure, render_dsl
 from logicforge.errors import CapExceeded, DecodeError, InternalError, SemanticError
 from logicforge.frontend import check
 from logicforge.frontend.ast import Assert, Assign, Assume
@@ -34,6 +34,7 @@ from strategies import programs
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "corpus.jsonl"
 CORPUS_LOWERED_SHA256 = "f603bdcdec8128f037244f10173b52ad4a5475de1c438766c38e7994b91ed048"
+CORPUS_RENDERED_SHA256 = "c83b0094a6658d0c75fd71fa39f0f3c6c9da4fd11ed780fadf2eb2b21f56888e"
 
 MINIMAL_SOURCE = (
     "class C:\n    f: Domain[int, range(1, 2)]\n"
@@ -295,6 +296,22 @@ class TestDump:
         )
         assert len(tasks) == 106
         assert hashlib.sha256(dumps.encode()).hexdigest() == CORPUS_LOWERED_SHA256
+
+    def test_corpus_renders_to_the_golden_digest(self):
+        # pins the oracle formalizer's DSL text and origins byte for byte over
+        # the benchmark corpus, with the program of no clues
+        tasks, _ = load_dataset(CORPUS)
+        sources = [render_constraints(())]
+        for task in tasks:
+            inst = task.instance
+            sources.append(render_dsl(inst))
+            sources.append(render_data_structure(inst.features, inst.n_entities))
+            sources.append(render_constraints(inst.clues))
+        digest = hashlib.sha256()
+        for source in sources:
+            digest.update(f"{source.origin}\n{source.text}\0".encode())
+        assert len(tasks) == 106
+        assert digest.hexdigest() == CORPUS_RENDERED_SHA256
 
 
 class TestFuzzLowering:
