@@ -4,13 +4,13 @@ A puzzle assigns one value per feature to each of n positions ("houses",
 numbered 1..n left to right). The generator draws a random ground-truth
 table, samples clues that are true of it, extends the set until the solution
 is provably unique, then greedily drops clues that uniqueness does not need.
-The candidate program is rendered, parsed, checked and lowered once, its
-solver model is built once, and its constraint list is cut into one index
-range per clue. A uniqueness check switches the chosen clues' constraints on
-and the others off (a ``ModelView``), and runs one second-solution search
-against the truth table. A final solve over the same kind of view confirms
-that the kept clues accept their own truth, so every emitted instance is
-solvable and unambiguous.
+The candidate program is built as a DSL syntax tree, checked and lowered
+once, its solver model is built once, and its constraint list is cut into
+one index range per clue. A uniqueness check switches the chosen clues'
+constraints on and the others off (a ``ModelView``), and runs one
+second-solution search against the truth table. A final solve over the same
+kind of view confirms that the kept clues accept their own truth, so every
+emitted instance is solvable and unambiguous.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from ..errors import BudgetExceeded, GenerationError, InternalError
+from ..errors import BudgetExceeded, GenerationError
 from ..frontend.check import check
-from ..frontend.parser import parse
+from ..frontend.parser import parse  # noqa: F401 - uncalled; the perfbench tracer wraps it
 from ..model.decode import SolutionTable, decode, encode
 from ..model.lower import lower
 from ..solver.engine import Budget, CompiledModel, ModelView, find_second, solve
@@ -259,17 +259,14 @@ def _sample_candidates(
 def _compile_candidates(
     features: tuple[Feature, ...], clues: list[Clue], n: int
 ) -> tuple[CompiledModel, list[range]]:
-    """Lower the program of every candidate clue once, build its solver model
-    once, and cut its constraint list into one index range per clue:
-    lowering emits one constraint per assume or assert, in program order."""
-    from .render import clue_ends, render_instance_dsl  # late import: render depends on this module
+    """Check and lower the program of every candidate clue once, build its
+    solver model once, and cut its constraint list into one index range per
+    clue, as the program builder counts them."""
+    from .render import build_program  # late import: render depends on this module
 
-    program = check(parse(render_instance_dsl(features, clues, n)))
-    model = lower(program)
-    ends = clue_ends(program.entry.body)
+    program, ends = build_program(features, clues, n)
+    model = lower(check(program))
     slices = [range(start, end) for start, end in zip([0] + ends, ends)]
-    if len(slices) != len(clues) or sum(map(len, slices)) != len(model.constraints):
-        raise InternalError(f"{len(clues)} clues lowered into {len(slices)} assert slices")
     return CompiledModel(model), slices
 
 

@@ -1,13 +1,37 @@
-"""Deterministic rendering of puzzle instances: DSL source and prose.
+"""Deterministic rendering of puzzle instances: DSL programs and prose.
 
-The DSL renderer doubles as the oracle formalizer, a stand-in for an LLM
-that encodes every clue exactly. All emitted string values are lowercase.
+The DSL builder doubles as the oracle formalizer, a stand-in for an LLM
+that encodes every clue exactly. It builds the program as a DSL syntax tree
+and ``pretty`` prints its text; string values are kept as the instance
+stores them.
 """
 
 from __future__ import annotations
 
-from ..frontend.ast import Assert, Assume, Stmt
+from ..frontend.ast import (
+    INT,
+    STR,
+    Abs,
+    Assert,
+    Assign,
+    Assume,
+    Binary,
+    ClassDecl,
+    Compare,
+    DslProgram,
+    EnumValues,
+    FieldAccess,
+    FieldDecl,
+    FuncDecl,
+    IntLit,
+    IntRange,
+    LocalRef,
+    Nondet,
+    Stmt,
+    StrLit,
+)
 from ..frontend.parser import SourceText
+from ..frontend.pretty import pretty
 from .puzzle import (
     AT_POSITION,
     DIRECTLY_LEFT,
@@ -25,78 +49,86 @@ ENTITY_CLASS = "House"
 CONTAINER_CLASS = "PuzzleSolution"
 LIST_FIELD = "houses"
 
-
-def render_data_structure(features: tuple[Feature, ...], n: int) -> SourceText:
-    lines = [f"class {ENTITY_CLASS}:"]
-    lines.append(f"    {POSITION_FIELD}: Unique[Domain[int, range(1, {n + 1})]]")
-    for f in features:
-        values = ", ".join(f'"{v.lower()}"' for v in f.values)
-        lines.append(f"    {f.name}: Unique[Domain[str, {values}]]")
-    lines.append("")
-    lines.append(f"class {CONTAINER_CLASS}:")
-    lines.append(f"    {LIST_FIELD}: list[{ENTITY_CLASS}, {n}]")
-    lines.append("")
-    return SourceText("\n".join(lines), "oracle:data_structure")
+# subtrees every validator shares; AST nodes are immutable
+_PARAM = "solution"
+_ANY_ROW = Nondet(FieldAccess(LocalRef(_PARAM), LIST_FIELD))
+_ONE = IntLit(1)
 
 
-def render_constraints(clues: tuple[Clue, ...] | list[Clue]) -> SourceText:
-    lines = [f"def validate(solution: {CONTAINER_CLASS}) -> None:"]
-    counter = 0
+def _classes(features: tuple[Feature, ...], n: int) -> tuple[ClassDecl, ...]:
+    fields = [FieldDecl(POSITION_FIELD, INT, True, IntRange(1, n + 1))]
+    fields.extend(FieldDecl(f.name, STR, True, EnumValues(f.values)) for f in features)
+    rows = FieldDecl(LIST_FIELD, ENTITY_CLASS, list_len=n)
+    return ClassDecl(ENTITY_CLASS, tuple(fields)), ClassDecl(CONTAINER_CLASS, (rows,))
 
-    def fresh(prefix: str) -> str:
-        nonlocal counter
-        counter += 1
-        return f"{prefix}_{counter}"
 
-    def select(feat: str, value: str) -> str:
-        name = fresh(feat.replace(" ", "_"))
-        lines.append(f"    {name} = nondet(solution.{LIST_FIELD})")
-        lines.append(f'    assume({name}.{feat} == "{value.lower()}")')
-        return name
+def _validator(clues: tuple[Clue, ...] | list[Clue]) -> tuple[FuncDecl, list[int]]:
+    """The validator of the clues, and their ends as ``build_program`` gives them."""
+    body: list[Stmt] = []
+    ends: list[int] = []
+    rows = 0  # rows selected so far, with one assume each
+
+    def select(feat: str, value: str) -> LocalRef:
+        """A row chosen by its value of ``feat``."""
+        nonlocal rows
+        rows += 1
+        row = LocalRef(f"{feat.replace(' ', '_')}_{rows}")
+        body.append(Assign(row.name, _ANY_ROW))
+        body.append(Assume(Compare("==", FieldAccess(row, feat), StrLit(value))))
+        return row
 
     for clue in clues:
         a = select(clue.feat_a, clue.value_a)
+        a_pos = FieldAccess(a, POSITION_FIELD)
         if clue.kind == SAME_PERSON:
-            lines.append(f'    assert {a}.{clue.feat_b} == "{clue.value_b.lower()}"')
+            holds = Compare("==", FieldAccess(a, clue.feat_b), StrLit(clue.value_b))
         elif clue.kind == AT_POSITION:
-            lines.append(f"    assert {a}.{POSITION_FIELD} == {clue.pos}")
+            holds = Compare("==", a_pos, IntLit(clue.pos))
         elif clue.kind == NOT_AT_POSITION:
-            lines.append(f"    assert {a}.{POSITION_FIELD} != {clue.pos}")
+            holds = Compare("!=", a_pos, IntLit(clue.pos))
         else:
-            b = select(clue.feat_b, clue.value_b)
+            b_pos = FieldAccess(select(clue.feat_b, clue.value_b), POSITION_FIELD)
             if clue.kind == DIRECTLY_LEFT:
-                lines.append(
-                    f"    assert {a}.{POSITION_FIELD} == {b}.{POSITION_FIELD} - 1"
-                )
+                holds = Compare("==", a_pos, Binary("-", b_pos, _ONE))
             elif clue.kind == LEFT_OF:
-                lines.append(f"    assert {a}.{POSITION_FIELD} < {b}.{POSITION_FIELD}")
+                holds = Compare("<", a_pos, b_pos)
             else:
                 assert clue.kind == NEXT_TO
-                lines.append(
-                    f"    assert abs({a}.{POSITION_FIELD} - {b}.{POSITION_FIELD}) == 1"
-                )
+                holds = Compare("==", Abs(Binary("-", a_pos, b_pos)), _ONE)
+        body.append(Assert(holds))
+        ends.append(rows + len(ends) + 1)  # its assumes, the asserts before it and its own
     if not clues:
-        # keep the program parseable and check-clean; constrains nothing
-        name = fresh("anyone")
-        lines.append(f"    {name} = nondet(solution.{LIST_FIELD})")
-        lines.append(f"    assume({name}.{POSITION_FIELD} >= 1)")
-    lines.append("")
-    return SourceText("\n".join(lines), "oracle:constraints")
+        # keep the program check-clean; constrains nothing
+        anyone = LocalRef("anyone_1")
+        body.append(Assign(anyone.name, _ANY_ROW))
+        body.append(Assume(Compare(">=", FieldAccess(anyone, POSITION_FIELD), _ONE)))
+    return FuncDecl("validate", _PARAM, CONTAINER_CLASS, tuple(body)), ends
 
 
-def clue_ends(body: tuple[Stmt, ...]) -> list[int]:
-    """For a validator body rendered by ``render_constraints``, the number of
-    assumes and asserts up to and including each clue's one assert."""
-    conditions = [s for s in body if isinstance(s, (Assume, Assert))]
-    return [i + 1 for i, s in enumerate(conditions) if isinstance(s, Assert)]
+def build_program(
+    features: tuple[Feature, ...], clues: tuple[Clue, ...] | list[Clue], n: int
+) -> tuple[DslProgram, list[int]]:
+    """The oracle program of the clues, and for each clue the number of
+    assumes and asserts up to and including its one assert: lowering emits
+    one constraint per assume or assert, in program order."""
+    validator, ends = _validator(clues)
+    return DslProgram(_classes(features, n), (validator,)), ends
+
+
+def render_data_structure(features: tuple[Feature, ...], n: int) -> SourceText:
+    return SourceText(pretty(DslProgram(_classes(features, n), ())), "oracle:data_structure")
+
+
+def render_constraints(clues: tuple[Clue, ...] | list[Clue]) -> SourceText:
+    validator, _ = _validator(clues)
+    return SourceText(pretty(DslProgram((), (validator,))), "oracle:constraints")
 
 
 def render_instance_dsl(
     features: tuple[Feature, ...], clues, n: int
 ) -> SourceText:
-    ds = render_data_structure(features, n)
-    cs = render_constraints(clues)
-    return SourceText(ds.text + "\n" + cs.text, "oracle:program")
+    program, _ = build_program(features, clues, n)
+    return SourceText(pretty(program), "oracle:program")
 
 
 def render_dsl(instance: PuzzleInstance) -> SourceText:

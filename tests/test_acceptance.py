@@ -116,7 +116,7 @@ class TestCriterion1WorkedExample:
         assert not report.ambiguous
 
         # route 2: the same puzzle as a structured instance through the
-        # oracle formalizer (values lowercase by its convention)
+        # oracle formalizer (values as the instance stores them)
         program2 = check(parse(render_dsl(zebra_instance)))
         table2, report2 = _solve_route(program2)
         assert table2 == zebra_instance.truth

@@ -25,15 +25,25 @@ from logicforge.bench import (
     task_from_instance,
 )
 from logicforge.bench import puzzle, render
-from logicforge.bench.puzzle import DIRECTLY_LEFT, NEXT_TO, NOT_AT_POSITION, Clue
+from logicforge.bench.puzzle import (
+    AT_POSITION,
+    DIRECTLY_LEFT,
+    NEXT_TO,
+    NOT_AT_POSITION,
+    SAME_PERSON,
+    Clue,
+    Feature,
+)
 from logicforge.bench.render import (
+    build_program,
     clue_text,
     render_constraints,
     render_instance_dsl,
 )
 from logicforge.bench.score import EmptyInput, TaskResult
-from logicforge.errors import BudgetExceeded, DatasetError, GenerationError, InternalError
+from logicforge.errors import BudgetExceeded, DatasetError, GenerationError
 from logicforge.frontend import SourceText, check, parse
+from logicforge.frontend.ast import Assert, Compare, FieldAccess, Index, IntLit, LocalRef
 from logicforge.model import decode, lower
 from logicforge.model.decode import SolutionTable, encode
 from logicforge.solver import Budget, brute_force, find_second, solve
@@ -122,28 +132,42 @@ def truth_columns(instance) -> dict[str, tuple[str, ...]]:
     }
 
 
-# Names slot 0's position var directly: a program with it does not let rows
-# trade places, so find_second must not order them.
-ROW_CLUE = "    assert solution.houses[0].house_number == 1\n"
+# `assert solution.houses[0].house_number == 1` names slot 0's position var
+# directly: a program with it does not let rows trade places, so find_second
+# must not order them.
+ROW_CLUE = Assert(
+    Compare(
+        "==",
+        FieldAccess(Index(FieldAccess(LocalRef("solution"), "houses"), 0), "house_number"),
+        IntLit(1),
+    )
+)
+
+
+def with_row_clue(program):
+    """The program with ROW_CLUE as the last statement of its validator."""
+    (validator,) = program.functions
+    validator = dataclasses.replace(validator, body=validator.body + (ROW_CLUE,))
+    return dataclasses.replace(program, functions=(validator,))
 
 
 def lowered_subset(features, clues, n, row_clue=False):
     """The model of the program rendered from ``clues`` alone, plus ROW_CLUE."""
-    text = render_instance_dsl(features, clues, n).text + (ROW_CLUE if row_clue else "")
-    return lower(check(parse(text)))
+    program = parse(render_instance_dsl(features, clues, n))
+    return lower(check(with_row_clue(program) if row_clue else program))
 
 
 def compile_with_row_clue(monkeypatch, features, candidates, n):
     """The generator's compiled candidates with ROW_CLUE as one more clue,
     the last."""
-    rendered = render.render_instance_dsl
+    built = render.build_program
 
     def plus_row_clue(features, clues, n):
-        source = rendered(features, clues[:-1], n)
-        return dataclasses.replace(source, text=source.text + ROW_CLUE)
+        program, ends = built(features, clues[:-1], n)
+        return with_row_clue(program), ends + [ends[-1] + 1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(render, "render_instance_dsl", plus_row_clue)
+        patch.setattr(render, "build_program", plus_row_clue)
         return puzzle._compile_candidates(features, candidates + [None], n)
 
 
@@ -275,17 +299,22 @@ class TestCompiledCandidates:
         decisions = sum(r.stats.decisions for r in reports)
         assert (len(reports), decisions, sum(r.stats.propagations for r in reports)) == golden
 
-    def test_slice_count_must_match_clue_count(self, monkeypatch):
-        rendered = render.render_instance_dsl
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_built_program_is_the_parse_of_its_text(self, n):
+        instance = generate_puzzle(42, n, n)
+        program, ends = build_program(instance.features, instance.clues, n)
+        assert parse(render_dsl(instance)) == program
+        # one assume per selected row and the clue's assert
+        one_row = (SAME_PERSON, AT_POSITION, NOT_AT_POSITION)
+        lengths = [end - start for start, end in zip([0] + ends, ends)]
+        assert lengths == [2 if c.kind in one_row else 3 for c in instance.clues]
+        assert sum(lengths) == len(lower(check(program)).constraints)
 
-        def one_assert_too_many(features, clues, n):
-            source = rendered(features, clues, n)
-            extra = "    assert solution.houses[0].house_number >= 1\n"
-            return dataclasses.replace(source, text=source.text + extra)
-
-        monkeypatch.setattr(render, "render_instance_dsl", one_assert_too_many)
-        with pytest.raises(InternalError, match="assert slices"):
-            generate_puzzle(1, 3, 3)
+    def test_built_program_of_no_clues_is_the_parse_of_its_text(self, zebra_instance):
+        features, n = zebra_instance.features, zebra_instance.n_entities
+        program, ends = build_program(features, (), n)
+        assert parse(render_instance_dsl(features, (), n)) == program
+        assert ends == []
 
     def test_one_compile_one_search_per_check(self, monkeypatch):
         names = ("parse", "check", "lower", "CompiledModel", "_view", "solve", "find_second")
@@ -305,7 +334,9 @@ class TestCompiledCandidates:
             monkeypatch.setattr(puzzle, name, counting(name))
         budget = Budget(max_time=20.0)
         generate_puzzle(42, 4, 4, budget=budget)
-        once = ("parse", "check", "lower", "CompiledModel", "solve")
+        # the program is built as a syntax tree, never parsed from text
+        assert calls["parse"] == []
+        once = ("check", "lower", "CompiledModel", "solve")
         assert [len(calls[name]) for name in once] == [1] * len(once)
         # one view per check, plus the final solve's
         assert len(calls["find_second"]) == len(calls["_view"]) - 1 > 1
@@ -325,6 +356,23 @@ class TestCompiledCandidates:
             generate_puzzle(5, 3, 3)
 
 
+def with_value(instance, old, new):
+    """The instance with the value ``old`` renamed ``new`` wherever it occurs."""
+
+    def swap(value):
+        return new if value == old else value
+
+    features = tuple(Feature(f.name, tuple(map(swap, f.values))) for f in instance.features)
+    clues = tuple(
+        dataclasses.replace(c, value_a=swap(c.value_a), value_b=swap(c.value_b))
+        for c in instance.clues
+    )
+    rows = tuple({k: swap(v) for k, v in row.items()} for row in instance.truth.rows)
+    truth = dataclasses.replace(instance.truth, rows=rows)
+    assert truth != instance.truth
+    return dataclasses.replace(instance, features=features, clues=clues, truth=truth)
+
+
 class TestRenderDsl:
     def test_directly_left_uses_position_minus_one(self):
         source = render_constraints([Clue(DIRECTLY_LEFT, "name", "alice", "book", "fantasy")])
@@ -341,12 +389,13 @@ class TestRenderDsl:
         assert outcome.is_sat
         assert find_second(model, outcome.assignment).ambiguous
 
-    def test_values_lowercased(self):
-        from logicforge.bench.puzzle import Feature
-        from logicforge.bench.render import render_data_structure
-
-        source = render_data_structure((Feature("name", ("Alice", "Bob")),), 2)
-        assert '"alice", "bob"' in source.text
+    @pytest.mark.parametrize("value", ["Alice", 'O"Neil'])
+    def test_values_reach_the_program_as_stored(self, value):
+        instance = with_value(generate_puzzle(3, 3, 3), "alice", value)
+        task = task_from_instance(instance)
+        report = run_bench([task], oracle_formalizer_factory, concurrency=1)
+        assert report.results[0].status == "Solved"
+        assert report.puzzle_accuracy == report.cell_accuracy == 1.0
 
     def test_clue_text_templates(self):
         assert clue_text(Clue("at_position", "name", "alice", pos=2)) == "Alice is in house 2."
