@@ -314,6 +314,53 @@ class TestDump:
         assert digest.hexdigest() == CORPUS_RENDERED_SHA256
 
 
+SCALAR_SOURCE = (
+    "class Config:\n"
+    "    slot: Unique[Domain[int, range(1, 4)]]\n"
+    '    color: Domain[str, "red", "green"]\n'
+    "def v(c: Config) -> None:\n"
+    "    assume(c.slot > 1)\n"
+    '    assert c.color == "green"\n'
+    "    assume(c.slot != 3)\n"
+)
+
+
+class TestScalarResultClass:
+    """A parameter class of scalar fields only is one row of bare names."""
+
+    def test_golden_dump_and_layout(self):
+        _, model = compile_source(SCALAR_SOURCE)
+        assert dump_model(model) == (
+            "var 0 slot : int[1, 4)\n"
+            "var 1 color : {red, green}\n"
+            "alldiff 0\n"
+            "constraint (< 1 v0)\n"
+            "constraint (== v1 1)\n"
+            "constraint (!= v0 3)\n"
+        )
+        layout = model.layout
+        assert layout.columns == ("slot", "color")
+        assert layout.position_field == "slot"
+        assert len(layout.rows) == 1
+        assert model.row_var_ids() == frozenset({0, 1})
+        assert model.position_vars() == [0]
+        assert decode(model, {0: 3, 1: 0}).rows == ({"slot": 3, "color": "red"},)
+
+    def test_check_solution_accepts_the_solved_table(self):
+        from logicforge.solver import solve
+
+        checked, model = compile_source(SCALAR_SOURCE)
+        table = decode(model, solve(model).assignment)
+        assert table.rows == ({"slot": 2, "color": "green"},)
+        assert check_solution(checked, table)
+
+    @pytest.mark.parametrize("row", [{"slot": 4, "color": "green"}, {"slot": 2, "color": "blue"}])
+    def test_check_solution_rejects_an_out_of_domain_table(self, row):
+        checked, model = compile_source(SCALAR_SOURCE)
+        table = dataclasses.replace(decode(model, {0: 1, 1: 1}), rows=(row,))
+        assert not check_solution(checked, table)
+
+
 class TestFuzzLowering:
     @settings(max_examples=60, deadline=None)
     @given(programs())
