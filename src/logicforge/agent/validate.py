@@ -9,6 +9,7 @@ every Unique field holds pairwise-distinct in-domain values.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from ..errors import ShapeError
@@ -17,7 +18,6 @@ from ..frontend.ast import (
     Assign,
     Binary,
     BoolOp,
-    ClassDecl,
     Compare,
     EnumValues,
     Expr,
@@ -29,6 +29,7 @@ from ..frontend.ast import (
     Nondet,
     Not,
     StrLit,
+    walk,
 )
 from ..frontend.check import CheckedProgram
 from ..model.decode import SolutionTable
@@ -48,8 +49,19 @@ def check_solution(program: CheckedProgram, candidate: SolutionTable) -> bool:
     """True iff the candidate table satisfies the program's validator under
     some assignment of the nondet selectors. Raises ShapeError when the table
     does not even match the result class."""
-    root = program.param_class
-    rows, row_cls = _bind_rows(program, root, candidate)
+    rows_field = program.rows_field
+    row_cls = program.row_class
+    columns = tuple(f.name for f in row_cls.fields)
+    if set(candidate.columns) != set(columns):
+        raise ShapeError(
+            f"table columns {candidate.columns} do not match fields {columns}"
+        )
+    expected_rows = 1 if rows_field is None else rows_field.list_len
+    if len(candidate.rows) != expected_rows:
+        raise ShapeError(
+            f"table has {len(candidate.rows)} rows, expected {expected_rows}"
+        )
+    rows = tuple(_Row(dict(r)) for r in candidate.rows)
 
     for f in row_cls.fields:
         values = [row.cells[f.name] for row in rows]
@@ -58,45 +70,12 @@ def check_solution(program: CheckedProgram, candidate: SolutionTable) -> bool:
         if f.unique and len(set(values)) != len(values):
             return False
 
+    if rows_field is None:
+        root: _Row = rows[0]
+    else:
+        root = _Row({rows_field.name: _RowList(rows)})
     entry = program.entry
-    if len(rows) == 1 and not any(f.list_len is not None for f in root.fields):
-        root_value: object = rows[0]
-    else:
-        root_value = _root_with_list(root, rows)
-
-    env: dict[str, object] = {entry.param_name: root_value}
-    return _run_stmts(list(entry.body), env)
-
-
-def _bind_rows(
-    program: CheckedProgram, root: ClassDecl, candidate: SolutionTable
-) -> tuple[tuple[_Row, ...], ClassDecl]:
-    list_fields = [f for f in root.fields if f.list_len is not None]
-    if list_fields:
-        row_cls = program.classes[list_fields[0].base]
-        expected_rows = list_fields[0].list_len
-    else:
-        row_cls = root
-        expected_rows = 1
-    columns = tuple(f.name for f in row_cls.fields)
-    if set(candidate.columns) != set(columns):
-        raise ShapeError(
-            f"table columns {candidate.columns} do not match fields {columns}"
-        )
-    if len(candidate.rows) != expected_rows:
-        raise ShapeError(
-            f"table has {len(candidate.rows)} rows, expected {expected_rows}"
-        )
-    rows = tuple(_Row(dict(r)) for r in candidate.rows)
-    return rows, row_cls
-
-
-def _root_with_list(root: ClassDecl, rows: tuple[_Row, ...]) -> _Row:
-    container = _Row({})
-    for f in root.fields:
-        if f.list_len is not None:
-            container.cells[f.name] = _RowList(rows)
-    return container
+    return _run_stmts(list(entry.body), {entry.param_name: root})
 
 
 def _in_domain(value: int | str, f) -> bool:
@@ -109,10 +88,6 @@ def _in_domain(value: int | str, f) -> bool:
 
 def _run_stmts(stmts: list, env: dict[str, object]) -> bool:
     """Depth-first over nondet choices; True when all statements pass."""
-    import itertools
-
-    from ..frontend.ast import walk
-
     for i, stmt in enumerate(stmts):
         expr = stmt.value if isinstance(stmt, Assign) else stmt.expr
         sites = [node for node in walk(expr) if isinstance(node, Nondet)]

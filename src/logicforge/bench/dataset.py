@@ -44,6 +44,8 @@ class PuzzleTask:
 
     @staticmethod
     def from_json_dict(d: dict) -> "PuzzleTask":
+        if not isinstance(d, dict):
+            raise ValueError("expected a JSON object")
         missing = [k for k in _REQUIRED if k not in d]
         if missing:
             raise ValueError(f"missing keys: {', '.join(missing)}")

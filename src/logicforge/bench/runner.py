@@ -20,7 +20,7 @@ from ..errors import LogicForgeError
 from .dataset import PuzzleTask, task_from_instance
 from .puzzle import generate_puzzle
 from .render import OracleFormalizer
-from .score import EvalReport, TaskResult, score
+from .score import EvalReport, TaskResult, parse_size, score
 
 FormalizerFactory = Callable[[PuzzleTask], object]
 
@@ -39,8 +39,6 @@ class GenSpec:
 
 
 def generate_tasks(spec: GenSpec) -> list[PuzzleTask]:
-    from .score import parse_size
-
     tasks = []
     index = 0
     for size, count in spec.shapes:

@@ -62,6 +62,8 @@ def cmd_emit_c(args) -> int:
 
 
 def cmd_check_ambiguity(args) -> int:
+    """Exit 0 when the solution is unique, 1 when there is none and 3 when a
+    second solution table exists; ``main`` turns errors into exit 2."""
     program = _load_program(args.file)
     model = lower(program)
     view = compile_model(model)  # one solver build for solve and find_second
@@ -77,7 +79,7 @@ def cmd_check_ambiguity(args) -> int:
         _print_table(decode(model, report.first))
         print("--- second ---")
         _print_table(decode(model, report.second))
-        return 2
+        return 3
     print("unique")
     _print_table(decode(model, outcome.assignment))
     return 0

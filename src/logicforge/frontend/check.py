@@ -3,7 +3,8 @@
 The result class shape is deliberately narrow so that lowering and solution
 decoding stay total: the entry function's parameter class either holds only
 scalar fields with finite domains, or exactly one fixed-size list of a class
-that holds only such scalar fields.
+that holds only such scalar fields. ``CheckedProgram.row_class`` names the
+class of one row of the result table, for lowering and solution checking.
 """
 
 from __future__ import annotations
@@ -90,6 +91,21 @@ class CheckedProgram:
     @property
     def param_class(self) -> ClassDecl:
         return self.classes[self.entry.param_type]
+
+    @property
+    def rows_field(self) -> FieldDecl | None:
+        """The parameter class's one list field, which holds the rows of the
+        result table; None when the class holds only scalar fields. A list
+        field is the class's only field (``check_result_shape``)."""
+        first = self.param_class.fields[0]
+        return first if first.list_len is not None else None
+
+    @property
+    def row_class(self) -> ClassDecl:
+        """The class of one row: the list field's element class, or the
+        parameter class itself, which is then the table's one row."""
+        rows = self.rows_field
+        return self.param_class if rows is None else self.classes[rows.base]
 
 
 def check(program: DslProgram, origin: str = "<string>") -> CheckedProgram:

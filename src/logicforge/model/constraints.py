@@ -130,20 +130,10 @@ def direct_vars(expr: CExpr) -> set[int]:
 
 
 @dataclass(frozen=True)
-class RowLayout:
-    index: int
-    class_name: str
-    fields: dict[str, int]  # field name -> var id
-
-
-@dataclass(frozen=True)
 class InstanceLayout:
-    rows: tuple[RowLayout, ...]
+    rows: tuple[dict[str, int], ...]  # per row: field name -> var id
     columns: tuple[str, ...]
     position_field: str | None  # the single unique int-domain field, if any
-
-    def var_of(self, row: int, field_name: str) -> int:
-        return self.rows[row].fields[field_name]
 
 
 @dataclass
@@ -164,7 +154,7 @@ class ConstraintModel:
         return self.selectors[ident - len(self.vars)].values()
 
     def row_var_ids(self) -> frozenset[int]:
-        return frozenset(v for row in self.layout.rows for v in row.fields.values())
+        return frozenset(v for row in self.layout.rows for v in row.values())
 
     def row_tied(self, named_vars) -> set[int]:
         """The indices of the constraints that name a row variable directly,
@@ -187,7 +177,7 @@ class ConstraintModel:
         pf = self.layout.position_field
         if pf is None:
             return None
-        pos = [row.fields[pf] for row in self.layout.rows]
+        pos = [row[pf] for row in self.layout.rows]
         return pos if set(pos) in [set(g) for g in self.alldiff_groups] else None
 
     def rows_orderable(self) -> bool:
@@ -233,7 +223,7 @@ def validate_model(model: ConstraintModel) -> None:
                     if not (0 <= v < n_vars):
                         raise InternalError(f"elem table references unknown var {v}")
     for row in model.layout.rows:
-        for v in row.fields.values():
+        for v in row.values():
             if not (0 <= v < n_vars):
                 raise InternalError("layout references unknown var")
 

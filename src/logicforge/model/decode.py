@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import DecodeError
+from ..frontend.ast import EnumValues
 from .constraints import ConstraintModel
 
 Cell = int | str
@@ -83,7 +84,7 @@ def decode(model: ConstraintModel, assignment: dict[int, int]) -> SolutionTable:
     for row in layout.rows:
         cells: dict[str, Cell] = {}
         for col in layout.columns:
-            vid = row.fields[col]
+            vid = row[col]
             if vid not in assignment:
                 raise DecodeError(f"assignment is missing var {vid} ({model.vars[vid].name})")
             cells[col] = model.vars[vid].render(assignment[vid])
@@ -103,12 +104,10 @@ def encode(model: ConstraintModel, table: SolutionTable) -> dict[int, int]:
     assignment: dict[int, int] = {}
     for slot, row in enumerate(rows):
         for col in layout.columns:
-            vid = layout.rows[slot].fields[col]
+            vid = layout.rows[slot][col]
             domain = model.vars[vid].domain
             value = row[col]
             if isinstance(value, str):
-                from ..frontend.ast import EnumValues
-
                 if not isinstance(domain, EnumValues) or value not in domain.values:
                     raise DecodeError(f"value {value!r} not in domain of {model.vars[vid].name}")
                 assignment[vid] = domain.values.index(value)

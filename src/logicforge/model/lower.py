@@ -1,6 +1,9 @@
 """Lower a checked program into a ConstraintModel.
 
-Type decorators expand into variables, domains, and all-different groups.
+The rows of the result table come from ``CheckedProgram.row_class``: one
+variable per field and row, named ``houses[i].f``, or bare ``f`` when the
+parameter class is itself the one row. Each Unique field becomes one
+all-different group over the rows.
 Each ``assume`` and each ``assert`` adds one constraint, in program order.
 Locals are resolved by symbolic substitution: binding a name to
 ``nondet(list)`` introduces a selector variable, anything else is inlined.
@@ -43,7 +46,6 @@ from .constraints import (
     CVar,
     ConstraintModel,
     InstanceLayout,
-    RowLayout,
     SelectorVar,
     Var,
 )
@@ -81,7 +83,6 @@ class _Lowering:
         self.selectors: list[SelectorVar] = []
         self.alldiff: list[tuple[int, ...]] = []
         self.constraints: list[CExpr] = []
-        self.instances_by_class: dict[str, list[_Instance]] = {}
 
     def new_var(self, name: str, domain) -> int:
         vid = len(self.vars)
@@ -90,18 +91,26 @@ class _Lowering:
 
     def run(self) -> ConstraintModel:
         entry = self.program.entry
-        root_cls = self.program.param_class
+        rows_field = self.program.rows_field
+        row_cls = self.program.row_class
+        if rows_field is None:
+            rows = (self.new_row(row_cls, ""),)
+            root = rows[0]
+        else:
+            rows = tuple(
+                self.new_row(row_cls, f"{rows_field.name}[{i}].")
+                for i in range(rows_field.list_len)
+            )
+            root = _Instance({}, {rows_field.name: _ListVal(row_cls.name, rows)})
 
-        root = self.materialize(root_cls, path="")
-        layout = self.build_layout(root_cls, root)
-
-        # Unique fields become one all-different group per class, spanning
-        # every materialized instance of that class.
-        for cls_name, instances in self.instances_by_class.items():
-            cls = self.program.classes[cls_name]
-            for f in cls.fields:
-                if f.unique:
-                    self.alldiff.append(tuple(inst.fields[f.name] for inst in instances))
+        # Each Unique field becomes one all-different group over the rows.
+        for f in row_cls.fields:
+            if f.unique:
+                self.alldiff.append(tuple(row.fields[f.name] for row in rows))
+        columns = tuple(f.name for f in row_cls.fields)
+        layout = InstanceLayout(
+            tuple(row.fields for row in rows), columns, _position_field(row_cls)
+        )
 
         env: dict[str, object] = {entry.param_name: root}
         for stmt in entry.body:
@@ -112,48 +121,9 @@ class _Lowering:
 
         return ConstraintModel(self.vars, self.selectors, self.alldiff, self.constraints, layout)
 
-    # -- materialization ---------------------------------------------------
-
-    def materialize(self, cls: ClassDecl, path: str) -> _Instance:
-        """Create vars for one instance of cls. Container classes hold their
-        element instances in .lists, keyed by the list field name."""
-        fields: dict[str, int] = {}
-        lists: dict[str, _ListVal] = {}
-        for f in cls.fields:
-            if f.list_len is not None:
-                elem_cls = self.program.classes[f.base]
-                prefix = f"{path}.{f.name}" if path else f.name
-                elems = [
-                    self.materialize(elem_cls, f"{prefix}[{i}]") for i in range(f.list_len)
-                ]
-                lists[f.name] = _ListVal(f.base, tuple(elems))
-            else:
-                if f.domain is None:
-                    raise InternalError(f"field {f.name} has no domain after check")
-                var_name = f"{path}.{f.name}" if path else f.name
-                fields[f.name] = self.new_var(var_name, f.domain)
-        inst = _Instance(fields, lists)
-        if fields:
-            self.instances_by_class.setdefault(cls.name, []).append(inst)
-        return inst
-
-    def build_layout(self, root_cls: ClassDecl, root: _Instance) -> InstanceLayout:
-        list_fields = [f for f in root_cls.fields if f.list_len is not None]
-        if list_fields:
-            lf = list_fields[0]
-            elem_cls = self.program.classes[lf.base]
-            instances = root.lists[lf.name].instances
-            columns = tuple(f.name for f in elem_cls.fields)
-            rows = tuple(
-                RowLayout(i, elem_cls.name, dict(inst.fields))
-                for i, inst in enumerate(instances)
-            )
-            position = _position_field(elem_cls)
-        else:
-            columns = tuple(f.name for f in root_cls.fields)
-            rows = (RowLayout(0, root_cls.name, dict(root.fields)),)
-            position = _position_field(root_cls)
-        return InstanceLayout(rows, columns, position)
+    def new_row(self, cls: ClassDecl, prefix: str) -> _Instance:
+        """One var per field of ``cls``, named ``prefix`` + field name."""
+        return _Instance({f.name: self.new_var(prefix + f.name, f.domain) for f in cls.fields}, {})
 
     # -- expression lowering ------------------------------------------------
 

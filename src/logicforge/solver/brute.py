@@ -33,6 +33,7 @@ from ..model.constraints import (
     ConstraintModel,
     walk_cexpr,
 )
+from ..model.decode import decode
 
 DEFAULT_CAP = 10_000_000
 _BLOCK = 1 << 16
@@ -107,8 +108,6 @@ def brute_force(model: ConstraintModel, cap: int = DEFAULT_CAP) -> list[dict[int
         for row in np.flatnonzero(mask):
             assignment = {vid: int(values[row, vid]) for vid in range(n_vars)}
             if positions is None and model.layout.position_field is not None:
-                from ..model.decode import decode
-
                 key = decode(model, assignment).key()
                 if key in seen_tables:
                     continue

@@ -518,6 +518,15 @@ class TestDataset:
         assert [e.line_no for e in errors] == [2]
         assert "NxM" in str(errors[0])
 
+    @pytest.mark.parametrize("line", ["[1, 2]", '"id size text format truth"', "7"])
+    def test_json_that_is_not_an_object_is_a_schema_error(self, tmp_path, zebra_instance, line):
+        path = tmp_path / "d.jsonl"
+        good = json.dumps(task_from_instance(zebra_instance).to_json_dict())
+        path.write_text(good + "\n" + line + "\n")
+        tasks, errors = load_dataset(path)
+        assert len(tasks) == 1
+        assert [(e.line_no, e.message) for e in errors] == [(2, "expected a JSON object")]
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text("")

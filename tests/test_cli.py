@@ -65,7 +65,7 @@ class TestCheckAmbiguity:
             "class C:\n    a: Domain[int, range(1, 3)]\n"
             "def v(x: C) -> None:\n    assume(x.a >= 1)\n"
         )
-        assert main(["check-ambiguity", str(path)]) == 2
+        assert main(["check-ambiguity", str(path)]) == 3
         assert "ambiguous" in capsys.readouterr().out
 
     def test_find_second_gets_what_solve_left_of_the_budget(self, tmp_path, capsys):

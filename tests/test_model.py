@@ -218,7 +218,7 @@ class TestDecode:
                 "book": book,
                 "phone": phone,
             }
-            for col, vid in row.fields.items():
+            for col, vid in row.items():
                 value = values[col]
                 domain = zebra_model.vars[vid].domain
                 assignment[vid] = (

@@ -31,7 +31,6 @@ from logicforge.model.constraints import (
     CVar,
     ConstraintModel,
     InstanceLayout,
-    RowLayout,
     SelectorVar,
     Var,
 )
@@ -57,7 +56,7 @@ def flat_model(domains: list[tuple[int, int]], groups=(), constraints=()) -> Con
     """Hand-built model: one instance, one int field per var, [lo, hi) domains."""
     vars_ = [Var(i, f"f{i}", IntRange(lo, hi)) for i, (lo, hi) in enumerate(domains)]
     layout = InstanceLayout(
-        (RowLayout(0, "C", {f"f{i}": i for i in range(len(vars_))}),),
+        ({f"f{i}": i for i in range(len(vars_))},),
         tuple(f"f{i}" for i in range(len(vars_))),
         None,
     )
@@ -188,7 +187,7 @@ class TestSolve:
         assert sel.id in outcome.assignment
         chosen = outcome.assignment[sel.id]
         # the chosen instance really holds "q" (code 1)
-        field_var = model.layout.rows[chosen].fields["f"]
+        field_var = model.layout.rows[chosen]["f"]
         assert outcome.assignment[field_var] == 1
 
     def test_determinism(self, zebra_model):
@@ -312,7 +311,7 @@ class TestFindSecond:
         )
         text = render_dsl(dataclasses.replace(puzzle, clues=clues)).text
         model = _model(_off_by_one(text, n))
-        assert model.vars[model.layout.var_of(0, POSITION_FIELD)].values() == tuple(range(1, n + 2))
+        assert model.vars[model.layout.rows[0][POSITION_FIELD]].values() == tuple(range(1, n + 2))
         outcome = solve(model)
         assert not find_second(model, outcome.assignment, Budget(max_time=1.0)).ambiguous
 
@@ -662,7 +661,7 @@ class TestMaskBases:
         first, second = solve(model), solve(moved)
         assert first.stats.decisions == second.stats.decisions
         assert first.stats.propagations == second.stats.propagations
-        positions = {row.fields[POSITION_FIELD] for row in model.layout.rows}
+        positions = {row[POSITION_FIELD] for row in model.layout.rows}
         assert second.assignment == {
             i: v + 1989 if i in positions else v for i, v in first.assignment.items()
         }
