@@ -103,7 +103,6 @@ class _Lowering:
             )
             root = _Instance({}, {rows_field.name: _ListVal(row_cls.name, rows)})
 
-        # Each Unique field becomes one all-different group over the rows.
         for f in row_cls.fields:
             if f.unique:
                 self.alldiff.append(tuple(row.fields[f.name] for row in rows))
