@@ -122,3 +122,19 @@ def programs(draw, max_entities: int = 3, max_fields: int = 3, max_domain: int =
         stmts.append(stmt_type(cond))
     fn = FuncDecl("validate", "s", "S", tuple(stmts))
     return DslProgram((entity, container), (fn,))
+
+
+@st.composite
+def scalar_programs(draw, max_fields: int = 3, max_domain: int = 4) -> DslProgram:
+    """A parameter class of scalar fields only, which is itself the one row
+    of the result table: the conditions read ``s.<field>``."""
+    n_fields = draw(st.integers(1, max_fields))
+    fields = tuple(draw(field_decls(i, max_domain)) for i in range(n_fields))
+    stmts = []
+    n_conds = draw(st.integers(1, 4))
+    for _ in range(n_conds):
+        cond = draw(bool_exprs(["s"], list(fields)))
+        stmt_type = draw(st.sampled_from([Assume, Assert]))
+        stmts.append(stmt_type(cond))
+    fn = FuncDecl("validate", "s", "S", tuple(stmts))
+    return DslProgram((ClassDecl("S", fields),), (fn,))

@@ -30,7 +30,7 @@ from logicforge.model.constraints import IntRange
 from logicforge.solver import brute_force
 
 from conftest import compile_source
-from strategies import programs
+from strategies import programs, scalar_programs
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "corpus.jsonl"
 CORPUS_LOWERED_SHA256 = "f603bdcdec8128f037244f10173b52ad4a5475de1c438766c38e7994b91ed048"
@@ -384,7 +384,12 @@ class TestFuzzLowering:
         assert len(model.selectors) == n_nondet
 
     @settings(max_examples=60, deadline=None)
-    @given(programs(max_entities=3, max_fields=2, max_domain=3))
+    @given(
+        st.one_of(
+            programs(max_entities=3, max_fields=2, max_domain=3),
+            scalar_programs(max_fields=2, max_domain=3),
+        )
+    )
     def test_the_model_holds_what_the_source_accepts(self, program):
         # the source interpreter reads the program as written, the oracle
         # reads the lowered model: over every table the domains and groups

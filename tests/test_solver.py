@@ -47,7 +47,7 @@ from logicforge.solver import (
 )
 
 from conftest import compile_source, lines_executed
-from strategies import programs
+from strategies import programs, scalar_programs
 
 TAUTOLOGY = '    anyone = nondet(s.items)\n    assume(anyone.f == anyone.f)\n'
 
@@ -365,7 +365,7 @@ class TestOracleAgreement:
     """solve / find_second / brute_force agree on random small programs."""
 
     @settings(max_examples=60, deadline=None)
-    @given(programs(max_entities=3, max_fields=3, max_domain=4))
+    @given(st.one_of(programs(max_entities=3, max_fields=3, max_domain=4), scalar_programs()))
     def test_agreement(self, program):
         try:
             checked = check(program)
