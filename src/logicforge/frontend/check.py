@@ -159,6 +159,10 @@ class _Checker:
 
     def check_field(self, cls: ClassDecl, f: FieldDecl) -> None:
         if f.list_len is not None:
+            if f.unique:
+                raise self.err("UniqueWithoutDomain", "'Unique' cannot wrap a list", f.pos)
+            if f.list_len <= 0:
+                raise self.err("TypeMismatch", "list size must be positive", f.pos)
             if not f.is_class_ref:
                 raise self.err(
                     "TypeMismatch", "scalar lists are not supported; list element must be a class", f.pos

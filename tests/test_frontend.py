@@ -1,5 +1,6 @@
 """Lexer, parser, pretty-printer, and semantic checker."""
 
+import dataclasses
 import re
 import sys
 import threading
@@ -360,6 +361,26 @@ class TestCheck:
         with pytest.raises(SemanticError) as info:
             check(DslProgram((cls,), (fn,)))
         assert "empty body" in info.value.message
+
+    @pytest.mark.parametrize(
+        "change,category,message",
+        [
+            ({"list_len": 0}, "TypeMismatch", "list size must be positive"),
+            ({"list_len": -2}, "TypeMismatch", "list size must be positive"),
+            ({"unique": True}, "UniqueWithoutDomain", "'Unique' cannot wrap a list"),
+        ],
+        ids=("size_0", "size_minus_2", "unique"),
+    )
+    def test_list_field_rejected_for_constructed_ast(self, zebra_source, change, category, message):
+        # the parser rejects each of these in text; a program built as a
+        # syntax tree meets them first in check
+        program = parse(zebra_source)
+        house, solution = program.classes
+        houses = dataclasses.replace(solution.fields[0], **change)
+        solution = dataclasses.replace(solution, fields=(houses,))
+        with pytest.raises(SemanticError) as info:
+            check(dataclasses.replace(program, classes=(house, solution)))
+        assert (info.value.category, info.value.message) == (category, message)
 
     def test_check_is_deterministic_and_pure(self, zebra_source):
         program = parse(zebra_source)
