@@ -2,15 +2,16 @@
 
 This is deliberately independent of the constraint model and solver: the
 candidate's values are plugged into the statements one at a time, and nondet
-choices are enumerated depth-first over the product of list lengths. A table
-passes when some choice of selectors satisfies every assume and assert, and
-every Unique field holds pairwise-distinct in-domain values.
+choices are enumerated depth-first over the product of list lengths. The
+table's rows are used as they are, ``{field: cell}`` dicts, and the parameter
+is the one row or ``{rows_field: rows}``. A table passes when some choice of
+selectors satisfies every assume and assert, and every Unique field holds
+pairwise-distinct in-domain values.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from ..errors import ShapeError
 from ..frontend.ast import (
@@ -35,16 +36,6 @@ from ..frontend.check import CheckedProgram
 from ..model.decode import SolutionTable
 
 
-@dataclass(frozen=True)
-class _Row:
-    cells: dict[str, int | str]
-
-
-@dataclass(frozen=True)
-class _RowList:
-    rows: tuple[_Row, ...]
-
-
 def check_solution(program: CheckedProgram, candidate: SolutionTable) -> bool:
     """True iff the candidate table satisfies the program's validator under
     some assignment of the nondet selectors. Raises ShapeError when the table
@@ -61,19 +52,16 @@ def check_solution(program: CheckedProgram, candidate: SolutionTable) -> bool:
         raise ShapeError(
             f"table has {len(candidate.rows)} rows, expected {expected_rows}"
         )
-    rows = tuple(_Row(dict(r)) for r in candidate.rows)
+    rows = candidate.rows
 
     for f in row_cls.fields:
-        values = [row.cells[f.name] for row in rows]
+        values = [row[f.name] for row in rows]
         if not all(_in_domain(v, f) for v in values):
             return False
         if f.unique and len(set(values)) != len(values):
             return False
 
-    if rows_field is None:
-        root: _Row = rows[0]
-    else:
-        root = _Row({rows_field.name: _RowList(rows)})
+    root = rows[0] if rows_field is None else {rows_field.name: rows}
     entry = program.entry
     return _run_stmts(list(entry.body), {entry.param_name: root})
 
@@ -94,13 +82,9 @@ def _run_stmts(stmts: list, env: dict[str, object]) -> bool:
         if sites:
             # nondet arguments never contain nondet themselves (list element
             # classes hold only scalars), so the sites are independent
-            lists = []
-            for site in sites:
-                lst = _eval(site.arg, env, {})
-                assert isinstance(lst, _RowList)
-                lists.append(lst)
-            for combo in itertools.product(*(range(len(l.rows)) for l in lists)):
-                picks = {id(site): lst.rows[c] for site, lst, c in zip(sites, lists, combo)}
+            lists = [_eval(site.arg, env, {}) for site in sites]
+            for combo in itertools.product(*(range(len(lst)) for lst in lists)):
+                picks = {id(site): lst[c] for site, lst, c in zip(sites, lists, combo)}
                 value = _eval(expr, env, picks)
                 trial_env = dict(env)
                 if isinstance(stmt, Assign):
@@ -118,7 +102,7 @@ def _run_stmts(stmts: list, env: dict[str, object]) -> bool:
     return True
 
 
-def _eval(expr: Expr, env: dict[str, object], picks: dict[int, _Row]):
+def _eval(expr: Expr, env: dict[str, object], picks: dict[int, dict]):
     """Concrete evaluation; ``picks`` maps nondet node ids to chosen rows."""
 
     def go(e: Expr):
@@ -129,13 +113,9 @@ def _eval(expr: Expr, env: dict[str, object], picks: dict[int, _Row]):
         if isinstance(e, LocalRef):
             return env[e.name]
         if isinstance(e, FieldAccess):
-            obj = go(e.obj)
-            assert isinstance(obj, _Row)
-            return obj.cells[e.field]
+            return go(e.obj)[e.field]
         if isinstance(e, Index):
-            lst = go(e.obj)
-            assert isinstance(lst, _RowList)
-            return lst.rows[e.index]
+            return go(e.obj)[e.index]
         if isinstance(e, Nondet):
             return picks[id(e)]
         if isinstance(e, Abs):

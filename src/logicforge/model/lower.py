@@ -2,8 +2,10 @@
 
 The rows of the result table come from ``CheckedProgram.row_class``: one
 variable per field and row, named ``houses[i].f``, or bare ``f`` when the
-parameter class is itself the one row. Each Unique field becomes one
-all-different group over the rows.
+parameter class is itself the one row. Each row is the ``{field: var id}``
+dict that the layout keeps, and the parameter is that one row or
+``{rows_field: rows}``. Each Unique field becomes one all-different group
+over the rows.
 Each ``assume`` and each ``assert`` adds one constraint, in program order.
 Locals are resolved by symbolic substitution: binding a name to
 ``nondet(list)`` introduces a selector variable, anything else is inlined.
@@ -51,25 +53,12 @@ from .constraints import (
 )
 
 
-# Objects a local may hold during lowering, besides model expressions.
-@dataclass
-class _Instance:
-    fields: dict[str, int]  # scalar field name -> var id
-    lists: dict[str, "_ListVal"]
-
-
-@dataclass(frozen=True)
-class _ListVal:
-    class_name: str
-    instances: tuple[_Instance, ...]
-
-
 @dataclass(frozen=True)
 class _SelObj:
-    """An element chosen by a selector over a list of instances."""
+    """A row chosen by a selector over the rows."""
 
     selector: int
-    instances: tuple[_Instance, ...]
+    rows: tuple[dict[str, int], ...]
 
 
 def lower(program: CheckedProgram) -> ConstraintModel:
@@ -94,23 +83,20 @@ class _Lowering:
         rows_field = self.program.rows_field
         row_cls = self.program.row_class
         if rows_field is None:
-            rows = (self.new_row(row_cls, ""),)
-            root = rows[0]
+            prefixes = [""]
         else:
-            rows = tuple(
-                self.new_row(row_cls, f"{rows_field.name}[{i}].")
-                for i in range(rows_field.list_len)
-            )
-            root = _Instance({}, {rows_field.name: _ListVal(row_cls.name, rows)})
-
+            prefixes = [f"{rows_field.name}[{i}]." for i in range(rows_field.list_len)]
+        rows = tuple(
+            {f.name: self.new_var(prefix + f.name, f.domain) for f in row_cls.fields}
+            for prefix in prefixes
+        )
         for f in row_cls.fields:
             if f.unique:
-                self.alldiff.append(tuple(row.fields[f.name] for row in rows))
+                self.alldiff.append(tuple(row[f.name] for row in rows))
         columns = tuple(f.name for f in row_cls.fields)
-        layout = InstanceLayout(
-            tuple(row.fields for row in rows), columns, _position_field(row_cls)
-        )
+        layout = InstanceLayout(rows, columns, _position_field(row_cls))
 
+        root = rows[0] if rows_field is None else {rows_field.name: rows}
         env: dict[str, object] = {entry.param_name: root}
         for stmt in entry.body:
             if isinstance(stmt, Assign):
@@ -120,15 +106,11 @@ class _Lowering:
 
         return ConstraintModel(self.vars, self.selectors, self.alldiff, self.constraints, layout)
 
-    def new_row(self, cls: ClassDecl, prefix: str) -> _Instance:
-        """One var per field of ``cls``, named ``prefix`` + field name."""
-        return _Instance({f.name: self.new_var(prefix + f.name, f.domain) for f in cls.fields}, {})
-
     # -- expression lowering ------------------------------------------------
 
     def lower_value(self, expr: Expr, env: dict[str, object]) -> object:
-        """The model expression of an int or bool ``expr``; the instance,
-        list or selection of an object-valued one."""
+        """The model expression of an int or bool ``expr``; the row, the
+        rows or the selection of an object-valued one."""
         if isinstance(expr, IntLit):
             return CLit(expr.value)
         if isinstance(expr, LocalRef):
@@ -140,22 +122,17 @@ class _Lowering:
             obj = self.lower_value(expr.obj, env)
             return self.lower_field(obj, expr.field)
         if isinstance(expr, Index):
-            obj = self.lower_value(expr.obj, env)
-            if not isinstance(obj, _ListVal):
-                raise InternalError("indexing a non-list after check")
-            return obj.instances[expr.index]
+            return self.lower_value(expr.obj, env)[expr.index]
         if isinstance(expr, Nondet):
-            arg = self.lower_value(expr.arg, env)
-            if not isinstance(arg, _ListVal):
-                raise InternalError("nondet on a non-list after check")
+            rows = self.lower_value(expr.arg, env)
             # Every var is materialized before the validator is lowered, so
             # selector ids can continue the var numbering right away.
             index = len(self.selectors)
             sid = len(self.vars) + index
             self.selectors.append(
-                SelectorVar(sid, len(arg.instances), arg.class_name, f"choice{index}")
+                SelectorVar(sid, len(rows), self.program.row_class.name, f"choice{index}")
             )
-            return _SelObj(sid, arg.instances)
+            return _SelObj(sid, rows)
         if isinstance(expr, Abs):
             return CAbs(self.lower_value(expr.arg, env))
         if isinstance(expr, Binary):
@@ -169,18 +146,10 @@ class _Lowering:
         return _negate(self.lower_value(expr.operand, env))
 
     def lower_field(self, obj: object, field_name: str) -> object:
-        if isinstance(obj, _Instance):
-            if field_name in obj.fields:
-                return CVar(obj.fields[field_name])
-            if field_name in obj.lists:
-                return obj.lists[field_name]
-        elif isinstance(obj, _SelObj):
-            if field_name in obj.instances[0].fields:
-                table = tuple(inst.fields[field_name] for inst in obj.instances)
-                return CElem(obj.selector, table)
-        else:
-            raise InternalError("field access on a non-object after check")
-        raise InternalError(f"unknown field {field_name!r} after check")
+        if isinstance(obj, _SelObj):
+            return CElem(obj.selector, tuple(row[field_name] for row in obj.rows))
+        value = obj[field_name]
+        return CVar(value) if isinstance(value, int) else value
 
     def lower_compare(self, expr: Compare, env: dict[str, object]) -> CCmp:
         """A string comparison pairs a field with a literal: the literal is
