@@ -18,16 +18,11 @@ from ..frontend.ast import EnumValues, IntRange
 Domain = Union[IntRange, EnumValues]
 
 
-def domain_values(domain: Domain) -> tuple[int, ...]:
+def domain_values(domain: Domain) -> range:
+    """The coded values of ``domain``: its integers, or each string's index."""
     if isinstance(domain, IntRange):
-        return tuple(range(domain.lo, domain.hi))
-    return tuple(range(len(domain.values)))
-
-
-def domain_size(domain: Domain) -> int:
-    if isinstance(domain, IntRange):
-        return domain.hi - domain.lo
-    return len(domain.values)
+        return domain.values()
+    return range(len(domain.values))
 
 
 @dataclass(frozen=True)
@@ -36,7 +31,7 @@ class Var:
     name: str
     domain: Domain
 
-    def values(self) -> tuple[int, ...]:
+    def values(self) -> range:
         return domain_values(self.domain)
 
     def render(self, value: int) -> int | str:
@@ -52,8 +47,8 @@ class SelectorVar:
     element_class: str
     name: str = ""
 
-    def values(self) -> tuple[int, ...]:
-        return tuple(range(self.list_len))
+    def values(self) -> range:
+        return range(self.list_len)
 
 
 # --- constraint expressions ---------------------------------------------------
@@ -148,7 +143,7 @@ class ConstraintModel:
     def n_ids(self) -> int:
         return len(self.vars) + len(self.selectors)
 
-    def domain_of(self, ident: int) -> tuple[int, ...]:
+    def domain_of(self, ident: int) -> range:
         if ident < len(self.vars):
             return self.vars[ident].values()
         return self.selectors[ident - len(self.vars)].values()
@@ -193,7 +188,7 @@ def validate_model(model: ConstraintModel) -> None:
     for i, v in enumerate(model.vars):
         if v.id != i:
             raise InternalError(f"var id {v.id} at index {i}")
-        if domain_size(v.domain) <= 0:
+        if not v.values():
             raise InternalError(f"empty domain for {v.name}")
     for j, s in enumerate(model.selectors):
         if s.id != n_vars + j:

@@ -156,7 +156,6 @@ from ..model.constraints import (
     CLit,
     CVar,
     ConstraintModel,
-    domain_size,
     walk_cexpr,
 )
 from ..model.decode import decode
@@ -480,15 +479,14 @@ class CompiledModel:
         self.n_vars = len(model.vars)
         self.n_ids = model.n_ids
         self.meta = [_constraint_meta(c) for c in model.constraints]
-        # each id's declared values run from its lowest (an enum code's is 0)
-        lows = [getattr(v.domain, "lo", 0) for v in model.vars] + [0] * len(model.selectors)
-        sizes = [domain_size(v.domain) for v in model.vars] + [s.list_len for s in model.selectors]
+        # each id's declared values are a range (an enum's codes start at 0)
+        ranges = [v.values() for v in model.vars] + [s.values() for s in model.selectors]
         # the tables a dedicated propagator ORs are those of meta.selectors
         # (one per selector); clues repeat the same few, so each is joined once
         ties = {*model.alldiff_groups, *(t for m in self.meta for _, t in m.selectors)}
-        self.base = _bases(lows, ties)
+        self.base = _bases([r.start for r in ranges], ties)
         # so each declared mask is a run of bits, built without its values
-        self.declared = [((1 << n) - 1) << (lo - b) for n, lo, b in zip(sizes, lows, self.base)]
+        self.declared = [((1 << len(r)) - 1) << (r.start - b) for r, b in zip(ranges, self.base)]
         # no literal shifts a mask by this much or more
         self.width = max(m.bit_length() for m in self.declared)
         # (function, arguments) per work-list item; unbound, so that a model
@@ -1209,7 +1207,7 @@ def propagate_domains(
     compiled = view.compiled
     doms = compiled.initial_state()
     for ident, values in (domains or {}).items():
-        declared = set(model.domain_of(ident))
+        declared = model.domain_of(ident)
         doms[ident] = compiled.mask(ident, (v for v in values if v in declared))
     if not all(doms):
         return None

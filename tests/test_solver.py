@@ -311,7 +311,7 @@ class TestFindSecond:
         )
         text = render_dsl(dataclasses.replace(puzzle, clues=clues)).text
         model = _model(_off_by_one(text, n))
-        assert model.vars[model.layout.rows[0][POSITION_FIELD]].values() == tuple(range(1, n + 2))
+        assert model.vars[model.layout.rows[0][POSITION_FIELD]].values() == range(1, n + 2)
         outcome = solve(model)
         assert not find_second(model, outcome.assignment, Budget(max_time=1.0)).ambiguous
 
@@ -1346,6 +1346,15 @@ class TestWideDomains:
         for model in (zebra_model, _model(_wide_program(1000))):
             compiled = engine.CompiledModel(model)
             assert compiled.declared == [compiled.mask(i, model.domain_of(i)) for i in range(model.n_ids)]
+
+    def test_verify_does_not_list_a_wide_domain(self):
+        # verify runs after the solve clock stops, so testing each value
+        # against its declared domain must not list the domain's values
+        model = _model(_wide_program(10**6))
+        assignment = dict(enumerate([1, 2, 3, 0]))
+        start = time.perf_counter()
+        assert verify(model, assignment)
+        assert time.perf_counter() - start < 0.02
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.integers(0, 2**64), st.integers(0, 2**4000)))
