@@ -37,7 +37,6 @@ class LlmClientConfig:
     api_key: str = ""
     timeout: float = 120.0
     temperature: float = 0.0
-    max_in_flight: int = 16
 
     @staticmethod
     def from_env() -> "LlmClientConfig":
@@ -103,7 +102,6 @@ class LlmFormalizer:
         self.prompts = prompts or Prompts.load()
         self.transcript = transcript
         self.session = session or requests.Session()
-        self._slots = threading.Semaphore(config.max_in_flight)
 
     def gen_data_structure(self, puzzle_text: str, expected_format: ExpectedFormat) -> SourceText:
         user = self.prompts.data_structure.format(
@@ -136,16 +134,15 @@ class LlmFormalizer:
         headers = {"Content-Type": "application/json"}
         if self.config.api_key:
             headers["Authorization"] = f"Bearer {self.config.api_key}"
-        with self._slots:
-            try:
-                resp = self.session.post(
-                    self.config.endpoint,
-                    json=payload,
-                    headers=headers,
-                    timeout=self.config.timeout,
-                )
-            except requests.RequestException as exc:
-                raise TransportError(f"request failed: {exc}") from exc
+        try:
+            resp = self.session.post(
+                self.config.endpoint,
+                json=payload,
+                headers=headers,
+                timeout=self.config.timeout,
+            )
+        except requests.RequestException as exc:
+            raise TransportError(f"request failed: {exc}") from exc
         if resp.status_code != 200:
             raise TransportError(f"endpoint returned HTTP {resp.status_code}")
         try:

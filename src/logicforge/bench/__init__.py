@@ -6,7 +6,6 @@ from .render import OracleFormalizer, render_dsl, render_text
 from .runner import GenSpec, generate_tasks, oracle_formalizer_factory, run_bench
 from .score import (
     EASY_SHAPES,
-    HARD_SHAPES,
     EmptyInput,
     EvalReport,
     TaskResult,
@@ -16,7 +15,6 @@ from .score import (
 
 __all__ = [
     "EASY_SHAPES",
-    "HARD_SHAPES",
     "Clue",
     "EmptyInput",
     "EvalReport",

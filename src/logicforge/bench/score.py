@@ -13,9 +13,6 @@ from ..errors import GenerationError, LogicForgeError
 from ..model.decode import SolutionTable
 
 EASY_SHAPES = frozenset({(2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3)})
-HARD_SHAPES = frozenset(
-    (e, f) for e in range(3, 7) for f in range(2, 7) if (e, f) not in EASY_SHAPES
-)
 
 
 class EmptyInput(LogicForgeError):
