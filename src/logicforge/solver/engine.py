@@ -252,7 +252,9 @@ def verify(model: ConstraintModel, assignment: dict[int, int]) -> bool:
 
 def _verify(model: ConstraintModel, assignment: dict[int, int], constraints) -> bool:
     for v in model.vars:
-        if assignment.get(v.id) not in v.values():
+        # None would make the range test walk every value
+        value = assignment.get(v.id)
+        if value is None or value not in v.values():
             return False
     for s in model.selectors:
         if not (0 <= assignment.get(s.id, -1) < s.list_len):

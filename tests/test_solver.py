@@ -1354,6 +1354,8 @@ class TestWideDomains:
         assignment = dict(enumerate([1, 2, 3, 0]))
         start = time.perf_counter()
         assert verify(model, assignment)
+        del assignment[0]
+        assert not verify(model, assignment)
         assert time.perf_counter() - start < 0.02
 
     @settings(max_examples=300, deadline=None)
