@@ -32,6 +32,10 @@ FIG_BLOCK = (
 
 
 class _StubHandler(BaseHTTPRequestHandler):
+    """Each reply is (status, content): content as a completion's message, or
+    bytes sent as the raw body; a status of None closes the connection
+    without a reply."""
+
     replies: list = []
     requests: list = []
 
@@ -42,9 +46,15 @@ class _StubHandler(BaseHTTPRequestHandler):
             {"payload": body, "auth": self.headers.get("Authorization")}
         )
         status, reply = type(self).replies.pop(0)
-        data = json.dumps(
-            {"choices": [{"message": {"role": "assistant", "content": reply}}]}
-        ).encode()
+        if status is None:
+            self.close_connection = True
+            return
+        if isinstance(reply, bytes):
+            data = reply
+        else:
+            data = json.dumps(
+                {"choices": [{"message": {"role": "assistant", "content": reply}}]}
+            ).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -153,6 +163,35 @@ class TestClient:
         assert entries[0]["step"] == "data_structure"
         assert entries[0]["request"]["model"] == "test-model"
         assert FIG_BLOCK in entries[0]["response_text"]
+
+
+class TestTransportFailures:
+    """Each class of HTTP failure is a TransportError, never a reply."""
+
+    @pytest.mark.parametrize(
+        "status, reply, message",
+        [
+            (201, f"```\n{FIG_BLOCK}```", "endpoint returned HTTP 201"),
+            (200, b"not json", "malformed completion response"),
+            (200, b'{"id": "x"}', "malformed completion response"),
+            (None, None, "request failed"),
+        ],
+        ids=["status-201", "body-not-json", "no-choices", "closed-without-reply"],
+    )
+    def test_stub_reply_is_transport_error(self, stub_server, status, reply, message):
+        endpoint, handler = stub_server
+        handler.replies.append((status, reply))
+        with pytest.raises(TransportError, match=message):
+            make_formalizer(endpoint).gen_data_structure("p", FMT)
+        assert len(handler.requests) == 1
+
+    def test_file_endpoint_is_transport_error(self, tmp_path):
+        path = tmp_path / "completion.json"
+        path.write_text(
+            json.dumps({"choices": [{"message": {"content": f"```\n{FIG_BLOCK}```"}}]})
+        )
+        with pytest.raises(TransportError, match="request failed"):
+            make_formalizer(path.as_uri()).gen_data_structure("p", FMT)
 
 
 @pytest.fixture(scope="module")
