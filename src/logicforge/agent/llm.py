@@ -2,22 +2,25 @@
 
 Each formalizer step issues a single chat-completion request (system prompt =
 the language guide, user prompt = the step's instructions plus the puzzle),
-and extracts the first fenced code block from the reply. Every request and
-reply can be appended to a JSONL transcript; replaying a transcript through
-the same extraction path reproduces a pipeline run bit for bit.
+and extracts the first fenced code block from the reply. The request goes
+through ``urllib.request`` on a connection of its own, to an http or https
+endpoint only, with TLS verified against the system trust store. Every request
+and reply can be appended to a JSONL transcript; replaying a transcript
+through the same extraction path reproduces a pipeline run bit for bit.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
 import threading
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-
-import requests
 
 from ..errors import ExtractionError, TransportError
 from ..frontend.parser import SourceText
@@ -26,6 +29,8 @@ from .pipeline import ExpectedFormat
 ENDPOINT_ENV = "LOGIC_AGENT_ENDPOINT"
 MODEL_ENV = "LOGIC_AGENT_MODEL"
 API_KEY_ENV = "LOGIC_AGENT_API_KEY"
+
+TEMPERATURE = 0.0
 
 _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
 
@@ -36,7 +41,6 @@ class LlmClientConfig:
     model: str
     api_key: str = ""
     timeout: float = 120.0
-    temperature: float = 0.0
 
     @staticmethod
     def from_env() -> "LlmClientConfig":
@@ -96,12 +100,10 @@ class LlmFormalizer:
         config: LlmClientConfig,
         prompts: Prompts | None = None,
         transcript: TranscriptWriter | None = None,
-        session: requests.Session | None = None,
     ):
         self.config = config
         self.prompts = prompts or Prompts.load()
         self.transcript = transcript
-        self.session = session or requests.Session()
 
     def gen_data_structure(self, puzzle_text: str, expected_format: ExpectedFormat) -> SourceText:
         user = self.prompts.data_structure.format(
@@ -129,24 +131,29 @@ class LlmFormalizer:
                 {"role": "system", "content": self.prompts.language_guide},
                 {"role": "user", "content": user_prompt},
             ],
-            "temperature": self.config.temperature,
+            "temperature": TEMPERATURE,
         }
         headers = {"Content-Type": "application/json"}
         if self.config.api_key:
             headers["Authorization"] = f"Bearer {self.config.api_key}"
         try:
-            resp = self.session.post(
-                self.config.endpoint,
-                json=payload,
-                headers=headers,
-                timeout=self.config.timeout,
+            request = urllib.request.Request(
+                self.config.endpoint, data=json.dumps(payload).encode(), headers=headers
             )
-        except requests.RequestException as exc:
+            # urlopen would also open file: and ftp: URLs
+            if request.type not in ("http", "https"):
+                raise ValueError(f"endpoint scheme {request.type!r} is not http or https")
+            with urllib.request.urlopen(request, timeout=self.config.timeout) as resp:
+                status, data = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            raise TransportError(f"endpoint returned HTTP {exc.code}") from exc
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise TransportError(f"request failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransportError(f"endpoint returned HTTP {resp.status_code}")
+        if status != 200:
+            raise TransportError(f"endpoint returned HTTP {status}")
         try:
-            body = resp.json()
+            body = json.loads(data)
             reply = body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed completion response: {exc}") from exc

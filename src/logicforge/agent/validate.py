@@ -20,7 +20,6 @@ from ..frontend.ast import (
     Binary,
     BoolOp,
     Compare,
-    EnumValues,
     Expr,
     FieldAccess,
     Index,
@@ -53,6 +52,10 @@ def check_solution(program: CheckedProgram, candidate: SolutionTable) -> bool:
             f"table has {len(candidate.rows)} rows, expected {expected_rows}"
         )
     rows = candidate.rows
+    for i, row in enumerate(rows):
+        missing = [c for c in columns if c not in row]
+        if missing:
+            raise ShapeError(f"table row {i} lacks columns {missing}")
 
     for f in row_cls.fields:
         values = [row[f.name] for row in rows]
@@ -69,9 +72,7 @@ def check_solution(program: CheckedProgram, candidate: SolutionTable) -> bool:
 def _in_domain(value: int | str, f) -> bool:
     if isinstance(f.domain, IntRange):
         return isinstance(value, int) and f.domain.lo <= value < f.domain.hi
-    if isinstance(f.domain, EnumValues):
-        return value in f.domain.values
-    return False
+    return value in f.domain.values
 
 
 def _run_stmts(stmts: list, env: dict[str, object]) -> bool:

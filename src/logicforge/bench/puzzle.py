@@ -52,8 +52,6 @@ DIRECTLY_LEFT = "directly_left"
 LEFT_OF = "left_of"
 NEXT_TO = "next_to"
 
-CLUE_KINDS = (SAME_PERSON, AT_POSITION, NOT_AT_POSITION, DIRECTLY_LEFT, LEFT_OF, NEXT_TO)
-
 
 @dataclass(frozen=True)
 class Clue:

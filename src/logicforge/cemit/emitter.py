@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import EmitError
 from ..frontend.ast import (
     INT,
     Abs,
@@ -23,7 +22,6 @@ from ..frontend.ast import (
     BoolOp,
     ClassDecl,
     Compare,
-    EnumValues,
     Expr,
     FieldAccess,
     FieldDecl,
@@ -141,7 +139,7 @@ class _Emitter:
     def _domain_arrays(self, cls: ClassDecl) -> str:
         out = []
         for f in cls.fields:
-            if not f.unique or f.domain is None:
+            if not f.unique:
                 continue
             array = f"{cls.name}_{f.name}"
             if isinstance(f.domain, IntRange):
@@ -177,13 +175,11 @@ class _Emitter:
                     f"    __CPROVER_assume(instance->{f.name} >= {f.domain.lo} && "
                     f"instance->{f.name} < {f.domain.hi});"
                 )
-            elif isinstance(f.domain, EnumValues):
+            else:
                 membership = " || ".join(
                     f"instance->{f.name} == {_c_str(v)}" for v in f.domain.values
                 )
                 lines.append(f"    __CPROVER_assume({membership});")
-            else:
-                raise EmitError(f"field {cls.name}.{f.name} has no C initialisation")
         lines.append("}")
         lines.append("")
         return "\n".join(lines) + "\n"

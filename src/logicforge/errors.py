@@ -82,10 +82,6 @@ class CapExceeded(LogicForgeError):
     """The brute-force enumeration bound would be violated."""
 
 
-class EmitError(LogicForgeError):
-    """A checked program contains a construct with no C mapping."""
-
-
 class ShapeError(LogicForgeError):
     """A candidate table does not match the shape of the program's result class."""
 

@@ -298,6 +298,20 @@ class TestCheckSolution:
                 zebra_dsl_program, SolutionTable(("wrong",), ({"wrong": 1},))
             )
 
+    def test_row_missing_a_column_raises(self):
+        from conftest import compile_source
+
+        program, _ = compile_source(
+            "class R:\n    n: Unique[Domain[int, range(1, 3)]]\n"
+            '    s: Domain[str, "a", "b"]\n'
+            "class S:\n    rows: list[R, 2]\n"
+            "def v(x: S) -> None:\n"
+            "    assume(x.rows[0].n >= 1)\n"
+        )
+        table = SolutionTable(("n", "s"), ({"n": 1, "s": "a"}, {"n": 2}))
+        with pytest.raises(ShapeError, match="row 1"):
+            check_solution(program, table)
+
 
 class TestReplay:
     def test_recorded_oracle_run_replays_bit_for_bit(self, zebra_instance, tmp_path):

@@ -1,8 +1,12 @@
 """LLM formalizer against a local stub chat-completion server."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +196,21 @@ class TestTransportFailures:
         )
         with pytest.raises(TransportError, match="request failed"):
             make_formalizer(path.as_uri()).gen_data_structure("p", FMT)
+
+
+def test_agent_and_cli_import_no_http_package():
+    """The client speaks HTTP through the standard library alone."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys, logicforge.agent, logicforge.cli; print('requests' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 @pytest.fixture(scope="module")
