@@ -4,9 +4,10 @@ Each formalizer step issues a single chat-completion request (system prompt =
 the language guide, user prompt = the step's instructions plus the puzzle),
 and extracts the first fenced code block from the reply. The request goes
 through ``urllib.request`` on a connection of its own, to an http or https
-endpoint only, with TLS verified against the system trust store. Every request
-and reply can be appended to a JSONL transcript; replaying a transcript
-through the same extraction path reproduces a pipeline run bit for bit.
+endpoint only, with TLS verified against the system trust store; a redirect
+is an error, not followed. Every request and reply can be appended to a JSONL
+transcript; replaying a transcript through the same extraction path
+reproduces a pipeline run bit for bit.
 """
 
 from __future__ import annotations
@@ -33,6 +34,17 @@ API_KEY_ENV = "LOGIC_AGENT_API_KEY"
 TEMPERATURE = 0.0
 
 _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
+
+
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    """Turns every 3xx into an HTTPError: a followed redirect would carry the
+    API key to the new host, and a POST turned into a GET yields no completion."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
+_OPENER = urllib.request.build_opener(_NoRedirect)
 
 
 @dataclass(frozen=True)
@@ -140,10 +152,12 @@ class LlmFormalizer:
             request = urllib.request.Request(
                 self.config.endpoint, data=json.dumps(payload).encode(), headers=headers
             )
-            # urlopen would also open file: and ftp: URLs
+            # the opener would also open file: and ftp: URLs
             if request.type not in ("http", "https"):
-                raise ValueError(f"endpoint scheme {request.type!r} is not http or https")
-            with urllib.request.urlopen(request, timeout=self.config.timeout) as resp:
+                raise TransportError(
+                    f"request failed: endpoint scheme {request.type!r} is not http or https"
+                )
+            with _OPENER.open(request, timeout=self.config.timeout) as resp:
                 status, data = resp.status, resp.read()
         except urllib.error.HTTPError as exc:
             exc.close()

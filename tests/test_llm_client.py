@@ -197,6 +197,62 @@ class TestTransportFailures:
         with pytest.raises(TransportError, match="request failed"):
             make_formalizer(path.as_uri()).gen_data_structure("p", FMT)
 
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_is_not_followed(self, status):
+        """A redirect is an error: the API key never reaches the target."""
+        _CompletionTarget.seen = []
+        target = _serve(_CompletionTarget)
+        target_url = f"http://127.0.0.1:{target.server_port}/v1/chat/completions"
+        redirect = _serve(_redirect_handler(status, target_url))
+        try:
+            endpoint = f"http://127.0.0.1:{redirect.server_port}/v1/chat/completions"
+            with pytest.raises(TransportError, match=f"endpoint returned HTTP {status}"):
+                make_formalizer(endpoint).gen_data_structure("p", FMT)
+        finally:
+            redirect.shutdown()
+            target.shutdown()
+        assert _CompletionTarget.seen == []
+
+
+def _serve(handler_cls) -> HTTPServer:
+    server = HTTPServer(("127.0.0.1", 0), handler_cls)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
+
+
+def _redirect_handler(status: int, location: str):
+    class Redirect(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.send_response(status)
+            self.send_header("Location", location)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+
+        def log_message(self, *args):
+            pass
+
+    return Redirect
+
+
+class _CompletionTarget(BaseHTTPRequestHandler):
+    """Records every request, whatever its method, and answers a completion."""
+
+    seen: list = []
+
+    def _answer(self):
+        type(self).seen.append((self.command, self.headers.get("Authorization")))
+        data = json.dumps({"choices": [{"message": {"content": f"```\n{FIG_BLOCK}```"}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    do_GET = do_POST = _answer
+
+    def log_message(self, *args):
+        pass
+
 
 def test_agent_and_cli_import_no_http_package():
     """The client speaks HTTP through the standard library alone."""
