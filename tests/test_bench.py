@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logicforge.agent.pipeline import PipelineConfig
 from logicforge.bench import (
     GenSpec,
     OracleFormalizer,
@@ -41,7 +42,7 @@ from logicforge.bench.render import (
     render_instance_dsl,
 )
 from logicforge.bench.score import EmptyInput, TaskResult
-from logicforge.errors import BudgetExceeded, DatasetError, GenerationError
+from logicforge.errors import BudgetExceeded, DatasetError, GenerationError, TransportError
 from logicforge.frontend import SourceText, check, parse
 from logicforge.frontend.ast import Assert, Compare, FieldAccess, Index, IntLit, LocalRef
 from logicforge.model import decode, lower
@@ -639,6 +640,21 @@ class TestRunner:
         assert set(statuses.values()) == {"Solved"}
         assert report.status_counts == {status: 1, "Solved": len(small_tasks) - 1}
         assert out.exists()
+
+    def test_a_failed_task_records_its_reason(self, small_tasks, tmp_path):
+        class Unreachable:
+            def gen_data_structure(self, puzzle_text, expected_format):
+                raise TransportError("request failed: refused")
+
+        out = tmp_path / "report.json"
+        run_bench(
+            small_tasks[:1], lambda task: Unreachable(), out_path=out,
+            config=PipelineConfig(max_attempts=1),
+        )
+        (line,) = out.with_suffix(".results.jsonl").read_text().splitlines()
+        result = json.loads(line)
+        assert result["status"] == "FailedFormalize"
+        assert result["log"] == [["formalize", "request failed: refused"]]
 
     def test_partial_results_survive_an_aborted_run(self, small_tasks, tmp_path):
         out = tmp_path / "report.json"

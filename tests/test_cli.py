@@ -1,9 +1,11 @@
 """The logic-forge command line entry points."""
 
 import json
+from unittest import mock
 
 import pytest
 
+from logicforge import cli
 from logicforge.bench import GenSpec, generate_tasks, render_dsl, save_dataset
 from logicforge.bench.puzzle import generate_puzzle
 from logicforge.cli import main
@@ -155,6 +157,35 @@ class TestGenAndBench:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "NxM" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "text,reason",
+        [(None, "cannot read"), ("seed: 1", "not JSON"), ('{"seed": 1}', "shapes")],
+        ids=["missing", "not-json", "no-shapes"],
+    )
+    def test_bench_rejects_an_unusable_gen_spec(self, tmp_path, capsys, text, reason):
+        spec_path = tmp_path / "spec.json"
+        if text is not None:
+            spec_path.write_text(text)
+        assert main(["bench", "--gen-spec", str(spec_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and reason in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_bench_rejects_a_transcript_without_the_llm_formalizer(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "generate_tasks", mock.Mock(side_effect=AssertionError))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"seed": 4, "shapes": [{"size": "2x3", "count": 2}]}))
+        transcript = tmp_path / "t.jsonl"
+        rc = main(["bench", "--gen-spec", str(spec_path), "--transcript", str(transcript)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "--transcript" in captured.err
+        assert captured.out == ""
+        assert not transcript.exists()
 
     def test_bench_requires_exactly_one_source(self, capsys):
         assert main(["bench"]) == 2

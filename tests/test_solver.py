@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import random
 import re
+import subprocess
 import sys
 import time
 import weakref
@@ -46,7 +47,7 @@ from logicforge.solver import (
     verify,
 )
 
-from conftest import compile_source, lines_executed
+from conftest import DATA_DIR, compile_source, lines_executed
 from strategies import programs, scalar_programs
 
 TAUTOLOGY = '    anyone = nondet(s.items)\n    assume(anyone.f == anyone.f)\n'
@@ -359,6 +360,45 @@ class TestBruteForce:
         solutions = brute_force(model, cap=100_000)
         assert len(solutions) == 1
         assert decode(model, solutions[0]) == decode(model, solve(model).assignment)
+
+    def test_products_past_32_bits_are_exact(self):
+        # 40000 * 70000 is 2.8e9: a 32-bit product wraps below zero
+        _, model = compile_source(
+            "class C:\n    a: Domain[int, range(40000, 40003)]\n"
+            "def v(x: C) -> None:\n    assume(x.a * 70000 < 0)\n"
+        )
+        assert solve(model).status is Status.UNSAT
+        assert brute_force(model) == []
+
+    def test_literals_past_32_bits_are_exact(self):
+        _, model = compile_source(
+            "class C:\n    a: Domain[int, range(0, 3)]\n"
+            "def v(x: C) -> None:\n    assume(x.a < 3000000000)\n"
+        )
+        assert brute_force(model) == [{0: 0}, {0: 1}, {0: 2}]
+
+    def test_runs_on_the_standard_library_alone(self):
+        # -S leaves site-packages off the path, so only src and the
+        # standard library can be imported
+        code = (
+            "import logicforge, logicforge.cli, logicforge.agent, logicforge.bench\n"
+            "from logicforge.frontend import SourceText, check, parse\n"
+            "from logicforge.model import lower\n"
+            "from logicforge.solver import brute_force\n"
+            "text = open(sys.argv[1], encoding='utf-8').read()\n"
+            "model = lower(check(parse(SourceText(text, sys.argv[1]))))\n"
+            "print(len(brute_force(model)))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", "import sys\n" + code, str(DATA_DIR / "zebra_4x4.lpy")],
+            env={"PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "1\n"
 
 
 class TestOracleAgreement:
