@@ -8,43 +8,28 @@ certify solver results and puzzle uniqueness at desk scale.
 When the result class has a position field and constraints reach instances
 only through selectors, tables are enumerated directly by giving the rows each
 combination of the position domain in ascending order: every table then
-appears exactly once instead of once per row permutation. Evaluation is
-vectorized with numpy over blocks of candidate tables.
+appears exactly once instead of once per row permutation.
+
+Tables are built depth first, one factor (a group or a free variable) at a
+time, and each constraint cluster is tested as soon as every variable it reads
+is set, so a partial table that fails one is not extended: a join as in bucket
+elimination (Dechter, AIJ 1999). Values are Python ints, so arithmetic is
+exact. The only thing taken from the engine is ``eval_cexpr``, the concrete
+evaluator ``verify`` uses; nothing of propagation or search is shared.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from ..errors import CapExceeded, InternalError
-from ..model.constraints import (
-    CAbs,
-    CBin,
-    CBool,
-    CCmp,
-    CElem,
-    CExpr,
-    CLit,
-    CVar,
-    ConstraintModel,
-    walk_cexpr,
-)
+from ..model.constraints import CElem, CExpr, CVar, ConstraintModel, walk_cexpr
 from ..model.decode import decode
+from .engine import eval_cexpr
 
 DEFAULT_CAP = 10_000_000
-_BLOCK = 1 << 16
 _SELECTOR_CAP = 100_000
-_VEC_CMP = {"==": np.equal, "!=": np.not_equal, "<": np.less, "<=": np.less_equal}
-
-
-@dataclass(frozen=True)
-class _Factor:
-    var_ids: tuple[int, ...]
-    choices: np.ndarray  # shape (n_choices, len(var_ids))
 
 
 def brute_force(model: ConstraintModel, cap: int = DEFAULT_CAP) -> list[dict[int, int]]:
@@ -66,7 +51,7 @@ def brute_force(model: ConstraintModel, cap: int = DEFAULT_CAP) -> list[dict[int
     positions = model.position_vars() if model.rows_orderable() else None
 
     count = 1
-    factors: list[_Factor] = []
+    factors: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
     for group in model.alldiff_groups:
         values = model.vars[group[0]].values()
         if positions is not None and set(group) == set(positions):
@@ -76,7 +61,7 @@ def brute_force(model: ConstraintModel, cap: int = DEFAULT_CAP) -> list[dict[int
         count *= len(choices)
         if count > cap:
             raise CapExceeded(f"enumeration exceeds cap of {cap}")
-        factors.append(_Factor(tuple(group), np.array(choices, dtype=np.int32)))
+        factors.append((tuple(group), choices))
     for v in model.vars:
         if v.id in grouped:
             continue
@@ -84,42 +69,75 @@ def brute_force(model: ConstraintModel, cap: int = DEFAULT_CAP) -> list[dict[int
         count *= len(values)
         if count > cap:
             raise CapExceeded(f"enumeration exceeds cap of {cap}")
-        factors.append(_Factor((v.id,), np.array(values, dtype=np.int32).reshape(-1, 1)))
+        factors.append(((v.id,), [(value,) for value in values]))
 
-    clusters = _selector_clusters(model)
+    # each cluster is tested at the depth of the last factor it reads
+    depth_of = {vid: depth for depth, (ids, _) in enumerate(factors) for vid in ids}
+    ready: list[list] = [[] for _ in range(len(factors) + 1)]
+    for sels, constraints in _selector_clusters(model):
+        domains = [model.selectors[s - n_vars].values() for s in sels]
+        if math.prod(len(d) for d in domains) > _SELECTOR_CAP:
+            raise CapExceeded("selector combinations exceed the enumeration bound")
+        # stage k holds the constraints whose last selector is sels[k - 1]
+        stages: list[list[CExpr]] = [[] for _ in range(len(sels) + 1)]
+        reads: set[int] = set()
+        for c in constraints:
+            stage = 0
+            for node in walk_cexpr(c):
+                if isinstance(node, CVar):
+                    reads.add(node.var)
+                elif isinstance(node, CElem):
+                    reads.update(node.table)
+                    stage = max(stage, sels.index(node.selector) + 1)
+            stages[stage].append(c)
+        depth = max((depth_of[v] + 1 for v in reads), default=0)
+        ready[depth].append((tuple(zip(sels, domains)), stages))
+
+    # the table so far, then the selector picks, indexed by id
+    values: list[int] = [0] * model.n_ids
     solutions: list[dict[int, int]] = []
     seen_tables: set[tuple] = set()
 
-    for start in range(0, count, _BLOCK):
-        block = min(_BLOCK, count - start)
-        table_idx = np.arange(start, start + block, dtype=np.int64)
-        values = np.empty((block, n_vars), dtype=np.int32)
-        stride = 1
-        for factor in reversed(factors):
-            n_choices = factor.choices.shape[0]
-            sel = (table_idx // stride) % n_choices
-            values[:, list(factor.var_ids)] = factor.choices[sel]
-            stride *= n_choices
-        mask = np.ones(block, dtype=bool)
-        for cluster_sels, cluster_constraints in clusters:
-            mask &= _cluster_mask(model, values, cluster_sels, cluster_constraints)
-            if not mask.any():
-                break
-        for row in np.flatnonzero(mask):
-            assignment = {vid: int(values[row, vid]) for vid in range(n_vars)}
+    def extend(depth: int) -> None:
+        if not all(_satisfiable(values, picks, stages) for picks, stages in ready[depth]):
+            return
+        if depth == len(factors):
+            assignment = {vid: values[vid] for vid in range(n_vars)}
             if positions is None and model.layout.position_field is not None:
                 key = decode(model, assignment).key()
                 if key in seen_tables:
-                    continue
+                    return
                 seen_tables.add(key)
             solutions.append(assignment)
+            return
+        ids, choices = factors[depth]
+        for choice in choices:
+            for vid, value in zip(ids, choice):
+                values[vid] = value
+            extend(depth + 1)
+
+    extend(0)
     return solutions
+
+
+def _satisfiable(values: list[int], picks, stages: list[list[CExpr]], k: int = 0) -> bool:
+    """Whether some choice of the selectors in ``picks[k:]`` satisfies every
+    constraint in ``stages[k:]``, picking one selector at a time."""
+    if not all(eval_cexpr(c, values) for c in stages[k]):
+        return False
+    if k == len(picks):
+        return True
+    sel, domain = picks[k]
+    for pick in domain:
+        values[sel] = pick
+        if _satisfiable(values, picks, stages, k + 1):
+            return True
+    return False
 
 
 def _selector_clusters(model: ConstraintModel):
     """Group constraints by shared selectors: within a cluster the selector
     choice must be consistent, across clusters it is independent."""
-    n_vars = len(model.vars)
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -159,71 +177,3 @@ def _selector_clusters(model: ConstraintModel):
         sels, constraints = clusters[root]
         result.append((tuple(sorted(sels)), constraints))
     return result
-
-
-def _cluster_mask(
-    model: ConstraintModel,
-    values: np.ndarray,
-    sels: tuple[int, ...],
-    constraints: list[CExpr],
-) -> np.ndarray:
-    block = values.shape[0]
-    if not sels:
-        mask = np.ones(block, dtype=bool)
-        for c in constraints:
-            mask &= _vec_eval_bool(c, values, {})
-        return mask
-    domains = [model.selectors[s - len(model.vars)].values() for s in sels]
-    if math.prod(len(d) for d in domains) > _SELECTOR_CAP:
-        raise CapExceeded("selector combinations exceed the enumeration bound")
-    mask = np.zeros(block, dtype=bool)
-    for combo in itertools.product(*domains):
-        if mask.all():
-            break
-        pick = dict(zip(sels, combo))
-        combo_ok = np.ones(block, dtype=bool)
-        for c in constraints:
-            combo_ok &= _vec_eval_bool(c, values, pick)
-            if not combo_ok.any():
-                break
-        mask |= combo_ok
-    return mask
-
-
-def _vec_eval_int(expr: CExpr, values: np.ndarray, pick: dict[int, int]) -> np.ndarray:
-    if isinstance(expr, CLit):
-        return np.int32(expr.value)
-    if isinstance(expr, CVar):
-        return values[:, expr.var]
-    if isinstance(expr, CElem):
-        return values[:, expr.table[pick[expr.selector]]]
-    if isinstance(expr, CBin):
-        left = _vec_eval_int(expr.left, values, pick)
-        right = _vec_eval_int(expr.right, values, pick)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        return left * right
-    assert isinstance(expr, CAbs)
-    return np.abs(_vec_eval_int(expr.arg, values, pick))
-
-
-def _vec_eval_bool(expr: CExpr, values: np.ndarray, pick: dict[int, int]) -> np.ndarray:
-    if isinstance(expr, CCmp):
-        left = _vec_eval_int(expr.left, values, pick)
-        right = _vec_eval_int(expr.right, values, pick)
-        return _VEC_CMP[expr.op](left, right)
-    if isinstance(expr, CBool):
-        block = values.shape[0]
-        if not expr.parts:
-            fill = expr.op == "and"
-            return np.full(block, fill, dtype=bool)
-        out = _vec_eval_bool(expr.parts[0], values, pick)
-        for p in expr.parts[1:]:
-            if expr.op == "and":
-                out = out & _vec_eval_bool(p, values, pick)
-            else:
-                out = out | _vec_eval_bool(p, values, pick)
-        return out
-    raise InternalError(f"non-boolean constraint root: {expr!r}")
