@@ -34,8 +34,14 @@ class GenSpec:
 
     @staticmethod
     def from_json_dict(d: dict) -> "GenSpec":
-        shapes = tuple((s["size"], int(s["count"])) for s in d["shapes"])
-        return GenSpec(int(d["seed"]), shapes)
+        try:
+            shapes = tuple((s["size"], int(s["count"])) for s in d["shapes"])
+            return GenSpec(int(d["seed"]), shapes)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LogicForgeError(
+                'gen spec is not {"seed": N, "shapes": [{"size": "NxM", "count": N}, ...]}: '
+                f"{type(exc).__name__} {exc}"
+            ) from None
 
 
 def generate_tasks(spec: GenSpec) -> list[PuzzleTask]:
@@ -95,6 +101,7 @@ def run_bench(
             predicted=result.solution if result.status is PipelineStatus.SOLVED else None,
             attempts=result.attempts,
             elapsed=time.perf_counter() - t0,
+            log=tuple(result.log),
         )
 
     failure: BaseException | None = None

@@ -44,6 +44,7 @@ class TaskResult:
     predicted: SolutionTable | None = None
     attempts: int = 0
     elapsed: float = 0.0
+    log: tuple[tuple[str, str], ...] = ()  # the pipeline's (stage, summary) per attempt
 
     def to_json_dict(self) -> dict:
         return {
@@ -53,6 +54,7 @@ class TaskResult:
             "attempts": self.attempts,
             "elapsed": self.elapsed,
             "predicted": self.predicted.to_json_dict() if self.predicted else None,
+            "log": [list(entry) for entry in self.log],
         }
 
 

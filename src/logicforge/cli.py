@@ -101,6 +101,8 @@ def cmd_bench(args) -> int:
     if bool(args.dataset) == bool(args.gen_spec):
         print("error: pass exactly one of --dataset or --gen-spec", file=sys.stderr)
         return 2
+    if args.transcript and args.formalizer != "llm":
+        raise LogicForgeError("--transcript records formalizer exchanges; it needs --formalizer llm")
     pipeline_config = PipelineConfig(
         max_attempts=args.max_attempts, ambiguity_check=args.ambiguity_check
     )
@@ -109,7 +111,13 @@ def cmd_bench(args) -> int:
         for err in errors:
             print(f"warning: {args.dataset}: {err}", file=sys.stderr)
     else:
-        spec = GenSpec.from_json_dict(json.loads(Path(args.gen_spec).read_text()))
+        try:
+            spec_json = json.loads(Path(args.gen_spec).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise LogicForgeError(f"cannot read {args.gen_spec}: {exc}") from None
+        except ValueError as exc:
+            raise LogicForgeError(f"{args.gen_spec} is not JSON: {exc}") from None
+        spec = GenSpec.from_json_dict(spec_json)
         tasks = generate_tasks(spec)
     if args.formalizer == "oracle":
         factory = oracle_formalizer_factory
