@@ -94,15 +94,15 @@ def brute_force(model: ConstraintModel, cap: int = DEFAULT_CAP) -> list[dict[int
         ready[depth].append((tuple(zip(sels, domains)), stages))
 
     # the table so far, then the selector picks, indexed by id
-    values: list[int] = [0] * model.n_ids
+    current: list[int] = [0] * model.n_ids
     solutions: list[dict[int, int]] = []
     seen_tables: set[tuple] = set()
 
     def extend(depth: int) -> None:
-        if not all(_satisfiable(values, picks, stages) for picks, stages in ready[depth]):
+        if not all(_satisfiable(current, picks, stages) for picks, stages in ready[depth]):
             return
         if depth == len(factors):
-            assignment = {vid: values[vid] for vid in range(n_vars)}
+            assignment = {vid: current[vid] for vid in range(n_vars)}
             if positions is None and model.layout.position_field is not None:
                 key = decode(model, assignment).key()
                 if key in seen_tables:
@@ -113,14 +113,19 @@ def brute_force(model: ConstraintModel, cap: int = DEFAULT_CAP) -> list[dict[int
         ids, choices = factors[depth]
         for choice in choices:
             for vid, value in zip(ids, choice):
-                values[vid] = value
+                current[vid] = value
             extend(depth + 1)
 
     extend(0)
     return solutions
 
 
-def _satisfiable(values: list[int], picks, stages: list[list[CExpr]], k: int = 0) -> bool:
+def _satisfiable(
+    values: list[int],
+    picks: tuple[tuple[int, range], ...],
+    stages: list[list[CExpr]],
+    k: int = 0,
+) -> bool:
     """Whether some choice of the selectors in ``picks[k:]`` satisfies every
     constraint in ``stages[k:]``, picking one selector at a time."""
     if not all(eval_cexpr(c, values) for c in stages[k]):

@@ -381,6 +381,7 @@ class TestBruteForce:
         # -S leaves site-packages off the path, so only src and the
         # standard library can be imported
         code = (
+            "import sys\n"
             "import logicforge, logicforge.cli, logicforge.agent, logicforge.bench\n"
             "from logicforge.frontend import SourceText, check, parse\n"
             "from logicforge.model import lower\n"
@@ -391,7 +392,7 @@ class TestBruteForce:
         )
         src = Path(__file__).resolve().parents[1] / "src"
         out = subprocess.run(
-            [sys.executable, "-S", "-c", "import sys\n" + code, str(DATA_DIR / "zebra_4x4.lpy")],
+            [sys.executable, "-S", "-c", code, str(DATA_DIR / "zebra_4x4.lpy")],
             env={"PYTHONPATH": str(src)},
             capture_output=True,
             text=True,
