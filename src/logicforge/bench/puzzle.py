@@ -11,10 +11,19 @@ constraints on and the others off (a ``ModelView``), and runs one
 second-solution search against the truth table. A final solve over the same
 kind of view confirms that the kept clues accept their own truth, so every
 emitted instance is solvable and unambiguous.
+
+The generator also keeps the tables other than the truth that it already
+knows: the truth's single swaps (two positions' values of one feature
+exchanged) and each second table a search returned. Each is stored once as
+a bitmask of the candidate clues it breaks. A check whose clues a known
+table all satisfies is answered "ambiguous" without a search, as in model
+rotation for minimal unsatisfiable subsets (Marques-Silva and Lynce, SAT
+2011). A "unique" verdict is always a search.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, replace
 
@@ -145,6 +154,42 @@ def clue_holds(clue: Clue, truth: dict[str, tuple[str, ...]], n: int) -> bool:
     return abs(a - b) == 1
 
 
+def _violated(clues: list[Clue], table: dict[str, tuple[str, ...]], n: int) -> int:
+    """The bitmask of the clues that are false of a table: bit k for
+    ``clues[k]``."""
+    return sum(1 << k for k, clue in enumerate(clues) if not clue_holds(clue, table, n))
+
+
+def _swaps(
+    clues: list[Clue], truth: dict[str, tuple[str, ...]], n: int
+) -> list[tuple[dict[str, tuple[str, ...]], int]]:
+    """Each single swap of the truth, the values at two positions of one
+    feature exchanged, with the bitmask of the clues it breaks. A swap moves
+    only the two values it exchanges, so only the clues that name one of
+    them are read again; every other clue keeps its bit of the truth's own
+    mask, which is not empty when a candidate is false of the truth."""
+    truth_mask = _violated(clues, truth, n)
+    naming: dict[tuple[str, str], list[int]] = {}
+    for k, clue in enumerate(clues):
+        naming.setdefault((clue.feat_a, clue.value_a), []).append(k)
+        if clue.feat_b is not None:
+            naming.setdefault((clue.feat_b, clue.value_b), []).append(k)
+    swaps = []
+    for feat, values in truth.items():
+        for i, j in itertools.combinations(range(n), 2):
+            column = list(values)
+            column[i], column[j] = values[j], values[i]
+            table = {**truth, feat: tuple(column)}
+            mask = truth_mask
+            for k in {*naming.get((feat, values[i]), ()), *naming.get((feat, values[j]), ())}:
+                if clue_holds(clues[k], table, n):
+                    mask &= ~(1 << k)
+                else:
+                    mask |= 1 << k
+            swaps.append((table, mask))
+    return swaps
+
+
 def generate_puzzle(
     seed: int | str,
     n_entities: int,
@@ -273,6 +318,12 @@ def _view(compiled: CompiledModel, slices: list[range], indices) -> ModelView:
     return compiled.view(i for clue in indices for i in slices[clue])
 
 
+def _known_second(known: set[int], checked: int) -> bool:
+    """Whether some known table, given by the bitmask of the clues it
+    breaks, satisfies every clue in the bitmask ``checked``."""
+    return any(not mask & checked for mask in known)
+
+
 def _minimal_unique_set(
     rng: random.Random,
     candidates: list[Clue],
@@ -284,10 +335,15 @@ def _minimal_unique_set(
     """A locally minimal set of candidate clues whose only solution is
     ``truth``, in shuffled order.
 
-    The candidates are compiled once. Each uniqueness check is one
-    ``find_second`` over a view of that one compiled model with the chosen
-    clues' constraints on; the final ``solve`` confirms the kept clues
-    accept their own truth."""
+    The candidates are compiled once. A uniqueness check is "ambiguous"
+    without a search when a known table satisfies each of its clues: one of
+    the truth's single swaps, or a second table an earlier check found.
+    In the drop phase such a table breaks only the clue being dropped, so
+    that clue is kept; in the grow phase it breaks none of the clues so far,
+    so the next pin is added. Any other check is one ``find_second`` over a
+    view of that one compiled model with the chosen clues' constraints on,
+    and every "unique" verdict comes from one. The final ``solve`` confirms
+    the kept clues accept their own truth."""
     relational = [c for c in candidates if c.kind != AT_POSITION]
     pins = [c for c in candidates if c.kind == AT_POSITION]
     rng.shuffle(relational)
@@ -296,8 +352,19 @@ def _minimal_unique_set(
     compiled, slices = _compile_candidates(features, selected, n)
     first = encode(compiled.model, truth)
 
+    def columns(table: SolutionTable) -> dict[str, tuple[str, ...]]:
+        return {f.name: tuple(row[f.name] for row in table.rows) for f in features}
+
+    known = {mask for _, mask in _swaps(selected, columns(truth), n)}
+
     def is_unique(indices) -> bool:
-        return not find_second(_view(compiled, slices, indices), first, budget).ambiguous
+        checked = sum(1 << k for k in indices)
+        if _known_second(known, checked):
+            return False
+        report = find_second(_view(compiled, slices, indices), first, budget)
+        if report.ambiguous:
+            known.add(_violated(selected, columns(decode(compiled.model, report.second)), n))
+        return not report.ambiguous
 
     try:
         # grow until unique: all relational clues first, then pins one by one

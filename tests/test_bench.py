@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import random
 
@@ -284,7 +285,7 @@ class TestCompiledCandidates:
         assert search_counts(views[2], first) == expected[2]
 
     @pytest.mark.parametrize(
-        "n,golden", [(4, (32, 47, 4318)), (5, (60, 164, 16531))], ids=["4", "5"]
+        "n,golden", [(4, (17, 6, 2293)), (5, (28, 31, 7658))], ids=["4", "5"]
     )
     def test_generator_checks_count_as_a_build_per_check_did(self, monkeypatch, n, golden):
         # (checks, decisions, propagations) summed over one puzzle's
@@ -355,6 +356,82 @@ class TestCompiledCandidates:
         monkeypatch.setattr(puzzle, "_sample_candidates", contradictory)
         with pytest.raises(GenerationError, match="rejected their own truth table"):
             generate_puzzle(5, 3, 3)
+
+
+def clue_checker(compiled, slices):
+    """A function from a table to the bitmask of the clues whose constraint
+    slice alone, by ``verify`` over its view, rejects the encoded table
+    under every pick of the rows the slice selects."""
+    model = compiled.model
+    views = [puzzle._view(compiled, slices, [k]) for k in range(len(slices))]
+    selectors = [compiled.referenced_selectors(view.active) for view in views]
+
+    def violated(table) -> int:
+        base = encode(model, table) | {s.id: 0 for s in model.selectors}
+        mask = 0
+        for k, (view, ids) in enumerate(zip(views, selectors)):
+            picks = itertools.product(*map(model.domain_of, ids))
+            if not any(view.verify(base | dict(zip(ids, pick))) for pick in picks):
+                mask |= 1 << k
+        return mask
+
+    return violated
+
+
+class TestKnownTables:
+    """The generator answers a uniqueness check "ambiguous" without a search
+    when a table it knows satisfies every clue of the check. Those answers
+    rest on ``clue_holds``, so they are checked here against the lowered
+    model and against the search they replace."""
+
+    @pytest.mark.parametrize(
+        "n,seed", [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2), (6, 1)]
+    )
+    def test_known_tables_and_skipped_checks_agree_with_the_solver(self, monkeypatch, n, seed):
+        compiles, reports, answered = [], [], []
+        compile_candidates, known_second = puzzle._compile_candidates, puzzle._known_second
+
+        def compiling(*args):
+            compiles.append((args[1], compile_candidates(*args)))
+            return compiles[-1][1]
+
+        def searching(*args):
+            reports.append(find_second(*args))
+            return reports[-1]
+
+        def answering(known, checked):
+            answered.append((checked, known_second(known, checked)))
+            return answered[-1][1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(puzzle, "_compile_candidates", compiling)
+            patch.setattr(puzzle, "find_second", searching)
+            patch.setattr(puzzle, "_known_second", answering)
+            instance = generate_puzzle(seed, n, n)
+        ((selected, (compiled, slices)),) = compiles
+        features = instance.features
+        # each known table breaks, by clue_holds, the clues its encoding
+        # breaks in the lowered model, one clue's slice at a time
+        verified = clue_checker(compiled, slices)
+        swaps = puzzle._swaps(selected, truth_columns(instance), n)
+        assert len(swaps) == n * n * (n - 1) // 2
+        for columns, mask in swaps:
+            table = puzzle._truth_table(features, columns, n)
+            assert table != instance.truth
+            assert mask == puzzle._violated(selected, columns, n)
+            assert mask == verified(table)
+        for report in reports:
+            if report.ambiguous:
+                table = decode(compiled.model, report.second)
+                columns = {f.name: tuple(row[f.name] for row in table.rows) for f in features}
+                assert puzzle._violated(selected, columns, n) == verified(table)
+        # each check answered without a search would have found a second table
+        first = encode(compiled.model, instance.truth)
+        skipped = [checked for checked, known in answered if known]
+        assert skipped and len(answered) == len(skipped) + len(reports)
+        for checked in skipped:
+            clues = [k for k in range(len(selected)) if checked >> k & 1]
+            assert find_second(puzzle._view(compiled, slices, clues), first).ambiguous
 
 
 def with_value(instance, old, new):

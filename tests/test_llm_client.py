@@ -73,9 +73,7 @@ class _StubHandler(BaseHTTPRequestHandler):
 def stub_server():
     _StubHandler.replies = []
     _StubHandler.requests = []
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = _serve(_StubHandler)
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions", _StubHandler
     server.shutdown()
 
@@ -215,8 +213,12 @@ class TestTransportFailures:
 
 
 def _serve(handler_cls) -> HTTPServer:
+    """A server on a free local port, run by a daemon thread. It polls for
+    ``shutdown()`` every 10 ms, not every 0.5 s as ``serve_forever`` does by
+    default, so a test does not wait up to half a second per server."""
     server = HTTPServer(("127.0.0.1", 0), handler_cls)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    poll = {"poll_interval": 0.01}
+    threading.Thread(target=server.serve_forever, kwargs=poll, daemon=True).start()
     return server
 
 
