@@ -26,7 +26,7 @@ from ..errors import (
 )
 from ..frontend.check import check
 from ..frontend.parser import SourceText, parse
-from ..model.decode import SolutionTable, decode
+from ..model.decode import SolutionTable, decode, json_columns
 from ..model.lower import lower
 from ..solver.engine import Budget, compile_model, find_second, solve
 
@@ -59,7 +59,7 @@ class ExpectedFormat:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ExpectedFormat":
-        return ExpectedFormat(tuple(d["columns"]), d.get("position"))
+        return ExpectedFormat(json_columns(d["columns"]), d.get("position"))
 
 
 @dataclass(frozen=True)
@@ -167,10 +167,11 @@ def _run_attempt(
         raise _AttemptFailed("solve", PipelineStatus.FAILED_UNSAT, "constraints are unsatisfiable")
 
     assert outcome.assignment is not None
+    table = decode(model, outcome.assignment)
     if config.ambiguity_check:
         # one budget per attempt: the ambiguity search gets what solve left
         try:
-            report = find_second(view, outcome.assignment, config.budget.after(outcome.stats))
+            report = find_second(view, table, config.budget.after(outcome.stats))
         except BudgetExceeded as exc:
             raise _AttemptFailed("ambiguity", PipelineStatus.FAILED_BUDGET, str(exc))
         if report.ambiguous:
@@ -178,7 +179,6 @@ def _run_attempt(
                 "ambiguity", PipelineStatus.FAILED_AMBIGUOUS, "a second solution table exists"
             )
 
-    table = decode(model, outcome.assignment)
     try:
         formatted = format_output(table, expected_format)
     except FormatError as exc:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from ..errors import BudgetExceeded, GenerationError
 from ..frontend.check import check
 from ..frontend.parser import parse  # noqa: F401 - uncalled; the perfbench tracer wraps it
-from ..model.decode import SolutionTable, decode, encode
+from ..model.decode import SolutionTable, decode
 from ..model.lower import lower
 from ..solver.engine import Budget, CompiledModel, ModelView, find_second, solve
 
@@ -350,7 +350,6 @@ def _minimal_unique_set(
     rng.shuffle(pins)
     selected = relational + pins
     compiled, slices = _compile_candidates(features, selected, n)
-    first = encode(compiled.model, truth)
 
     def columns(table: SolutionTable) -> dict[str, tuple[str, ...]]:
         return {f.name: tuple(row[f.name] for row in table.rows) for f in features}
@@ -361,9 +360,9 @@ def _minimal_unique_set(
         checked = sum(1 << k for k in indices)
         if _known_second(known, checked):
             return False
-        report = find_second(_view(compiled, slices, indices), first, budget)
+        report = find_second(_view(compiled, slices, indices), truth, budget)
         if report.ambiguous:
-            known.add(_violated(selected, columns(decode(compiled.model, report.second)), n))
+            known.add(_violated(selected, columns(report.second), n))
         return not report.ambiguous
 
     try:

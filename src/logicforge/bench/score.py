@@ -98,18 +98,16 @@ class EvalReport:
     def cell_accuracy(self) -> float:
         return self.overall.cell_accuracy
 
-    def to_json_dict(self, include_wall_clock: bool = True) -> dict:
-        d = {
+    def to_json_dict(self) -> dict:
+        return {
             "tasks": self.overall.count,
             "puzzle_accuracy": self.puzzle_accuracy,
             "cell_accuracy": self.cell_accuracy,
             "easy": self.easy.to_json_dict(),
             "hard": self.hard.to_json_dict(),
             "status_counts": dict(sorted(self.status_counts.items())),
+            "wall_clock": self.wall_clock,
         }
-        if include_wall_clock:
-            d["wall_clock"] = self.wall_clock
-        return d
 
 
 def score(results: list[TaskResult]) -> EvalReport:

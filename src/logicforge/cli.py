@@ -72,16 +72,17 @@ def cmd_check_ambiguity(args) -> int:
     if not outcome.is_sat:
         print("unsat")
         return 1
-    report = find_second(view, outcome.assignment, budget.after(outcome.stats))
+    table = decode(model, outcome.assignment)
+    report = find_second(view, table, budget.after(outcome.stats))
     if report.ambiguous:
         print("ambiguous: a second solution table exists")
         print("--- first ---")
-        _print_table(decode(model, report.first))
+        _print_table(table)
         print("--- second ---")
-        _print_table(decode(model, report.second))
+        _print_table(report.second)
         return 3
     print("unique")
-    _print_table(decode(model, outcome.assignment))
+    _print_table(table)
     return 0
 
 

@@ -70,11 +70,20 @@ class SolutionTable:
 
     @staticmethod
     def from_json_dict(d: dict) -> "SolutionTable":
-        return SolutionTable(
-            tuple(d["columns"]),
-            tuple(dict(r) for r in d["rows"]),
-            d.get("position_field"),
-        )
+        columns, rows = json_columns(d["columns"]), tuple(dict(r) for r in d["rows"])
+        if any(c not in row for row in rows for c in columns):
+            raise ValueError(f"a row lacks one of the columns {list(columns)}")
+        position = d.get("position_field")
+        if position is not None and position not in columns:
+            raise ValueError(f"position field {position!r} is not a column")
+        return SolutionTable(columns, rows, position)
+
+
+def json_columns(value) -> tuple[str, ...]:
+    """A JSON list of column names; raises ValueError for anything else."""
+    if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
+        raise ValueError(f"columns must be a list of strings, not {value!r}")
+    return tuple(value)
 
 
 def decode(model: ConstraintModel, assignment: dict[int, int]) -> SolutionTable:

@@ -124,14 +124,14 @@ the same selector on both sides, wide arithmetic, ...).
 Pruning only ever uses over-approximations of reachable values, so no value
 belonging to a satisfying assignment is removed.
 
-Uniqueness (``find_second``) is one depth-first search under one deadline: the
-search of ``solve`` continued past each solution over the regular variables,
-until a solution decodes to a table other than the first one. ``solve``
-leaves its search suspended on the compiled model after its first solution,
-and a ``find_second`` over the same constraints and that first solution
-resumes it under its own budget rather than walk the same path again from
-the root. A search holds no reference to its model, so the model and the
-search it keeps form no reference cycle.
+Uniqueness (``find_second``) is one depth-first search under one deadline:
+the solutions of ``solve``'s search, walked until one decodes to a table
+other than the first table. ``solve`` leaves them suspended on the compiled
+model from its own solution on, keyed by the active constraints, and a
+``find_second`` over the same constraints walks them under its own budget:
+the sequence a search from the root walks, so only the counters depend on
+which one ran. A search holds no reference to its model, so the model and
+the search it keeps form no reference cycle.
 """
 
 from __future__ import annotations
@@ -142,6 +142,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Iterator, NoReturn
 
@@ -158,7 +159,7 @@ from ..model.constraints import (
     ConstraintModel,
     walk_cexpr,
 )
-from ..model.decode import decode
+from ..model.decode import SolutionTable, decode
 
 
 @dataclass(frozen=True)
@@ -196,8 +197,7 @@ class SolveOutcome:
 
 @dataclass(frozen=True)
 class AmbiguityReport:
-    first: dict[int, int]
-    second: dict[int, int] | None
+    second: SolutionTable | None
     stats: SolveStats  # of the uniqueness search
 
     @property
@@ -522,11 +522,9 @@ class CompiledModel:
         self.row_order = (1 << len(self.propagators)) - (1 << start)
         self._ordered_root: tuple[list[int] | None, int, int] | None = None
         # the active constraints of the view ``solve`` last found a solution
-        # over -> (that solution, its search, the search's solution iterator);
-        # one entry at most, taken by ``find_second`` with an atomic pop
+        # over -> (its search, the search's solutions from that one on); one
+        # entry at most, taken by ``find_second`` with an atomic pop
         self.suspended: dict[tuple[int, ...], tuple] = {}
-        self._first: dict[int, int] | None = None
-        self._first_key: tuple = ()
 
     def _add(self, propagator: tuple[Callable[..., bool], tuple], watched) -> None:
         bit = 1 << len(self.propagators)
@@ -571,13 +569,6 @@ class CompiledModel:
             else:
                 self._ordered_root = doms, root.stats.propagations, inert ^ root.off
         return self._ordered_root
-
-    def table_key(self, assignment: dict[int, int]) -> tuple:
-        """The decoded table's key. The generator checks every clue subset
-        against one truth assignment, so the last one is decoded once."""
-        if assignment != self._first:
-            self._first, self._first_key = dict(assignment), decode(self.model, assignment).key()
-        return self._first_key
 
     # -- domain plumbing ---------------------------------------------------
 
@@ -1194,7 +1185,7 @@ def solve(
     assignment = dict(enumerate(solution))
     if not view.verify(assignment):
         raise InternalError("solver returned an assignment that fails verification")
-    view.compiled.suspended = {view.active: (dict(assignment), search, found)}
+    view.compiled.suspended = {view.active: (search, chain((solution,), found))}
     return SolveOutcome(Status.SAT, assignment, search.stats)
 
 
@@ -1223,39 +1214,39 @@ def propagate_domains(
 
 
 def find_second(
-    model: ConstraintModel | ModelView, first: dict[int, int], budget: Budget | None = None
+    model: ConstraintModel | ModelView, first: SolutionTable, budget: Budget | None = None
 ) -> AmbiguityReport:
-    """Search for a second assignment whose decoded table differs from the
-    first one's, or prove there is none. Selector variables never count
-    toward distinctness, and row permutations of the same table are not
-    reported as ambiguity.
+    """Search for a second solution table, one other than ``first``, or prove
+    there is none. Selector variables never count toward distinctness, and
+    row permutations of the same table are not reported as ambiguity.
 
     One depth-first search under one budget walks the solutions of the
-    active constraints until one decodes to a table other than ``first``'s.
-    When the rows are interchangeable under them (``orders_rows``), the
-    search also orders the rows by position, so each table is met once.
-    Where ``solve`` left its search suspended over the same constraints with
-    ``first`` as its solution, the search resumes there rather than walk
-    that path again; the report counts only the part it ran. Raises
-    BudgetExceeded when the budget runs out first.
+    active constraints until one decodes to a table other than ``first``,
+    and checks that one with ``verify``. When the rows are interchangeable
+    under them (``orders_rows``), the search orders the rows by position,
+    so each table is met once. Where ``solve`` left its search suspended
+    over the same constraints, the walk goes on there from ``solve``'s own
+    solution, as a search from the root would; the report counts only the
+    part it ran. Raises BudgetExceeded when the budget runs out.
     """
     view = _view(model)
     compiled = view.compiled
-    first_key = compiled.table_key(first)
+    first_key = first.key()
     budget = budget or Budget()
     suspended = compiled.suspended.pop(view.active, None)
-    if suspended is not None and suspended[0] == first:
-        _, search, found = suspended
-        search.resume(budget)
-    else:
+    if suspended is None:
         search, found = _Search(view, budget), None
-    second = None
+    else:
+        search, found = suspended
+        search.resume(budget)
+    assignment = second = None
     with search.clock():
         for solution in found or search.from_root(compiled):
             assignment = dict(enumerate(solution))
-            if decode(compiled.model, assignment).key() != first_key:
-                second = assignment
+            table = decode(compiled.model, assignment)
+            if table.key() != first_key:
+                second = table
                 break
-    if second is not None and not view.verify(second):
+    if second is not None and not view.verify(assignment):
         raise InternalError("uniqueness search returned an assignment that fails verification")
-    return AmbiguityReport(first, second, search.stats)
+    return AmbiguityReport(second, search.stats)

@@ -21,7 +21,7 @@ from logicforge.bench.render import OracleFormalizer, render_dsl
 from logicforge.errors import FormatError, LogicForgeError, ShapeError
 from logicforge.frontend import check, parse
 from logicforge.frontend.parser import SourceText
-from logicforge.model import lower
+from logicforge.model import decode, lower
 from logicforge.model.decode import SolutionTable
 from logicforge.solver import Budget, engine, find_second, solve
 
@@ -109,9 +109,10 @@ class TestPipeline:
         # the ambiguity search, resuming solve's, finds after decisions of its own
         clues = tuple(c for i, c in enumerate(zebra_instance.clues) if i != 1)
         loose = dataclasses.replace(zebra_instance, clues=clues)
-        view = engine.compile_model(lower(check(parse(render_dsl(loose)))))
+        model = lower(check(parse(render_dsl(loose))))
+        view = engine.compile_model(model)
         outcome = solve(view)
-        report = find_second(view, outcome.assignment)
+        report = find_second(view, decode(model, outcome.assignment))
         assert report.ambiguous
         spent, needed = outcome.stats.decisions, report.stats.decisions
         assert (spent, needed) == (2, 3)
@@ -154,7 +155,7 @@ class TestPipeline:
         for ds, cs in sources:
             model = lower(check(parse(SourceText(ds.text + "\n" + cs.text, "<test>"))))
             outcome = solve(model)
-            report = find_second(model, outcome.assignment)
+            report = find_second(model, decode(model, outcome.assignment))
             resumed = dataclasses.replace(
                 report.stats,
                 decisions=report.stats.decisions - outcome.stats.decisions,

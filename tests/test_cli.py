@@ -68,7 +68,13 @@ class TestCheckAmbiguity:
             "def v(x: C) -> None:\n    assume(x.a >= 1)\n"
         )
         assert main(["check-ambiguity", str(path)]) == 3
-        assert "ambiguous" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "ambiguous: a second solution table exists\n"
+            "--- first ---\n"
+            "a\n-\n1\n"
+            "--- second ---\n"
+            "a\n-\n2\n"
+        )
 
     def test_find_second_gets_what_solve_left_of_the_budget(self, tmp_path, capsys):
         # solve takes 3 decisions and find_second, resuming its search, 4
@@ -133,6 +139,20 @@ class TestGenAndBench:
         assert main(["bench", "--dataset", str(dataset), "--out", str(report_path)]) == 0
         err = capsys.readouterr().err
         assert "line 2" in err and "NxM" in err
+        assert json.loads(report_path.read_text())["tasks"] == 1
+
+    def test_bench_skips_a_dataset_line_whose_truth_row_lacks_a_column(self, tmp_path, capsys):
+        out_dir = tmp_path / "puzzles"
+        main(["gen", "--seed", "3", "--size", "3x3", "-n", "2", "-o", str(out_dir)])
+        dataset = out_dir / "dataset.jsonl"
+        first, second = dataset.read_text().splitlines()
+        task = json.loads(second)
+        del task["truth"]["rows"][0][task["truth"]["columns"][-1]]
+        dataset.write_text(first + "\n" + json.dumps(task) + "\n")
+        report_path = tmp_path / "report.json"
+        assert main(["bench", "--dataset", str(dataset), "--out", str(report_path)]) == 0
+        err = capsys.readouterr().err
+        assert "line 2" in err and "lacks one of the columns" in err and "Traceback" not in err
         assert json.loads(report_path.read_text())["tasks"] == 1
 
     def test_bench_with_gen_spec(self, tmp_path, capsys):

@@ -28,7 +28,7 @@ from logicforge.frontend.ast import (
     Nondet,
 )
 from logicforge.frontend.parser import MAX_NESTING
-from logicforge.model import lower
+from logicforge.model import decode, lower
 from logicforge.solver import Budget, find_second, solve
 
 from conftest import chained_condition, lines_executed, nested_condition
@@ -145,7 +145,7 @@ class TestParse:
         model = lower(program)
         outcome = solve(model)
         assert outcome.is_sat
-        assert not find_second(model, outcome.assignment).ambiguous
+        assert not find_second(model, decode(model, outcome.assignment)).ambiguous
         assert emit(program).text
         deeper = zebra_source.text + "    assert " + condition("engineer", MAX_NESTING + 1) + "\n"
         with pytest.raises(DslSyntaxError, match="nested too deeply"):
@@ -453,7 +453,7 @@ class TestMutatedSource:
             model = lower(check(parse(text)))
             outcome = solve(model, budget)
             if outcome.is_sat:
-                find_second(model, outcome.assignment, budget)
+                find_second(model, decode(model, outcome.assignment), budget)
         except InternalError:
             raise
         except LogicForgeError:

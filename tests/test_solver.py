@@ -35,7 +35,6 @@ from logicforge.model.constraints import (
     SelectorVar,
     Var,
 )
-from logicforge.model.decode import encode
 from logicforge.solver import engine
 from logicforge.solver import (
     Budget,
@@ -228,16 +227,15 @@ class TestSolve:
 class TestFindSecond:
     def test_worked_example_is_unique(self, zebra_model):
         outcome = solve(zebra_model)
-        report = find_second(zebra_model, outcome.assignment)
+        report = find_second(zebra_model, decode(zebra_model, outcome.assignment))
         assert not report.ambiguous
 
     def test_underconstrained_two_var_model(self):
         model = flat_model([(1, 3), (1, 3)])
-        outcome = solve(model)
-        report = find_second(model, outcome.assignment)
+        first = decode(model, solve(model).assignment)
+        report = find_second(model, first)
         assert report.ambiguous
-        assert verify(model, report.second)
-        assert decode(model, report.second) != decode(model, report.first)
+        assert report.second in {decode(model, a) for a in brute_force(model)} - {first}
 
     def test_row_permutations_do_not_count_as_ambiguity(self):
         # positions + one unique feature, fully constrained by clue symmetry:
@@ -254,7 +252,7 @@ class TestFindSecond:
         )
         _, model = compile_source(src)
         outcome = solve(model)
-        report = find_second(model, outcome.assignment)
+        report = find_second(model, decode(model, outcome.assignment))
         assert not report.ambiguous
 
     def test_removing_a_clue_matches_brute_force(self, zebra_instance):
@@ -267,11 +265,12 @@ class TestFindSecond:
             model = lower(check(parse(render_dsl(weakened))))
             outcome = solve(model)
             assert outcome.is_sat
-            tables = {decode(model, a).key() for a in brute_force(model)}
-            report = find_second(model, outcome.assignment)
+            first = decode(model, outcome.assignment)
+            tables = {decode(model, a) for a in brute_force(model)}
+            report = find_second(model, first)
             assert report.ambiguous == (len(tables) >= 2)
             if report.ambiguous:
-                assert verify(model, report.second)
+                assert report.second in tables - {first}
 
     def test_selector_choices_are_not_enumerated(self):
         # one table; the selector stays free, and its second value would only
@@ -282,7 +281,7 @@ class TestFindSecond:
             "def v(s: S) -> None:\n" + TAUTOLOGY
         )
         model = _model(src)
-        report = find_second(model, solve(model).assignment)
+        report = find_second(model, decode(model, solve(model).assignment))
         assert not report.ambiguous
         assert report.stats.decisions == 1
 
@@ -296,7 +295,7 @@ class TestFindSecond:
         assert len(model.selectors) == len(_model(text).selectors) + 1
         outcome = solve(model)
         assert outcome.stats.decisions == 3
-        report = find_second(model, outcome.assignment)
+        report = find_second(model, decode(model, outcome.assignment))
         assert not report.ambiguous
         assert report.stats.decisions == 3
 
@@ -313,8 +312,8 @@ class TestFindSecond:
         text = render_dsl(dataclasses.replace(puzzle, clues=clues)).text
         model = _model(_off_by_one(text, n))
         assert model.vars[model.layout.rows[0][POSITION_FIELD]].values() == range(1, n + 2)
-        outcome = solve(model)
-        assert not find_second(model, outcome.assignment, Budget(max_time=1.0)).ambiguous
+        first = decode(model, solve(model).assignment)
+        assert not find_second(model, first, Budget(max_time=1.0)).ambiguous
 
 
 class TestBruteForce:
@@ -428,7 +427,7 @@ class TestOracleAgreement:
         assert tables, "solver found a solution brute force missed"
         assert verify(model, outcome.assignment)
         assert decode(model, outcome.assignment).key() in tables
-        report = find_second(model, outcome.assignment)
+        report = find_second(model, decode(model, outcome.assignment))
         assert report.ambiguous == (len(tables) >= 2)
 
     @settings(max_examples=40, deadline=None)
@@ -675,8 +674,8 @@ class TestMetamorphicRewrites:
             second.stats.decisions,
             second.stats.propagations,
         )
-        report = find_second(model, first.assignment)
-        report_rewritten = find_second(model_rewritten, second.assignment)
+        report = find_second(model, decode(model, first.assignment))
+        report_rewritten = find_second(model_rewritten, decode(model_rewritten, second.assignment))
         assert not report.ambiguous and not report_rewritten.ambiguous
         assert (report.stats.decisions, report.stats.propagations) == (
             report_rewritten.stats.decisions,
@@ -706,7 +705,8 @@ class TestMaskBases:
         assert second.assignment == {
             i: v + 1989 if i in positions else v for i, v in first.assignment.items()
         }
-        report, moved_report = find_second(model, first.assignment), find_second(moved, second.assignment)
+        report = find_second(model, decode(model, first.assignment))
+        moved_report = find_second(moved, decode(moved, second.assignment))
         assert not report.ambiguous and not moved_report.ambiguous
         assert report.stats.decisions == moved_report.stats.decisions
         assert report.stats.propagations == moved_report.stats.propagations
@@ -771,7 +771,8 @@ def checked_searches(model, budget: Budget | None = None) -> tuple[int, int]:
     with mock.patch.object(engine, "_Search", _CheckedSearch):
         outcome = solve(model, budget)
         if outcome.is_sat:
-            find_second(model, outcome.assignment, budget)
+            plain = model.compiled.model if isinstance(model, engine.ModelView) else model
+            find_second(model, decode(plain, outcome.assignment), budget)
     return _CheckedSearch.nodes, _CheckedSearch.failed
 
 
@@ -884,7 +885,7 @@ class TestCachedOrderedRoot:
         for model in failing:
             view = engine.compile_model(model)
             _, (doms, count) = _ordered_roots(view)
-            report = find_second(view, encode(model, instance.truth))
+            report = find_second(view, instance.truth)
             assert report.second is None
             if doms is None:
                 assert (report.stats.decisions, report.stats.propagations) == (0, count)
@@ -899,7 +900,7 @@ class TestGoldenCounters:
     @staticmethod
     def counters(model: ConstraintModel) -> tuple[int, int, int, int, bool]:
         outcome = solve(model)
-        report = find_second(model, outcome.assignment)
+        report = find_second(model, decode(model, outcome.assignment))
         return (
             outcome.stats.decisions,
             outcome.stats.propagations,
@@ -941,46 +942,70 @@ class TestGoldenCounters:
         self.assert_counts(_model(text), expected)
 
 
-def _resumed_against_fresh(model: ConstraintModel, active, budget: Budget | None = None):
+def _resumed_against_fresh(
+    model: ConstraintModel, active, budget: Budget | None = None, others=()
+):
     """solve, then find_second, over one view of ``model`` with the
     constraints at ``active`` on, checked against find_second over a fresh
-    compile of the same view: the resumed search gives the same verdict and
-    second assignment, and solve's counts plus its own are the fresh
-    search's. Returns solve's outcome and the resumed report, None where
-    solve finds no solution."""
-    view = engine.CompiledModel(model).view(active)
-    outcome = solve(view, budget)
-    if not outcome.is_sat:
+    compile of the same view, for solve's table as the first table and for
+    each table of ``others``: the resumed search gives the same verdict and
+    second table, and solve's counts plus its own are the fresh search's.
+    Returns solve's outcome and the resumed report for solve's table, None
+    where solve finds no solution."""
+    reports = []
+    for other in (None, *others):
+        view = engine.CompiledModel(model).view(active)
+        outcome = solve(view, budget)
+        if not outcome.is_sat:
+            assert not view.compiled.suspended
+            return outcome, None
+        assert list(view.compiled.suspended) == [view.active]
+        first = other or decode(model, outcome.assignment)
+        resumed = find_second(view, first, budget)
         assert not view.compiled.suspended
-        return outcome, None
-    assert list(view.compiled.suspended) == [view.active]
-    resumed = find_second(view, outcome.assignment, budget)
-    assert not view.compiled.suspended
-    fresh = find_second(engine.CompiledModel(model).view(active), outcome.assignment, budget)
-    assert (resumed.ambiguous, resumed.second) == (fresh.ambiguous, fresh.second)
-    assert (
-        outcome.stats.decisions + resumed.stats.decisions,
-        outcome.stats.propagations + resumed.stats.propagations,
-    ) == (fresh.stats.decisions, fresh.stats.propagations)
-    return outcome, resumed
+        fresh = find_second(engine.CompiledModel(model).view(active), first, budget)
+        assert (resumed.ambiguous, resumed.second) == (fresh.ambiguous, fresh.second)
+        assert (
+            outcome.stats.decisions + resumed.stats.decisions,
+            outcome.stats.propagations + resumed.stats.propagations,
+        ) == (fresh.stats.decisions, fresh.stats.propagations)
+        reports.append(resumed)
+    return outcome, reports[0]
 
 
-def _assert_agrees_with_brute_force(model: ConstraintModel, active, outcome, report) -> None:
-    """solve is SAT iff brute force finds an assignment of the constraints
-    at ``active``, its table is one brute force finds, and find_second calls
-    it ambiguous iff brute force finds two tables or more."""
+def _oracle_tables(model: ConstraintModel, active) -> list:
+    """The tables brute force finds for the constraints at ``active``, in
+    the order it first meets them."""
     cut = dataclasses.replace(model, constraints=[model.constraints[i] for i in active])
-    tables = {decode(cut, a).key() for a in brute_force(cut, cap=2_000_000)}
+    return list(dict.fromkeys(decode(cut, a) for a in brute_force(cut, cap=2_000_000)))
+
+
+def _assert_agrees_with_brute_force(model: ConstraintModel, tables: list, outcome, report) -> None:
+    """solve is SAT iff brute force finds a table, its table is one of
+    ``tables``, and find_second calls it ambiguous iff there are two tables
+    or more, and then gives one of the others."""
     assert outcome.is_sat == bool(tables)
     if outcome.is_sat:
-        assert decode(cut, outcome.assignment).key() in tables
+        first = decode(model, outcome.assignment)
+        assert first in tables
         assert report.ambiguous == (len(tables) >= 2)
+        if report.ambiguous:
+            assert report.second in tables and report.second != first
+
+
+def _one_swap(table):
+    """``table`` with the last column's values of its first two rows traded."""
+    column = table.columns[-1]
+    rows = [dict(row) for row in table.rows]
+    rows[0][column], rows[1][column] = rows[1][column], rows[0][column]
+    return dataclasses.replace(table, rows=tuple(rows))
 
 
 class TestResumedSearch:
-    """solve orders the rows like find_second and leaves its search
-    suspended on the compiled model; find_second over the same constraints
-    and that first solution resumes it. Both agree with brute force, and the
+    """solve orders the rows like find_second and leaves its first solution
+    and its search suspended on the compiled model; find_second over the
+    same constraints walks that solution and then the rest of the search,
+    whatever first table it is given. Both agree with brute force, and the
     resumed search answers as a fresh one on a fresh compile, with solve's
     counts and its own adding up to the fresh search's."""
 
@@ -995,10 +1020,11 @@ class TestResumedSearch:
         every = range(len(model.constraints))
         for active in (every, every[::2]):
             try:
-                outcome, report = _resumed_against_fresh(
-                    model, active, Budget(max_decisions=5_000, max_time=10.0)
-                )
-                _assert_agrees_with_brute_force(model, active, outcome, report)
+                tables = _oracle_tables(model, active)
+                # the first and last oracle tables as first tables too
+                budget = Budget(max_decisions=5_000, max_time=10.0)
+                outcome, report = _resumed_against_fresh(model, active, budget, tables[:1] + tables[-1:])
+                _assert_agrees_with_brute_force(model, tables, outcome, report)
             except (BudgetExceeded, CapExceeded):
                 pass
 
@@ -1007,13 +1033,15 @@ class TestResumedSearch:
         instance = generate_puzzle(seed, n, f)
         text = render_dsl(instance).text
         false_clue = dataclasses.replace(instance, clues=instance.clues + (_false_clue(instance),))
+        # the truth, and a single swap of it, as first tables too
+        others = (instance.truth, _one_swap(instance.truth))
         verdicts = set()
         for source in (text, _off_by_one(text, n), render_dsl(false_clue).text):
             model = _model(source)
             every = range(len(model.constraints))
             # every other clue on: a view, as the generator checks subsets
             for active in (every, every[::2]):
-                _, report = _resumed_against_fresh(model, active)
+                _, report = _resumed_against_fresh(model, active, others=others)
                 verdicts.add(report and report.ambiguous)
         assert verdicts == {None, False, True}  # unsat, unique and ambiguous views
 
@@ -1031,8 +1059,9 @@ class TestResumedSearch:
             # brute force lists every solution of a view with half the clues
             # off: within a test's time only for 3 rows or 3 features
             for active in (every, every[::2]) if 3 in (n, f) else (every,):
-                outcome, report = _resumed_against_fresh(model, active)
-                _assert_agrees_with_brute_force(model, active, outcome, report)
+                tables = _oracle_tables(model, active)
+                outcome, report = _resumed_against_fresh(model, active, others=tables[-1:])
+                _assert_agrees_with_brute_force(model, tables, outcome, report)
 
     def test_a_model_keeping_a_suspended_search_is_freed_when_dropped(self, zebra_model):
         # the search holds the model's lists, not the model: no reference
@@ -1047,25 +1076,28 @@ class TestResumedSearch:
         finally:
             gc.enable()
 
-    def test_another_view_or_first_solution_searches_from_the_root(self, zebra_model):
+    def test_another_view_searches_from_the_root_and_another_first_resumes(self, zebra_model):
         compiled = engine.CompiledModel(zebra_model)
         every = range(len(zebra_model.constraints))
         full, half = compiled.view(every), compiled.view(every[::2])
-        first = solve(full).assignment
-        # the same table through another selector value
-        selector = zebra_model.selectors[0].id
-        other = {**first, selector: (first[selector] + 1) % zebra_model.selectors[0].list_len}
+        outcome = solve(full)
+        first = decode(zebra_model, outcome.assignment)
+        other = _one_swap(first)
 
-        def counts(report):
-            return report.ambiguous, report.stats.decisions, report.stats.propagations
+        def answer(report):
+            stats = report.stats
+            return report.ambiguous, report.second, stats.decisions, stats.propagations
 
         fresh_half = engine.CompiledModel(zebra_model).view(every[::2])
-        assert counts(find_second(half, first)) == counts(find_second(fresh_half, first))
+        assert answer(find_second(half, first)) == answer(find_second(fresh_half, first))
         assert list(compiled.suspended) == [full.active]  # still there for its own view
-        fresh = find_second(engine.compile_model(zebra_model), other)
-        assert fresh.stats.decisions > 0
-        assert counts(find_second(full, other)) == counts(fresh)
+        # another first table resumes solve's search: solve's own solution
+        # is a second table to it, met before any decision of its own
+        resumed = find_second(full, other)
         assert not compiled.suspended
+        fresh = find_second(engine.compile_model(zebra_model), other)
+        assert answer(resumed) == (True, first, 0, 0)
+        assert answer(fresh) == (True, first, outcome.stats.decisions, outcome.stats.propagations)
 
 
 def _group_run(compiled, masks) -> tuple:
@@ -1097,7 +1129,7 @@ def _answers(text: str) -> tuple:
     outcome = solve(view)
     answers = (outcome.status, outcome.stats.decisions, outcome.stats.propagations, outcome.assignment)
     if outcome.is_sat:
-        report = find_second(view, outcome.assignment)
+        report = find_second(view, decode(view.compiled.model, outcome.assignment))
         answers += (report.ambiguous, report.stats.decisions, report.stats.propagations, report.second)
     return answers
 
@@ -1365,7 +1397,7 @@ class TestWideDomains:
         # a search that starts from the ordered root computes it under its
         # own deadline: the groups' pass over the declared domains included
         model = _model(_wide_program(n))
-        first = dict(enumerate([1, 2, 3, 0]))  # v = 1, 2, 3; the nondet picks row 0
+        first = decode(model, dict(enumerate([1, 2, 3, 0])))  # v = 1, 2, 3
         budget = Budget(max_time=2.0)
         start = time.perf_counter()
         try:
