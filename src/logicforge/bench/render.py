@@ -49,7 +49,7 @@ ENTITY_CLASS = "House"
 CONTAINER_CLASS = "PuzzleSolution"
 LIST_FIELD = "houses"
 
-# subtrees every validator shares; AST nodes are immutable
+# subtrees every validator shares; no code mutates an AST node once built
 _PARAM = "solution"
 _ANY_ROW = Nondet(FieldAccess(LocalRef(_PARAM), LIST_FIELD))
 _ONE = IntLit(1)

@@ -19,7 +19,10 @@ from .solver.engine import Budget, compile_model, find_second, solve
 
 
 def _load_program(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise LogicForgeError(f"cannot read {path}: {exc}") from None
     source = SourceText(text, path)
     return check(parse(source), path)
 
@@ -54,7 +57,10 @@ def cmd_emit_c(args) -> int:
     program = _load_program(args.file)
     harness = emit(program)
     if args.output:
-        Path(args.output).write_text(harness.text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(harness.text, encoding="utf-8")
+        except OSError as exc:
+            raise LogicForgeError(f"cannot write {args.output}: {exc}") from None
         print(f"wrote {args.output} ({len(harness.text)} bytes)")
     else:
         sys.stdout.write(harness.text)

@@ -1,8 +1,14 @@
 """AST node types for the search DSL.
 
-Nodes are frozen dataclasses. Source positions are carried for diagnostics
-but excluded from equality, so two parses of equivalent source compare equal
-structurally (the pretty-print/re-parse round trip relies on this).
+Nodes are slotted, hashable dataclasses, and no code mutates a node after
+building it, since trees share subtrees. Nothing enforces this at run time:
+a frozen dataclass, which sets each field through ``object.__setattr__``,
+costs several times as much to build. ``tests/test_ir.py`` checks that no
+stage writes a node.
+
+Source positions are carried for diagnostics but left out of equality, hash
+and repr, so two parses of equivalent source compare equal structurally (the
+pretty-print/re-parse round trip relies on this).
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ INT = "int"
 STR = "str"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Pos:
     line: int = 0
     col: int = 0
@@ -30,7 +36,7 @@ def _pos_field():
 # --- domains -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IntRange:
     """Half-open integer range [lo, hi)."""
 
@@ -41,7 +47,7 @@ class IntRange:
         return range(self.lo, self.hi)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class EnumValues:
     values: tuple[str, ...]
 
@@ -52,7 +58,7 @@ DomainSpec = Union[IntRange, EnumValues]
 # --- declarations ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FieldDecl:
     name: str
     base: str  # "int", "str", or a class name
@@ -66,7 +72,7 @@ class FieldDecl:
         return self.base not in (INT, STR)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ClassDecl:
     name: str
     fields: tuple[FieldDecl, ...]
@@ -82,51 +88,51 @@ class ClassDecl:
 # --- expressions -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class IntLit:
     value: int
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StrLit:
     value: str
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LocalRef:
     name: str
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FieldAccess:
     obj: "Expr"
     field: str
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Index:
     obj: "Expr"
     index: int
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Nondet:
     arg: "Expr"
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Abs:
     arg: "Expr"
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Binary:
     op: str  # + - *
     left: "Expr"
@@ -134,7 +140,7 @@ class Binary:
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Compare:
     op: str  # == != < <= > >=
     left: "Expr"
@@ -142,14 +148,14 @@ class Compare:
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BoolOp:
     op: str  # and | or
     operands: tuple["Expr", ...]
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Not:
     operand: "Expr"
     pos: Pos = _pos_field()
@@ -163,20 +169,20 @@ Expr = Union[
 # --- statements --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Assign:
     target: str
     value: Expr
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Assume:
     expr: Expr
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Assert:
     expr: Expr
     pos: Pos = _pos_field()
@@ -185,7 +191,7 @@ class Assert:
 Stmt = Union[Assign, Assume, Assert]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FuncDecl:
     name: str
     param_name: str
@@ -194,7 +200,7 @@ class FuncDecl:
     pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DslProgram:
     classes: tuple[ClassDecl, ...]
     functions: tuple[FuncDecl, ...]

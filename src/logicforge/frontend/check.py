@@ -44,33 +44,33 @@ _INT_ONLY_OPS = frozenset({"<", "<=", ">", ">="})
 
 # Semantic types. Strings are always tied to the field they were read from,
 # which carries the enum domain used for coding and membership checks.
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TInt:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TBool:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TStrField:
     class_name: str
     field_name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TStrLit:
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TObj:
     class_name: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TList:
     class_name: str
     size: int
@@ -80,7 +80,7 @@ T_INT = TInt()
 T_BOOL = TBool()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CheckedProgram:
     """A semantically valid program: one entry function over a known class."""
 

@@ -25,7 +25,7 @@ def domain_values(domain: Domain) -> range:
     return range(len(domain.values))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var:
     id: int
     name: str
@@ -40,7 +40,7 @@ class Var:
         return value
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SelectorVar:
     id: int
     list_len: int
@@ -54,17 +54,17 @@ class SelectorVar:
 # --- constraint expressions ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CLit:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CVar:
     var: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CElem:
     """Value of ``table[selector]``: a variable chosen by a selector."""
 
@@ -72,14 +72,14 @@ class CElem:
     table: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CBin:
     op: str  # + - *
     left: "CExpr"
     right: "CExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CAbs:
     arg: "CExpr"
 
@@ -88,14 +88,14 @@ class CAbs:
 CMP_OPS = frozenset({"==", "!=", "<", "<="})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CCmp:
     op: str  # one of CMP_OPS
     left: "CExpr"
     right: "CExpr"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CBool:
     op: str  # and | or  (empty "and" is true, empty "or" is false)
     parts: tuple["CExpr", ...]
@@ -124,7 +124,7 @@ def direct_vars(expr: CExpr) -> set[int]:
 # --- layout (for decoding) ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class InstanceLayout:
     rows: tuple[dict[str, int], ...]  # per row: field name -> var id
     columns: tuple[str, ...]

@@ -227,3 +227,29 @@ class TestGenAndBench:
         assert "error:" in capsys.readouterr().err
         assert not report.exists()
         assert not report.with_suffix(".partial.jsonl").exists()
+
+
+class TestFileErrors:
+    """A path the commands cannot read or write ends in an ``error:`` line and
+    exit 2, like other bad input, not in a traceback."""
+
+    @pytest.mark.parametrize("command", ["solve", "emit-c", "check-ambiguity"])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_program(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "program.lpy"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"class C:\n    a: Domain[str, ['\xff']]\n")
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read {path}: ")
+        assert captured.out == ""
+
+    def test_emit_into_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "harness.c"
+        assert main(["emit-c", SIX_HOUSE, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.out == ""
+        assert not out.parent.exists()
