@@ -66,6 +66,14 @@ def oracle_formalizer_factory(task: PuzzleTask) -> OracleFormalizer:
     return OracleFormalizer(task.instance)
 
 
+def check_out_path(out_path: str | Path) -> None:
+    """Refuse a report path whose directory does not exist, before any task
+    runs."""
+    parent = Path(out_path).parent
+    if not parent.is_dir():
+        raise LogicForgeError(f"cannot write {out_path}: {parent} is not a directory")
+
+
 def run_bench(
     tasks: list[PuzzleTask],
     formalizer_factory: FormalizerFactory,
@@ -81,6 +89,8 @@ def run_bench(
     ids = [t.id for t in tasks]
     if len(set(ids)) != len(ids):
         raise LogicForgeError("task ids must be unique")
+    if out_path:
+        check_out_path(out_path)
     config = config or PipelineConfig()
     out_path = Path(out_path) if out_path else None
     partial_path = out_path.with_suffix(".partial.jsonl") if out_path else None

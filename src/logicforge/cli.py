@@ -10,7 +10,14 @@ from pathlib import Path
 from .agent.pipeline import PipelineConfig
 from .bench.dataset import load_dataset, save_dataset
 from .bench.render import render_dsl
-from .bench.runner import GenSpec, generate_tasks, oracle_formalizer_factory, run_bench
+from .bench.runner import (
+    GenSpec,
+    check_out_path,
+    generate_tasks,
+    oracle_formalizer_factory,
+    run_bench,
+)
+from .bench.score import parse_size
 from .cemit import emit
 from .errors import LogicForgeError
 from .frontend import SourceText, check, parse
@@ -93,13 +100,19 @@ def cmd_check_ambiguity(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    tasks = generate_tasks(GenSpec(args.seed, ((args.size, args.count),)))
+    parse_size(args.size)  # a bad size leaves no output directory behind
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for task in tasks:
-        (out_dir / f"{task.id}.lpy").write_text(render_dsl(task.instance).text, encoding="utf-8")
     dataset_path = out_dir / "dataset.jsonl"
-    save_dataset(tasks, dataset_path)
+    try:
+        # made first, so that an unusable path fails before the generation
+        out_dir.mkdir(parents=True, exist_ok=True)
+        tasks = generate_tasks(GenSpec(args.seed, ((args.size, args.count),)))
+        for task in tasks:
+            source = render_dsl(task.instance).text
+            (out_dir / f"{task.id}.lpy").write_text(source, encoding="utf-8")
+        save_dataset(tasks, dataset_path)
+    except OSError as exc:
+        raise LogicForgeError(f"cannot write {out_dir}: {exc}") from None
     print(f"wrote {len(tasks)} puzzles to {dataset_path}")
     return 0
 
@@ -113,6 +126,8 @@ def cmd_bench(args) -> int:
     pipeline_config = PipelineConfig(
         max_attempts=args.max_attempts, ambiguity_check=args.ambiguity_check
     )
+    if args.out:
+        check_out_path(args.out)
     if args.dataset:
         tasks, errors = load_dataset(args.dataset)
         for err in errors:

@@ -1,23 +1,53 @@
 """Parser for the search DSL.
 
-Logic.py is Python syntax, so Python's own parser (``ast.parse``) reads the
-source, and one recursive converter maps Python's syntax tree onto the DSL
-AST. The converter accepts only the closed grammar: class declarations with
+Logic.py is Python syntax, and ``parse`` has two paths to the DSL AST.
+
+The fast path, ``_recognize``, reads well-formed programs in one pass: one
+compiled regex tokenises the text, and a recursive-descent parser builds
+the DSL AST straight from those tokens. It accepts only a conservative
+subset of the closed grammar and returns None for anything else:
+
+- printable ASCII text, with no tab, carriage return, form feed or
+  backslash;
+- each line blank, a comment, or one whole declaration or statement with an
+  optional trailing comment: no grouping parentheses and no line
+  continuations;
+- ``class NAME:`` and ``def NAME(NAME: NAME)``, with an optional
+  ``-> None``, at column 0, and their fields or statements at the one
+  indentation their block's first line sets;
+- the annotations the converter accepts, and expressions built from
+  ``or``, ``and``, ``not``, one comparison, ``+``, ``-``, ``*``, ``-``
+  before a decimal literal, ``.field``, ``[INT]`` and calls to ``nondet``
+  and ``abs``;
+- decimal integers without a leading zero, and strings in ``"`` or ``'``;
+- no Python keyword, reserved DSL name or ``__debug__`` as a name;
+- expression trees at most ``MAX_NESTING`` edges high.
+
+The contract is one-sided: whenever the fast path returns a program, the
+Python path returns an equal program with an equal ``Pos`` on every node.
+
+The Python path, ``_Converter``, is the reference and reads everything
+else: Python's own parser (``ast.parse``) reads the source, and one
+recursive converter maps Python's syntax tree onto the DSL AST. The
+converter accepts only the closed grammar: class declarations with
 annotated fields, function definitions whose bodies contain only
 assignments, assume(...) calls and assert statements, and a fixed expression
 language. Anything else -- imports, loops, calls other than
 nondet/abs/assume, chained comparisons, decorators, defaults -- is a syntax
 error, as is every error Python's parser reports. Two lexical rules are the
 DSL's own: no tab in the indentation of a class, def, field or statement
-line, and no control character other than tab in a string's value.
+line, and no control character other than tab in a string's value. Every
+syntax error, Python's included, comes from this path.
 """
 
 from __future__ import annotations
 
 import ast
+import keyword
 import re
 import threading
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 from ..errors import DslSyntaxError
 from .ast import (
@@ -47,6 +77,7 @@ from .ast import (
     Pos,
     Stmt,
     StrLit,
+    children,
 )
 
 RESERVED = frozenset({"assume", "nondet", "abs"})
@@ -84,7 +115,328 @@ def parse(source: SourceText | str) -> DslProgram:
     """Parse source text into a DslProgram or raise DslSyntaxError."""
     if isinstance(source, str):
         source = SourceText(source)
-    return _Converter(source).program()
+    program = _recognize(source.text)
+    if program is None:
+        program = _Converter(source).program()
+    return program
+
+
+# -- the fast path -----------------------------------------------------------
+
+# Text outside the subset: anything but a newline and printable ASCII other
+# than a backslash.
+_OUTSIDE = re.compile(r"[^\n -\[\]-~]")
+
+# One token after its leading spaces. An integer may not touch a letter,
+# digit, '_' or '.', so 1and, 0x1, 01, 1_0, 1e3 and 1.5 match no token. A
+# comment is part of the newline token that ends its line.
+_TOKEN = re.compile(
+    r"( *)([A-Za-z_]\w*|(?:0|[1-9]\d{0,999})(?![\w.])|\"[^\"\n]*\"|'[^'\n]*'"
+    r"|[=!<>]=|->|[-+*<>=.,:()\[\]]|(?:#.*)?\n)"
+)
+
+_NOT_NAMES = frozenset(keyword.kwlist) | RESERVED | {"__debug__"}
+_CALLS = {"nondet": Nondet, "abs": Abs}
+# How tightly each binary operator binds; ``not`` binds at 3.
+_PRECEDENCE = {
+    "or": 1, "and": 2, "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4, "+": 5, "-": 5, "*": 6
+}
+
+
+class _Outside(Exception):
+    """The text is outside the fast path's subset."""
+
+
+def _recognize(text: str) -> DslProgram | None:
+    """The program of ``text`` when it lies in the fast path's subset, else None."""
+    if _OUTSIDE.search(text):
+        return None
+    text += "\n"
+    # spaces and tokens alternate in ``flat``, so the running length at each
+    # run of spaces is the offset of the token after it
+    flat = list(chain.from_iterable(_TOKEN.findall(text)))
+    ends = list(accumulate(map(len, flat)))
+    if ends[-1] != len(text):  # a character no token matches
+        return None
+    try:
+        return _Recognizer(flat[1::2], ends[0::2]).program()
+    except _Outside:
+        return None
+
+
+def _height_at_most(expr: Expr, limit: int) -> bool:
+    if limit == 0:
+        return not children(expr)
+    return all(_height_at_most(child, limit - 1) for child in children(expr))
+
+
+class _Recognizer:
+    """A recursive-descent parser over the tokens of one text and the
+    offsets at which they start. Every line ends in a newline token, so
+    no lookahead runs past the last token."""
+
+    def __init__(self, tokens: list[str], offsets: list[int]):
+        self.tokens = tokens
+        self.offsets = offsets
+        self.i = 0  # the next token
+        self.line = 1
+        self.line_start = 0  # the offset of the line's first character
+
+    def pos(self, i: int) -> Pos:
+        return Pos(self.line, self.offsets[i] - self.line_start + 1)
+
+    def expect(self, token: str) -> None:
+        if self.tokens[self.i] != token:
+            raise _Outside
+        self.i += 1
+
+    def name(self) -> str:
+        token = self.tokens[self.i]
+        if not token.isidentifier() or token in _NOT_NAMES:
+            raise _Outside
+        self.i += 1
+        return token
+
+    def end_line(self) -> None:
+        token = self.tokens[self.i]
+        if token[-1] != "\n":
+            raise _Outside
+        self.line += 1
+        self.line_start = self.offsets[self.i] + len(token)
+        self.i += 1
+
+    # -- declarations ------------------------------------------------------
+
+    def program(self) -> DslProgram:
+        tokens = self.tokens
+        classes: list[ClassDecl] = []
+        functions: list[FuncDecl] = []
+        self.skip_blank_lines()
+        while self.i < len(tokens):
+            if self.offsets[self.i] != self.line_start:
+                raise _Outside
+            pos = self.pos(self.i)
+            if tokens[self.i] == "class":
+                self.i += 1
+                name = self.name()
+                self.expect(":")
+                self.end_line()
+                classes.append(ClassDecl(name, self.block(self.field_decl), pos))
+            elif tokens[self.i] == "def":
+                self.i += 1
+                name = self.name()
+                self.expect("(")
+                param = self.name()
+                self.expect(":")
+                param_type = self.name()
+                self.expect(")")
+                if tokens[self.i] == "->":
+                    self.i += 1
+                    self.expect("None")
+                self.expect(":")
+                self.end_line()
+                functions.append(FuncDecl(name, param, param_type, self.block(self.stmt), pos))
+            else:
+                raise _Outside
+        return DslProgram(tuple(classes), tuple(functions))
+
+    def skip_blank_lines(self) -> None:
+        tokens = self.tokens
+        while self.i < len(tokens) and tokens[self.i][-1] == "\n":
+            self.end_line()
+
+    def block(self, item) -> tuple:
+        """A block's fields or statements: one or more lines, each at the
+        indentation of the first."""
+        items = []
+        indent = 0
+        self.skip_blank_lines()
+        while self.i < len(self.tokens):
+            col = self.offsets[self.i] - self.line_start
+            if not col:
+                break
+            if indent and col != indent:
+                raise _Outside
+            indent = col
+            items.append(item())
+            self.end_line()
+            self.skip_blank_lines()
+        if not items:
+            raise _Outside
+        return tuple(items)
+
+    def field_decl(self) -> FieldDecl:
+        pos = self.pos(self.i)
+        name = self.name()
+        self.expect(":")
+        return FieldDecl(name, *self.annotation(), pos)
+
+    def annotation(self) -> tuple[str, bool, DomainSpec | None, int | None]:
+        """``base, unique, domain, list_len``, in FieldDecl's order."""
+        kind = self.name()
+        if self.tokens[self.i] != "[":
+            return kind, False, None, None
+        self.i += 1
+        if kind == "Unique":
+            if self.tokens[self.i] == "Unique":
+                raise _Outside
+            base, _, domain, list_len = self.annotation()
+            if list_len is not None:
+                raise _Outside
+            result = base, True, domain, None
+        elif kind == "Domain" and self.tokens[self.i] == INT:
+            self.i += 1
+            for token in (",", "range", "("):
+                self.expect(token)
+            lo = self.int_value()
+            self.expect(",")
+            hi = self.int_value()
+            self.expect(")")
+            result = INT, False, IntRange(lo, hi), None
+        elif kind == "Domain" and self.tokens[self.i] == STR:
+            self.i += 1
+            values = []
+            while self.tokens[self.i] == ",":
+                self.i += 1
+                values.append(self.string())
+            if not values:
+                raise _Outside
+            result = STR, False, EnumValues(tuple(values)), None
+        elif kind == "list":
+            base = self.name()
+            self.expect(",")
+            size = self.int_value()
+            if size <= 0:
+                raise _Outside
+            result = base, False, None, size
+        else:
+            raise _Outside
+        self.expect("]")
+        return result
+
+    def int_value(self) -> int:
+        """An integer literal, optionally negated."""
+        sign = 1
+        if self.tokens[self.i] == "-":
+            sign = -1
+            self.i += 1
+        token = self.tokens[self.i]
+        if not token.isdigit():
+            raise _Outside
+        self.i += 1
+        return sign * int(token)
+
+    def string(self) -> str:
+        token = self.tokens[self.i]
+        if token[0] not in "\"'":
+            raise _Outside
+        self.i += 1
+        return token[1:-1]
+
+    def stmt(self) -> Stmt:
+        start = self.i
+        pos = self.pos(start)
+        first = self.tokens[start]
+        if first == "assert":
+            self.i += 1
+            stmt = Assert(self.root_expr(), pos)
+        elif first == "assume":
+            self.i += 1
+            self.expect("(")
+            stmt = Assume(self.root_expr(), pos)
+            self.expect(")")
+        elif self.tokens[start + 1] == "=":
+            target = self.name()
+            self.i += 1
+            stmt = Assign(target, self.root_expr(), pos)
+        else:
+            raise _Outside
+        return stmt
+
+    # -- expressions -------------------------------------------------------
+
+    def root_expr(self) -> Expr:
+        """A statement's expression. ``expr`` bounds its recursion; a chain
+        of operators it builds in a loop can still be too high, which only
+        an expression of more than MAX_NESTING + 1 tokens can be."""
+        start = self.i
+        expr = self.expr(1, 0)
+        if self.i - start > MAX_NESTING + 1 and not _height_at_most(expr, MAX_NESTING):
+            raise _Outside
+        return expr
+
+    def expr(self, precedence: int, depth: int) -> Expr:
+        """The expression at the cursor whose operators all bind at least at
+        ``precedence``, at least ``depth`` edges below its statement."""
+        if depth > MAX_NESTING:
+            raise _Outside
+        tokens = self.tokens
+        start = self.i
+        if tokens[start] == "not":
+            if precedence > 3:
+                raise _Outside
+            self.i += 1
+            left = Not(self.expr(3, depth + 1), self.pos(start))
+        else:
+            left = self.operand(depth)
+        while True:
+            op = tokens[self.i]
+            binding = _PRECEDENCE.get(op, 0)
+            if binding < precedence:
+                return left
+            at = self.i
+            self.i += 1
+            if binding < 3:  # and, or: one node for the whole run
+                operands = [left, self.expr(binding + 1, depth + 1)]
+                while tokens[self.i] == op:
+                    self.i += 1
+                    operands.append(self.expr(binding + 1, depth + 1))
+                left = BoolOp(op, tuple(operands), self.pos(start))
+            elif binding == 4:
+                right = self.expr(5, depth + 1)
+                if _PRECEDENCE.get(tokens[self.i]) == 4:  # a chained comparison
+                    raise _Outside
+                left = Compare(op, left, right, self.pos(at))
+            else:
+                left = Binary(op, left, self.expr(binding + 1, depth + 1), self.pos(at))
+
+    def operand(self, depth: int) -> Expr:
+        """A negated literal, or an atom with its field accesses and indexes."""
+        tokens = self.tokens
+        i = self.i
+        token = tokens[i]
+        if token == "-":  # no trailers follow: -1 .a is -(1 .a)
+            digits = tokens[i + 1]
+            if not digits.isdigit():
+                raise _Outside
+            self.i += 2
+            return IntLit(-int(digits), self.pos(i))
+        if token.isidentifier():
+            if token in _NOT_NAMES:
+                if token not in _CALLS or tokens[i + 1] != "(":
+                    raise _Outside
+                self.i += 2
+                node = _CALLS[token](self.expr(1, depth + 1), self.pos(i))
+                self.expect(")")
+            else:
+                node = LocalRef(token, self.pos(i))
+                self.i += 1
+        elif token.isdigit():
+            node = IntLit(int(token), self.pos(i))
+            self.i += 1
+        else:
+            node = StrLit(self.string(), self.pos(i))
+        while True:
+            i = self.i
+            token = tokens[i]
+            if token == ".":
+                self.i += 1
+                node = FieldAccess(node, self.name(), self.pos(i))
+            elif token == "[" and tokens[i + 1].isdigit() and tokens[i + 2] == "]":
+                self.i += 3
+                node = Index(node, int(tokens[i + 1]), self.pos(i))
+            else:
+                return node
 
 
 class _Converter:

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -680,6 +681,18 @@ class TestRunner:
         save_dataset(small_tasks, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "4df276c2570339b43c0199d59d086db35c2160b51c4e8ca1d7a2e2d477f7db9d"
+
+    def test_report_path_in_a_missing_directory_rejected_before_any_task(
+        self, small_tasks, tmp_path
+    ):
+        from logicforge.errors import LogicForgeError
+
+        factory = mock.Mock(side_effect=AssertionError)
+        out = tmp_path / "absent" / "report.json"
+        with pytest.raises(LogicForgeError, match="cannot write"):
+            run_bench(small_tasks, factory, out_path=out)
+        factory.assert_not_called()
+        assert not out.parent.exists()
 
     def test_duplicate_task_ids_rejected(self, small_tasks):
         from logicforge.errors import LogicForgeError

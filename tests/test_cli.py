@@ -253,3 +253,24 @@ class TestFileErrors:
         assert captured.err.startswith(f"error: cannot write {out}: ")
         assert captured.out == ""
         assert not out.parent.exists()
+
+    def test_gen_into_an_existing_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "generate_tasks", mock.Mock(side_effect=AssertionError))
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["gen", "--seed", "1", "--size", "2x3", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.out == ""
+
+    def test_bench_into_a_missing_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "generate_tasks", mock.Mock(side_effect=AssertionError))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"seed": 4, "shapes": [{"size": "2x3", "count": 2}]}))
+        out = tmp_path / "absent" / "r.json"
+        assert main(["bench", "--gen-spec", str(spec_path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.parent.exists()

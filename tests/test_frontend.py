@@ -1,16 +1,18 @@
 """Lexer, parser, pretty-printer, and semantic checker."""
 
+import ast
 import dataclasses
 import re
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logicforge.bench.puzzle import generate_puzzle
-from logicforge.bench.render import render_dsl
+from logicforge.bench.puzzle import AT_POSITION, Clue, generate_puzzle
+from logicforge.bench.render import render_constraints, render_data_structure, render_dsl
 from logicforge.cemit import emit
 from logicforge.errors import DslSyntaxError, InternalError, LogicForgeError, SemanticError
 from logicforge.frontend import SourceText, check, parse, pretty
@@ -26,12 +28,13 @@ from logicforge.frontend.ast import (
     IntRange,
     LocalRef,
     Nondet,
+    Pos,
 )
-from logicforge.frontend.parser import MAX_NESTING
+from logicforge.frontend.parser import MAX_NESTING, _Converter, _recognize
 from logicforge.model import decode, lower
 from logicforge.solver import Budget, find_second, solve
 
-from conftest import chained_condition, lines_executed, nested_condition
+from conftest import DATA_DIR, chained_condition, lines_executed, nested_condition
 from strategies import programs
 
 FIG_STYLE_SOURCE = """\
@@ -151,13 +154,21 @@ class TestParse:
         with pytest.raises(DslSyntaxError, match="nested too deeply"):
             parse(deeper)
 
-    def test_concurrent_parses_each_get_their_own_result(self, zebra_source):
+    def test_concurrent_parses_each_get_their_own_result(self, zebra_source, monkeypatch):
         # CPython 3.11 keeps one recursion counter for all threads building
         # Python syntax trees. A collection inside one build can run a
         # finalizer, hand the GIL to another thread's build, and end the
         # first in "SystemError: AST constructor recursion depth mismatch".
         at_limit = zebra_source.text + "    assert " + nested_condition("engineer", MAX_NESTING) + "\n"
         hostile = "def v(x: C) -> None:\n    assert " + "not " * 10**5 + "x.a == 1\n"
+        reached = set()  # the texts that reach Python's parser, and so its lock
+        python_parse = ast.parse
+
+        def spy(text, *args, **kwargs):
+            reached.add(text)
+            return python_parse(text, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", spy)
         expected = parse(at_limit)
         start = threading.Barrier(8, timeout=30)
         results = []
@@ -196,6 +207,7 @@ class TestParse:
                 assert isinstance(result, DslSyntaxError), result
             else:
                 assert result == expected, result
+        assert reached == {at_limit, hostile}
 
 
 class TestPretty:
@@ -475,17 +487,150 @@ class TestGrowth:
     check and lower: no stage grows quadratically with the clause count."""
 
     def test_each_stage_grows_linearly_in_the_clauses(self):
-        from conftest import DATA_DIR
+        plain = (DATA_DIR / "example_6house.lpy").read_text(encoding="utf-8")
+        # each assert's condition in parentheses, which only the Python path reads
+        grouped = re.sub(r"^(    assert )(.*)$", r"\1(\2)", plain, flags=re.MULTILINE)
+        assert _recognize(plain) is not None and _recognize(grouped) is None
+        for text in (plain, grouped):
+            work = []  # (parse, check, lower) lines per copy count
+            for copies in (1, 2, 4):
+                source = SourceText(_repeated_validator(text, copies), "<growth>")
+                parse_lines, tree = lines_executed(parse, source)
+                check_lines, program = lines_executed(check, tree)
+                lower_lines, model = lines_executed(lower, program)
+                assert len(model.constraints) == 7 * copies  # 3 asserts, 4 assumes
+                work.append((parse_lines, check_lines, lower_lines))
+            for stage, (one, two, four) in zip(("parse", "check", "lower"), zip(*work)):
+                assert two > one, stage
+                assert four - two <= 2.2 * (two - one), (stage, one, two, four)
 
-        text = (DATA_DIR / "example_6house.lpy").read_text(encoding="utf-8")
-        work = []  # (parse, check, lower) lines per copy count
-        for copies in (1, 2, 4):
-            source = SourceText(_repeated_validator(text, copies), "<growth>")
-            parse_lines, tree = lines_executed(parse, source)
-            check_lines, program = lines_executed(check, tree)
-            lower_lines, model = lines_executed(lower, program)
-            assert len(model.constraints) == 7 * copies  # 3 asserts, 4 assumes
-            work.append((parse_lines, check_lines, lower_lines))
-        for stage, (one, two, four) in zip(("parse", "check", "lower"), zip(*work)):
-            assert two > one, stage
-            assert four - two <= 2.2 * (two - one), (stage, one, two, four)
+
+# --- the fast path against the Python path --------------------------------------
+
+
+def _positions(node) -> list[Pos]:
+    """The pos of every node in ``node``, depth first: ``==`` leaves them out."""
+    if isinstance(node, tuple):
+        return [pos for item in node for pos in _positions(item)]
+    found = []
+    if dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            value = getattr(node, f.name)
+            found += [value] if isinstance(value, Pos) else _positions(value)
+    return found
+
+
+def fast_path_agrees(text: str) -> bool:
+    """Whether the one-pass recognizer reads ``text``. When it does, the
+    Python path must return an equal program, node positions included."""
+    fast = _recognize(text)
+    if fast is None:
+        return False
+    reference = _Converter(SourceText(text)).program()
+    assert fast == reference
+    assert _positions(fast) == _positions(reference)
+    return True
+
+
+def _attempts(seed: int, entities: int, features: int) -> dict[str, str]:
+    """A generated puzzle's program as the pipeline joins its two parts, and
+    the faulty programs the recover benchmark replays before it."""
+    instance = generate_puzzle(seed, entities, features)
+    n = instance.n_entities
+    ds = render_data_structure(instance.features, n).text
+    cs = render_constraints(instance.clues).text
+    feature = instance.features[0].name
+    false_clue = Clue(AT_POSITION, feature, instance.truth.rows[0][feature], pos=n)
+    intruder = '    intruder = nondet(solution.houses)\n    assert intruder.colour == "red"\n'
+    return {
+        "correct": ds + "\n" + cs,
+        "syntax": ds + "\n" + cs.replace(") -> None:", ") -> None", 1),
+        "semantic": ds + "\n" + cs + intruder,
+        "unsat": ds + "\n" + render_constraints(instance.clues + (false_clue,)).text,
+        "off_by_one": ds.replace(f"range(1, {n + 1})", f"range(1, {n + 2})", 1) + "\n" + cs,
+    }
+
+
+_SHAPES = [(e, f) for e in range(3, 7) for f in range(3, 7)]
+
+# 1-3-character edits: operators, quotes, brackets, whitespace, digits and
+# keyword fragments
+_EDIT_ALPHABET = tuple("()[].,:=<>!+-*/#\"' \t\n\\0179x_") + (
+    "==", "<=", "->", "  ", "01", "1.", "0x", "not", "and", "or", "in", "abs", "def", "Non", "r\""
+)
+_EDIT_BASES = (
+    _attempts(0, 3, 3)["correct"],
+    (DATA_DIR / "zebra_4x4.lpy").read_text(encoding="utf-8"),
+    (DATA_DIR / "example_6house.lpy").read_text(encoding="utf-8"),
+)
+
+
+@st.composite
+def edited_sources(draw) -> str:
+    """A well-formed program after one to three edits, each deleting up to
+    three characters and inserting up to three from the alphabet."""
+    text = draw(st.sampled_from(_EDIT_BASES))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        insert = "".join(draw(st.lists(st.sampled_from(_EDIT_ALPHABET), max_size=3)))[:3]
+        text = text[:at] + insert + text[at + cut :]
+    return text
+
+
+class TestFastPath:
+    """Whenever the one-pass recognizer returns a program, the Python path
+    returns an equal one with an equal position on every node; anything the
+    recognizer raises fails the test."""
+
+    @pytest.mark.parametrize("entities,features", _SHAPES)
+    def test_generated_programs_and_their_faults(self, entities, features):
+        for seed in range(2):
+            for fault, text in _attempts(seed, entities, features).items():
+                assert fast_path_agrees(text) == (fault != "syntax"), fault
+
+    def test_generated_programs_need_no_python_parser(self, monkeypatch):
+        monkeypatch.setattr(ast, "parse", mock.Mock(side_effect=AssertionError("ast.parse")))
+        for entities, features in _SHAPES:
+            parse(render_dsl(generate_puzzle(7, entities, features)))
+
+    @pytest.mark.parametrize("path", sorted(DATA_DIR.glob("*.lpy")), ids=lambda p: p.name)
+    def test_data_files(self, path):
+        assert fast_path_agrees(path.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            pytest.param("    z = 1and x\n", id="int-touching-keyword"),
+            pytest.param("    z = 0x1\n", id="hex"),
+            pytest.param("    z = 01\n", id="leading-zero"),
+            pytest.param("    z = 1.5\n", id="float"),
+            pytest.param('    z = r"a"\n', id="string-prefix"),
+            pytest.param('    z = "a" "b"\n', id="adjacent-strings"),
+            pytest.param("    z = x.class\n", id="keyword-field"),
+            pytest.param("    z = None\n", id="none"),
+            pytest.param("    z = nondet\n", id="nondet-as-name"),
+            pytest.param("    z = -1 .a\n", id="negated-field-access"),
+            pytest.param("    assert x.a == not x.a\n", id="not-under-comparison"),
+            pytest.param("    assert x.a < 1 < 2\n", id="chained-comparison"),
+            pytest.param("    assert (x.a == 1)\n", id="grouping-parentheses"),
+            pytest.param("    assume(x.a ==\n        1)\n", id="implicit-continuation"),
+            pytest.param("    assert x.a == \\\n        1\n", id="backslash-continuation"),
+            pytest.param("    assert x.a == 1\n      assert x.a == 1\n", id="deeper-indent"),
+            pytest.param("class D:\n", id="empty-class"),
+            pytest.param("    assert " + "not " * 10**5 + "x.a == 1\n", id="not-times-1e5"),
+        ],
+    )
+    def test_outside_the_subset(self, lines):
+        text = "class C:\n    a: Domain[int, range(1, 3)]\ndef v(x: C) -> None:\n" + lines
+        assert _recognize(text) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(programs(max_entities=3, max_fields=3, max_domain=4))
+    def test_printed_random_programs(self, program):
+        fast_path_agrees(pretty(program))
+
+    @settings(max_examples=300, deadline=None)
+    @given(edited_sources())
+    def test_small_edits(self, text):
+        fast_path_agrees(text)
