@@ -7,6 +7,12 @@ table's rows are used as they are, ``{field: cell}`` dicts, and the parameter
 is the one row or ``{rows_field: rows}``. A table passes when some choice of
 selectors satisfies every assume and assert, and every Unique field holds
 pairwise-distinct in-domain values.
+
+A table with a position field is the same table in any row order
+(``SolutionTable.key``), and ``decode`` stores its rows by position, not by
+instance slot. So where the validator indexes its rows (``s.items[0]``), and
+the row order therefore matters, such a table passes when its rows pass in
+some order.
 """
 
 from __future__ import annotations
@@ -64,9 +70,26 @@ def check_solution(program: CheckedProgram, candidate: SolutionTable) -> bool:
         if f.unique and len(set(values)) != len(values):
             return False
 
-    root = rows[0] if rows_field is None else {rows_field.name: rows}
     entry = program.entry
-    return _run_stmts(list(entry.body), {entry.param_name: root})
+    if rows_field is None:
+        return _run_stmts(list(entry.body), {entry.param_name: rows[0]})
+    orders = [rows]
+    if candidate.position_field is not None and _indexes_rows(entry.body):
+        orders = itertools.permutations(rows)
+    return any(
+        _run_stmts(list(entry.body), {entry.param_name: {rows_field.name: order}})
+        for order in orders
+    )
+
+
+def _indexes_rows(stmts) -> bool:
+    """Whether a statement reads a row by its index; the rows field is the
+    only list, so any index does."""
+    return any(
+        isinstance(node, Index)
+        for stmt in stmts
+        for node in walk(stmt.value if isinstance(stmt, Assign) else stmt.expr)
+    )
 
 
 def _in_domain(value: int | str, f) -> bool:

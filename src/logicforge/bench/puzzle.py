@@ -8,9 +8,13 @@ The candidate program is built as a DSL syntax tree, checked and lowered
 once, its solver model is built once, and its constraint list is cut into
 one index range per clue. A uniqueness check switches the chosen clues'
 constraints on and the others off (a ``ModelView``), and runs one
-second-solution search against the truth table. A final solve over the same
-kind of view confirms that the kept clues accept their own truth, so every
-emitted instance is solvable and unambiguous.
+second-solution search against the truth table. Each check's view is
+derived (``ModelView.plus``) from a view of clues it shares with other
+checks, so its search starts from that view's root fixpoint and propagates
+only the clues it adds: in the grow phase, the previous check's view; in the
+drop phase, the view of the clues not yet tried. A final solve over a plain
+view confirms that the kept clues accept their own truth, so every emitted
+instance is solvable and unambiguous.
 
 The generator also keeps the tables other than the truth that it already
 knows: the truth's single swaps (two positions' values of one feature
@@ -342,8 +346,13 @@ def _minimal_unique_set(
     that clue is kept; in the grow phase it breaks none of the clues so far,
     so the next pin is added. Any other check is one ``find_second`` over a
     view of that one compiled model with the chosen clues' constraints on,
-    and every "unique" verdict comes from one. The final ``solve`` confirms
-    the kept clues accept their own truth."""
+    and every "unique" verdict comes from one. The grow phase derives each
+    view from the one before with the next pin added. The drop phase tries
+    the clues in ``order`` against the suffix views ``S_p``, the clues
+    ``order[p:]`` on, each derived from ``S_{p+1}`` and ``S_n`` the empty
+    view: the check of ``order[p]`` is ``S_{p+1}`` plus the clues kept among
+    ``order[:p]``. The final ``solve`` confirms the kept clues accept their
+    own truth."""
     relational = [c for c in candidates if c.kind != AT_POSITION]
     pins = [c for c in candidates if c.kind == AT_POSITION]
     rng.shuffle(relational)
@@ -356,31 +365,41 @@ def _minimal_unique_set(
 
     known = {mask for _, mask in _swaps(selected, columns(truth), n)}
 
-    def is_unique(indices) -> bool:
+    def is_unique(indices, view: ModelView) -> bool:
         checked = sum(1 << k for k in indices)
         if _known_second(known, checked):
             return False
-        report = find_second(_view(compiled, slices, indices), truth, budget)
+        report = find_second(view, truth, budget)
         if report.ambiguous:
             known.add(_violated(selected, columns(report.second), n))
         return not report.ambiguous
 
     try:
-        # grow until unique: all relational clues first, then pins one by one
+        # grow until unique: all relational clues first, then pins one by
+        # one, each view derived from the one before
         size = len(relational)
-        while not is_unique(range(size)):
+        grown = _view(compiled, slices, range(size))
+        while not is_unique(range(size), grown):
             if size == len(selected):
                 raise GenerationError("could not certify uniqueness even with all pins")
+            grown = grown.plus(slices[size])
             size += 1
 
-        # greedily drop what uniqueness does not need (locally minimal, not global)
+        # greedily drop what uniqueness does not need (locally minimal, not
+        # global); suffixes[p] has the clues order[p:] on, and the check of
+        # order[p] is derived from suffixes[p + 1]
         order = list(range(size))
         rng.shuffle(order)
+        suffixes = [compiled.view(())]
+        for idx in reversed(order):
+            suffixes.append(suffixes[-1].plus(slices[idx]))
+        suffixes.reverse()
         kept = set(order)
-        for idx in order:
+        for p, idx in enumerate(order):
             if len(kept) == 1:
                 break
-            if is_unique(kept - {idx}):
+            earlier = [i for k in order[:p] if k in kept for i in slices[k]]
+            if is_unique(kept - {idx}, suffixes[p + 1].plus(earlier)):
                 kept.remove(idx)
         outcome = solve(_view(compiled, slices, kept), budget)
     except BudgetExceeded as exc:

@@ -27,15 +27,24 @@ FormalizerFactory = Callable[[PuzzleTask], object]
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Generate tasks on the fly: ``shapes`` maps size strings to counts."""
+    """Generate tasks on the fly: ``shapes`` maps size strings to counts,
+    each an int of at least 0."""
 
     seed: int
     shapes: tuple[tuple[str, int], ...]
 
+    def __post_init__(self) -> None:
+        for size, count in self.shapes:
+            # a bool is an int, and a JSON true is no count
+            if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+                raise LogicForgeError(
+                    f"shape {size}: count must be an integer of at least 0, not {count!r}"
+                )
+
     @staticmethod
     def from_json_dict(d: dict) -> "GenSpec":
         try:
-            shapes = tuple((s["size"], int(s["count"])) for s in d["shapes"])
+            shapes = tuple((s["size"], s["count"]) for s in d["shapes"])
             return GenSpec(int(d["seed"]), shapes)
         except (KeyError, TypeError, ValueError) as exc:
             raise LogicForgeError(

@@ -100,13 +100,15 @@ def cmd_check_ambiguity(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    parse_size(args.size)  # a bad size leaves no output directory behind
+    # a bad size or count leaves no output directory behind
+    parse_size(args.size)
+    spec = GenSpec(args.seed, ((args.size, args.count),))
     out_dir = Path(args.out)
     dataset_path = out_dir / "dataset.jsonl"
     try:
         # made first, so that an unusable path fails before the generation
         out_dir.mkdir(parents=True, exist_ok=True)
-        tasks = generate_tasks(GenSpec(args.seed, ((args.size, args.count),)))
+        tasks = generate_tasks(spec)
         for task in tasks:
             source = render_dsl(task.instance).text
             (out_dir / f"{task.id}.lpy").write_text(source, encoding="utf-8")

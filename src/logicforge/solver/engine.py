@@ -31,7 +31,7 @@ reference are not branched. ``solve`` and ``find_second`` compile a
 plain ``ConstraintModel`` with every constraint on (``compile_model``; the
 pipeline calls it once per attempt and hands the view to both); the puzzle
 generator compiles its candidate program once and switches clue slices per
-check.
+check, deriving each check's view from one whose clues it shares.
 
 Propagation runs one work list of propagators, the all-different groups
 first and then the constraints that are on, to a fixpoint. It is
@@ -93,13 +93,18 @@ over a wide group can outrun the budget by more than that.
 
 The fixpoint of a root is unique (every propagator only narrows, and
 removes at least as much from a narrower state), so it does not depend on
-the order the items run in, nor does its removal count. The compiled model
-caches the fixpoint of the groups and the row order on the declared domains,
-with its removal count and inert items, and every search that orders rows
-starts from a copy of it, where only the active constraints are stale. The
-first such search computes it under its own deadline, and nothing is cached
-when that deadline passes. A root that fails from there is propagated again
-from the declared domains, so that the count stops where a full pass fails.
+the order the items run in, nor does its removal count. So a view can be
+derived from another (``ModelView.plus``), its parent, and a search over it
+that orders rows starts from a copy of the parent's root fixpoint, where
+only the constraints it added are stale, and counts the parent's removals
+plus its own. Every view from ``CompiledModel.view`` has the empty view as
+its parent, whose fixpoint is that of the groups and the row order on the
+declared domains. The compiled model caches the fixpoint of each view that
+serves as a parent, with its removal count and inert items; the first
+search that needs one computes it under its own deadline, and nothing is
+cached when that deadline passes. A root that fails from there is
+propagated again from the declared domains, so that the count stops where a
+full pass fails.
 
 The singleton tests of the generic evaluator re-walk the constraint tree once
 per tested value. When the model is compiled, each constraint whose shape the
@@ -139,7 +144,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from itertools import chain
@@ -470,8 +475,9 @@ class CompiledModel:
     """What the solver builds once per model, for any number of searches over
     any subsets of its constraints: each constraint's meta and propagator,
     the row-order propagators, the watch lists, mask bases, declared masks
-    and width. It also keeps the ordered root (``ordered_root``) and the
-    search ``solve`` left suspended (``suspended``).
+    and width. It also keeps the root fixpoints of the views that serve as
+    parents (``fixpoint``) and the search ``solve`` left suspended
+    (``suspended``).
 
     The work list holds the all-different groups first, then one item per
     constraint in model order, then the row order."""
@@ -520,7 +526,8 @@ class CompiledModel:
             self.meta.append(meta)
             self._add(self._propagator(meta), meta.watched)
         self.row_order = (1 << len(self.propagators)) - (1 << start)
-        self._ordered_root: tuple[list[int] | None, int, int] | None = None
+        # the active constraints of a parent view -> its root fixpoint
+        self.roots: dict[tuple[int, ...], tuple[list[int] | None, int, int]] = {}
         # the active constraints of the view ``solve`` last found a solution
         # over -> (its search, the search's solutions from that one on); one
         # entry at most, taken by ``find_second`` with an atomic pop
@@ -534,11 +541,22 @@ class CompiledModel:
 
     def view(self, active) -> "ModelView":
         """This model with only the constraints at ``active`` (indices into
-        ``model.constraints``) on."""
+        ``model.constraints``) on: the empty view ``view(())`` plus them."""
+        on = self._indices(active)
+        return ModelView(self, on, ModelView(self, ()) if on else None)
+
+    def _indices(self, active) -> tuple[int, ...]:
         on = tuple(sorted(set(active)))
         if on and not (0 <= on[0] and on[-1] < len(self.model.constraints)):
             raise InternalError(f"constraint indices {on[0]}..{on[-1]} outside the model")
-        return ModelView(self, on)
+        return on
+
+    def items(self, active: tuple[int, ...]) -> int:
+        """The mask of the work-list items of the constraints at ``active``."""
+        mask = 0
+        for i in active:
+            mask |= 1 << (self.n_groups + i)
+        return mask
 
     def referenced_selectors(self, active: tuple[int, ...]) -> list[int]:
         """The selectors some active constraint references, ascending; any
@@ -552,23 +570,31 @@ class CompiledModel:
         table exactly one encoding."""
         return self.position_vars is not None and self.row_tied.isdisjoint(active)
 
-    def ordered_root(self, search: "_Search") -> tuple[list[int] | None, int, int]:
-        """The fixpoint of the all-different groups and the row order on the
-        declared domains, computed once: (its masks, the values it removed,
-        its inert items), with None for masks when it fails. Every ordered
-        search runs these items, so it can start from here. It is computed
-        under the clock of ``search``, the first search that asks, and a
-        ``BudgetExceeded`` caches nothing."""
-        if self._ordered_root is None:
-            root = _Search(self.view(()), search.budget)
-            root.start, root.deadline = search.start, search.deadline
-            doms = self.initial_state()
-            inert = root.propagate(doms, root.off, root.on)
-            if inert is None:
-                self._ordered_root = None, 0, 0
+    def fixpoint(self, view: "ModelView", search: "_Search") -> tuple[list[int] | None, int, int]:
+        """The root fixpoint of ``view``, a parent of the view ``search``
+        runs over, which orders rows as its child does: (its masks, the
+        values it removed from the declared domains, its inert items that
+        are on), with None for masks when it fails. It is computed once per
+        set of active constraints, from its own parent's fixpoint where it
+        has one (``_Search.root``), so along a chain of derived views each
+        fixpoint propagates only the constraints its view added. It is
+        computed under the clock of ``search``, the first search that asks,
+        and a ``BudgetExceeded`` caches nothing."""
+        pending = []  # the views up to the nearest cached one or the empty view
+        ancestor: ModelView | None = view
+        while ancestor is not None and ancestor.active not in self.roots:
+            pending.append(ancestor)
+            ancestor = ancestor.parent
+        for ancestor in reversed(pending):
+            helper = _Search(ancestor, search.budget)
+            helper.start, helper.deadline = search.start, search.deadline
+            root = helper.root(ancestor)
+            if root is None:
+                self.roots[ancestor.active] = None, 0, 0
             else:
-                self._ordered_root = doms, root.stats.propagations, inert ^ root.off
-        return self._ordered_root
+                doms, inert = root
+                self.roots[ancestor.active] = doms, helper.stats.propagations, inert ^ helper.off
+        return self.roots[view.active]
 
     # -- domain plumbing ---------------------------------------------------
 
@@ -658,10 +684,23 @@ class CompiledModel:
 class ModelView:
     """A compiled model with only the constraints at ``active`` on: ascending
     indices into ``compiled.model.constraints``. It is what ``solve`` and
-    ``find_second`` search; a plain model is compiled with all of them on."""
+    ``find_second`` search; a plain model is compiled with all of them on.
+
+    A view other than the empty one has a parent, a view whose constraints
+    it has all on: the empty view for a view from ``CompiledModel.view``,
+    and the view it was derived from for one from ``plus``. A search over a
+    view that orders rows starts from its parent's root fixpoint, which the
+    compiled model caches (``CompiledModel.fixpoint``)."""
 
     compiled: CompiledModel
     active: tuple[int, ...]
+    parent: ModelView | None = field(default=None, repr=False, compare=False)
+
+    def plus(self, indices) -> ModelView:
+        """This view with the constraints at ``indices`` on as well, derived
+        from it: a search over the result that orders rows propagates only
+        the added constraints from this view's root fixpoint."""
+        return ModelView(self.compiled, self.compiled._indices((*self.active, *indices)), self)
 
     def verify(self, assignment: dict[int, int]) -> bool:
         """``verify`` over the active constraints only."""
@@ -697,11 +736,8 @@ class _Search:
         self.n_vars = compiled.n_vars
         self.base = compiled.base
         # masks of work-list items: bit i is item i
-        groups = compiled.n_groups
-        self.constraints = 0
-        for i in view.active:
-            self.constraints |= 1 << (groups + i)
-        self.on = self.constraints | ((1 << groups) - 1)
+        self.constraints = compiled.items(view.active)
+        self.on = self.constraints | ((1 << compiled.n_groups) - 1)
         self.ordered = compiled.orders_rows(view.active)
         if self.ordered:
             self.on |= compiled.row_order
@@ -821,19 +857,22 @@ class _Search:
         except Contradiction:
             return None
 
-    def root(self, compiled: CompiledModel) -> tuple[list[int], int] | None:
-        """The root state, propagated, and its inert mask; None when it
-        fails. An ordered search starts from the model's cached fixpoint of
-        the groups and the row order, where only the active constraints are
+    def root(self, view: ModelView) -> tuple[list[int], int] | None:
+        """The root state of ``view``, propagated, and its inert mask; None
+        when it fails. An ordered search starts from the root fixpoint of
+        the view's parent, where only the constraints the view added are
         stale. The root fixpoint is unique, so it is the one a full pass
-        reaches, with the same removals counted; where it fails, the full
-        pass runs instead, so that the count stops where the full pass fails."""
-        if self.ordered:
-            cached, removed, entailed = compiled.ordered_root(self)
+        reaches, with the parent's removals and its own counted; where it
+        fails, the full pass runs instead, so that the count stops where the
+        full pass fails."""
+        compiled, parent = view.compiled, view.parent
+        if self.ordered and parent is not None:
+            cached, removed, entailed = compiled.fixpoint(parent, self)
             if cached is not None:
                 doms = list(cached)
                 before = self.stats.propagations
-                inert = self.propagate(doms, self.off | entailed, self.constraints)
+                stale = self.constraints ^ compiled.items(parent.active)
+                inert = self.propagate(doms, self.off | entailed, stale)
                 if inert is not None:
                     self.stats.propagations += removed
                     return doms, inert
@@ -1138,11 +1177,11 @@ class _Search:
             if self.trace:
                 self.trace(f"backtrack {ident}={base + i}")
 
-    def from_root(self, compiled: CompiledModel) -> Iterator[list[int]]:
-        """Propagate the root (under ``clock``) and return the solutions
-        below it, none where it fails. The iterator holds no reference to
-        ``compiled``."""
-        root = self.root(compiled)
+    def from_root(self, view: ModelView) -> Iterator[list[int]]:
+        """Propagate the root of ``view`` (under ``clock``) and return the
+        solutions below it, none where it fails. The iterator holds no
+        reference to ``view``."""
+        root = self.root(view)
         return self.solutions(*root) if root else iter(())
 
     def resume(self, budget: Budget) -> None:
@@ -1178,7 +1217,7 @@ def solve(
     view = _view(model)
     search = _Search(view, budget or Budget(), trace)
     with search.clock():
-        found = search.from_root(view.compiled)
+        found = search.from_root(view)
         solution = next(found, None)
     if solution is None:
         return SolveOutcome(Status.UNSAT, None, search.stats)
@@ -1241,7 +1280,7 @@ def find_second(
         search.resume(budget)
     assignment = second = None
     with search.clock():
-        for solution in found or search.from_root(compiled):
+        for solution in found or search.from_root(view):
             assignment = dict(enumerate(solution))
             table = decode(compiled.model, assignment)
             if table.key() != first_key:

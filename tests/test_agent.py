@@ -293,6 +293,30 @@ class TestCheckSolution:
         table = SolutionTable(("p",), ({"p": 1}, {"p": 2}), "p")
         assert check_solution(program, table)
 
+    def test_a_program_that_indexes_its_rows_passes_its_solved_table(self):
+        # decode stores rows by position, not by slot: here the solution puts
+        # g = 1 in slot 0 at position 1, and the table lists position 0 first
+        from conftest import compile_source
+
+        program, model = compile_source(
+            "class E:\n    p: Unique[Domain[int, range(0, 2)]]\n"
+            "    g: Domain[int, range(0, 3)]\n"
+            "class S:\n    items: list[E, 2]\n"
+            "def v(s: S) -> None:\n"
+            "    x = s.items[0]\n"
+            "    assume(x.p == 1)\n"
+            "    assume(x.g == 1)\n"
+        )
+        outcome = solve(model)
+        table = decode(model, outcome.assignment)
+        assert table.rows[0]["p"] == 0 and table.rows[1]["g"] == 1
+        assert check_solution(program, table)
+        # the same table in either row order, and no order passes without g = 1
+        flipped = SolutionTable(table.columns, table.rows[::-1], "p")
+        assert flipped == table and check_solution(program, flipped)
+        rows = ({"p": 0, "g": 1}, {"p": 1, "g": 2})
+        assert not check_solution(program, SolutionTable(table.columns, rows, "p"))
+
     def test_shape_mismatch_raises(self, zebra_dsl_program):
         with pytest.raises(ShapeError):
             check_solution(

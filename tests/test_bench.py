@@ -320,7 +320,16 @@ class TestCompiledCandidates:
         assert ends == []
 
     def test_one_compile_one_search_per_check(self, monkeypatch):
-        names = ("parse", "check", "lower", "CompiledModel", "_view", "solve", "find_second")
+        names = (
+            "parse",
+            "check",
+            "lower",
+            "CompiledModel",
+            "_compile_candidates",
+            "_known_second",
+            "solve",
+            "find_second",
+        )
         calls: dict[str, list] = {name: [] for name in names}
 
         def counting(name):
@@ -341,9 +350,15 @@ class TestCompiledCandidates:
         assert calls["parse"] == []
         once = ("check", "lower", "CompiledModel", "solve")
         assert [len(calls[name]) for name in once] == [1] * len(once)
-        # one view per check, plus the final solve's
-        assert len(calls["find_second"]) == len(calls["_view"]) - 1 > 1
-        ((_, compiled),) = calls["CompiledModel"]
+        # one search per check that no known table answers, over the
+        # constraints of that check's clues
+        unanswered = [checked for (_, checked), known in calls["_known_second"] if not known]
+        assert len(calls["find_second"]) == len(unanswered) > 1
+        ((_, (compiled, slices)),) = calls["_compile_candidates"]
+        for checked, ((view, _, _), _) in zip(unanswered, calls["find_second"]):
+            clues = [k for k in range(len(slices)) if checked >> k & 1]
+            assert view.active == tuple(i for k in clues for i in slices[k])
+        assert calls["CompiledModel"] == [((compiled.model,), compiled)]
         searched = calls["solve"] + calls["find_second"]
         assert all(args[0].compiled is compiled for args, _ in searched)
         assert all(args[-1] is budget for args, _ in searched)

@@ -170,6 +170,41 @@ class TestGenAndBench:
         assert err.startswith("error: ") and "NxM" in err and "Traceback" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("count", ["-1", "-2"])
+    def test_gen_rejects_a_negative_count(self, tmp_path, capsys, count):
+        out_dir = tmp_path / "puzzles"
+        assert main(["gen", "--seed", "1", "--size", "2x3", "-n", count, "-o", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "count" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [{"size": "2x3", "count": 1.5}],
+            [{"size": "2x3", "count": "2"}],
+            [{"size": "2x3", "count": True}],
+            [{"size": "2x3", "count": None}],
+            [{"size": "2x3", "count": 1}, {"size": "3x3", "count": -1}],
+        ],
+        ids=["float", "string", "bool", "null", "negative-beside-valid"],
+    )
+    def test_bench_rejects_a_gen_spec_count_that_is_no_whole_number(
+        self, tmp_path, capsys, monkeypatch, shapes
+    ):
+        monkeypatch.setattr(cli, "generate_tasks", mock.Mock(side_effect=AssertionError))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"seed": 4, "shapes": shapes}))
+        assert main(["bench", "--gen-spec", str(spec_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "count" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_a_gen_spec_count_of_zero_generates_nothing(self):
+        spec = GenSpec.from_json_dict({"seed": 4, "shapes": [{"size": "2x3", "count": 0}]})
+        assert spec.shapes == (("2x3", 0),) and generate_tasks(spec) == []
+
     def test_bench_rejects_a_gen_spec_size_not_of_the_form_nxm(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"seed": 4, "shapes": [{"size": "3", "count": 1}]}))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from logicforge.bench import load_dataset
+from logicforge.bench import load_dataset, puzzle
 from logicforge.bench.puzzle import AT_POSITION, POSITION_FIELD, Clue, generate_puzzle
 from logicforge.bench.render import render_dsl
 from logicforge.errors import BudgetExceeded, CapExceeded, SemanticError
@@ -732,10 +732,10 @@ class TestMaskBases:
 
 class _CheckedSearch(engine._Search):
     """A search whose every propagation (a child's, or an ordered root's
-    from the cached fixpoint) also runs in full on a copy: every item that
-    is on runs, and none is inert but the items that are off. Both must
-    return the same verdict, leave the same domains and count the same
-    propagations, and no item may be inert that the full pass leaves
+    from its parent's cached fixpoint) also runs in full on a copy: every
+    item that is on runs, and none is inert but the items that are off.
+    Both must return the same verdict, leave the same domains and count the
+    same propagations, and no item may be inert that the full pass leaves
     stale. ``nodes`` counts the calls compared, ``failed`` those that end
     in a contradiction."""
 
@@ -825,12 +825,12 @@ class TestEventDrivenPropagation:
 
 def _ordered_roots(view) -> tuple[tuple, tuple]:
     """The root of an ordered search over ``view`` as the search starts it,
-    from the model's cached fixpoint of the groups and the row order, and
-    the root propagated in full from the declared domains: each as (domains
-    or None where it fails, propagation count)."""
+    from its parent's cached root fixpoint, and the root propagated in full
+    from the declared domains: each as (domains or None where it fails,
+    propagation count)."""
     search = engine._Search(view, Budget())
     assert search.ordered
-    root = search.root(view.compiled)
+    root = search.root(view)
     full = engine._Search(view, Budget())
     doms = view.compiled.initial_state()
     ok = full.propagate(doms, full.off, full.on) is not None
@@ -838,10 +838,11 @@ def _ordered_roots(view) -> tuple[tuple, tuple]:
 
 
 class TestCachedOrderedRoot:
-    """An ordered search starts from the cached fixpoint of the groups and
-    the row order, where only the active constraints are stale. Its root has
-    the domains and the propagation count of a root propagated from the
-    declared domains, and so has a root that fails."""
+    """An ordered search over a plain view starts from the cached fixpoint
+    of its parent, the empty view: the groups and the row order, where only
+    the active constraints are stale. Its root has the domains and the
+    propagation count of a root propagated from the declared domains, and
+    so has a root that fails."""
 
     @settings(max_examples=60, deadline=None)
     @given(programs(max_entities=3, max_fields=3, max_domain=4))
@@ -889,6 +890,125 @@ class TestCachedOrderedRoot:
             assert report.second is None
             if doms is None:
                 assert (report.stats.decisions, report.stats.propagations) == (0, count)
+
+
+def _nested(rng: random.Random, clues: int, depth: int) -> list[list[int]]:
+    """``depth`` random clue index lists, each a strict subset of the next
+    and the last not always every clue."""
+    order = rng.sample(range(clues), clues)
+    cuts = sorted(rng.sample(range(clues + 1), depth))
+    return [sorted(order[:cut]) for cut in cuts]
+
+
+def _searches(view, truth) -> list[tuple]:
+    """The uniqueness search from the root against ``truth``, then ``solve``
+    and the uniqueness search it leaves suspended: what each found (a second
+    table, an assignment) and its counters."""
+    first = find_second(view, truth)
+    outcome = solve(view)
+    runs = [(first.second, first.stats), (outcome.assignment, outcome.stats)]
+    if outcome.is_sat:
+        second = find_second(view, decode(view.compiled.model, outcome.assignment))
+        runs.append((second.second, second.stats))
+    return [(found, stats.decisions, stats.propagations) for found, stats in runs]
+
+
+class TestDerivedViews:
+    """A view derived with ``plus`` searches from its parent's cached root
+    fixpoint, propagating only the constraints it adds. It solves, finds
+    second tables and counts exactly as the plain view of the same
+    constraints on a model built afresh, and a budget that runs out while a
+    parent's fixpoint is built leaves nothing cached."""
+
+    @staticmethod
+    def _compiled(instance, extra=()):
+        clues = list(instance.clues) + list(extra)
+        return puzzle._compile_candidates(instance.features, clues, instance.n_entities)
+
+    @staticmethod
+    def _constraints(slices, clues) -> list[int]:
+        return [i for k in clues for i in slices[k]]
+
+    @pytest.mark.parametrize("n,f", [(3, 3), (4, 3), (4, 4), (5, 5), (6, 6)])
+    def test_nested_subsets_search_like_plain_views(self, n, f):
+        rng = random.Random(f"derived:{n}x{f}")
+        for seed in range(2):
+            instance = generate_puzzle(seed, n, f)
+            compiled, slices = self._compiled(instance)
+            clues = len(slices)
+            for _ in range(3):
+                chain = _nested(rng, clues, 3)
+                view = compiled.view(self._constraints(slices, chain[0]))
+                for smaller, larger in zip(chain, chain[1:]):
+                    added = sorted(set(larger) - set(smaller))
+                    view = view.plus(self._constraints(slices, added))
+                    fresh, fresh_slices = self._compiled(instance)
+                    plain = fresh.view(self._constraints(fresh_slices, larger))
+                    assert view.active == plain.active
+                    cached, declared = _ordered_roots(view)
+                    assert cached == declared
+                    assert _searches(view, instance.truth) == _searches(plain, instance.truth)
+                    # brute force takes seconds on a 4x4 with few clues
+                    if n * f <= 12 or n == 4 and 4 * len(larger) >= 3 * clues:
+                        self._agrees_with_brute_force(view, instance.truth)
+
+    @staticmethod
+    def _agrees_with_brute_force(view, truth):
+        model = view.compiled.model
+        cut = dataclasses.replace(model, constraints=[model.constraints[i] for i in view.active])
+        tables = {decode(cut, a) for a in brute_force(cut)}
+        assert truth in tables
+        report = find_second(view, truth)
+        if report.second is None:
+            assert tables == {truth}
+        else:
+            assert report.second in tables - {truth}
+
+    @pytest.mark.parametrize("seed,n,f", [(1, 3, 3), (2, 4, 4), (3, 5, 4)])
+    def test_a_derived_root_that_fails_counts_as_a_full_pass(self, seed, n, f):
+        instance = generate_puzzle(seed, n, f)
+        feature = instance.features[0].name
+        # a house number outside the position domain fails at the root
+        beyond = Clue(AT_POSITION, feature, instance.truth.rows[0][feature], pos=n + 1)
+        false = (_false_clue(instance), beyond)
+        compiled, slices = self._compiled(instance, false)
+        clues = len(instance.clues)
+        failed = 0
+        for half in (range(0, clues, 2), range(clues)):
+            base = compiled.view(self._constraints(slices, half))
+            for k in (clues, clues + 1):
+                view = base.plus(slices[k])
+                cached, declared = _ordered_roots(view)
+                assert cached == declared
+                failed += cached[0] is None
+                fresh, fresh_slices = self._compiled(instance, false)
+                plain = fresh.view(self._constraints(fresh_slices, [*half, k]))
+                assert _searches(view, instance.truth) == _searches(plain, instance.truth)
+        assert failed >= 2
+
+    def test_a_budget_spent_building_a_parent_fixpoint_caches_nothing(self):
+        instance = generate_puzzle(2, 4, 4)
+        clues = len(instance.clues)
+        compiled, slices = self._compiled(instance)
+        half = self._constraints(slices, range(0, clues, 2))
+        rest = self._constraints(slices, range(1, clues, 2))
+        derived = compiled.view(half).plus(rest[:2]).plus(rest[2:])
+        spent = Budget(max_time=0.0)
+        # the deadline is read after every item run, so the first one stops it
+        with mock.patch.object(engine, "_CLOCK_EVERY", 1):
+            with pytest.raises(BudgetExceeded):
+                solve(derived, spent)
+            assert compiled.roots == {}
+            # with the empty view's fixpoint cached, the next parent's is cut short
+            solve(compiled.view(half))
+            assert set(compiled.roots) == {()}
+            with pytest.raises(BudgetExceeded):
+                find_second(derived, instance.truth, spent)
+            assert set(compiled.roots) == {()}
+        fresh, fresh_slices = self._compiled(instance)
+        plain = fresh.view(half + rest)
+        assert _searches(derived, instance.truth) == _searches(plain, instance.truth)
+        assert set(compiled.roots) == {(), tuple(half), tuple(sorted(half + rest[:2]))}
 
 
 class TestGoldenCounters:
@@ -1282,7 +1402,7 @@ class TestGroupTable:
         def enumerate_all():
             view = engine.compile_model(model)
             search = engine._Search(view, Budget())
-            solutions = list(search.solutions(*search.root(view.compiled)))
+            solutions = list(search.solutions(*search.root(view)))
             return len(solutions), search.stats.decisions, search.stats.propagations
 
         full = enumerate_all()
@@ -1394,8 +1514,9 @@ class TestWideDomains:
 
     @pytest.mark.parametrize("n", [10**3, 10**6])
     def test_find_second_returns_within_the_budget(self, n):
-        # a search that starts from the ordered root computes it under its
-        # own deadline: the groups' pass over the declared domains included
+        # a search that starts from the empty view's root fixpoint computes
+        # it under its own deadline: the groups' pass over the declared
+        # domains included
         model = _model(_wide_program(n))
         first = decode(model, dict(enumerate([1, 2, 3, 0])))  # v = 1, 2, 3
         budget = Budget(max_time=2.0)
