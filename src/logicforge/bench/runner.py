@@ -27,13 +27,16 @@ FormalizerFactory = Callable[[PuzzleTask], object]
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Generate tasks on the fly: ``shapes`` maps size strings to counts,
-    each an int of at least 0."""
+    """Generate tasks on the fly from an int ``seed``: ``shapes`` maps size
+    strings to counts, each an int of at least 0."""
 
     seed: int
     shapes: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
+        # a bool is an int, and a JSON true is no seed
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise LogicForgeError(f"seed must be an integer, not {self.seed!r}")
         for size, count in self.shapes:
             # a bool is an int, and a JSON true is no count
             if isinstance(count, bool) or not isinstance(count, int) or count < 0:
@@ -45,7 +48,7 @@ class GenSpec:
     def from_json_dict(d: dict) -> "GenSpec":
         try:
             shapes = tuple((s["size"], s["count"]) for s in d["shapes"])
-            return GenSpec(int(d["seed"]), shapes)
+            return GenSpec(d["seed"], shapes)
         except (KeyError, TypeError, ValueError) as exc:
             raise LogicForgeError(
                 'gen spec is not {"seed": N, "shapes": [{"size": "NxM", "count": N}, ...]}: '

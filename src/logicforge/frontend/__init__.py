@@ -1,5 +1,5 @@
-"""Frontend: parsing (Python's own parser plus a converter to the DSL AST),
-pretty-printing, and semantic checking."""
+"""Frontend: parsing (one pass from text to the DSL AST), pretty-printing,
+and semantic checking."""
 
 from .ast import DslProgram
 from .check import CheckedProgram, check

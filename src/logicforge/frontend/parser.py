@@ -1,53 +1,67 @@
-"""Parser for the search DSL.
+"""Parser for Logic.py, the search DSL.
 
-Logic.py is Python syntax, and ``parse`` has two paths to the DSL AST.
+A program is a sequence of class and function declarations. Its syntax is a
+small part of Python's, and ``parse`` reads it in one pass: one compiled
+regex tokenises the text, and a recursive-descent parser (precedence
+climbing for expressions) builds the DSL AST straight from the tokens.
+Every text outside the grammar below is a ``DslSyntaxError`` with a line and
+a column; the messages are the parser's own, the same on every Python.
 
-The fast path, ``_recognize``, reads well-formed programs in one pass: one
-compiled regex tokenises the text, and a recursive-descent parser builds
-the DSL AST straight from those tokens. It accepts only a conservative
-subset of the closed grammar and returns None for anything else:
+Lexical grammar:
 
-- printable ASCII text, with no tab, carriage return, form feed or
-  backslash;
-- each line blank, a comment, or one whole declaration or statement with an
-  optional trailing comment: no grouping parentheses and no line
-  continuations;
-- ``class NAME:`` and ``def NAME(NAME: NAME)``, with an optional
-  ``-> None``, at column 0, and their fields or statements at the one
-  indentation their block's first line sets;
-- the annotations the converter accepts, and expressions built from
-  ``or``, ``and``, ``not``, one comparison, ``+``, ``-``, ``*``, ``-``
-  before a decimal literal, ``.field``, ``[INT]`` and calls to ``nondet``
-  and ``abs``;
-- decimal integers without a leading zero, and strings in ``"`` or ``'``;
-- no Python keyword, reserved DSL name or ``__debug__`` as a name;
-- expression trees at most ``MAX_NESTING`` edges high.
+- Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``. A newline inside ``()``
+  or ``[]`` continues the line; anywhere else it ends a declaration or
+  statement. Blank lines, and comments from ``#`` to the end of the line,
+  may stand anywhere.
+- Spaces and tabs separate tokens. A tab may not stand in the indentation
+  of a line that begins a declaration or statement.
+- Names are ASCII: a letter or ``_``, then letters, digits and ``_``. A
+  Python keyword is not a name, and neither are ``assume``, ``nondet`` and
+  ``abs`` (``RESERVED``) where a name is bound or read.
+- Integers are decimal, with no leading zero and at most ``MAX_DIGITS``
+  digits, and no letter, digit, ``_`` or ``.`` may follow them: ``1and`` is
+  an error, not ``1 and``.
+- Strings are quoted in ``"`` or ``'`` on one line. The escapes are ``\\\\``,
+  ``\\"`` and ``\\'``, and no other; other text outside ASCII is allowed. No
+  control character other than tab may stand in a string's value.
+- No NUL or lone surrogate may stand anywhere, comments included.
 
-The contract is one-sided: whenever the fast path returns a program, the
-Python path returns an equal program with an equal ``Pos`` on every node.
+Syntax:
 
-The Python path, ``_Converter``, is the reference and reads everything
-else: Python's own parser (``ast.parse``) reads the source, and one
-recursive converter maps Python's syntax tree onto the DSL AST. The
-converter accepts only the closed grammar: class declarations with
-annotated fields, function definitions whose bodies contain only
-assignments, assume(...) calls and assert statements, and a fixed expression
-language. Anything else -- imports, loops, calls other than
-nondet/abs/assume, chained comparisons, decorators, defaults -- is a syntax
-error, as is every error Python's parser reports. Two lexical rules are the
-DSL's own: no tab in the indentation of a class, def, field or statement
-line, and no control character other than tab in a string's value. Every
-syntax error, Python's included, comes from this path.
+- ``class NAME:`` at column 0, then one or more fields ``NAME: TYPE``, each
+  on its own line, all at the indentation of the first. A type is a name,
+  ``Unique[T]``, ``Domain[int, range(LO, HI)]``,
+  ``Domain[str, "a", "b", ...]`` or ``list[NAME, SIZE]``: no parentheses
+  and no trailing commas in a type.
+- ``def NAME(NAME: NAME) -> None:`` (the ``-> None`` may go) at column 0,
+  then one or more statements, each on its own line at the indentation of
+  the first: ``NAME = E``, ``assume(E)`` or ``assert E``.
+- Expressions: ``or``, ``and``, ``not``, one comparison (``==``, ``!=``,
+  ``<``, ``<=``, ``>``, ``>=``), ``+``, ``-``, ``*``, in Python's
+  precedence; ``-`` before an integer literal; ``.field``; ``[INT]`` with an
+  integer literal, which may be negated; ``nondet(E)`` and ``abs(E)``;
+  names, integers, strings and parentheses around any expression.
+- A statement's expression tree is at most ``MAX_NESTING`` edges high.
+  Parentheses add no edge, and at most ``MAX_NESTING`` of them may be open
+  at once.
+
+These forms of Python's syntax are left out, and no text in the repository
+(the benchmark corpus, ``tests/data``, the transcript) uses them: hex,
+octal, binary and underscore integers and leading zeros; backslash
+continuation; string prefixes, triple quotes, other escapes and implicit
+concatenation; names outside ASCII; ``;``; one-line ``class C: a: int``
+bodies; parentheses and trailing commas outside expressions
+(``class C():``, ``(x) = 1``, ``nondet(x,)``, ``x.hs[(0)]``, ``-(1)``);
+and integers of more than ``MAX_DIGITS`` digits.
 """
 
 from __future__ import annotations
 
-import ast
 import keyword
 import re
-import threading
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
 
 from ..errors import DslSyntaxError
 from .ast import (
@@ -83,24 +97,17 @@ from .ast import (
 RESERVED = frozenset({"assume", "nondet", "abs"})
 
 # Deepest expression nesting accepted: the height of a statement's expression
-# tree, in edges, which the converter's recursion depth measures. Every
-# operator, call, field access and index adds one level; parentheses add
-# none, since Python's parser drops them (and itself rejects more than 200).
+# tree, in edges. Every operator, call, field access and index adds one
+# level; parentheses add none, and at most this many may be open at once.
 # Every later stage (check, lower, solve, find_second, C emission) recurses
 # on the expression tree, and a program at this depth passes all of them
 # under the default recursion limit.
 MAX_NESTING = 50
 
-# Two threads building Python syntax trees at once can fail with
-# "SystemError: AST constructor recursion depth mismatch" (CPython 3.11.7).
-_PYTHON_PARSER = threading.Lock()
-
-_CONTROL = re.compile(r"[\x00-\x08\x0a-\x1f\x7f-\x9f]")
-_COMPARE_OPS = {
-    ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="
-}
-_BINARY_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*"}
-_BOOL_OPS = {ast.And: "and", ast.Or: "or"}
+# The most digits an integer literal may have: the least limit
+# sys.set_int_max_str_digits accepts, so that int() reads every literal
+# the parser accepts, whatever limit the process has set.
+MAX_DIGITS = 640
 
 
 @dataclass(frozen=True)
@@ -115,53 +122,33 @@ def parse(source: SourceText | str) -> DslProgram:
     """Parse source text into a DslProgram or raise DslSyntaxError."""
     if isinstance(source, str):
         source = SourceText(source)
-    program = _recognize(source.text)
-    if program is None:
-        program = _Converter(source).program()
-    return program
+    return _Parser(source).program()
 
 
-# -- the fast path -----------------------------------------------------------
-
-# Text outside the subset: anything but a newline and printable ASCII other
-# than a backslash.
-_OUTSIDE = re.compile(r"[^\n -\[\]-~]")
-
-# One token after its leading spaces. An integer may not touch a letter,
-# digit, '_' or '.', so 1and, 0x1, 01, 1_0, 1e3 and 1.5 match no token. A
-# comment is part of the newline token that ends its line.
+# One token after the spaces and tabs before it: a name, an operator, a
+# string, an integer, or a newline with the comment before it. An integer may
+# not touch a letter, digit, '_' or '.', so 1and, 0x1, 01, 1_0 and 1.5 match
+# no token. A character no token matches is a lexical error.
 _TOKEN = re.compile(
-    r"( *)([A-Za-z_]\w*|(?:0|[1-9]\d{0,999})(?![\w.])|\"[^\"\n]*\"|'[^'\n]*'"
-    r"|[=!<>]=|->|[-+*<>=.,:()\[\]]|(?:#.*)?\n)"
+    r"([ \t]*)([A-Za-z_]\w*|[=!<>]=|->|[-+*<>=.,:()\[\]]"
+    r"|\"[^\"\\\n]*(?:\\.[^\"\\\n]*)*\"|'[^'\\\n]*(?:\\.[^'\\\n]*)*'"
+    r"|(?:0|[1-9]\d*)(?![\w.])|(?:#.*)?\n)",
+    re.ASCII,
 )
+_SPACES = re.compile(r"[ \t]*")
+_FORBIDDEN = re.compile(r"[\x00\ud800-\udfff]")
+_CONTROL = re.compile(r"[\x00-\x08\x0a-\x1f\x7f-\x9f]")
+_ESCAPE = re.compile(r"\\(.)")
 
-_NOT_NAMES = frozenset(keyword.kwlist) | RESERVED | {"__debug__"}
+_KEYWORDS = frozenset(keyword.kwlist)
+_NOT_NAMES = _KEYWORDS | RESERVED
 _CALLS = {"nondet": Nondet, "abs": Abs}
+_QUOTES = ("'", '"')
+_BRACKETS = {"(": ")", "[": "]"}
 # How tightly each binary operator binds; ``not`` binds at 3.
 _PRECEDENCE = {
     "or": 1, "and": 2, "==": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4, "+": 5, "-": 5, "*": 6
 }
-
-
-class _Outside(Exception):
-    """The text is outside the fast path's subset."""
-
-
-def _recognize(text: str) -> DslProgram | None:
-    """The program of ``text`` when it lies in the fast path's subset, else None."""
-    if _OUTSIDE.search(text):
-        return None
-    text += "\n"
-    # spaces and tokens alternate in ``flat``, so the running length at each
-    # run of spaces is the offset of the token after it
-    flat = list(chain.from_iterable(_TOKEN.findall(text)))
-    ends = list(accumulate(map(len, flat)))
-    if ends[-1] != len(text):  # a character no token matches
-        return None
-    try:
-        return _Recognizer(flat[1::2], ends[0::2]).program()
-    except _Outside:
-        return None
 
 
 def _height_at_most(expr: Expr, limit: int) -> bool:
@@ -170,40 +157,186 @@ def _height_at_most(expr: Expr, limit: int) -> bool:
     return all(_height_at_most(child, limit - 1) for child in children(expr))
 
 
-class _Recognizer:
-    """A recursive-descent parser over the tokens of one text and the
-    offsets at which they start. Every line ends in a newline token, so
-    no lookahead runs past the last token."""
+def _continued(tokens: list[str]) -> list[int]:
+    """The indexes of the newline tokens inside brackets."""
+    inside = []
+    depth = 0
+    for k, token in enumerate(tokens):
+        if token in "([":  # no other token is part of these strings
+            depth += 1
+        elif token in ")]":
+            depth -= 1
+        elif depth > 0 and token[-1] == "\n":
+            inside.append(k)
+    return inside
 
-    def __init__(self, tokens: list[str], offsets: list[int]):
-        self.tokens = tokens
-        self.offsets = offsets
+
+class _Parser:
+    """A recursive-descent parser over the tokens of one text and the
+    offsets at which they start. Outside brackets every line ends in a
+    newline token; empty sentinel tokens end the list, so no lookahead runs
+    past the last token. All its state is its own, so threads may parse at
+    once."""
+
+    def __init__(self, source: SourceText):
+        text = source.text
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        self.text = text = text + "\n"
+        self.origin = source.origin
+        self.starts = [0, *(m.end() for m in re.finditer("\n", text))]  # of every line
+        # spaces and tokens alternate in ``flat``, so the running length at
+        # each run of spaces is the offset of the token after it
+        flat = list(chain.from_iterable(_TOKEN.findall(text)))
+        ends = list(accumulate(map(len, flat)))
+        forbidden = "\x00" in text or not text.isascii() and _FORBIDDEN.search(text)
+        if ends[-1] != len(text) or forbidden:  # a character no token matches
+            raise self.lexical_error()
+        tokens = flat[1::2]
+        offsets = ends[0::2]
+        inside = _continued(tokens)
+        if inside:  # newlines inside brackets are spaces: drop them
+            kept = [True] * len(tokens)
+            for k in inside:
+                kept[k] = False
+            tokens = list(compress(tokens, kept))
+            offsets = list(compress(offsets, kept))
+        # the sentinels stand at the last newline: the end of the text is on its last line
+        self.tokens = tokens + ["", ""]
+        self.offsets = offsets + [len(text) - 1, len(text) - 1]
+        self.tabs = "\t" in text
         self.i = 0  # the next token
-        self.line = 1
-        self.line_start = 0  # the offset of the line's first character
+        self.line_start = 0  # the offset of the first character of the cursor's line
+        self.parens = 0  # grouping parentheses open at the cursor
+
+    # -- positions and errors ----------------------------------------------
 
     def pos(self, i: int) -> Pos:
-        return Pos(self.line, self.offsets[i] - self.line_start + 1)
+        return self.locate(self.offsets[i])
+
+    def locate(self, offset: int) -> Pos:
+        line = bisect_right(self.starts, offset)
+        return Pos(line, offset - self.starts[line - 1] + 1)
+
+    def err_at(self, offset: int, message: str) -> DslSyntaxError:
+        pos = self.locate(offset)
+        return DslSyntaxError(message, self.origin, pos.line, pos.col)
+
+    def err(self, i: int, message: str) -> DslSyntaxError:
+        return self.err_at(self.offsets[i], message)
+
+    def fail(self, what: str) -> DslSyntaxError:
+        """The error at the cursor, where ``what`` was expected."""
+        i = self.i
+        if not self.tokens[i]:  # the end of the text
+            opened = []  # the brackets open there
+            for k, token in enumerate(self.tokens[:i]):
+                if token in _BRACKETS:
+                    opened.append(k)
+                elif opened and token == _BRACKETS[self.tokens[opened[-1]]]:
+                    opened.pop()
+            if opened:
+                return self.err(opened[-1], f"{self.tokens[opened[-1]]!r} was never closed")
+        return self.err(i, f"expected {what}")
+
+    def lexical_error(self) -> DslSyntaxError:
+        """The error at the first NUL or lone surrogate, or else at the
+        first character no token matches."""
+        text = self.text
+        forbidden = _FORBIDDEN.search(text)
+        if forbidden:
+            offset = forbidden.start()
+        else:
+            offset = 0
+            for match in _TOKEN.finditer(text):
+                if match.start() != offset:
+                    break
+                offset = match.end()
+            offset = _SPACES.match(text, offset).end()
+        char = text[offset]
+        if char in _QUOTES:
+            return self.err_at(offset, "unterminated string literal")
+        if char in "0123456789":
+            return self.err_at(offset, "invalid integer literal")
+        if char in "/%@&|^~":
+            return self.err_at(offset, f"unsupported operator {char!r}")
+        shown = repr(char) if " " <= char <= "~" else f"U+{ord(char):04X}"
+        return self.err_at(offset, f"invalid character {shown}")
+
+    # -- tokens --------------------------------------------------------------
 
     def expect(self, token: str) -> None:
         if self.tokens[self.i] != token:
-            raise _Outside
+            raise self.fail(repr(token))
         self.i += 1
 
     def name(self) -> str:
+        """A name that is bound or read: no keyword and no reserved name."""
         token = self.tokens[self.i]
         if not token.isidentifier() or token in _NOT_NAMES:
-            raise _Outside
+            if token in RESERVED:
+                raise self.err(self.i, f"{token!r} is reserved")
+            raise self.fail("a name")
         self.i += 1
         return token
 
-    def end_line(self) -> None:
+    def word(self, what: str) -> str:
+        """A field or type name: any name but a keyword."""
         token = self.tokens[self.i]
-        if token[-1] != "\n":
-            raise _Outside
-        self.line += 1
-        self.line_start = self.offsets[self.i] + len(token)
+        if not token.isidentifier() or token in _KEYWORDS:
+            raise self.fail(what)
         self.i += 1
+        return token
+
+    def integer(self) -> int:
+        """An integer literal, optionally negated."""
+        sign = 1
+        if self.tokens[self.i] == "-":
+            sign = -1
+            self.i += 1
+        token = self.tokens[self.i]
+        if not token.isdigit():
+            raise self.fail("an integer literal")
+        if len(token) > MAX_DIGITS:
+            raise self.err(self.i, "integer literal too long")
+        self.i += 1
+        return sign * int(token)
+
+    def string(self) -> str:
+        i = self.i
+        token = self.tokens[i]
+        if token[:1] not in _QUOTES:
+            raise self.fail("a string literal")
+        self.i += 1
+        value = token[1:-1]
+        if "\\" in value:
+            for match in _ESCAPE.finditer(value):
+                if match.group(1) not in "\\\"'":
+                    message = f"invalid escape sequence '{match.group()}'"
+                    raise self.err_at(self.offsets[i] + 1 + match.start(), message)
+            value = _ESCAPE.sub(r"\1", value)
+        if not value.isprintable() and _CONTROL.search(value):
+            raise self.err(i, "control character in string literal")
+        return value
+
+    def end_line(self) -> None:
+        """Past the newline at the cursor and the blank lines after it."""
+        tokens = self.tokens
+        token = tokens[self.i]
+        if "\n" not in token:
+            raise self.fail("the end of the line")
+        while "\n" in token:
+            self.line_start = self.offsets[self.i] + len(token)
+            self.i += 1
+            token = tokens[self.i]
+
+    def indentation(self) -> int:
+        """The column of the token at the cursor, the first of its line."""
+        offset = self.offsets[self.i]
+        if self.tabs and "\t" in self.text[self.line_start : offset]:
+            tab = self.text.index("\t", self.line_start)
+            raise self.err_at(tab, "tab character in indentation")
+        return offset - self.line_start
 
     # -- declarations ------------------------------------------------------
 
@@ -211,10 +344,11 @@ class _Recognizer:
         tokens = self.tokens
         classes: list[ClassDecl] = []
         functions: list[FuncDecl] = []
-        self.skip_blank_lines()
-        while self.i < len(tokens):
-            if self.offsets[self.i] != self.line_start:
-                raise _Outside
+        if "\n" in tokens[0]:
+            self.end_line()
+        while tokens[self.i]:
+            if self.indentation():
+                raise self.err(self.i, "unexpected indentation")
             pos = self.pos(self.i)
             if tokens[self.i] == "class":
                 self.i += 1
@@ -228,129 +362,113 @@ class _Recognizer:
                 self.expect("(")
                 param = self.name()
                 self.expect(":")
-                param_type = self.name()
+                param_type = self.word("a class name")
                 self.expect(")")
                 if tokens[self.i] == "->":
                     self.i += 1
-                    self.expect("None")
+                    if tokens[self.i] != "None":
+                        raise self.err(self.i, "the return annotation must be None")
+                    self.i += 1
                 self.expect(":")
                 self.end_line()
                 functions.append(FuncDecl(name, param, param_type, self.block(self.stmt), pos))
             else:
-                raise _Outside
+                raise self.err(self.i, "expected a class or function definition")
         return DslProgram(tuple(classes), tuple(functions))
-
-    def skip_blank_lines(self) -> None:
-        tokens = self.tokens
-        while self.i < len(tokens) and tokens[self.i][-1] == "\n":
-            self.end_line()
 
     def block(self, item) -> tuple:
         """A block's fields or statements: one or more lines, each at the
         indentation of the first."""
         items = []
         indent = 0
-        self.skip_blank_lines()
-        while self.i < len(self.tokens):
-            col = self.offsets[self.i] - self.line_start
+        while self.tokens[self.i]:
+            col = self.indentation()
             if not col:
                 break
             if indent and col != indent:
-                raise _Outside
+                raise self.err(self.i, "indentation does not match the block")
             indent = col
             items.append(item())
             self.end_line()
-            self.skip_blank_lines()
         if not items:
-            raise _Outside
+            raise self.fail("an indented block")
         return tuple(items)
 
     def field_decl(self) -> FieldDecl:
         pos = self.pos(self.i)
+        if self.tokens[self.i + 1] != ":":
+            raise self.err(self.i, "expected a field declaration 'name: type'")
         name = self.name()
-        self.expect(":")
+        self.i += 1
         return FieldDecl(name, *self.annotation(), pos)
 
     def annotation(self) -> tuple[str, bool, DomainSpec | None, int | None]:
         """``base, unique, domain, list_len``, in FieldDecl's order."""
-        kind = self.name()
-        if self.tokens[self.i] != "[":
+        tokens = self.tokens
+        start = self.i
+        kind = self.word("a type annotation")
+        if tokens[self.i] != "[":
             return kind, False, None, None
-        self.i += 1
+        i = self.i = self.i + 1
         if kind == "Unique":
-            if self.tokens[self.i] == "Unique":
-                raise _Outside
+            if tokens[i] == "Unique" and tokens[i + 1] == "[":
+                raise self.err(i, "'Unique' cannot be nested")
             base, _, domain, list_len = self.annotation()
             if list_len is not None:
-                raise _Outside
+                raise self.err(start, "'Unique' cannot wrap a list annotation")
             result = base, True, domain, None
-        elif kind == "Domain" and self.tokens[self.i] == INT:
-            self.i += 1
-            for token in (",", "range", "("):
-                self.expect(token)
-            lo = self.int_value()
+        elif kind == "Domain" and tokens[i] == INT and tokens[i + 1] == ",":
+            self.i += 2
+            self.expect("range")
+            self.expect("(")
+            lo = self.integer()
             self.expect(",")
-            hi = self.int_value()
+            hi = self.integer()
             self.expect(")")
             result = INT, False, IntRange(lo, hi), None
-        elif kind == "Domain" and self.tokens[self.i] == STR:
+        elif kind == "Domain" and tokens[i] == STR and tokens[i + 1] == ",":
             self.i += 1
             values = []
-            while self.tokens[self.i] == ",":
+            while tokens[self.i] == ",":
                 self.i += 1
                 values.append(self.string())
-            if not values:
-                raise _Outside
             result = STR, False, EnumValues(tuple(values)), None
+        elif kind == "Domain":
+            raise self.err(start, "expected Domain[int, range(lo, hi)] or Domain[str, \"a\", ...]")
         elif kind == "list":
-            base = self.name()
+            base = self.word("a class name")
             self.expect(",")
-            size = self.int_value()
+            size_at = self.i
+            size = self.integer()
             if size <= 0:
-                raise _Outside
+                raise self.err(size_at, "list size must be positive")
             result = base, False, None, size
         else:
-            raise _Outside
+            raise self.err(start, f"unsupported type annotation {kind!r}")
         self.expect("]")
         return result
 
-    def int_value(self) -> int:
-        """An integer literal, optionally negated."""
-        sign = 1
-        if self.tokens[self.i] == "-":
-            sign = -1
-            self.i += 1
-        token = self.tokens[self.i]
-        if not token.isdigit():
-            raise _Outside
-        self.i += 1
-        return sign * int(token)
-
-    def string(self) -> str:
-        token = self.tokens[self.i]
-        if token[0] not in "\"'":
-            raise _Outside
-        self.i += 1
-        return token[1:-1]
-
     def stmt(self) -> Stmt:
+        tokens = self.tokens
         start = self.i
         pos = self.pos(start)
-        first = self.tokens[start]
+        first = tokens[start]
         if first == "assert":
             self.i += 1
             stmt = Assert(self.root_expr(), pos)
+            if tokens[self.i] == ",":
+                raise self.err(self.i, "assert messages are not supported")
         elif first == "assume":
             self.i += 1
             self.expect("(")
             stmt = Assume(self.root_expr(), pos)
             self.expect(")")
-        elif self.tokens[start + 1] == "=":
+        elif tokens[start + 1] == "=":
             target = self.name()
             self.i += 1
             stmt = Assign(target, self.root_expr(), pos)
         else:
-            raise _Outside
+            raise self.err(start, "expected an assignment, 'assume(...)' or 'assert' statement")
         return stmt
 
     # -- expressions -------------------------------------------------------
@@ -362,19 +480,19 @@ class _Recognizer:
         start = self.i
         expr = self.expr(1, 0)
         if self.i - start > MAX_NESTING + 1 and not _height_at_most(expr, MAX_NESTING):
-            raise _Outside
+            raise self.err(start, f"expression nested too deeply (more than {MAX_NESTING} levels)")
         return expr
 
     def expr(self, precedence: int, depth: int) -> Expr:
         """The expression at the cursor whose operators all bind at least at
-        ``precedence``, at least ``depth`` edges below its statement."""
+        ``precedence``, ``depth`` edges below its statement."""
         if depth > MAX_NESTING:
-            raise _Outside
+            raise self.err(self.i, f"expression nested too deeply (more than {MAX_NESTING} levels)")
         tokens = self.tokens
         start = self.i
         if tokens[start] == "not":
             if precedence > 3:
-                raise _Outside
+                raise self.fail("an expression")
             self.i += 1
             left = Not(self.expr(3, depth + 1), self.pos(start))
         else:
@@ -394,8 +512,8 @@ class _Recognizer:
                 left = BoolOp(op, tuple(operands), self.pos(start))
             elif binding == 4:
                 right = self.expr(5, depth + 1)
-                if _PRECEDENCE.get(tokens[self.i]) == 4:  # a chained comparison
-                    raise _Outside
+                if _PRECEDENCE.get(tokens[self.i]) == 4:
+                    raise self.err(self.i, "chained comparisons are not supported")
                 left = Compare(op, left, right, self.pos(at))
             else:
                 left = Binary(op, left, self.expr(binding + 1, depth + 1), self.pos(at))
@@ -405,266 +523,54 @@ class _Recognizer:
         tokens = self.tokens
         i = self.i
         token = tokens[i]
-        if token == "-":  # no trailers follow: -1 .a is -(1 .a)
-            digits = tokens[i + 1]
-            if not digits.isdigit():
-                raise _Outside
-            self.i += 2
-            return IntLit(-int(digits), self.pos(i))
         if token.isidentifier():
             if token in _NOT_NAMES:
                 if token not in _CALLS or tokens[i + 1] != "(":
-                    raise _Outside
+                    if token in RESERVED:
+                        raise self.err(i, f"{token!r} is reserved")
+                    raise self.fail("an expression")
                 self.i += 2
                 node = _CALLS[token](self.expr(1, depth + 1), self.pos(i))
+                if tokens[self.i] == ",":
+                    raise self.err(i, "only 'nondet' and 'abs' may be called, with one argument")
                 self.expect(")")
             else:
                 node = LocalRef(token, self.pos(i))
                 self.i += 1
         elif token.isdigit():
+            if len(token) > MAX_DIGITS:
+                raise self.err(i, "integer literal too long")
             node = IntLit(int(token), self.pos(i))
             self.i += 1
-        else:
+        elif token == "-":  # no trailers follow: -1 .a is -(1 .a)
+            return IntLit(self.integer(), self.pos(i))
+        elif token == "(":
+            if self.parens == MAX_NESTING:
+                raise self.err(i, f"parentheses nested too deeply (more than {MAX_NESTING} levels)")
+            self.parens += 1
+            self.i += 1
+            node = self.expr(1, depth)
+            self.expect(")")
+            self.parens -= 1
+        elif token[:1] in _QUOTES:
             node = StrLit(self.string(), self.pos(i))
+        else:
+            raise self.fail("an expression")
         while True:
             i = self.i
             token = tokens[i]
             if token == ".":
+                field = tokens[i + 1]
+                if not field.isidentifier() or field in _KEYWORDS:
+                    self.i += 1
+                    raise self.fail("a field name")
+                self.i += 2
+                node = FieldAccess(node, field, self.pos(i))
+            elif token == "[":
                 self.i += 1
-                node = FieldAccess(node, self.name(), self.pos(i))
-            elif token == "[" and tokens[i + 1].isdigit() and tokens[i + 2] == "]":
-                self.i += 3
-                node = Index(node, int(tokens[i + 1]), self.pos(i))
+                node = Index(node, self.integer(), self.pos(i))
+                self.expect("]")
+            elif token == "(":
+                raise self.err(i, "only 'nondet' and 'abs' may be called, with one argument")
             else:
                 return node
-
-
-class _Converter:
-    def __init__(self, source: SourceText):
-        self.text = source.text
-        self.origin = source.origin
-        # Python starts a new line at \n, \r\n and a lone \r.
-        self.lines = self.text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-        self.ascii = self.text.isascii()
-        self.tabs = "\t" in self.text
-
-    # -- positions and errors ----------------------------------------------
-
-    def column(self, line: int, offset: int) -> int:
-        """The 0-based character index of a UTF-8 byte offset on a line."""
-        if self.ascii:
-            return offset
-        return len(self.lines[line - 1].encode()[:offset].decode(errors="ignore"))
-
-    def pos(self, node: ast.AST) -> Pos:
-        return Pos(node.lineno, self.column(node.lineno, node.col_offset) + 1)
-
-    def after(self, node: ast.expr) -> Pos:
-        """The first token after ``node`` and its closing parentheses: the
-        operator, '.' or '[' that follows it."""
-        line = node.end_lineno
-        col = self.column(line, node.end_col_offset)
-        while line <= len(self.lines):
-            text = self.lines[line - 1]
-            while col < len(text) and text[col] in " \t\f)":
-                col += 1
-            if col < len(text) and text[col] not in "#\\":
-                return Pos(line, col + 1)
-            line, col = line + 1, 0
-        return self.pos(node)
-
-    def err(self, where: ast.AST | Pos, message: str) -> DslSyntaxError:
-        pos = where if isinstance(where, Pos) else self.pos(where)
-        return DslSyntaxError(message, self.origin, pos.line, pos.col)
-
-    def untabbed(self, node: ast.AST) -> None:
-        if self.tabs:
-            text = self.lines[node.lineno - 1]
-            tab = text.find("\t", 0, len(text) - len(text.lstrip()))
-            if tab >= 0:
-                raise self.err(Pos(node.lineno, tab + 1), "tab character in indentation")
-
-    def not_reserved(self, name: str, node: ast.AST) -> None:
-        if name in RESERVED:
-            raise self.err(node, f"{name!r} is reserved")
-
-    # -- declarations ------------------------------------------------------
-
-    def program(self) -> DslProgram:
-        try:
-            with _PYTHON_PARSER:
-                tree = ast.parse(self.text, self.origin)
-        except SyntaxError as exc:  # IndentationError and TabError too
-            line, col = exc.lineno or 1, max(exc.offset or 1, 1)
-            raise DslSyntaxError(exc.msg, self.origin, line, col) from None
-        except ValueError as exc:  # a lone surrogate; a NUL byte on Python 3.10
-            raise DslSyntaxError(str(exc), self.origin, 1, 1) from None
-        except (RecursionError, MemoryError):  # the C parser's depth guards
-            raise DslSyntaxError("source nested too deeply to parse", self.origin, 1, 1) from None
-        classes: list[ClassDecl] = []
-        functions: list[FuncDecl] = []
-        for node in tree.body:
-            if isinstance(node, ast.ClassDef):
-                classes.append(self.class_decl(node))
-            elif isinstance(node, ast.FunctionDef):
-                functions.append(self.func_decl(node))
-            else:
-                raise self.err(node, "expected a class or function definition")
-        return DslProgram(tuple(classes), tuple(functions))
-
-    def class_decl(self, node: ast.ClassDef) -> ClassDecl:
-        self.untabbed(node)
-        if node.bases or node.keywords or node.decorator_list or getattr(node, "type_params", ()):
-            raise self.err(node, "a class takes no bases, keywords, decorators or type parameters")
-        self.not_reserved(node.name, node)
-        return ClassDecl(node.name, tuple(self.field_decl(f) for f in node.body), self.pos(node))
-
-    def field_decl(self, node: ast.stmt) -> FieldDecl:
-        self.untabbed(node)
-        field = isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
-        if not field or node.value is not None or not node.simple:
-            raise self.err(node, "expected a field declaration 'name: type'")
-        self.not_reserved(node.target.id, node)
-        unique, base, domain, list_len = self.annotation(node.annotation)
-        return FieldDecl(node.target.id, base, unique, domain, list_len, self.pos(node))
-
-    def annotation(self, node: ast.expr) -> tuple[bool, str, DomainSpec | None, int | None]:
-        if isinstance(node, ast.Name):
-            return False, node.id, None, None
-        if not (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)):
-            raise self.err(node, "expected a type annotation")
-        kind = node.value.id
-        args = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
-        if kind == "Unique" and len(args) == 1:
-            inner = args[0]
-            if isinstance(inner, ast.Subscript) and getattr(inner.value, "id", None) == "Unique":
-                raise self.err(inner, "'Unique' cannot be nested")
-            _, base, domain, list_len = self.annotation(inner)
-            if list_len is not None:
-                raise self.err(node, "'Unique' cannot wrap a list annotation")
-            return True, base, domain, None
-        if kind == "Domain" and len(args) >= 2:
-            base = getattr(args[0], "id", None)
-            if base == INT and len(args) == 2 and self.is_call(args[1], "range", 2):
-                lo, hi = args[1].args
-                return False, base, IntRange(self.int_value(lo), self.int_value(hi)), None
-            if base == STR:
-                return False, base, EnumValues(tuple(self.string(v) for v in args[1:])), None
-            raise self.err(node, "expected Domain[int, range(lo, hi)] or Domain[str, \"a\", ...]")
-        if kind == "list" and len(args) == 2 and isinstance(args[0], ast.Name):
-            size = self.int_value(args[1])
-            if size <= 0:
-                raise self.err(args[1], "list size must be positive")
-            return False, args[0].id, None, size
-        raise self.err(node, f"unsupported type annotation {kind!r}")
-
-    def func_decl(self, node: ast.FunctionDef) -> FuncDecl:
-        self.untabbed(node)
-        if node.decorator_list or getattr(node, "type_params", ()):
-            raise self.err(node, "a function takes no decorators or type parameters")
-        args = node.args
-        extra = args.posonlyargs or args.vararg or args.kwonlyargs or args.kwarg or args.defaults
-        if extra or len(args.args) != 1 or not isinstance(args.args[0].annotation, ast.Name):
-            raise self.err(node, "expected exactly one parameter, annotated with its class")
-        if node.returns is not None and not (
-            isinstance(node.returns, ast.Constant) and node.returns.value is None
-        ):
-            raise self.err(node.returns, "the return annotation must be None")
-        param = args.args[0]
-        self.not_reserved(node.name, node)
-        self.not_reserved(param.arg, node)
-        body = tuple(self.stmt(s) for s in node.body)
-        return FuncDecl(node.name, param.arg, param.annotation.id, body, self.pos(node))
-
-    def stmt(self, node: ast.stmt) -> Stmt:
-        self.untabbed(node)
-        if isinstance(node, ast.Assert):
-            if node.msg is not None:
-                raise self.err(node.msg, "assert messages are not supported")
-            return Assert(self.expr(node.test), self.pos(node))
-        if isinstance(node, ast.Expr) and self.is_call(node.value, "assume", 1):
-            return Assume(self.expr(node.value.args[0]), self.pos(node))
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name):
-                self.not_reserved(target.id, target)
-                return Assign(target.id, self.expr(node.value), self.pos(node))
-        raise self.err(node, "expected an assignment, 'assume(...)' or 'assert' statement")
-
-    # -- expressions -------------------------------------------------------
-
-    def expr(self, node: ast.expr, depth: int = 0) -> Expr:
-        """``node`` as a DSL expression ``depth`` edges below its statement."""
-        if depth > MAX_NESTING:
-            raise self.err(node, f"expression nested too deeply (more than {MAX_NESTING} levels)")
-        depth += 1
-        if isinstance(node, ast.Attribute):
-            return FieldAccess(self.expr(node.value, depth), node.attr, self.after(node.value))
-        if isinstance(node, ast.Compare):
-            if len(node.ops) > 1:
-                second = self.after(node.comparators[0])
-                raise self.err(second, "chained comparisons are not supported")
-            op = self.operator(_COMPARE_OPS, node.ops[0], node.left)
-            left, right = self.expr(node.left, depth), self.expr(node.comparators[0], depth)
-            return Compare(op, left, right, self.after(node.left))
-        if isinstance(node, ast.Name):
-            self.not_reserved(node.id, node)
-            return LocalRef(node.id, self.pos(node))
-        if isinstance(node, ast.Constant):
-            if type(node.value) is str:
-                return StrLit(self.string(node), self.pos(node))
-            return IntLit(self.int_value(node), self.pos(node))
-        if isinstance(node, ast.Call):
-            if self.is_call(node, "nondet", 1):
-                return Nondet(self.expr(node.args[0], depth), self.pos(node))
-            if self.is_call(node, "abs", 1):
-                return Abs(self.expr(node.args[0], depth), self.pos(node))
-            raise self.err(node, "only 'nondet' and 'abs' may be called, with one argument")
-        if isinstance(node, ast.BoolOp):
-            operands = tuple(self.expr(v, depth) for v in node.values)
-            return BoolOp(_BOOL_OPS[type(node.op)], operands, self.pos(node))
-        if isinstance(node, ast.BinOp):
-            op = self.operator(_BINARY_OPS, node.op, node.left)
-            left, right = self.expr(node.left, depth), self.expr(node.right, depth)
-            return Binary(op, left, right, self.after(node.left))
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
-            return Not(self.expr(node.operand, depth), self.pos(node))
-        if isinstance(node, ast.UnaryOp):
-            return IntLit(self.int_value(node), self.pos(node))
-        if isinstance(node, ast.Subscript):
-            obj = self.expr(node.value, depth)
-            return Index(obj, self.int_value(node.slice), self.after(node.value))
-        raise self.err(node, f"unsupported expression ({type(node).__name__})")
-
-    def operator(self, ops: dict, op: ast.AST, left: ast.expr) -> str:
-        if type(op) not in ops:
-            raise self.err(self.after(left), f"unsupported operator ({type(op).__name__})")
-        return ops[type(op)]
-
-    @staticmethod
-    def is_call(node: ast.expr, name: str, arity: int) -> bool:
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == name
-            and len(node.args) == arity
-            and not node.keywords
-        )
-
-    def int_value(self, node: ast.expr) -> int:
-        """An integer literal, optionally negated."""
-        sign = 1
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            sign, node = -1, node.operand
-        if not (isinstance(node, ast.Constant) and type(node.value) is int):
-            raise self.err(node, "expected an integer literal")
-        if node.value.bit_length() > 14_000:  # str() refuses more than 4300 digits
-            raise self.err(node, "integer literal too long")
-        return sign * node.value
-
-    def string(self, node: ast.expr) -> str:
-        if not (isinstance(node, ast.Constant) and type(node.value) is str):
-            raise self.err(node, "expected a string literal")
-        if _CONTROL.search(node.value):
-            raise self.err(node, "control character in string literal")
-        return node.value

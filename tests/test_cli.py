@@ -9,6 +9,7 @@ from logicforge import cli
 from logicforge.bench import GenSpec, generate_tasks, render_dsl, save_dataset
 from logicforge.bench.puzzle import generate_puzzle
 from logicforge.cli import main
+from logicforge.errors import LogicForgeError
 
 from conftest import DATA_DIR
 
@@ -200,6 +201,13 @@ class TestGenAndBench:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "count" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("seed", [1.5, True, "7"], ids=["float", "bool", "string"])
+    def test_a_gen_spec_seed_that_is_no_integer_is_rejected(self, seed):
+        # int() would read these as seeds 1, 1 and 7, so two different specs
+        # would generate the same puzzles
+        with pytest.raises(LogicForgeError, match="seed must be an integer"):
+            GenSpec.from_json_dict({"seed": seed, "shapes": [{"size": "2x3", "count": 1}]})
 
     def test_a_gen_spec_count_of_zero_generates_nothing(self):
         spec = GenSpec.from_json_dict({"seed": 4, "shapes": [{"size": "2x3", "count": 0}]})

@@ -1,11 +1,10 @@
 """Lexer, parser, pretty-printer, and semantic checker."""
 
-import ast
 import dataclasses
 import re
 import sys
 import threading
-from unittest import mock
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -30,11 +29,12 @@ from logicforge.frontend.ast import (
     Nondet,
     Pos,
 )
-from logicforge.frontend.parser import MAX_NESTING, _Converter, _recognize
+from logicforge.frontend.parser import MAX_NESTING
 from logicforge.model import decode, lower
 from logicforge.solver import Budget, find_second, solve
 
 from conftest import DATA_DIR, chained_condition, lines_executed, nested_condition
+from reference import reference_parse
 from strategies import programs
 
 FIG_STYLE_SOURCE = """\
@@ -154,43 +154,37 @@ class TestParse:
         with pytest.raises(DslSyntaxError, match="nested too deeply"):
             parse(deeper)
 
-    def test_concurrent_parses_each_get_their_own_result(self, zebra_source, monkeypatch):
-        # CPython 3.11 keeps one recursion counter for all threads building
-        # Python syntax trees. A collection inside one build can run a
-        # finalizer, hand the GIL to another thread's build, and end the
-        # first in "SystemError: AST constructor recursion depth mismatch".
-        at_limit = zebra_source.text + "    assert " + nested_condition("engineer", MAX_NESTING) + "\n"
-        hostile = "def v(x: C) -> None:\n    assert " + "not " * 10**5 + "x.a == 1\n"
-        reached = set()  # the texts that reach Python's parser, and so its lock
-        python_parse = ast.parse
+    def test_concurrent_parses_each_get_their_own_result(self, zebra_source):
+        # the parser keeps all its state in one object per call, so threads
+        # that parse at once each get their own program or error
+        texts = [
+            zebra_source.text + "    assert " + nested_condition("engineer", MAX_NESTING) + "\n",
+            "def v(x: C) -> None:\n    assert " + "not " * 1000 + "x.a == 1\n",
+            zebra_source.text,
+            zebra_source.text.replace(") -> None:", ") -> None", 1),
+            FIG_STYLE_SOURCE,
+            "class C:\n    a: Domain[int, range(1, 3)]\ndef v(x: C) -> None:\n    assume(x.a ==\n",
+            FIG_STYLE_SOURCE.replace("]", ")", 1),
+            zebra_source.text + "    assert (abs(x.a -\n        1) == 2)\n",
+        ]
 
-        def spy(text, *args, **kwargs):
-            reached.add(text)
-            return python_parse(text, *args, **kwargs)
+        def outcome(text):
+            try:
+                return parse(text)
+            except DslSyntaxError as exc:
+                return exc.diagnostic()
 
-        monkeypatch.setattr(ast, "parse", spy)
-        expected = parse(at_limit)
-        start = threading.Barrier(8, timeout=30)
+        expected = [outcome(text) for text in texts]
+        assert sum(isinstance(e, str) for e in expected) == 4
+        start = threading.Barrier(len(texts), timeout=30)
         results = []
-
-        class Cycle:
-            def __init__(self):
-                self.me = self
-
-            def __del__(self):
-                sum(range(50))
 
         def run(index):
             start.wait()
-            for _ in range(10):
-                garbage = [Cycle() for _ in range(10)]
-                del garbage
-                try:
-                    results.append((index, parse(hostile if index % 2 else at_limit)))
-                except Exception as exc:
-                    results.append((index, exc))
+            for _ in range(20):
+                results.append((index, outcome(texts[index])))
 
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(texts))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -201,13 +195,24 @@ class TestParse:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert len(results) == 80
+        assert len(results) == 20 * len(texts)
         for index, result in results:
-            if index % 2:
-                assert isinstance(result, DslSyntaxError), result
-            else:
-                assert result == expected, result
-        assert reached == {at_limit, hostile}
+            assert result == expected[index], index
+
+    @pytest.mark.parametrize("value", ["1and x", '"\\d"'])
+    def test_parsing_ignores_the_warning_filter(self, value, capfd):
+        # Python's parser warns about these, and under an "error" filter
+        # fails; the DSL's parser reads them the same under every filter
+        text = _stmt("z = " + value)
+        outcomes = []
+        for action in ("default", "error"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                with pytest.raises(DslSyntaxError) as info:
+                    parse(text)
+            outcomes.append(info.value.diagnostic())
+        assert outcomes[0] == outcomes[1]
+        assert capfd.readouterr() == ("", "")
 
 
 class TestPretty:
@@ -488,9 +493,12 @@ class TestGrowth:
 
     def test_each_stage_grows_linearly_in_the_clauses(self):
         plain = (DATA_DIR / "example_6house.lpy").read_text(encoding="utf-8")
-        # each assert's condition in parentheses, which only the Python path reads
-        grouped = re.sub(r"^(    assert )(.*)$", r"\1(\2)", plain, flags=re.MULTILINE)
-        assert _recognize(plain) is not None and _recognize(grouped) is None
+        # each assert's condition in parentheses, broken over two lines
+        grouped = re.sub(
+            r"^(    assert )(\S+) (\S+) (.*)$", r"\1(\2 \3\n        \4)", plain, flags=re.MULTILINE
+        )
+        assert grouped.count("\n") == plain.count("\n") + 3
+        assert parse(grouped) == parse(plain)
         for text in (plain, grouped):
             work = []  # (parse, check, lower) lines per copy count
             for copies in (1, 2, 4):
@@ -505,7 +513,7 @@ class TestGrowth:
                 assert four - two <= 2.2 * (two - one), (stage, one, two, four)
 
 
-# --- the fast path against the Python path --------------------------------------
+# --- the parser against the reference ---------------------------------------------
 
 
 def _positions(node) -> list[Pos]:
@@ -520,16 +528,24 @@ def _positions(node) -> list[Pos]:
     return found
 
 
-def fast_path_agrees(text: str) -> bool:
-    """Whether the one-pass recognizer reads ``text``. When it does, the
-    Python path must return an equal program, node positions included."""
-    fast = _recognize(text)
-    if fast is None:
-        return False
-    reference = _Converter(SourceText(text)).program()
-    assert fast == reference
-    assert _positions(fast) == _positions(reference)
-    return True
+def parsers_agree(text: str) -> bool:
+    """Whether the parser accepts ``text``. It must accept exactly when the
+    reference does, and then return an equal program, node positions
+    included."""
+    try:
+        program = parse(text)
+    except DslSyntaxError:
+        program = None
+    try:
+        reference = reference_parse(text)
+    except DslSyntaxError as exc:
+        reference = None
+        why = exc.diagnostic()
+    assert (program is None) == (reference is None), why if reference is None else "parser rejects"
+    if program is not None:
+        assert program == reference
+        assert _positions(program) == _positions(reference)
+    return program is not None
 
 
 def _attempts(seed: int, entities: int, features: int) -> dict[str, str]:
@@ -578,59 +594,162 @@ def edited_sources(draw) -> str:
     return text
 
 
-class TestFastPath:
-    """Whenever the one-pass recognizer returns a program, the Python path
-    returns an equal one with an equal position on every node; anything the
-    recognizer raises fails the test."""
+_HEAD = "class C:\n    a: Domain[int, range(1, 3)]\ndef v(x: C) -> None:\n"
+
+
+def _stmt(*lines: str) -> str:
+    """A program whose validator holds ``lines``."""
+    return _HEAD + "".join(f"    {line}\n" for line in lines)
+
+
+# Texts outside the grammar and their exact diagnostics: the parser's own
+# messages, the same on every Python version.
+_DIAGNOSTICS = [
+    ("int-touching-keyword", _stmt("z = 1and x"), "4:9: invalid integer literal"),
+    ("hex", _stmt("z = 0x1"), "4:9: invalid integer literal"),
+    ("leading-zero", _stmt("z = 01"), "4:9: invalid integer literal"),
+    ("underscore", _stmt("z = 1_0"), "4:9: invalid integer literal"),
+    ("float", _stmt("z = 1.5"), "4:9: invalid integer literal"),
+    ("string-prefix", _stmt('z = r"a"'), "4:10: expected the end of the line"),
+    ("adjacent-strings", _stmt('z = "a" "b"'), "4:13: expected the end of the line"),
+    ("escape", _stmt('z = "\\d"'), "4:10: invalid escape sequence '\\d'"),
+    ("control", _stmt('z = "a\x01"'), "4:9: control character in string literal"),
+    ("unterminated", _stmt('z = "a'), "4:9: unterminated string literal"),
+    ("keyword-field", _stmt("z = x.class"), "4:11: expected a field name"),
+    ("none", _stmt("z = None"), "4:9: expected an expression"),
+    ("nondet-as-name", _stmt("z = nondet"), "4:9: 'nondet' is reserved"),
+    ("negated-field-access", _stmt("z = -1 .a"), "4:12: expected the end of the line"),
+    ("negated-parentheses", _stmt("z = -(1)"), "4:10: expected an integer literal"),
+    ("index-parentheses", _stmt("z = x.hs[(0)]"), "4:14: expected an integer literal"),
+    ("target-parentheses", _stmt("(z) = 1"),
+     "4:5: expected an assignment, 'assume(...)' or 'assert' statement"),
+    ("trailing-comma", _stmt("assume(x.a == 1,)"), "4:20: expected ')'"),
+    ("two-arguments", _stmt("z = nondet(x, y)"),
+     "4:9: only 'nondet' and 'abs' may be called, with one argument"),
+    ("call", _stmt("z = print(x)"),
+     "4:14: only 'nondet' and 'abs' may be called, with one argument"),
+    ("division", _stmt("z = x.a / 2"), "4:13: unsupported operator '/'"),
+    ("not-under-comparison", _stmt("assert x.a == not x.a"), "4:19: expected an expression"),
+    ("chained-comparison", _stmt("assert x.a < 1 < 2"),
+     "4:20: chained comparisons are not supported"),
+    ("assert-message", _stmt("assert x.a, 'm'"), "4:15: assert messages are not supported"),
+    ("backslash-continuation", _stmt("assert x.a == \\", "    1"),
+     "4:19: invalid character '\\\\'"),
+    ("line-break-outside-brackets", _stmt("assert x.a ==", "    1"),
+     "4:18: expected an expression"),
+    ("never-closed", _stmt("assume(x.a == 1"), "4:11: '(' was never closed"),
+    ("semicolon", _stmt("z = x.a; y = 1"), "4:12: invalid character ';'"),
+    ("non-ascii-name", _stmt("z = caf\u00e9"), "4:12: invalid character U+00E9"),
+    ("form-feed", _stmt("z = x.a\x0c"), "4:12: invalid character U+000C"),
+    ("surrogate", _stmt("z = 1  # \ud800"), "4:14: invalid character U+D800"),
+    ("nul", _stmt('z = "\x00"'), "4:10: invalid character U+0000"),
+    ("tab-indentation", _HEAD + "\tassume(x.a == 1)\n", "4:1: tab character in indentation"),
+    ("deeper-indent", _stmt("assert x.a == 1", "  assert x.a == 1"),
+     "5:7: indentation does not match the block"),
+    ("empty-class", _stmt("assert x.a == 1") + "class D:\n", "6:1: expected an indented block"),
+    ("indented-class", "  class C:\n    a: int\n", "1:3: unexpected indentation"),
+    ("one-line-body", "class C: a: int\n", "1:10: expected the end of the line"),
+    ("class-parentheses", "class C():\n    a: int\n", "1:8: expected ':'"),
+    ("top-level-statement", "x = 1\n", "1:1: expected a class or function definition"),
+    ("unique-unique", "class C:\n    a: Unique[Unique[int]]\n", "2:15: 'Unique' cannot be nested"),
+    ("list-size", "class C:\n    a: list[C, 0]\n", "2:16: list size must be positive"),
+    ("annotation-parentheses", "class C:\n    a: (int)\n", "2:8: expected a type annotation"),
+    ("annotation-trailing-comma", 'class C:\n    a: Domain[str, "a",]\n',
+     "2:24: expected a string literal"),
+    ("field-value", "class C:\n    a = 1\n", "2:5: expected a field declaration 'name: type'"),
+    ("return-annotation", "def v(x: C) -> int:\n    z = 1\n",
+     "1:16: the return annotation must be None"),
+    ("missing-colon", _HEAD.replace(") -> None:", ") -> None") + "    assert x.a == 1\n",
+     "3:20: expected ':'"),
+    ("parentheses-times-300", _stmt("assert " + "(" * 300 + "x.a == 1" + ")" * 300),
+     "4:62: parentheses nested too deeply (more than 50 levels)"),
+    ("parentheses-times-1e5", _stmt("assert " + "(" * 10**5 + "x.a == 1" + ")" * 10**5),
+     "4:62: parentheses nested too deeply (more than 50 levels)"),
+    ("not-times-1e5", _stmt("assert " + "not " * 10**5 + "x.a == 1"),
+     "4:216: expression nested too deeply (more than 50 levels)"),
+    ("literal-of-5000-digits", _stmt("assert x.a == " + "1" * 5000),
+     "4:19: integer literal too long"),
+]
+
+# Texts in the grammar, each beside a plainer text of the same program.
+_ACCEPTED = [
+    ("grouping-parentheses", _stmt("assert (x.a == 1)"), _stmt("assert x.a == 1")),
+    ("implicit-continuation", _stmt("assume(x.a ==", "    1)"), _stmt("assume(x.a == 1)")),
+    ("comments-inside-brackets", _stmt("assert ((x.a) ==  # one", "", "  # two", "\t(1))"),
+     _stmt("assert x.a == 1")),
+    ("continued-field", _HEAD.replace("(1, 3)", "(\n    1, 3)") + "    assume(x.a == 1)\n",
+     _stmt("assume(x.a == 1)")),
+    ("continued-header", "def v(\n  x: C\n) -> None:  # c\n    assume(x.a == 1)\n",
+     "def v(x: C) -> None:\n    assume(x.a == 1)\n"),
+    ("crlf-blank-line-comment", _stmt("", "# c", "assume(x.a == 1)").replace("\n", "\r\n"),
+     _stmt("assume(x.a == 1)")),
+    ("tab-between-tokens", _stmt("assume(x.a ==\t1)"), _stmt("assume(x.a == 1)")),
+    ("both-quote-marks", _stmt("z = 'say \"hi\"'"), _stmt('z = "say \\"hi\\""')),
+    ("negative-index", _stmt("z = x.hs[-1]"), _stmt("z = x.hs[- 1]")),
+]
+
+
+def _diagnostic(text: str) -> str:
+    with pytest.raises(DslSyntaxError) as info:
+        parse(text)
+    return info.value.diagnostic()
+
+
+class TestAgainstReference:
+    """The parser accepts a text exactly when the reference (Python's parser,
+    the converter and the check for the forms the grammar leaves out) does,
+    and then returns an equal program with an equal position on every node;
+    anything else the parser raises fails the test."""
 
     @pytest.mark.parametrize("entities,features", _SHAPES)
     def test_generated_programs_and_their_faults(self, entities, features):
         for seed in range(2):
             for fault, text in _attempts(seed, entities, features).items():
-                assert fast_path_agrees(text) == (fault != "syntax"), fault
-
-    def test_generated_programs_need_no_python_parser(self, monkeypatch):
-        monkeypatch.setattr(ast, "parse", mock.Mock(side_effect=AssertionError("ast.parse")))
-        for entities, features in _SHAPES:
-            parse(render_dsl(generate_puzzle(7, entities, features)))
+                assert parsers_agree(text) == (fault != "syntax"), fault
 
     @pytest.mark.parametrize("path", sorted(DATA_DIR.glob("*.lpy")), ids=lambda p: p.name)
     def test_data_files(self, path):
-        assert fast_path_agrees(path.read_text(encoding="utf-8"))
+        assert parsers_agree(path.read_text(encoding="utf-8"))
 
     @pytest.mark.parametrize(
-        "lines",
+        "text,plain", [pytest.param(text, plain, id=name) for name, text, plain in _ACCEPTED]
+    )
+    def test_accepted(self, text, plain):
+        assert parse(text) == parse(plain)
+        assert parsers_agree(text)
+
+    @pytest.mark.parametrize(
+        "value,expected",
         [
-            pytest.param("    z = 1and x\n", id="int-touching-keyword"),
-            pytest.param("    z = 0x1\n", id="hex"),
-            pytest.param("    z = 01\n", id="leading-zero"),
-            pytest.param("    z = 1.5\n", id="float"),
-            pytest.param('    z = r"a"\n', id="string-prefix"),
-            pytest.param('    z = "a" "b"\n', id="adjacent-strings"),
-            pytest.param("    z = x.class\n", id="keyword-field"),
-            pytest.param("    z = None\n", id="none"),
-            pytest.param("    z = nondet\n", id="nondet-as-name"),
-            pytest.param("    z = -1 .a\n", id="negated-field-access"),
-            pytest.param("    assert x.a == not x.a\n", id="not-under-comparison"),
-            pytest.param("    assert x.a < 1 < 2\n", id="chained-comparison"),
-            pytest.param("    assert (x.a == 1)\n", id="grouping-parentheses"),
-            pytest.param("    assume(x.a ==\n        1)\n", id="implicit-continuation"),
-            pytest.param("    assert x.a == \\\n        1\n", id="backslash-continuation"),
-            pytest.param("    assert x.a == 1\n      assert x.a == 1\n", id="deeper-indent"),
-            pytest.param("class D:\n", id="empty-class"),
-            pytest.param("    assert " + "not " * 10**5 + "x.a == 1\n", id="not-times-1e5"),
+            pytest.param('"a\\"b\'c\\\\"', "a\"b'c\\", id="escapes"),
+            pytest.param('"caf\u00e9 \u6771\u4eac"', "caf\u00e9 \u6771\u4eac", id="non-ascii"),
+            pytest.param('"a\tb"', "a\tb", id="tab"),
         ],
     )
-    def test_outside_the_subset(self, lines):
-        text = "class C:\n    a: Domain[int, range(1, 3)]\ndef v(x: C) -> None:\n" + lines
-        assert _recognize(text) is None
+    def test_string_values(self, value, expected):
+        (stmt,) = parse(_HEAD + "    z = " + value + "  # \u00e9\n").functions[0].body
+        assert stmt.value.value == expected
+
+    @pytest.mark.parametrize(
+        "text,diagnostic", [pytest.param(text, d, id=name) for name, text, d in _DIAGNOSTICS]
+    )
+    def test_diagnostics(self, text, diagnostic):
+        # the table leaves out the origin and the category, which all share
+        position, message = diagnostic.split(": ", 1)
+        assert _diagnostic(text) == f"<string>:{position}: syntax: {message}"
+        assert not parsers_agree(text)
 
     @settings(max_examples=100, deadline=None)
     @given(programs(max_entities=3, max_fields=3, max_domain=4))
     def test_printed_random_programs(self, program):
-        fast_path_agrees(pretty(program))
+        assert parsers_agree(pretty(program))
 
     @settings(max_examples=300, deadline=None)
     @given(edited_sources())
     def test_small_edits(self, text):
-        fast_path_agrees(text)
+        parsers_agree(text)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutated_sources())
+    def test_token_edits(self, text):
+        parsers_agree(text)
