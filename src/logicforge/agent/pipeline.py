@@ -59,7 +59,11 @@ class ExpectedFormat:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ExpectedFormat":
-        return ExpectedFormat(json_columns(d["columns"]), d.get("position"))
+        columns, position = json_columns(d["columns"]), d.get("position")
+        # a column name is a string, so this also rejects any other value
+        if position is not None and position not in columns:
+            raise ValueError(f"position {position!r} is not a column")
+        return ExpectedFormat(columns, position)
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,10 @@ def _render(expr: Expr) -> tuple[str, int]:
     if isinstance(expr, LocalRef):
         return expr.name, _PREC_ATOM
     if isinstance(expr, FieldAccess):
-        return f"{expr_src(expr.obj, _PREC_ATOM)}.{expr.field}", _PREC_ATOM
+        obj = expr.obj
+        if isinstance(obj, IntLit) and obj.value >= 0:
+            return f"({obj.value}).{expr.field}", _PREC_ATOM  # 1.a reads as a number
+        return f"{expr_src(obj, _PREC_ATOM)}.{expr.field}", _PREC_ATOM
     if isinstance(expr, Index):
         return f"{expr_src(expr.obj, _PREC_ATOM)}[{expr.index}]", _PREC_ATOM
     if isinstance(expr, Nondet):

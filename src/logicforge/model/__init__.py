@@ -11,12 +11,12 @@ from .constraints import (
     CVar,
     ConstraintModel,
     InstanceLayout,
+    Scope,
     SelectorVar,
     Var,
-    dump_model,
     validate_model,
 )
-from .decode import SolutionTable, decode, encode
+from .decode import SolutionTable, decode
 from .lower import lower
 
 __all__ = [
@@ -30,12 +30,11 @@ __all__ = [
     "CVar",
     "ConstraintModel",
     "InstanceLayout",
+    "Scope",
     "SelectorVar",
     "SolutionTable",
     "Var",
     "decode",
-    "dump_model",
-    "encode",
     "lower",
     "validate_model",
 ]

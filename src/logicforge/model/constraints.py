@@ -9,7 +9,7 @@ and is expanded during propagation rather than at lowering time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from ..errors import InternalError
@@ -116,9 +116,15 @@ def walk_cexpr(expr: CExpr):
             yield from walk_cexpr(p)
 
 
-def direct_vars(expr: CExpr) -> set[int]:
-    """The variables ``expr`` names directly, outside elem tables."""
-    return {node.var for node in walk_cexpr(expr) if isinstance(node, CVar)}
+@dataclass(slots=True, unsafe_hash=True)
+class Scope:
+    """The ids one constraint reads, as lowering builds it: the distinct
+    ``(selector, table)`` pair of each of its ``CElem`` nodes and the var of
+    each ``CVar``, both ascending. A selector read through two fields has a
+    pair per table."""
+
+    elems: tuple[tuple[int, tuple[int, ...]], ...]
+    vars: tuple[int, ...]
 
 
 # --- layout (for decoding) ----------------------------------------------------
@@ -137,6 +143,7 @@ class ConstraintModel:
     selectors: list[SelectorVar]
     alldiff_groups: list[tuple[int, ...]]
     constraints: list[CExpr]
+    scopes: list[Scope]  # one per constraint, in the same order
     layout: InstanceLayout
 
     @property
@@ -148,24 +155,6 @@ class ConstraintModel:
             return self.vars[ident].values()
         return self.selectors[ident - len(self.vars)].values()
 
-    def row_var_ids(self) -> frozenset[int]:
-        return frozenset(v for row in self.layout.rows for v in row.values())
-
-    def row_tied(self, named_vars) -> set[int]:
-        """The indices of the constraints that name a row variable directly,
-        given the ``direct_vars`` of each constraint in order. With more than
-        one row, each such constraint ties a row to its instance slot."""
-        if len(self.layout.rows) <= 1:
-            return set()
-        rows = self.row_var_ids()
-        return {i for i, named in enumerate(named_vars) if not rows.isdisjoint(named)}
-
-    def slot_symmetric(self) -> bool:
-        """True when constraints reach row variables only through selectors,
-        so permuting the instance order permutes solutions without changing
-        the set of solution tables."""
-        return not self.row_tied(map(direct_vars, self.constraints))
-
     def position_vars(self) -> list[int] | None:
         """Each row's position variable, in row order, when the model has a
         position field whose variables form an all-different group."""
@@ -174,12 +163,6 @@ class ConstraintModel:
             return None
         pos = [row[pf] for row in self.layout.rows]
         return pos if set(pos) in [set(g) for g in self.alldiff_groups] else None
-
-    def rows_orderable(self) -> bool:
-        """True when the rows are interchangeable (``slot_symmetric``) and
-        their position vars form an all-different group: ordering the rows
-        by position then gives each solution table exactly one encoding."""
-        return self.position_vars() is not None and self.slot_symmetric()
 
 
 def validate_model(model: ConstraintModel) -> None:
@@ -202,6 +185,8 @@ def validate_model(model: ConstraintModel) -> None:
             raise InternalError("alldiff group references a non-variable id")
         if len({model.vars[v].domain for v in group}) != 1:
             raise InternalError("alldiff group must span vars of one domain")
+    if len(model.scopes) != len(model.constraints):
+        raise InternalError("a model needs one scope per constraint")
     for c in model.constraints:
         for node in walk_cexpr(c):
             if isinstance(node, CVar) and not (0 <= node.var < n_vars):
@@ -222,37 +207,3 @@ def validate_model(model: ConstraintModel) -> None:
             if not (0 <= v < n_vars):
                 raise InternalError("layout references unknown var")
 
-
-def dump_model(model: ConstraintModel) -> str:
-    """Stable one-line-per-item debug dump, used by golden tests."""
-    lines = []
-    for v in model.vars:
-        if isinstance(v.domain, IntRange):
-            dom = f"int[{v.domain.lo}, {v.domain.hi})"
-        else:
-            dom = "{" + ", ".join(v.domain.values) + "}"
-        lines.append(f"var {v.id} {v.name} : {dom}")
-    for s in model.selectors:
-        lines.append(f"selector {s.id} {s.name} : index[0, {s.list_len}) of {s.element_class}")
-    for group in model.alldiff_groups:
-        lines.append("alldiff " + " ".join(str(v) for v in group))
-    for c in model.constraints:
-        lines.append("constraint " + _prefix(c))
-    return "\n".join(lines) + "\n"
-
-
-def _prefix(expr: CExpr) -> str:
-    if isinstance(expr, CLit):
-        return str(expr.value)
-    if isinstance(expr, CVar):
-        return f"v{expr.var}"
-    if isinstance(expr, CElem):
-        return f"(elem s{expr.selector} [" + " ".join(f"v{v}" for v in expr.table) + "])"
-    if isinstance(expr, CBin):
-        return f"({expr.op} {_prefix(expr.left)} {_prefix(expr.right)})"
-    if isinstance(expr, CAbs):
-        return f"(abs {_prefix(expr.arg)})"
-    if isinstance(expr, CCmp):
-        return f"({expr.op} {_prefix(expr.left)} {_prefix(expr.right)})"
-    assert isinstance(expr, CBool)
-    return f"({expr.op}" + "".join(" " + _prefix(p) for p in expr.parts) + ")"

@@ -1,4 +1,4 @@
-"""Turn solver assignments into solution tables and back.
+"""Turn solver assignments into solution tables.
 
 Rows are ordered by the single unique integer field when the result class has
 one (the position field), otherwise by instance index. Cells are keyed by
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import DecodeError
-from ..frontend.ast import EnumValues
 from .constraints import ConstraintModel
 
 Cell = int | str
@@ -102,24 +101,3 @@ def decode(model: ConstraintModel, assignment: dict[int, int]) -> SolutionTable:
         rows.sort(key=lambda r: r[layout.position_field])
     return SolutionTable(layout.columns, tuple(rows), layout.position_field)
 
-
-def encode(model: ConstraintModel, table: SolutionTable) -> dict[int, int]:
-    """Invert decode for canonical assignments: table row k maps onto
-    instance slot k. decode(model, encode(model, t)) == t for any valid t."""
-    layout = model.layout
-    if table.columns != layout.columns or len(table.rows) != len(layout.rows):
-        raise DecodeError("table shape does not match the model layout")
-    rows = sorted(table.rows, key=table._sort_key) if table.position_field else list(table.rows)
-    assignment: dict[int, int] = {}
-    for slot, row in enumerate(rows):
-        for col in layout.columns:
-            vid = layout.rows[slot][col]
-            domain = model.vars[vid].domain
-            value = row[col]
-            if isinstance(value, str):
-                if not isinstance(domain, EnumValues) or value not in domain.values:
-                    raise DecodeError(f"value {value!r} not in domain of {model.vars[vid].name}")
-                assignment[vid] = domain.values.index(value)
-            else:
-                assignment[vid] = int(value)
-    return assignment

@@ -6,7 +6,10 @@ parameter class is itself the one row. Each row is the ``{field: var id}``
 dict that the layout keeps, and the parameter is that one row or
 ``{rows_field: rows}``. Each Unique field becomes one all-different group
 over the rows.
-Each ``assume`` and each ``assert`` adds one constraint, in program order.
+Each ``assume`` and each ``assert`` adds one constraint, in program order,
+with its scope: the ``(selector, table)`` of each ``CElem`` and the var of
+each ``CVar`` that lowering builds for it, those of the locals it reads
+included. Every later stage takes the ids a constraint reads from its scope.
 Locals are resolved by symbolic substitution: binding a name to
 ``nondet(list)`` introduces a selector variable, anything else is inlined.
 Lowering trusts ``check`` for value types: int and bool expressions lower
@@ -48,6 +51,7 @@ from .constraints import (
     CVar,
     ConstraintModel,
     InstanceLayout,
+    Scope,
     SelectorVar,
     Var,
 )
@@ -72,6 +76,10 @@ class _Lowering:
         self.selectors: list[SelectorVar] = []
         self.alldiff: list[tuple[int, ...]] = []
         self.constraints: list[CExpr] = []
+        self.scopes: list[Scope] = []
+        # what the statement being lowered reads: (selector, table) pairs, vars
+        self.elems: set[tuple[int, tuple[int, ...]]] = set()
+        self.named: set[int] = set()
 
     def new_var(self, name: str, domain) -> int:
         vid = len(self.vars)
@@ -97,27 +105,35 @@ class _Lowering:
         layout = InstanceLayout(rows, columns, _position_field(row_cls))
 
         root = rows[0] if rows_field is None else {rows_field.name: rows}
-        env: dict[str, object] = {entry.param_name: root}
+        # each name's value, with what lowering it read
+        env: dict[str, tuple] = {entry.param_name: (root, (), ())}
         for stmt in entry.body:
+            self.elems, self.named = set(), set()
             if isinstance(stmt, Assign):
-                env[stmt.target] = self.lower_value(stmt.value, env)
+                env[stmt.target] = self.lower_value(stmt.value, env), self.elems, self.named
             else:
                 self.constraints.append(self.lower_value(stmt.expr, env))
+                self.scopes.append(Scope(tuple(sorted(self.elems)), tuple(sorted(self.named))))
 
-        return ConstraintModel(self.vars, self.selectors, self.alldiff, self.constraints, layout)
+        return ConstraintModel(
+            self.vars, self.selectors, self.alldiff, self.constraints, self.scopes, layout
+        )
 
     # -- expression lowering ------------------------------------------------
 
-    def lower_value(self, expr: Expr, env: dict[str, object]) -> object:
+    def lower_value(self, expr: Expr, env: dict[str, tuple]) -> object:
         """The model expression of an int or bool ``expr``; the row, the
         rows or the selection of an object-valued one."""
         if isinstance(expr, IntLit):
             return CLit(expr.value)
         if isinstance(expr, LocalRef):
             try:
-                return env[expr.name]
+                value, elems, named = env[expr.name]
             except KeyError:
                 raise InternalError(f"unbound name {expr.name!r} after check")
+            self.elems.update(elems)
+            self.named.update(named)
+            return value
         if isinstance(expr, FieldAccess):
             obj = self.lower_value(expr.obj, env)
             return self.lower_field(obj, expr.field)
@@ -147,11 +163,16 @@ class _Lowering:
 
     def lower_field(self, obj: object, field_name: str) -> object:
         if isinstance(obj, _SelObj):
-            return CElem(obj.selector, tuple(row[field_name] for row in obj.rows))
+            table = tuple(row[field_name] for row in obj.rows)
+            self.elems.add((obj.selector, table))
+            return CElem(obj.selector, table)
         value = obj[field_name]
-        return CVar(value) if isinstance(value, int) else value
+        if isinstance(value, int):
+            self.named.add(value)
+            return CVar(value)
+        return value
 
-    def lower_compare(self, expr: Compare, env: dict[str, object]) -> CCmp:
+    def lower_compare(self, expr: Compare, env: dict[str, tuple]) -> CCmp:
         """A string comparison pairs a field with a literal: the literal is
         coded in the field var's domain and put on the right."""
         lit, field = expr.left, expr.right

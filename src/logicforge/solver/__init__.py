@@ -9,7 +9,6 @@ from .engine import (
     Status,
     eval_cexpr,
     find_second,
-    propagate_domains,
     solve,
     verify,
 )
@@ -23,7 +22,6 @@ __all__ = [
     "brute_force",
     "eval_cexpr",
     "find_second",
-    "propagate_domains",
     "solve",
     "verify",
 ]

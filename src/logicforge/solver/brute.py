@@ -8,7 +8,8 @@ certify solver results and puzzle uniqueness at desk scale.
 When the result class has a position field and constraints reach instances
 only through selectors, tables are enumerated directly by giving the rows each
 combination of the position domain in ascending order: every table then
-appears exactly once instead of once per row permutation.
+appears exactly once instead of once per row permutation. The oracle walks
+each constraint for the ids it reads, and does not use lowering's scopes.
 
 Tables are built depth first, one factor (a group or a free variable) at a
 time, and each constraint cluster is tested as soon as every variable it reads
@@ -46,9 +47,14 @@ def brute_force(model: ConstraintModel, cap: int = DEFAULT_CAP) -> list[dict[int
                 raise InternalError("brute force requires disjoint alldiff groups")
             grouped.add(v)
 
-    # with interchangeable rows, every table has one encoding: positions
-    # ascending in row order, one combination of the position domain
-    positions = model.position_vars() if model.rows_orderable() else None
+    walks = [_walk(c) for c in model.constraints]
+    # rows are interchangeable when no constraint names a row var directly;
+    # then every table has one encoding: positions ascending in row order,
+    # one combination of the position domain
+    rows = model.layout.rows
+    row_vars = {v for row in rows for v in row.values()} if len(rows) > 1 else set()
+    interchangeable = all(row_vars.isdisjoint(named) for _, named, _ in walks)
+    positions = model.position_vars() if interchangeable else None
 
     count = 1
     factors: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
@@ -74,22 +80,17 @@ def brute_force(model: ConstraintModel, cap: int = DEFAULT_CAP) -> list[dict[int
     # each cluster is tested at the depth of the last factor it reads
     depth_of = {vid: depth for depth, (ids, _) in enumerate(factors) for vid in ids}
     ready: list[list] = [[] for _ in range(len(factors) + 1)]
-    for sels, constraints in _selector_clusters(model):
+    for sels, indices in _selector_clusters(walks):
         domains = [model.selectors[s - n_vars].values() for s in sels]
         if math.prod(len(d) for d in domains) > _SELECTOR_CAP:
             raise CapExceeded("selector combinations exceed the enumeration bound")
         # stage k holds the constraints whose last selector is sels[k - 1]
         stages: list[list[CExpr]] = [[] for _ in range(len(sels) + 1)]
         reads: set[int] = set()
-        for c in constraints:
-            stage = 0
-            for node in walk_cexpr(c):
-                if isinstance(node, CVar):
-                    reads.add(node.var)
-                elif isinstance(node, CElem):
-                    reads.update(node.table)
-                    stage = max(stage, sels.index(node.selector) + 1)
-            stages[stage].append(c)
+        for i in indices:
+            selectors, _, read = walks[i]
+            reads |= read
+            stages[sels.index(max(selectors)) + 1 if selectors else 0].append(model.constraints[i])
         depth = max((depth_of[v] + 1 for v in reads), default=0)
         ready[depth].append((tuple(zip(sels, domains)), stages))
 
@@ -140,45 +141,36 @@ def _satisfiable(
     return False
 
 
-def _selector_clusters(model: ConstraintModel):
-    """Group constraints by shared selectors: within a cluster the selector
-    choice must be consistent, across clusters it is independent."""
-    parent: dict[int, int] = {}
+def _walk(expr: CExpr) -> tuple[set[int], set[int], set[int]]:
+    """The selectors ``expr`` reads, the vars it names outside elem tables,
+    and every var it reads."""
+    selectors, named, tables = set(), set(), set()
+    for node in walk_cexpr(expr):
+        if isinstance(node, CVar):
+            named.add(node.var)
+        elif isinstance(node, CElem):
+            selectors.add(node.selector)
+            tables.update(node.table)
+    return selectors, named, named | tables
 
-    def find(x: int) -> int:
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    def union(a: int, b: int) -> None:
-        parent[find(a)] = find(b)
-
-    constraint_sels: list[list[int]] = []
-    for c in model.constraints:
-        sels = sorted(
-            {node.selector for node in walk_cexpr(c) if isinstance(node, CElem)}
-        )
-        constraint_sels.append(sels)
-        for s in sels[1:]:
-            union(sels[0], s)
-
-    clusters: dict[int, tuple[list[int], list[CExpr]]] = {}
-    free_constraints: list[CExpr] = []
-    for c, sels in zip(model.constraints, constraint_sels):
-        if not sels:
-            free_constraints.append(c)
+def _selector_clusters(walks) -> list[tuple[tuple[int, ...], list[int]]]:
+    """Group constraints, given the ``_walk`` of each, by shared selectors:
+    within a cluster the selector choice must be consistent, across clusters
+    it is independent. Each cluster is its selectors and the indices of its
+    constraints, both ascending; the constraints that read no selector come
+    first, as a cluster with none."""
+    free: list[int] = []
+    clusters: list[tuple[set[int], list[int]]] = []
+    for i, (selectors, _, _) in enumerate(walks):
+        if not selectors:
+            free.append(i)
             continue
-        root = find(sels[0])
-        entry = clusters.setdefault(root, ([], []))
-        for s in sels:
-            if s not in entry[0]:
-                entry[0].append(s)
-        entry[1].append(c)
-    result = []
-    if free_constraints:
-        result.append(((), free_constraints))
-    for root in sorted(clusters):
-        sels, constraints = clusters[root]
-        result.append((tuple(sorted(sels)), constraints))
-    return result
+        sels, indices = set(selectors), [i]
+        for cluster in [c for c in clusters if not c[0].isdisjoint(selectors)]:
+            clusters.remove(cluster)
+            sels |= cluster[0]
+            indices += cluster[1]
+        clusters.append((sels, indices))
+    joined = sorted((tuple(sorted(sels)), sorted(indices)) for sels, indices in clusters)
+    return ([((), free)] if free else []) + joined

@@ -23,7 +23,10 @@ child state is a plain list copy, and membership, union and shift tests are
 word operations.
 
 A model is compiled once (``CompiledModel``): each constraint's propagator,
-the watch lists, the mask bases and the declared masks. Each search runs over
+the watch lists, the mask bases and the declared masks. The ids a constraint
+reads come from the scope lowering recorded for it (each ``(selector,
+table)`` pair and each var named outside a table), so nothing after lowering
+walks a constraint tree to find them. Each search runs over
 a ``ModelView``, the compiled model with a subset of its constraints switched
 on, as in solving under assumptions (Eén and Sörensson, SAT 2003): the
 constraints that are off are never scheduled, and the selectors only they
@@ -54,9 +57,11 @@ full pass. The work list, the watch lists and the inert mask are int masks
 with bit ``i`` for item ``i``. The propagators:
 
 * three-valued constraint evaluation over possible-value sets detects
-  contradictions and prunes, via singleton tests, both selector values whose
-  implied element constraints cannot hold and values of directly referenced
-  variables (bounds-and-membership filtering for comparisons and arithmetic);
+  contradictions and prunes by singleton tests over the constraint's scope:
+  first the values of each selector that is not fixed, in ascending order,
+  whose implied element constraints cannot hold, then the values of the vars
+  it names and of the picked var of every table of each fixed selector
+  (bounds-and-membership filtering for comparisons and arithmetic);
 * all-different groups remove assigned values from peers and apply
   Hall-interval reasoning over the value range, to intervals of fewer
   values than the group has vars (a wider one can prune nothing and cannot
@@ -162,7 +167,7 @@ from ..model.constraints import (
     CLit,
     CVar,
     ConstraintModel,
-    walk_cexpr,
+    Scope,
 )
 from ..model.decode import SolutionTable, decode
 
@@ -351,31 +356,6 @@ _GROUP_TABLE_CAP = 4096
 _TABLED_MASK_BITS = 64  # a group whose declared masks are wider runs untabled
 
 
-@dataclass
-class _ConstraintMeta:
-    expr: CExpr
-    selectors: list[tuple[int, tuple[int, ...]]]  # (selector id, var table)
-    bare_vars: list[int]  # vars referenced outside elem tables (direct_vars)
-    watched: list[int]  # every id whose domain change re-triggers this
-
-
-def _constraint_meta(expr: CExpr) -> _ConstraintMeta:
-    selectors: dict[int, tuple[int, ...]] = {}
-    bare: set[int] = set()
-    watched: set[int] = set()
-    for node in walk_cexpr(expr):
-        if isinstance(node, CVar):
-            bare.add(node.var)
-            watched.add(node.var)
-        elif isinstance(node, CElem):
-            selectors[node.selector] = node.table
-            watched.add(node.selector)
-            watched.update(node.table)
-    return _ConstraintMeta(
-        expr, sorted(selectors.items()), sorted(bare), sorted(watched)
-    )
-
-
 def _bases(lows: list[int], ties) -> list[int]:
     """The mask base of each id: the lowest of ``lows`` (each id's lowest
     declared value, 0 for a selector) over the variables it is tied to,
@@ -473,11 +453,11 @@ def _never(xs: int, ys: int) -> bool:
 
 class CompiledModel:
     """What the solver builds once per model, for any number of searches over
-    any subsets of its constraints: each constraint's meta and propagator,
-    the row-order propagators, the watch lists, mask bases, declared masks
-    and width. It also keeps the root fixpoints of the views that serve as
-    parents (``fixpoint``) and the search ``solve`` left suspended
-    (``suspended``).
+    any subsets of its constraints: each constraint's propagator, the
+    row-order propagators, the watch lists, mask bases, declared masks and
+    width. It reads the ids of each constraint from its scope. It also keeps
+    the root fixpoints of the views that serve as parents (``fixpoint``) and
+    the search ``solve`` left suspended (``suspended``).
 
     The work list holds the all-different groups first, then one item per
     constraint in model order, then the row order."""
@@ -486,12 +466,11 @@ class CompiledModel:
         self.model = model
         self.n_vars = len(model.vars)
         self.n_ids = model.n_ids
-        self.meta = [_constraint_meta(c) for c in model.constraints]
         # each id's declared values are a range (an enum's codes start at 0)
         ranges = [v.values() for v in model.vars] + [s.values() for s in model.selectors]
-        # the tables a dedicated propagator ORs are those of meta.selectors
-        # (one per selector); clues repeat the same few, so each is joined once
-        ties = {*model.alldiff_groups, *(t for m in self.meta for _, t in m.selectors)}
+        # a propagator ORs the masks of an elem table, so every table of every
+        # scope is a tie; clues repeat the same few, so each is joined once
+        ties = {*model.alldiff_groups, *(t for scope in model.scopes for _, t in scope.elems)}
         self.base = _bases([r.start for r in ranges], ties)
         # so each declared mask is a run of bits, built without its values
         self.declared = [((1 << len(r)) - 1) << (r.start - b) for r, b in zip(ranges, self.base)]
@@ -512,19 +491,21 @@ class CompiledModel:
             else:
                 self._add((_Search._group_pass, (group,)), group)
         self.n_groups = len(model.alldiff_groups)
-        for m in self.meta:
-            self._add(self._propagator(m), m.watched)
-        # constraints that tie a row to its slot keep the row order off
-        self.row_tied = model.row_tied(m.bare_vars for m in self.meta)
+        for expr, scope in zip(model.constraints, model.scopes):
+            watched = [*scope.vars, *chain.from_iterable((s, *t) for s, t in scope.elems)]
+            self._add(self._propagator(expr, scope), watched)
+        # with more than one row, a constraint that names a row var directly
+        # ties that row to its slot, and keeps the row order off
+        rows = model.layout.rows
+        row_vars = {v for row in rows for v in row.values()} if len(rows) > 1 else set()
+        self.row_tied = {i for i, s in enumerate(model.scopes) if not row_vars.isdisjoint(s.vars)}
         self.position_vars = model.position_vars()
         # the row order, pos[i] < pos[i+1] over consecutive rows: the mask
         # of its items, which a search runs where ``orders_rows`` holds
         start = len(self.propagators)
         pos = self.position_vars or []
         for a, b in zip(pos, pos[1:]):
-            meta = _constraint_meta(CCmp("<", CVar(a), CVar(b)))
-            self.meta.append(meta)
-            self._add(self._propagator(meta), meta.watched)
+            self._add((_Search._propagate_less_vars, (a, b, self.base[b] - self.base[a])), (a, b))
         self.row_order = (1 << len(self.propagators)) - (1 << start)
         # the active constraints of a parent view -> its root fixpoint
         self.roots: dict[tuple[int, ...], tuple[list[int] | None, int, int]] = {}
@@ -561,13 +542,15 @@ class CompiledModel:
     def referenced_selectors(self, active: tuple[int, ...]) -> list[int]:
         """The selectors some active constraint references, ascending; any
         other selector leaves every solution as it is."""
-        return sorted({s for i in active for s, _ in self.meta[i].selectors})
+        scopes = self.model.scopes
+        return sorted({s for i in active for s, _ in scopes[i].elems})
 
     def orders_rows(self, active: tuple[int, ...]) -> bool:
-        """Whether the rows are interchangeable under the active constraints
-        and carry a unique position field (``rows_orderable`` of the model
-        cut to them): ordering them by position then gives each solution
-        table exactly one encoding."""
+        """Whether the rows are interchangeable under the active constraints,
+        none of which names a row var directly (``row_tied``), and carry a
+        unique position field whose vars form an all-different group:
+        ordering them by position then gives each solution table exactly one
+        encoding."""
         return self.position_vars is not None and self.row_tied.isdisjoint(active)
 
     def fixpoint(self, view: "ModelView", search: "_Search") -> tuple[list[int] | None, int, int]:
@@ -615,10 +598,10 @@ class CompiledModel:
 
     # -- propagator matching -------------------------------------------------
 
-    def _propagator(self, meta: _ConstraintMeta) -> tuple[Callable[..., bool], tuple]:
-        """The dedicated propagator for meta's shape, else the generic one, as
-        an unbound _Search method and the arguments that follow (doms, dirty)."""
-        expr = meta.expr
+    def _propagator(self, expr: CExpr, scope: Scope) -> tuple[Callable[..., bool], tuple]:
+        """The dedicated propagator for the shape of ``expr``, else the generic
+        one, as an unbound _Search method and the arguments that follow
+        (doms, dirty)."""
         if isinstance(expr, CCmp):
             left, right = expr.left, expr.right
             if (
@@ -645,7 +628,7 @@ class CompiledModel:
                     e2.table,
                     relation,
                 )
-        return _Search._propagate_generic, (meta,)
+        return _Search._propagate_generic, (expr, scope)
 
     def _pair_relation(self, e1: CElem, e2: CElem, shape: str, k: int):
         """The relation between the value masks of e1 and e2 for a matched
@@ -966,20 +949,25 @@ class _Search:
                 return False
         return True
 
-    def _propagate_generic(self, doms: list[int], dirty: set[int], meta: _ConstraintMeta) -> bool:
-        if not self._abool(meta.expr, doms)[0]:
+    def _propagate_generic(self, doms: list[int], dirty: set[int], expr: CExpr, scope: Scope) -> bool:
+        """Singleton tests over the scope: each selector that is not fixed,
+        ascending, then the vars ``expr`` names and the picked var of every
+        table of each fixed selector, in the scope's order."""
+        if not self._abool(expr, doms)[0]:
             raise Contradiction()
-        for sel, table in meta.selectors:
-            if doms[sel] & (doms[sel] - 1):
-                self._prune_generic(doms, dirty, meta.expr, sel)
-        test_vars = dict.fromkeys(meta.bare_vars)
-        for sel, table in meta.selectors:
+        tested = -1  # a selector's tables are adjacent in the scope
+        for sel, _ in scope.elems:
+            if sel != tested and doms[sel] & (doms[sel] - 1):
+                self._prune_generic(doms, dirty, expr, sel)
+            tested = sel
+        test_vars = dict.fromkeys(scope.vars)
+        for sel, table in scope.elems:
             choice = doms[sel]
             if not choice & (choice - 1):
                 test_vars[table[choice.bit_length() - 1]] = None
         for v in test_vars:
             if doms[v] & (doms[v] - 1):
-                self._prune_generic(doms, dirty, meta.expr, v)
+                self._prune_generic(doms, dirty, expr, v)
         return False  # entailment is not tested
 
     def _prune_generic(self, doms: list[int], dirty: set[int], expr: CExpr, ident: int) -> None:
@@ -1226,27 +1214,6 @@ def solve(
         raise InternalError("solver returned an assignment that fails verification")
     view.compiled.suspended = {view.active: (search, chain((solution,), found))}
     return SolveOutcome(Status.SAT, assignment, search.stats)
-
-
-def propagate_domains(
-    model: ConstraintModel, domains: dict[int, list[int]] | None = None
-) -> dict[int, list[int]] | None:
-    """Run propagation alone (no search, so no row order) from the declared
-    domains, narrowed to ``domains`` where given, and return the pruned
-    domains, or None on contradiction. A given value outside the declared
-    domain is ignored. Intended for tests and debugging."""
-    view = _view(model)
-    compiled = view.compiled
-    doms = compiled.initial_state()
-    for ident, values in (domains or {}).items():
-        declared = model.domain_of(ident)
-        doms[ident] = compiled.mask(ident, (v for v in values if v in declared))
-    if not all(doms):
-        return None
-    search = _Search(view, Budget())
-    if search.propagate(doms, search.off | compiled.row_order, search.on) is None:
-        return None
-    return {i: compiled.values(i, d) for i, d in enumerate(doms)}
 
 
 # --- ambiguity -------------------------------------------------------------------

@@ -37,6 +37,7 @@ from logicforge.model.decode import SolutionTable
 from logicforge.solver import Status, brute_force, find_second, solve
 
 from conftest import DATA_DIR
+from model_tools import orders_rows
 from test_agent import BrokenFormalizer, FaultInjectingFormalizer
 
 EXPECTED_4X4 = {
@@ -175,7 +176,7 @@ class TestCriterion2OracleEquivalence:
             verdicts.append(_assert_find_second_agrees(lower(check(parse(SourceText(text, "off-by-one"))))))
         for pin in ("", "    assert s.items[0].p == 3\n"):
             model = lower(check(parse(SourceText(DIRECT_INDEX + pin, "direct-index"))))
-            assert model.layout.position_field == "p" and not model.slot_symmetric()
+            assert model.layout.position_field == "p" and not orders_rows(model)
             verdicts.append(_assert_find_second_agrees(model))
         assert verdicts == [True, False, True, False]
 

@@ -48,10 +48,11 @@ from logicforge.errors import BudgetExceeded, DatasetError, GenerationError, Tra
 from logicforge.frontend import SourceText, check, parse
 from logicforge.frontend.ast import Assert, Compare, FieldAccess, Index, IntLit, LocalRef
 from logicforge.model import decode, lower
-from logicforge.model.decode import SolutionTable, encode
+from logicforge.model.decode import SolutionTable
 from logicforge.solver import Budget, brute_force, find_second, solve
 
 from conftest import chained_condition, nested_condition
+from model_tools import encode, orders_rows
 
 
 def make_table(cells_by_house: dict[int, dict[str, str]]) -> SolutionTable:
@@ -244,7 +245,7 @@ class TestCompiledCandidates:
             for on in (True, False):
                 view = puzzle._view(compiled, slices, subset + [row_clue] * on)
                 model = lowered_subset(features, [candidates[i] for i in subset], n, row_clue=on)
-                assert compiled.orders_rows(view.active) is model.rows_orderable() is not on
+                assert compiled.orders_rows(view.active) is orders_rows(model) is not on
                 counts.append(assert_searches_alike(view, instance.truth, model))
             differ += counts[0] != counts[1]
         # the two orders search differently, so the comparisons above tell them apart
@@ -628,8 +629,18 @@ class TestDataset:
             (lambda d: d["truth"].update(columns=[1, 2]), "list of strings"),
             (lambda d: d["truth"]["rows"][1].pop("name"), "lacks one of the columns"),
             (lambda d: d["truth"].update(position_field="house"), "not a column"),
+            (lambda d: d["format"].update(position=5), "not a column"),
+            (lambda d: d["format"].update(position="zz"), "not a column"),
         ],
-        ids=["format-string", "truth-string", "truth-ints", "row-lacks-column", "position"],
+        ids=[
+            "format-string",
+            "truth-string",
+            "truth-ints",
+            "row-lacks-column",
+            "position",
+            "format-position-int",
+            "format-position-unknown",
+        ],
     )
     def test_malformed_table_is_a_schema_error(self, tmp_path, zebra_instance, spoil, reason):
         good = task_from_instance(zebra_instance).to_json_dict()

@@ -229,6 +229,7 @@ class TestPretty:
             "def f(x: C) -> None:\n"
             "    assume(not (x.a == 1 or x.a == 2) and x.b * (x.c + 2) - 1 <= 4 * 3)\n"
             '    assert abs(x.a - x.b) == 1 or x.q != "m"\n'
+            "    z = 1 .a\n"
         )
         program = parse(src)
         assert parse(pretty(program)) == program

@@ -68,6 +68,7 @@ from logicforge.model.constraints import (
     ConstraintModel,
     CVar,
     InstanceLayout,
+    Scope,
     SelectorVar,
     Var,
 )
@@ -151,6 +152,7 @@ SAMPLES = {
     CAbs: lambda pos: CAbs(CBin("-", CVar(0), CVar(1))),
     CCmp: lambda pos: CCmp("==", _ELEM, CLit(1)),
     CBool: lambda pos: CBool("or", (CCmp("<", CVar(0), CVar(1)), CCmp("==", _ELEM, CLit(0)))),
+    Scope: lambda pos: Scope(((2, (0, 1)),), (0,)),
     InstanceLayout: lambda pos: InstanceLayout(({"f": 0}, {"f": 1}), ("f",), None),
 }
 

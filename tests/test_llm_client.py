@@ -76,6 +76,7 @@ def stub_server():
     server = _serve(_StubHandler)
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions", _StubHandler
     server.shutdown()
+    server.server_close()
 
 
 def make_formalizer(endpoint, **kwargs) -> LlmFormalizer:
@@ -207,8 +208,9 @@ class TestTransportFailures:
             with pytest.raises(TransportError, match=f"endpoint returned HTTP {status}"):
                 make_formalizer(endpoint).gen_data_structure("p", FMT)
         finally:
-            redirect.shutdown()
-            target.shutdown()
+            for server in (redirect, target):
+                server.shutdown()
+                server.server_close()
         assert _CompletionTarget.seen == []
 
 

@@ -21,15 +21,14 @@ from logicforge.model import (
     CLit,
     CVar,
     decode,
-    dump_model,
-    encode,
     lower,
     validate_model,
 )
-from logicforge.model.constraints import IntRange
-from logicforge.solver import brute_force
+from logicforge.model.constraints import IntRange, Scope
+from logicforge.solver import brute, brute_force
 
-from conftest import compile_source
+from conftest import DATA_DIR, compile_source
+from model_tools import cut, dump_model, encode, reference_scope
 from strategies import programs, scalar_programs
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "corpus.jsonl"
@@ -325,6 +324,64 @@ SCALAR_SOURCE = (
 )
 
 
+def assert_scopes(model) -> None:
+    """Lowering's scopes are those of the reference walk, the oracle's own
+    walk reads the same ids, and each of its selector clusters holds exactly
+    the selectors of its constraints' scopes."""
+    assert model.scopes == [reference_scope(c) for c in model.constraints]
+    walks = [brute._walk(c) for c in model.constraints]
+    for walk, scope in zip(walks, model.scopes):
+        tables = {v for _, table in scope.elems for v in table}
+        assert walk == ({s for s, _ in scope.elems}, set(scope.vars), set(scope.vars) | tables)
+    clusters = brute._selector_clusters(walks)
+    assert sorted(i for _, indices in clusters for i in indices) == list(range(len(walks)))
+    for sels, indices in clusters:
+        assert set(sels) == {s for i in indices for s, _ in model.scopes[i].elems}
+
+
+class TestScopes:
+    """Each constraint's scope, as lowering records it, against a walk of
+    its tree (``reference_scope``)."""
+
+    def test_corpus(self):
+        tasks, _ = load_dataset(CORPUS)
+        assert len(tasks) == 106
+        for task in tasks:
+            assert_scopes(compile_source(render_dsl(task.instance).text)[1])
+
+    @pytest.mark.parametrize("path", sorted(DATA_DIR.glob("*.lpy")), ids=lambda p: p.name)
+    def test_data_programs(self, path):
+        assert_scopes(compile_source(path.read_text(encoding="utf-8"))[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(programs(), scalar_programs()))
+    def test_hypothesis_programs(self, program):
+        try:
+            checked = check(program)
+        except SemanticError:
+            return
+        assert_scopes(lower(checked))
+
+    def test_locals_bring_their_reads_and_a_selector_one_pair_per_table(self):
+        _, model = compile_source(
+            "class E:\n    p: Unique[Domain[int, range(1, 4)]]\n    q: Domain[int, range(0, 3)]\n"
+            "class S:\n    items: list[E, 3]\n"
+            "def v(s: S) -> None:\n"
+            "    a = nondet(s.items)\n    b = nondet(s.items)\n"
+            "    d = a.p - b.p\n    first = s.items[0].q\n"
+            "    near = abs(d) == 1 or first == 2\n"
+            "    assert near\n"
+            "    assert d > 0 and a.q == b.q\n"
+        )
+        assert_scopes(model)
+        a, b = (s.id for s in model.selectors)
+        p, q = (0, 2, 4), (1, 3, 5)
+        assert model.scopes == [
+            Scope(((a, p), (b, p)), (1,)),
+            Scope(((a, p), (a, q), (b, p), (b, q)), ()),
+        ]
+
+
 class TestScalarResultClass:
     """A parameter class of scalar fields only is one row of bare names."""
 
@@ -342,7 +399,7 @@ class TestScalarResultClass:
         assert layout.columns == ("slot", "color")
         assert layout.position_field == "slot"
         assert len(layout.rows) == 1
-        assert model.row_var_ids() == frozenset({0, 1})
+        assert [set(row.values()) for row in layout.rows] == [{0, 1}]
         assert model.position_vars() == [0]
         assert decode(model, {0: 3, 1: 0}).rows == ({"slot": 3, "color": "red"},)
 
@@ -403,7 +460,7 @@ class TestFuzzLowering:
         slots = dataclasses.replace(model.layout, position_field=None)
         held_model = dataclasses.replace(model, layout=slots)
         try:
-            tables = brute_force(dataclasses.replace(held_model, constraints=[]), cap=20_000)
+            tables = brute_force(cut(held_model, []), cap=20_000)
             held = {tuple(sorted(a.items())) for a in brute_force(held_model, cap=20_000)}
         except CapExceeded:
             return

@@ -22,7 +22,7 @@ from logicforge.bench.render import render_dsl
 from logicforge.errors import BudgetExceeded, CapExceeded, SemanticError
 from logicforge.frontend import check
 from logicforge.frontend.ast import IntRange
-from logicforge.model import decode, dump_model, lower, validate_model
+from logicforge.model import decode, lower, validate_model
 from logicforge.model.constraints import (
     CAbs,
     CBin,
@@ -41,12 +41,12 @@ from logicforge.solver import (
     Status,
     brute_force,
     find_second,
-    propagate_domains,
     solve,
     verify,
 )
 
 from conftest import DATA_DIR, compile_source, lines_executed
+from model_tools import cut, dump_model, orders_rows, propagate_domains, reference_scope
 from strategies import programs, scalar_programs
 
 TAUTOLOGY = '    anyone = nondet(s.items)\n    assume(anyone.f == anyone.f)\n'
@@ -60,7 +60,8 @@ def flat_model(domains: list[tuple[int, int]], groups=(), constraints=()) -> Con
         tuple(f"f{i}" for i in range(len(vars_))),
         None,
     )
-    model = ConstraintModel(vars_, [], [tuple(g) for g in groups], list(constraints), layout)
+    scopes = [reference_scope(c) for c in constraints]
+    model = ConstraintModel(vars_, [], [tuple(g) for g in groups], list(constraints), scopes, layout)
     validate_model(model)
     return model
 
@@ -120,6 +121,26 @@ class TestPropagate:
         for v in model.vars:
             reachable = {s[v.id] for s in solutions}
             assert reachable <= set(full[v.id])
+
+    @pytest.mark.parametrize(
+        "body,phone",
+        [
+            # a.name is bob, so a.phone must be x, whichever operand reads it
+            ('assume(a.name == "bob")\n    assert a.phone == "x" or a.name == "al"', 0),
+            ('assume(a.name == "bob")\n    assert a.name == "al" or a.phone == "x"', 0),
+            # one constraint prunes the vars of both tables
+            ('assert a.name == "bob" and a.phone == "y"', 1),
+        ],
+    )
+    def test_generic_pass_tests_every_table_of_a_fixed_selector(self, body, phone):
+        # one row fixes the selector (id 2) at the root; name is var 0, phone 1
+        _, model = compile_source(
+            'class H:\n    name: Domain[str, "bob", "al"]\n    phone: Domain[str, "x", "y"]\n'
+            "class S:\n    hs: list[H, 1]\n"
+            f"def v(s: S) -> None:\n    a = nondet(s.hs)\n    {body}\n"
+        )
+        assert propagate_domains(model) == {0: [0], 1: [phone], 2: [0]}
+        assert solve(model).stats.decisions == 0
 
     def test_contradiction_is_reported_not_raised(self):
         model = flat_model(
@@ -355,7 +376,7 @@ class TestBruteForce:
         )
         text = render_dsl(dataclasses.replace(puzzle, clues=clues)).text
         model = _model(_off_by_one(text, n))
-        assert model.rows_orderable()
+        assert orders_rows(model)
         solutions = brute_force(model, cap=100_000)
         assert len(solutions) == 1
         assert decode(model, solutions[0]) == decode(model, solve(model).assignment)
@@ -490,16 +511,22 @@ def assert_matches_generic(model, rng: random.Random, trials: int = 8) -> int:
     compiled = model if isinstance(model, engine.CompiledModel) else engine.CompiledModel(model)
     solver = engine._Search(compiled.view(()), Budget())
     dedicated = 0
-    # the all-different groups' propagators come first in the work list
+    # the all-different groups' propagators come first in the work list,
+    # then the constraints', then the row order's
     constraint_propagators = compiled.propagators[compiled.n_groups :]
-    for meta, propagator in zip(compiled.meta, constraint_propagators):
-        generic = (engine._Search._propagate_generic, (meta,))
+    pos = compiled.position_vars or []
+    row_order = [CCmp("<", CVar(a), CVar(b)) for a, b in zip(pos, pos[1:])]
+    model = compiled.model
+    items = [*zip(model.constraints, model.scopes), *((c, reference_scope(c)) for c in row_order)]
+    assert len(items) == len(constraint_propagators)
+    for (expr, scope), propagator in zip(items, constraint_propagators):
+        generic = (engine._Search._propagate_generic, (expr, scope))
         dedicated += propagator[0] is not engine._Search._propagate_generic
         for _ in range(trials):
             doms = _sub_domains(compiled, rng)
             assert _outcome(compiled, solver, propagator, doms) == _outcome(
                 compiled, solver, generic, doms
-            ), meta.expr
+            ), expr
     return dedicated
 
 
@@ -525,7 +552,8 @@ def selector_model(domains, tables, constraints) -> ConstraintModel:
     model = flat_model(domains)
     n = len(domains)
     selectors = [SelectorVar(n + i, len(t), "C", f"choice{i}") for i, t in enumerate(tables)]
-    model = ConstraintModel(model.vars, selectors, [], list(constraints), model.layout)
+    scopes = [reference_scope(c) for c in constraints]
+    model = ConstraintModel(model.vars, selectors, [], list(constraints), scopes, model.layout)
     validate_model(model)
     return model
 
@@ -556,8 +584,9 @@ class TestDedicatedPropagators:
             # and each of the n - 1 row-order constraints has a dedicated one
             compiled = engine.CompiledModel(model)
             assert compiled.orders_rows(tuple(range(len(model.constraints))))
-            assert len(compiled.meta) == len(model.constraints) + n - 1
-            assert assert_matches_generic(compiled, rng) == len(compiled.meta)
+            items = len(compiled.propagators) - compiled.n_groups
+            assert items == len(model.constraints) + n - 1
+            assert assert_matches_generic(compiled, rng) == items
 
     def test_repeated_table_ids_match_generic(self):
         # tables name a var twice, and both sides of a pair share vars
@@ -954,9 +983,8 @@ class TestDerivedViews:
 
     @staticmethod
     def _agrees_with_brute_force(view, truth):
-        model = view.compiled.model
-        cut = dataclasses.replace(model, constraints=[model.constraints[i] for i in view.active])
-        tables = {decode(cut, a) for a in brute_force(cut)}
+        model = cut(view.compiled.model, view.active)
+        tables = {decode(model, a) for a in brute_force(model)}
         assert truth in tables
         report = find_second(view, truth)
         if report.second is None:
@@ -1031,7 +1059,10 @@ class TestGoldenCounters:
 
     def assert_counts(self, model: ConstraintModel, expected: tuple) -> None:
         assert self.counters(model) == expected
-        generic = lambda compiled, meta: (engine._Search._propagate_generic, (meta,))  # noqa: E731
+
+        def generic(compiled, expr, scope):
+            return engine._Search._propagate_generic, (expr, scope)
+
         with mock.patch.object(engine.CompiledModel, "_propagator", generic):
             assert self.counters(model) == expected
 
@@ -1096,8 +1127,8 @@ def _resumed_against_fresh(
 def _oracle_tables(model: ConstraintModel, active) -> list:
     """The tables brute force finds for the constraints at ``active``, in
     the order it first meets them."""
-    cut = dataclasses.replace(model, constraints=[model.constraints[i] for i in active])
-    return list(dict.fromkeys(decode(cut, a) for a in brute_force(cut, cap=2_000_000)))
+    model = cut(model, active)
+    return list(dict.fromkeys(decode(model, a) for a in brute_force(model, cap=2_000_000)))
 
 
 def _assert_agrees_with_brute_force(model: ConstraintModel, tables: list, outcome, report) -> None:
