@@ -24,7 +24,6 @@ from ..frontend.ast import (
     Compare,
     Expr,
     FieldAccess,
-    FieldDecl,
     Index,
     IntLit,
     IntRange,

@@ -6,9 +6,15 @@ a frozen dataclass, which sets each field through ``object.__setattr__``,
 costs several times as much to build. ``tests/test_ir.py`` checks that no
 stage writes a node.
 
-Source positions are carried for diagnostics but left out of equality, hash
-and repr, so two parses of equivalent source compare equal structurally (the
-pretty-print/re-parse round trip relies on this).
+Each node's ``pos`` is the offset of its first token in ``DslProgram.text``:
+the text it was parsed from, with ``\\r\\n`` and a lone ``\\r`` turned into
+``\\n`` and a ``\\n`` added at the end. No stage reads a position on the way
+to a result; ``locate`` turns one into a line and column only where a
+diagnostic is raised. Positions and the text are left out of equality,
+hash and repr, so two parses of equivalent source compare equal
+structurally (the pretty-print/re-parse round trip relies on this). A tree
+built as nodes, not parsed (``bench/render.py``), carries ``NO_POS``, which
+resolves to ``0:0``.
 """
 
 from __future__ import annotations
@@ -22,11 +28,20 @@ STR = "str"
 
 @dataclass(slots=True, unsafe_hash=True)
 class Pos:
+    """A line and column, both from 1, as a diagnostic shows them."""
+
     line: int = 0
     col: int = 0
 
 
-NO_POS = Pos()
+NO_POS = -1
+
+
+def locate(text: str, offset: int) -> Pos:
+    """The line and column of ``offset`` in ``text``; ``0:0`` for NO_POS."""
+    if offset < 0:
+        return Pos()
+    return Pos(text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 
 def _pos_field():
@@ -65,7 +80,7 @@ class FieldDecl:
     unique: bool = False
     domain: DomainSpec | None = None
     list_len: int | None = None
-    pos: Pos = _pos_field()
+    pos: int = _pos_field()
 
     @property
     def is_class_ref(self) -> bool:
@@ -76,7 +91,7 @@ class FieldDecl:
 class ClassDecl:
     name: str
     fields: tuple[FieldDecl, ...]
-    pos: Pos = _pos_field()
+    pos: int = _pos_field()
 
     def field_named(self, name: str) -> FieldDecl | None:
         for f in self.fields:
@@ -91,45 +106,45 @@ class ClassDecl:
 @dataclass(slots=True, unsafe_hash=True)
 class IntLit:
     value: int
-    pos: Pos = _pos_field()
+    pos: int = _pos_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class StrLit:
     value: str
-    pos: Pos = _pos_field()
+    pos: int = _pos_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class LocalRef:
     name: str
-    pos: Pos = _pos_field()
+    pos: int = _pos_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class FieldAccess:
     obj: "Expr"
     field: str
-    pos: Pos = _pos_field()
+    pos: int = _pos_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Index:
     obj: "Expr"
     index: int
-    pos: Pos = _pos_field()
+    pos: int = _pos_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Nondet:
     arg: "Expr"
-    pos: Pos = _pos_field()
+    pos: int = _pos_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Abs:
     arg: "Expr"
-    pos: Pos = _pos_field()
+    pos: int = _pos_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -137,7 +152,7 @@ class Binary:
     op: str  # + - *
     left: "Expr"
     right: "Expr"
-    pos: Pos = _pos_field()
+    pos: int = _pos_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -145,20 +160,20 @@ class Compare:
     op: str  # == != < <= > >=
     left: "Expr"
     right: "Expr"
-    pos: Pos = _pos_field()
+    pos: int = _pos_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class BoolOp:
     op: str  # and | or
     operands: tuple["Expr", ...]
-    pos: Pos = _pos_field()
+    pos: int = _pos_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Not:
     operand: "Expr"
-    pos: Pos = _pos_field()
+    pos: int = _pos_field()
 
 
 Expr = Union[
@@ -173,19 +188,19 @@ Expr = Union[
 class Assign:
     target: str
     value: Expr
-    pos: Pos = _pos_field()
+    pos: int = _pos_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Assume:
     expr: Expr
-    pos: Pos = _pos_field()
+    pos: int = _pos_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Assert:
     expr: Expr
-    pos: Pos = _pos_field()
+    pos: int = _pos_field()
 
 
 Stmt = Union[Assign, Assume, Assert]
@@ -197,13 +212,14 @@ class FuncDecl:
     param_name: str
     param_type: str
     body: tuple[Stmt, ...]
-    pos: Pos = _pos_field()
+    pos: int = _pos_field()
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class DslProgram:
     classes: tuple[ClassDecl, ...]
     functions: tuple[FuncDecl, ...]
+    text: str = field(default="", compare=False, repr=False)  # the parsed text the offsets index
 
 
 def children(expr: Expr) -> tuple[Expr, ...]:

@@ -35,8 +35,8 @@ from .ast import (
     LocalRef,
     Nondet,
     Not,
-    Pos,
     StrLit,
+    locate,
 )
 
 _INT_ONLY_OPS = frozenset({"<", "<=", ">", ">="})
@@ -119,7 +119,8 @@ class _Checker:
         self.origin = origin
         self.classes: dict[str, ClassDecl] = {}
 
-    def err(self, category: str, message: str, pos: Pos) -> SemanticError:
+    def err(self, category: str, message: str, offset: int) -> SemanticError:
+        pos = locate(self.program.text, offset)
         return SemanticError(category, message, self.origin, pos.line, pos.col)
 
     def run(self) -> CheckedProgram:
@@ -132,7 +133,7 @@ class _Checker:
 
         funcs = self.program.functions
         if len(funcs) == 0:
-            raise self.err("NoEntryFunction", "no validation function defined", Pos(1, 1))
+            raise self.err("NoEntryFunction", "no validation function defined", 0)
         if len(funcs) > 1:
             raise self.err(
                 "MultipleEntryFunctions",
@@ -250,7 +251,7 @@ class _Checker:
             else:  # pragma: no cover - parser emits no other statements
                 raise self.err("TypeMismatch", "unsupported statement", stmt.pos)
 
-    def check_result_shape(self, cls: ClassDecl, pos: Pos) -> None:
+    def check_result_shape(self, cls: ClassDecl, pos: int) -> None:
         list_fields = [f for f in cls.fields if f.list_len is not None]
         scalar_fields = [f for f in cls.fields if f.list_len is None]
         if len(list_fields) > 1:

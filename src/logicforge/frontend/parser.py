@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import keyword
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress
 
@@ -88,10 +87,10 @@ from .ast import (
     LocalRef,
     Nondet,
     Not,
-    Pos,
     Stmt,
     StrLit,
     children,
+    locate,
 )
 
 RESERVED = frozenset({"assume", "nondet", "abs"})
@@ -184,7 +183,6 @@ class _Parser:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         self.text = text = text + "\n"
         self.origin = source.origin
-        self.starts = [0, *(m.end() for m in re.finditer("\n", text))]  # of every line
         # spaces and tokens alternate in ``flat``, so the running length at
         # each run of spaces is the offset of the token after it
         flat = list(chain.from_iterable(_TOKEN.findall(text)))
@@ -211,15 +209,8 @@ class _Parser:
 
     # -- positions and errors ----------------------------------------------
 
-    def pos(self, i: int) -> Pos:
-        return self.locate(self.offsets[i])
-
-    def locate(self, offset: int) -> Pos:
-        line = bisect_right(self.starts, offset)
-        return Pos(line, offset - self.starts[line - 1] + 1)
-
     def err_at(self, offset: int, message: str) -> DslSyntaxError:
-        pos = self.locate(offset)
+        pos = locate(self.text, offset)
         return DslSyntaxError(message, self.origin, pos.line, pos.col)
 
     def err(self, i: int, message: str) -> DslSyntaxError:
@@ -349,7 +340,7 @@ class _Parser:
         while tokens[self.i]:
             if self.indentation():
                 raise self.err(self.i, "unexpected indentation")
-            pos = self.pos(self.i)
+            pos = self.offsets[self.i]
             if tokens[self.i] == "class":
                 self.i += 1
                 name = self.name()
@@ -374,7 +365,7 @@ class _Parser:
                 functions.append(FuncDecl(name, param, param_type, self.block(self.stmt), pos))
             else:
                 raise self.err(self.i, "expected a class or function definition")
-        return DslProgram(tuple(classes), tuple(functions))
+        return DslProgram(tuple(classes), tuple(functions), self.text)
 
     def block(self, item) -> tuple:
         """A block's fields or statements: one or more lines, each at the
@@ -395,7 +386,7 @@ class _Parser:
         return tuple(items)
 
     def field_decl(self) -> FieldDecl:
-        pos = self.pos(self.i)
+        pos = self.offsets[self.i]
         if self.tokens[self.i + 1] != ":":
             raise self.err(self.i, "expected a field declaration 'name: type'")
         name = self.name()
@@ -451,7 +442,7 @@ class _Parser:
     def stmt(self) -> Stmt:
         tokens = self.tokens
         start = self.i
-        pos = self.pos(start)
+        pos = self.offsets[start]
         first = tokens[start]
         if first == "assert":
             self.i += 1
@@ -494,7 +485,7 @@ class _Parser:
             if precedence > 3:
                 raise self.fail("an expression")
             self.i += 1
-            left = Not(self.expr(3, depth + 1), self.pos(start))
+            left = Not(self.expr(3, depth + 1), self.offsets[start])
         else:
             left = self.operand(depth)
         while True:
@@ -509,14 +500,14 @@ class _Parser:
                 while tokens[self.i] == op:
                     self.i += 1
                     operands.append(self.expr(binding + 1, depth + 1))
-                left = BoolOp(op, tuple(operands), self.pos(start))
+                left = BoolOp(op, tuple(operands), self.offsets[start])
             elif binding == 4:
                 right = self.expr(5, depth + 1)
                 if _PRECEDENCE.get(tokens[self.i]) == 4:
                     raise self.err(self.i, "chained comparisons are not supported")
-                left = Compare(op, left, right, self.pos(at))
+                left = Compare(op, left, right, self.offsets[at])
             else:
-                left = Binary(op, left, self.expr(binding + 1, depth + 1), self.pos(at))
+                left = Binary(op, left, self.expr(binding + 1, depth + 1), self.offsets[at])
 
     def operand(self, depth: int) -> Expr:
         """A negated literal, or an atom with its field accesses and indexes."""
@@ -530,20 +521,20 @@ class _Parser:
                         raise self.err(i, f"{token!r} is reserved")
                     raise self.fail("an expression")
                 self.i += 2
-                node = _CALLS[token](self.expr(1, depth + 1), self.pos(i))
+                node = _CALLS[token](self.expr(1, depth + 1), self.offsets[i])
                 if tokens[self.i] == ",":
                     raise self.err(i, "only 'nondet' and 'abs' may be called, with one argument")
                 self.expect(")")
             else:
-                node = LocalRef(token, self.pos(i))
+                node = LocalRef(token, self.offsets[i])
                 self.i += 1
         elif token.isdigit():
             if len(token) > MAX_DIGITS:
                 raise self.err(i, "integer literal too long")
-            node = IntLit(int(token), self.pos(i))
+            node = IntLit(int(token), self.offsets[i])
             self.i += 1
         elif token == "-":  # no trailers follow: -1 .a is -(1 .a)
-            return IntLit(self.integer(), self.pos(i))
+            return IntLit(self.integer(), self.offsets[i])
         elif token == "(":
             if self.parens == MAX_NESTING:
                 raise self.err(i, f"parentheses nested too deeply (more than {MAX_NESTING} levels)")
@@ -553,7 +544,7 @@ class _Parser:
             self.expect(")")
             self.parens -= 1
         elif token[:1] in _QUOTES:
-            node = StrLit(self.string(), self.pos(i))
+            node = StrLit(self.string(), self.offsets[i])
         else:
             raise self.fail("an expression")
         while True:
@@ -565,10 +556,10 @@ class _Parser:
                     self.i += 1
                     raise self.fail("a field name")
                 self.i += 2
-                node = FieldAccess(node, field, self.pos(i))
+                node = FieldAccess(node, field, self.offsets[i])
             elif token == "[":
                 self.i += 1
-                node = Index(node, self.integer(), self.pos(i))
+                node = Index(node, self.integer(), self.offsets[i])
                 self.expect("]")
             elif token == "(":
                 raise self.err(i, "only 'nondet' and 'abs' may be called, with one argument")

@@ -5,29 +5,33 @@ import re
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logicforge.bench import load_dataset
 from logicforge.bench.puzzle import AT_POSITION, Clue, generate_puzzle
 from logicforge.bench.render import render_constraints, render_data_structure, render_dsl
 from logicforge.cemit import emit
 from logicforge.errors import DslSyntaxError, InternalError, LogicForgeError, SemanticError
 from logicforge.frontend import SourceText, check, parse, pretty
 from logicforge.frontend.ast import (
+    Assert,
     Assign,
     Assume,
     ClassDecl,
     DslProgram,
     EnumValues,
+    FieldAccess,
     FieldDecl,
     FuncDecl,
     IntLit,
     IntRange,
     LocalRef,
     Nondet,
-    Pos,
+    locate,
 )
 from logicforge.frontend.parser import MAX_NESTING
 from logicforge.model import decode, lower
@@ -427,6 +431,62 @@ class TestCheck:
         )
 
 
+_HEAD_C = "class C:\n    a: Domain[int, range(1, 3)]\ndef v(x: C) -> None:\n"
+_CRLF = (_HEAD_C + "    assert (x.a == 1 or\n            x.b == 2)\n").replace("\n", "\r\n")
+_NO_FIELD = "UnknownName: class 'C' has no field 'b'"
+_BUILT = DslProgram(
+    (ClassDecl("C", (FieldDecl("a", "int", False, IntRange(1, 3)),)),),
+    (FuncDecl("v", "x", "C", (Assert(FieldAccess(LocalRef("x"), "b")),)),),
+)
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "corpus.jsonl"
+
+
+class TestPositions:
+    """Nodes carry offsets into the parsed text; a diagnostic resolves its
+    own to a line and column."""
+
+    @pytest.mark.parametrize(
+        "source,diagnostic",
+        [
+            pytest.param(_CRLF, f"f:5:14: {_NO_FIELD}", id="crlf-in-brackets"),
+            pytest.param(
+                (_HEAD_C + "    assert x.b == 1\n").replace("\n", "\r"),
+                f"f:4:13: {_NO_FIELD}",
+                id="lone-cr",
+            ),
+            pytest.param(
+                _HEAD_C.replace("int, range(1, 3)", 'str, "\u00e9", "b"') + "    assert x.b == 1\n",
+                f"f:4:13: {_NO_FIELD}",
+                id="non-ascii",
+            ),
+            pytest.param(
+                'class C:\n    a: Domain[str, "x\\q"]\n',
+                "f:2:22: syntax: invalid escape sequence '\\q'",
+                id="bad-escape",
+            ),
+            pytest.param(
+                "class C:\n    a: Domain[int, range(1, 3)]\n",
+                "f:1:1: NoEntryFunction: no validation function defined",
+                id="no-function",
+            ),
+            pytest.param(_BUILT, f"f:0:0: {_NO_FIELD}", id="built-with-no-text"),
+        ],
+    )
+    def test_diagnostic_positions(self, source, diagnostic):
+        with pytest.raises((DslSyntaxError, SemanticError)) as info:
+            program = parse(SourceText(source, "f")) if isinstance(source, str) else source
+            check(program, "f")
+        assert info.value.diagnostic() == diagnostic
+
+    def test_parsed_nodes_hold_offsets(self):
+        tasks, _ = load_dataset(CORPUS)
+        texts = [path.read_text(encoding="utf-8") for path in sorted(DATA_DIR.glob("*.lpy"))]
+        texts += [render_dsl(task.instance).text for task in tasks[:: len(tasks) // 20][:20]]
+        for text in texts:
+            positions = _positions(parse(text))
+            assert positions and all(type(pos) is int for pos in positions)
+
+
 # --- mutated source text --------------------------------------------------------
 
 _TOKEN = re.compile(r'"[^"\n]*"|\w+|\s+|.')
@@ -517,7 +577,7 @@ class TestGrowth:
 # --- the parser against the reference ---------------------------------------------
 
 
-def _positions(node) -> list[Pos]:
+def _positions(node) -> list:
     """The pos of every node in ``node``, depth first: ``==`` leaves them out."""
     if isinstance(node, tuple):
         return [pos for item in node for pos in _positions(item)]
@@ -525,7 +585,7 @@ def _positions(node) -> list[Pos]:
     if dataclasses.is_dataclass(node):
         for f in dataclasses.fields(node):
             value = getattr(node, f.name)
-            found += [value] if isinstance(value, Pos) else _positions(value)
+            found += [value] if f.name == "pos" else _positions(value)
     return found
 
 
@@ -545,7 +605,9 @@ def parsers_agree(text: str) -> bool:
     assert (program is None) == (reference is None), why if reference is None else "parser rejects"
     if program is not None:
         assert program == reference
-        assert _positions(program) == _positions(reference)
+        # the reference's nodes hold a line and column, the parser's an offset
+        resolved = [locate(program.text, offset) for offset in _positions(program)]
+        assert resolved == _positions(reference)
     return program is not None
 
 

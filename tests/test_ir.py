@@ -77,7 +77,7 @@ from logicforge.solver.engine import Budget, compile_model, find_second, solve
 from strategies import programs, scalar_programs
 
 
-def positions(node) -> list[tuple[str, int, int]]:
+def positions(node) -> list[tuple[str, object]]:
     """Every ``pos`` under ``node``, depth first: the part of a tree that
     equality does not see."""
     found = []
@@ -93,7 +93,7 @@ def positions(node) -> list[tuple[str, int, int]]:
             for f in dataclasses.fields(value):
                 child = getattr(value, f.name)
                 if f.name == "pos":
-                    found.append((type(value).__name__, child.line, child.col))
+                    found.append((type(value).__name__, child))
                 else:
                     visit(child)
 
