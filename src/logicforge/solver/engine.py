@@ -45,11 +45,10 @@ a fixpoint of every propagator, so one whose ids did not change would change
 nothing. Each search state also carries one int mask of inert items, which
 are never scheduled: the items that are off, and each dedicated propagator
 whose last run left a state that entails it (Schulte and Stuckey's subsumed
-propagators: ``E == L`` once its selector is fixed and its var is the
-literal, ``E != L`` once its selector is fixed and its var lacks the literal,
-a pair once both selectors and both vars are fixed, ``V1 < V2`` once
-``max(V1) < min(V2)``, a group once every var is fixed). Such an item would
-change nothing in the state's subtree; a child copies the mask, so
+propagators: a literal mask once its selector is fixed, leaving its var in
+the mask, a pair once both selectors and both vars are fixed, ``V1 < V2``
+once ``max(V1) < min(V2)``, a group once every var is fixed). Such an item
+would change nothing in the state's subtree; a child copies the mask, so
 backtracking restores it. The items still run in the order of a full pass
 over the work list followed by a FIFO queue, minus runs that change nothing,
 so each removal, contradiction point and propagation count is that of the
@@ -112,24 +111,24 @@ propagated again from the declared domains, so that the count stops where a
 full pass fails.
 
 The singleton tests of the generic evaluator re-walk the constraint tree once
-per tested value. When the model is compiled, each constraint whose shape the
-lowering or the row order emits gets a dedicated
-propagator instead (E is ``elem(selector, table)``, L a literal, V a
-variable):
+per tested value. So when the model is compiled, each constraint is read as
+the relation it states, however it is spelled (E is ``elem(selector, table)``,
+each named once, the rest literals), and gets a dedicated propagator where
+the relation is one of two families:
 
-* ``E == L`` and ``E != L``;
-* ``E1 == E2 - L``, ``E1 < E2`` and ``abs(E1 - E2) == L`` over two distinct
-  selectors, when the value sets stay within ``_SET_CAP`` so that the generic
-  arithmetic is exact, and the literal shifts a mask by less than its width;
-* ``V1 < V2`` over two distinct variables.
+* one element against literals (``E == L``, ``L <= E``, ``E + 1 != L``, or
+  an ``or`` of such over one element): E takes a value of a literal mask;
+* two elements of distinct selectors: a difference set, ``E1 - E2`` in D
+  (``==`` gives one difference, ``abs(E1 - E2) == L`` two or none, an ``or``
+  over the pair the union), or a threshold, ``E1 - E2 < m`` (``<`` and
+  ``<=`` with any offset);
 
-A dedicated propagator removes exactly the values the generic singleton tests
-remove, in the same order, and fails in the same states, so fixpoints,
-decision and propagation counts and assignments do not depend on which one
-ran. Lowering writes each comparison one way, so a clue reaches them however
-it is spelled. The generic evaluator, which converts masks to value sets at
-its boundary, serves only shapes that neither emits (``and``, ``or``, ``<=``,
-the same selector on both sides, wide arithmetic, ...).
+and so does ``V1 < V2`` over two distinct variables, the row order. An
+``==`` is read only where no set the generic arithmetic builds can pass
+``_SET_CAP`` and widen to its range. Each removes exactly the values the
+generic singleton tests remove, in the same order, and fails in the same
+states, so no fixpoint, count or assignment depends on which one ran. The
+generic evaluator serves the rest (``and``, one selector on both sides, ...).
 
 Pruning only ever uses over-approximations of reachable values, so no value
 belonging to a satisfying assignment is removed.
@@ -151,8 +150,9 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import partial, reduce
 from itertools import chain
+from math import prod
 from operator import itemgetter
 from typing import Callable, Iterator, NoReturn
 
@@ -365,7 +365,7 @@ def _bases(lows: list[int], ties) -> list[int]:
     while changed:  # one pass when every tie holds one domain, as lowered
         changed = False
         for ids in ties:
-            low = min([base[v] for v in ids])
+            low = min(map(base.__getitem__, ids))
             for v in ids:
                 if base[v] != low:
                     base[v] = low
@@ -395,60 +395,64 @@ def _elem_values_except(doms, sel: int, table, var: int) -> tuple[int, bool]:
     return out, hit
 
 
-def _elem_pair(expr: CCmp) -> tuple[CElem, CElem, str, int] | None:
-    """Match ``E1 < E2``, ``E1 == E2 - L`` and ``abs(E1 - E2) == L`` over two
-    distinct selectors: (E1, E2, the shape ``<``, ``-`` or ``abs``, L)."""
-    left, right = expr.left, expr.right
-    if expr.op == "<" and isinstance(left, CElem) and isinstance(right, CElem):
-        e1, e2, shape, k = left, right, "<", 0
-    elif (
-        expr.op == "=="
-        and isinstance(left, CElem)
-        and isinstance(right, CBin)
-        and right.op == "-"
-        and isinstance(right.left, CElem)
-        and isinstance(right.right, CLit)
-    ):
-        e1, e2, shape, k = left, right.left, "-", right.right.value
-    elif (
-        expr.op == "=="
-        and isinstance(right, CLit)
-        and isinstance(left, CAbs)
-        and isinstance(left.arg, CBin)
-        and left.arg.op == "-"
-        and isinstance(left.arg.left, CElem)
-        and isinstance(left.arg.right, CElem)
-    ):
-        e1, e2, shape, k = left.arg.left, left.arg.right, "abs", right.value
-    else:
-        return None
-    return (e1, e2, shape, k) if e1.selector != e2.selector else None
-
-
-# Relations over a value mask xs of one side and ys of the other, where bit j
-# of ys is value d + j in the bits of xs (d: the difference of the bases);
-# each is truthy when some x of xs and y of ys satisfy it. A shift t matches
-# bit j of ys with bit j + t of xs.
+# Relations over value masks xs and ys, bit j of ys being value d + j in the
+# bits of xs (d: the difference of the bases), truthy when some x of xs and y
+# of ys satisfy them. A shift t matches bit j of ys with bit j + t of xs.
 
 
 def _less(d: int, xs: int, ys: int) -> bool:
-    """min(xs) < max(ys): the lowest bit of xs below the highest of ys."""
+    """min(xs) < max(ys), the lowest bit of xs below the highest of ys; x - y < m at d + m."""
     return (xs & -xs).bit_length() < ys.bit_length() + d
 
 
-def _equals_minus(t: int, xs: int, ys: int) -> int:
-    """x == y - L, where t = d - L."""
-    return xs & (ys << t if t >= 0 else ys >> -t)
-
-
-def _abs_difference_is(t1: int, t2: int, xs: int, ys: int) -> int:
-    """abs(x - y) == L for L >= 0, where t1 = d + L and t2 = d - L."""
-    return xs & ((ys << t1 if t1 >= 0 else ys >> -t1) | (ys << t2 if t2 >= 0 else ys >> -t2))
-
-
-def _never(xs: int, ys: int) -> bool:
-    """abs(x - y) == L for L < 0."""
+def _shifted(shifts: tuple[int, ...], xs: int, ys: int) -> bool:
+    """x - y in a set of differences, each k at the shift t = d + k."""
+    for t in shifts:
+        if xs & (ys << t if t >= 0 else ys >> -t):
+            return True
     return False
+
+
+def _sum(expr: CExpr, sign: int, terms: list) -> int | None:
+    """``sign`` times ``expr`` read as a sum of elements and literals: each
+    element is appended to ``terms`` with its sign, and the literal part is
+    returned; None where ``expr`` is no such sum."""
+    kind = type(expr)
+    if kind is CLit:
+        return sign * expr.value
+    if kind is CElem:
+        terms.append((sign, expr))
+        return 0
+    if kind is not CBin or expr.op == "*":
+        return None
+    left = _sum(expr.left, sign, terms)
+    right = _sum(expr.right, -sign if expr.op == "-" else sign, terms)
+    return None if left is None or right is None else left + right
+
+
+def _union(a: tuple | None, b: tuple | None) -> tuple | None:
+    """The reading of ``a or b``: one element's literal masks joined, or one
+    pair's difference sets in either operand order; None for the rest."""
+    if a is None or b is None or (a[1] is not None and not isinstance(a[2], set)):
+        return None  # a threshold joins nothing
+    (x, y, ra), (x2, y2, rb) = a, b
+    if (x2, y2) == (y, x) and isinstance(rb, set):
+        x2, y2, rb = x, y, {-k for k in rb}
+    return (x, y, ra | rb) if (x2, y2) == (x, y) and type(rb) is type(ra) else None
+
+
+def _literal_mask(op: str, sign: int, i: int, width: int) -> int:
+    """The mask of the bits j below ``width`` with ``j op i``, or ``i op j``
+    where ``sign`` is -1: a bit, its complement, a prefix or a suffix."""
+    bit = 1 << i if 0 <= i < width else 0
+    if op == "==":
+        return bit
+    full = (1 << width) - 1
+    if op == "!=":
+        return full ^ bit
+    n = i + (op == "<=") if sign > 0 else i + (op == "<")  # the bits below n, or from n up
+    prefix = (1 << min(max(n, 0), width)) - 1
+    return prefix if sign > 0 else full ^ prefix
 
 
 class CompiledModel:
@@ -475,7 +479,7 @@ class CompiledModel:
         # so each declared mask is a run of bits, built without its values
         self.declared = [((1 << len(r)) - 1) << (r.start - b) for r, b in zip(ranges, self.base)]
         # no literal shifts a mask by this much or more
-        self.width = max(m.bit_length() for m in self.declared)
+        self.width = max(self.declared).bit_length()
         # (function, arguments) per work-list item; unbound, so that a model
         # holds no reference cycle and is freed as soon as it is dropped
         self.propagators: list[tuple[Callable[..., bool], tuple]] = []
@@ -485,14 +489,17 @@ class CompiledModel:
             # a group's runs are looked up in _GROUP_TABLE (_propagate_group)
             # when its masks are narrow; a repeated var would make one key
             # stand for two different runs
-            narrow = max(self.declared[v] for v in group).bit_length() <= _TABLED_MASK_BITS
+            narrow = max(map(self.declared.__getitem__, group)).bit_length() <= _TABLED_MASK_BITS
             if narrow and len(set(group)) == len(group):
                 self._add((_Search._propagate_group, (group, itemgetter(*group))), group)
             else:
                 self._add((_Search._group_pass, (group,)), group)
         self.n_groups = len(model.alldiff_groups)
         for expr, scope in zip(model.constraints, model.scopes):
-            watched = [*scope.vars, *chain.from_iterable((s, *t) for s, t in scope.elems)]
+            watched = list(scope.vars)
+            for sel, table in scope.elems:
+                watched.append(sel)
+                watched += table
             self._add(self._propagator(expr, scope), watched)
         # with more than one row, a constraint that names a row var directly
         # ties that row to its slot, and keeps the row order off
@@ -517,8 +524,9 @@ class CompiledModel:
     def _add(self, propagator: tuple[Callable[..., bool], tuple], watched) -> None:
         bit = 1 << len(self.propagators)
         self.propagators.append(propagator)
+        watchers = self.watchers
         for ident in watched:
-            self.watchers[ident] |= bit
+            watchers[ident] |= bit
 
     def view(self, active) -> "ModelView":
         """This model with only the constraints at ``active`` (indices into
@@ -599,68 +607,78 @@ class CompiledModel:
     # -- propagator matching -------------------------------------------------
 
     def _propagator(self, expr: CExpr, scope: Scope) -> tuple[Callable[..., bool], tuple]:
-        """The dedicated propagator for the shape of ``expr``, else the generic
-        one, as an unbound _Search method and the arguments that follow
-        (doms, dirty)."""
-        if isinstance(expr, CCmp):
-            left, right = expr.left, expr.right
+        """The dedicated propagator for the relation ``expr`` states, else the
+        generic one, as an unbound _Search method and the arguments that
+        follow (doms, dirty)."""
+        reading = self._reading(expr)
+        if reading is None:
             if (
-                expr.op == "<"
-                and isinstance(left, CVar)
-                and isinstance(right, CVar)
-                and left.var != right.var
+                isinstance(expr, CCmp)
+                and expr.op == "<"
+                and isinstance(expr.left, CVar)
+                and isinstance(expr.right, CVar)
+                and expr.left.var != expr.right.var
             ):
-                d = self.base[right.var] - self.base[left.var]
-                return _Search._propagate_less_vars, (left.var, right.var, d)
-            if isinstance(right, CLit) and expr.op in ("==", "!=") and isinstance(left, CElem):
-                method = _Search._propagate_elem_eq if expr.op == "==" else _Search._propagate_elem_ne
-                i = right.value - self.base[left.table[0]]
-                bit = 1 << i if 0 <= i < self.width else 0
-                return method, (left.selector, left.table, bit)
-            pair = _elem_pair(expr)
-            relation = self._pair_relation(*pair) if pair else None
-            if relation is not None:
-                e1, e2 = pair[:2]
-                return _Search._propagate_elem_pair, (
-                    e1.selector,
-                    e1.table,
-                    e2.selector,
-                    e2.table,
-                    relation,
-                )
-        return _Search._propagate_generic, (expr, scope)
-
-    def _pair_relation(self, e1: CElem, e2: CElem, shape: str, k: int):
-        """The relation between the value masks of e1 and e2 for a matched
-        pair shape, or None where the generic evaluator serves: where its
-        arithmetic could exceed _SET_CAP and widen a set to its range, which
-        an exact relation would not do, or where L shifts a mask by the
-        widest mask's width or more (no two values can then satisfy it)."""
-        d = self.base[e2.table[0]] - self.base[e1.table[0]]
-        if shape == "<":
-            return partial(_less, d)
-        r1, r2 = self._reach(e1), self._reach(e2)
-        if shape == "-":
-            if r2.bit_count() > _SET_CAP:
-                return None
-            shifts: tuple[int, ...] = (d - k,)
+                a, b = expr.left.var, expr.right.var
+                return _Search._propagate_less_vars, (a, b, self.base[b] - self.base[a])
+            return _Search._propagate_generic, (expr, scope)
+        x, y, relation = reading
+        if y is None:
+            return _Search._propagate_elem_in, (x.selector, x.table, relation)
+        d = self.base[y.table[0]] - self.base[x.table[0]]
+        if isinstance(relation, set):
+            # a shift by the widest mask's width or more meets no bit
+            shifts = sorted(d + k for k in relation if abs(d + k) < self.width)
+            relation = partial(_shifted, tuple(shifts))
         else:
-            if r1.bit_count() * r2.bit_count() > _SET_CAP:
-                return None
-            if k < 0:
-                return _never
-            shifts = (d + k, d - k)
-        if any(abs(t) >= self.width for t in shifts):
-            return None
-        return partial(_equals_minus if shape == "-" else _abs_difference_is, *shifts)
+            relation = partial(_less, d + relation)
+        return _Search._propagate_elem_pair, (x.selector, x.table, y.selector, y.table, relation)
 
-    def _reach(self, elem: CElem) -> int:
-        """The mask of values elem can take under the declared domains (the
-        domains propagation starts from and only ever narrows)."""
-        out = 0
-        for v in elem.table:
-            out |= self.declared[v]
-        return out
+    def _reading(self, expr: CExpr) -> tuple | None:
+        """The relation ``expr`` states over elements it names once each, the
+        rest literals: ``(x, None, mask)``, x takes a value of the literal
+        mask; ``(x, y, diffs)``, x - y is in ``diffs``; ``(x, y, m)``, x - y < m,
+        x and y of distinct selectors. None for the rest, and for an ``==``
+        where a generic set could pass _SET_CAP and widen to its range."""
+        if type(expr) is not CCmp:
+            if type(expr) is CBool and expr.op == "or":
+                return reduce(_union, map(self._reading, expr.parts))
+            return None
+        op, left, right = expr.op, expr.left, expr.right
+        absolute = op == "==" and type(left) is CAbs
+        if absolute:
+            left = left.arg
+        terms: list[tuple[int, CElem]] = []
+        c = _sum(left, 1, terms)
+        if c is None:
+            return None
+        n = len(terms)
+        rest = _sum(right, -1, terms)  # so the terms, c and rest sum to left - right
+        if rest is None or (absolute and len(terms) != n):
+            return None
+        if op == "==" and self.width ** len(terms) > _SET_CAP:
+            # the generic evaluator widens a sum whose two sets' sizes multiply
+            # past the cap; on a side they are at most the product of its
+            # elements' declared value counts, each at most the width
+            declared = self.declared
+            for side, part in ((left, terms[:n]), (right, terms[n:])):
+                sizes = (_elem_values(declared, e.selector, e.table).bit_count() for _, e in part)
+                if type(side) is CBin and prod(sizes) > _SET_CAP:
+                    return None
+        if len(terms) == 1 and not absolute:  # sign * x + c + rest op 0
+            sign, x = terms[0]
+            i = -sign * (c + rest) - self.base[x.table[0]]
+            return x, None, _literal_mask(op, sign, i, self.width)
+        if len(terms) != 2 or op == "!=":
+            return None
+        (s1, x), (s2, y) = terms
+        if s1 == s2 or x.selector == y.selector:
+            return None
+        if s1 < 0:
+            x, y = y, x
+        if absolute:  # abs(x - y + c) == -rest
+            return x, y, {-rest - c, rest - c} if rest <= 0 else set()
+        return x, y, {-c - rest} if op == "==" else (op == "<=") - c - rest
 
 
 @dataclass(frozen=True)
@@ -982,48 +1000,33 @@ class _Search:
 
     # -- dedicated propagators -----------------------------------------------
     #
-    # Each one mirrors _propagate_generic step by step for one constraint
-    # shape: the same initial entailment check, then the selector values in
-    # selector-id order, then the variables those fixed selectors (or the
-    # constraint itself) name, each value tested in domain order. ``bit`` is
-    # a literal's single-bit mask in the bits of its table's vars, 0 when it
-    # lies outside every mask. Each returns whether the state it leaves
-    # entails the constraint, so that no narrower state lets it prune.
+    # Each one mirrors _propagate_generic step by step for one relation: the
+    # same initial entailment check, then the selector values in selector-id
+    # order, then the variables those fixed selectors (or the constraint
+    # itself) name, each value tested in domain order. Each returns whether
+    # the state it leaves entails the constraint, so that no narrower state
+    # lets it prune.
 
-    def _propagate_elem_eq(self, doms: list[int], dirty: set[int], sel: int, table, bit: int) -> bool:
+    def _propagate_elem_in(
+        self, doms: list[int], dirty: set[int], sel: int, table, allow: int
+    ) -> bool:
+        """elem(sel, table) takes a value of the mask ``allow``."""
         choices = doms[sel]
-        hits = 0  # selector bits whose var can take the literal
+        hits = 0  # selector bits whose var can take a value of the mask
         for i in _bits(choices):
-            if doms[table[i]] & bit:
+            if doms[table[i]] & allow:
                 hits |= 1 << i
         if not hits:
             raise Contradiction()
         if hits != choices:
             self._remove(doms, sel, choices ^ hits, dirty)
-        if not hits & (hits - 1):
-            var = table[hits.bit_length() - 1]
-            if doms[var] != bit:
-                self._remove(doms, var, doms[var] ^ bit, dirty)
-            return True  # the selector is fixed and its var is the literal
-        return False
-
-    def _propagate_elem_ne(self, doms: list[int], dirty: set[int], sel: int, table, bit: int) -> bool:
-        choices = doms[sel]
-        fixed = 0  # selector bits whose var is fixed to the literal
-        for i in _bits(choices):
-            if doms[table[i]] == bit:
-                fixed |= 1 << i
-        if fixed == choices:
-            raise Contradiction()
-        if fixed:
-            self._remove(doms, sel, fixed, dirty)
-            choices ^= fixed
-        if not choices & (choices - 1):
-            var = table[choices.bit_length() - 1]
-            if doms[var] & bit and doms[var] != bit:
-                self._remove(doms, var, bit, dirty)
-            return True  # the selector is fixed and its var lacks the literal
-        return False
+        if hits & (hits - 1):
+            return False
+        var = table[hits.bit_length() - 1]
+        drop = doms[var] & ~allow
+        if drop:
+            self._remove(doms, var, drop, dirty)
+        return True  # the selector is fixed and its var lies within the mask
 
     def _propagate_elem_pair(
         self, doms: list[int], dirty: set[int], s1: int, t1, s2: int, t2, relation
@@ -1103,19 +1106,15 @@ class _Search:
     # -- search --------------------------------------------------------------
 
     def _pick(self, doms: list[int]) -> int | None:
-        best = None
-        best_size = None
-        for ident in range(self.n_vars):
-            size = doms[ident].bit_count()
-            if size > 1 and (best_size is None or size < best_size):
-                best, best_size = ident, size
-        if best is not None:
-            return best
-        for ident in self.branched_selectors:
-            size = doms[ident].bit_count()
-            if size > 1 and (best_size is None or size < best_size):
-                best, best_size = ident, size
-        return best
+        for ids in (range(self.n_vars), self.branched_selectors):
+            best = best_size = None
+            for ident in ids:
+                size = doms[ident].bit_count()
+                if size > 1 and (best_size is None or size < best_size):
+                    best, best_size = ident, size
+            if best is not None:
+                return best
+        return None
 
     def _tick(self) -> None:
         self.stats.decisions += 1

@@ -31,7 +31,7 @@ from logicforge.bench.puzzle import LEFT_OF, Clue, generate_puzzle
 from logicforge.bench.score import TaskResult
 from logicforge.cemit import emit
 from logicforge.frontend import SourceText, check, parse
-from logicforge.frontend.ast import Assert, Assume, DslProgram, FuncDecl
+from logicforge.frontend.ast import Assert, Assume, DslProgram
 from logicforge.model import decode, lower
 from logicforge.model.decode import SolutionTable
 from logicforge.solver import Status, brute_force, find_second, solve
@@ -222,15 +222,17 @@ class TestCriterion4AssertAssumeInterchangeable:
             else s
             for s in fn.body
         )
-        flipped = FuncDecl(fn.name, fn.param_name, fn.param_type, body, fn.pos)
-        return DslProgram(program.classes, (flipped,))
+        # replace keeps the program's text, against which diagnostics resolve
+        return dataclasses.replace(program, functions=(dataclasses.replace(fn, body=body),))
 
     def test_flipping_statements_changes_nothing(self):
         tasks = generate_tasks(GenSpec(seed=808, shapes=(("3x3", 10), ("3x4", 10), ("4x4", 5))))
         for task in tasks:
             program = parse(render_dsl(task.instance))
             outcomes = []
-            for variant in (program, self._flip(program, False), self._flip(program, True)):
+            variants = (program, self._flip(program, False), self._flip(program, True))
+            assert {variant.text for variant in variants} == {program.text}
+            for variant in variants:
                 model = lower(check(variant))
                 outcome = solve(model)
                 outcomes.append(
