@@ -46,14 +46,14 @@ nothing. Each search state also carries one int mask of inert items, which
 are never scheduled: the items that are off, and each dedicated propagator
 whose last run left a state that entails it (Schulte and Stuckey's subsumed
 propagators: a literal mask once its selector is fixed, leaving its var in
-the mask, a pair once both selectors and both vars are fixed, ``V1 < V2``
-once ``max(V1) < min(V2)``, a group once every var is fixed). Such an item
-would change nothing in the state's subtree; a child copies the mask, so
-backtracking restores it. The items still run in the order of a full pass
-over the work list followed by a FIFO queue, minus runs that change nothing,
-so each removal, contradiction point and propagation count is that of the
-full pass. The work list, the watch lists and the inert mask are int masks
-with bit ``i`` for item ``i``. The propagators:
+the mask, a pair once both selectors and both vars are fixed, ``V1 - V2 < m``
+once ``max(V1) - min(V2) < m``, a group once every var is fixed). Such an
+item would change nothing in the state's subtree; a child copies the mask,
+so backtracking restores it. The items still run in the order of a full
+pass over the work list followed by a FIFO queue, minus runs that change
+nothing, so each removal, contradiction point and propagation count is that
+of the full pass. The work list, the watch lists and the inert mask are int
+masks with bit ``i`` for item ``i``. The propagators:
 
 * three-valued constraint evaluation over possible-value sets detects
   contradictions and prunes by singleton tests over the constraint's scope:
@@ -91,9 +91,9 @@ The Hall-interval pass tests each var against an interval by the var's
 lowest and highest value, kept as two small ints, and builds an interval's
 mask only where the interval prunes, so its cost per interval does not grow
 with the width of the masks. The time budget is read at each decision and
-every ``_CLOCK_EVERY`` units of propagation work: an item run, or one
-interval start of a Hall pass. So neither one propagation call nor one pass
-over a wide group can outrun the budget by more than that.
+every ``_CLOCK_EVERY`` units of propagation work: an item run, a tested
+value or an interval start of a Hall pass. So no propagation call, however
+wide its domains or group, outruns the budget by more than that.
 
 The fixpoint of a root is unique (every propagator only narrows, and
 removes at least as much from a narrower state), so it does not depend on
@@ -112,23 +112,26 @@ full pass fails.
 
 The singleton tests of the generic evaluator re-walk the constraint tree once
 per tested value. So when the model is compiled, each constraint is read as
-the relation it states, however it is spelled (E is ``elem(selector, table)``,
-each named once, the rest literals), and gets a dedicated propagator where
-the relation is one of two families:
+the relation it states, however it is spelled, over elements E (each named
+once, the rest literals), a plain variable V being ``elem(k, (V,))``, the
+element of the constant selector k: one id past the model's, whose one value
+0 is never branched or watched (a constant view; Schulte and Tack, "Views and
+iterators for generic constraint implementations", CP 2005). Two families of
+relation get a dedicated propagator:
 
 * one element against literals (``E == L``, ``L <= E``, ``E + 1 != L``, or
   an ``or`` of such over one element): E takes a value of a literal mask;
-* two elements of distinct selectors: a difference set, ``E1 - E2`` in D
-  (``==`` gives one difference, ``abs(E1 - E2) == L`` two or none, an ``or``
-  over the pair the union), or a threshold, ``E1 - E2 < m`` (``<`` and
-  ``<=`` with any offset);
+* two elements of distinct selectors, or two distinct plain variables: a
+  difference set, ``E1 - E2`` in D (``==`` gives one difference,
+  ``abs(E1 - E2) == L`` two or none, an ``or`` over the pair the union), or a
+  threshold, ``E1 - E2 < m`` (``<`` and ``<=`` with any offset), by bounds
+  alone between two plain variables, as for the row order.
 
-and so does ``V1 < V2`` over two distinct variables, the row order. An
-``==`` is read only where no set the generic arithmetic builds can pass
+An ``==`` is read only where no set the generic arithmetic builds can pass
 ``_SET_CAP`` and widen to its range. Each removes exactly the values the
-generic singleton tests remove, in the same order, and fails in the same
-states, so no fixpoint, count or assignment depends on which one ran. The
-generic evaluator serves the rest (``and``, one selector on both sides, ...).
+generic singleton tests remove and fails in the same states, so no fixpoint,
+count or assignment depends on which one ran. The generic evaluator serves
+the rest (``and``, one selector on both sides, ...).
 
 Pruning only ever uses over-approximations of reachable values, so no value
 belonging to a satisfying assignment is removed.
@@ -153,8 +156,8 @@ from enum import Enum
 from functools import partial, reduce
 from itertools import chain
 from math import prod
-from operator import itemgetter
-from typing import Callable, Iterator, NoReturn
+from operator import add, eq, itemgetter, le, lt, mul, ne, sub
+from typing import Callable, Iterable, Iterator, NoReturn
 
 from ..errors import BudgetExceeded, InternalError
 from ..model.constraints import (
@@ -226,32 +229,17 @@ def eval_cexpr(expr: CExpr, values) -> int | bool:
         return values[expr.var]
     if isinstance(expr, CElem):
         return values[expr.table[values[expr.selector]]]
-    if isinstance(expr, CBin):
-        left = eval_cexpr(expr.left, values)
-        right = eval_cexpr(expr.right, values)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        return left * right
+    if isinstance(expr, (CBin, CCmp)):
+        return _OPS[expr.op](eval_cexpr(expr.left, values), eval_cexpr(expr.right, values))
     if isinstance(expr, CAbs):
         return abs(eval_cexpr(expr.arg, values))
-    if isinstance(expr, CCmp):
-        left = eval_cexpr(expr.left, values)
-        right = eval_cexpr(expr.right, values)
-        return _CMP[expr.op](left, right)
     assert isinstance(expr, CBool)
     if expr.op == "and":
         return all(eval_cexpr(p, values) for p in expr.parts)
     return any(eval_cexpr(p, values) for p in expr.parts)
 
 
-_CMP: dict[str, Callable[[int, int], bool]] = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-}
+_OPS = {"+": add, "-": sub, "*": mul, "==": eq, "!=": ne, "<": lt, "<=": le}
 
 
 def verify(model: ConstraintModel, assignment: dict[int, int]) -> bool:
@@ -413,23 +401,6 @@ def _shifted(shifts: tuple[int, ...], xs: int, ys: int) -> bool:
     return False
 
 
-def _sum(expr: CExpr, sign: int, terms: list) -> int | None:
-    """``sign`` times ``expr`` read as a sum of elements and literals: each
-    element is appended to ``terms`` with its sign, and the literal part is
-    returned; None where ``expr`` is no such sum."""
-    kind = type(expr)
-    if kind is CLit:
-        return sign * expr.value
-    if kind is CElem:
-        terms.append((sign, expr))
-        return 0
-    if kind is not CBin or expr.op == "*":
-        return None
-    left = _sum(expr.left, sign, terms)
-    right = _sum(expr.right, -sign if expr.op == "-" else sign, terms)
-    return None if left is None or right is None else left + right
-
-
 def _union(a: tuple | None, b: tuple | None) -> tuple | None:
     """The reading of ``a or b``: one element's literal masks joined, or one
     pair's difference sets in either operand order; None for the rest."""
@@ -476,8 +447,11 @@ class CompiledModel:
         # scope is a tie; clues repeat the same few, so each is joined once
         ties = {*model.alldiff_groups, *(t for scope in model.scopes for _, t in scope.elems)}
         self.base = _bases([r.start for r in ranges], ties)
-        # so each declared mask is a run of bits, built without its values
+        # so each declared mask is a run of bits, built without its values;
+        # then the constant selector (``_sum``), which has no base
         self.declared = [((1 << len(r)) - 1) << (r.start - b) for r, b in zip(ranges, self.base)]
+        self.constant = self.n_ids
+        self.declared.append(1)
         # no literal shifts a mask by this much or more
         self.width = max(self.declared).bit_length()
         # (function, arguments) per work-list item; unbound, so that a model
@@ -612,15 +586,6 @@ class CompiledModel:
         follow (doms, dirty)."""
         reading = self._reading(expr)
         if reading is None:
-            if (
-                isinstance(expr, CCmp)
-                and expr.op == "<"
-                and isinstance(expr.left, CVar)
-                and isinstance(expr.right, CVar)
-                and expr.left.var != expr.right.var
-            ):
-                a, b = expr.left.var, expr.right.var
-                return _Search._propagate_less_vars, (a, b, self.base[b] - self.base[a])
             return _Search._propagate_generic, (expr, scope)
         x, y, relation = reading
         if y is None:
@@ -630,16 +595,36 @@ class CompiledModel:
             # a shift by the widest mask's width or more meets no bit
             shifts = sorted(d + k for k in relation if abs(d + k) < self.width)
             relation = partial(_shifted, tuple(shifts))
+        elif x.selector == y.selector:  # two plain variables: by bounds, not value by value
+            return _Search._propagate_less_vars, (x.table[0], y.table[0], d + relation)
         else:
             relation = partial(_less, d + relation)
         return _Search._propagate_elem_pair, (x.selector, x.table, y.selector, y.table, relation)
 
+    def _sum(self, expr: CExpr, sign: int, terms: list) -> int | None:
+        """``sign`` times ``expr`` read as a sum of elements and literals: each
+        element is appended to ``terms`` with its sign, a plain variable ``v``
+        as ``elem(constant, (v,))``, the element of the constant selector, and
+        the literal part is returned; None where ``expr`` is no such sum."""
+        kind = type(expr)
+        if kind is CLit:
+            return sign * expr.value
+        if kind is CElem or kind is CVar:
+            terms.append((sign, expr if kind is CElem else CElem(self.constant, (expr.var,))))
+            return 0
+        if kind is not CBin or expr.op == "*":
+            return None
+        left = self._sum(expr.left, sign, terms)
+        right = self._sum(expr.right, -sign if expr.op == "-" else sign, terms)
+        return None if left is None or right is None else left + right
+
     def _reading(self, expr: CExpr) -> tuple | None:
-        """The relation ``expr`` states over elements it names once each, the
-        rest literals: ``(x, None, mask)``, x takes a value of the literal
-        mask; ``(x, y, diffs)``, x - y is in ``diffs``; ``(x, y, m)``, x - y < m,
-        x and y of distinct selectors. None for the rest, and for an ``==``
-        where a generic set could pass _SET_CAP and widen to its range."""
+        """The relation ``expr`` states over elements it names once each (a
+        plain variable as the constant selector's), the rest literals: ``(x,
+        None, mask)``, x takes a value of the literal mask; ``(x, y, diffs)``,
+        x - y is in ``diffs``; ``(x, y, m)``, x - y < m; x and y of distinct
+        selectors or distinct plain variables. None for the rest, and for an
+        ``==`` where a generic set could pass _SET_CAP and widen to its range."""
         if type(expr) is not CCmp:
             if type(expr) is CBool and expr.op == "or":
                 return reduce(_union, map(self._reading, expr.parts))
@@ -649,11 +634,11 @@ class CompiledModel:
         if absolute:
             left = left.arg
         terms: list[tuple[int, CElem]] = []
-        c = _sum(left, 1, terms)
+        c = self._sum(left, 1, terms)
         if c is None:
             return None
         n = len(terms)
-        rest = _sum(right, -1, terms)  # so the terms, c and rest sum to left - right
+        rest = self._sum(right, -1, terms)  # so the terms, c and rest sum to left - right
         if rest is None or (absolute and len(terms) != n):
             return None
         if op == "==" and self.width ** len(terms) > _SET_CAP:
@@ -672,7 +657,7 @@ class CompiledModel:
         if len(terms) != 2 or op == "!=":
             return None
         (s1, x), (s2, y) = terms
-        if s1 == s2 or x.selector == y.selector:
+        if s1 == s2 or x.selector == y.selector and (x == y or x.selector != self.constant):
             return None
         if s1 < 0:
             x, y = y, x
@@ -940,10 +925,7 @@ class _Search:
         positions = range(size)
         # an interval of size values or more is never overfull, and is tight
         # only with every var inside it, when no var is left to prune
-        for ai, low in enumerate(bits):
-            self.countdown -= 1
-            if not self.countdown:
-                self._read_clock()
+        for ai, low in enumerate(self._tested(bits)):
             for bi in range(ai, min(ai + size - 1, len(bits))):
                 high = bits[bi]
                 outside = [i for i in positions if lows[i] < low or highs[i] > high]
@@ -992,7 +974,7 @@ class _Search:
         """Remove the values of ``ident`` whose singleton test fails."""
         base = self.base[ident]
         bad = 0
-        for i in _bits(doms[ident]):
+        for i in self._tested(_bits(doms[ident])):
             if not self._abool(expr, doms, ident, base + i)[0]:
                 bad |= 1 << i
         if bad:
@@ -1032,7 +1014,8 @@ class _Search:
         self, doms: list[int], dirty: set[int], s1: int, t1, s2: int, t2, relation
     ) -> bool:
         """relation(xs, ys) says whether values xs of elem(s1, t1) and ys of
-        elem(s2, t2) can satisfy the constraint; s1 != s2."""
+        elem(s2, t2) can satisfy the constraint: s1 != s2, or both are the
+        constant selector, whose elements are two distinct plain variables."""
         if not relation(_elem_values(doms, s1, t1), _elem_values(doms, s2, t2)):
             raise Contradiction()
         ordered = ((s1, t1), (s2, t2)) if s1 < s2 else ((s2, t2), (s1, t1))
@@ -1044,12 +1027,12 @@ class _Search:
             bad = 0
             if sel == s1:
                 ys = _elem_values(doms, s2, t2)
-                for i in _bits(choices):
+                for i in self._tested(_bits(choices)):
                     if not relation(doms[t1[i]], ys):
                         bad |= 1 << i
             else:
                 xs = _elem_values(doms, s1, t1)
-                for i in _bits(choices):
+                for i in self._tested(_bits(choices)):
                     if not relation(xs, doms[t2[i]]):
                         bad |= 1 << i
             if bad:
@@ -1066,7 +1049,7 @@ class _Search:
             xs, x_hit = _elem_values_except(doms, s1, t1, var)
             ys, y_hit = _elem_values_except(doms, s2, t2, var)
             bad = 0
-            for i in _bits(dom):
+            for i in self._tested(_bits(dom)):
                 a = 1 << i
                 if not relation(xs | a if x_hit else xs, ys | a if y_hit else ys):
                     bad |= a
@@ -1085,10 +1068,10 @@ class _Search:
     def _propagate_less_vars(
         self, doms: list[int], dirty: set[int], a: int, b: int, d: int
     ) -> bool:
-        """V_a < V_b over two distinct vars: the row order; d is
-        base(b) - base(a). Once the check holds, min(a) < max(b) survive
-        both prunings, so each var's removals do not depend on the other's,
-        nor on their order."""
+        """V_a - V_b < m over two distinct plain variables (the row order at
+        m = 0), d being base(b) - base(a) + m. Once the check holds, min(a)
+        and max(b) survive both prunings, so each var's removals do not
+        depend on the other's, nor on their order."""
         xs, ys = doms[a], doms[b]
         if not _less(d, xs, ys):
             raise Contradiction()
@@ -1126,6 +1109,22 @@ class _Search:
             )
         if time.perf_counter() > self.deadline:
             self._out_of_time()
+
+    def _tested(self, bits) -> Iterable[int]:
+        """``bits``, each one unit of propagation work: a tested value or an
+        interval start. Where they reach the countdown, the deadline is read
+        as they are walked."""
+        if len(bits) < self.countdown:
+            self.countdown -= len(bits)
+            return bits
+        return self._clocked(bits)
+
+    def _clocked(self, bits) -> Iterator[int]:
+        for i in bits:
+            self.countdown -= 1
+            if not self.countdown:
+                self._read_clock()
+            yield i
 
     def _read_clock(self) -> None:
         """Restart the countdown; raise once the deadline has passed."""

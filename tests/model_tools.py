@@ -115,8 +115,8 @@ def propagate_domains(
 ) -> dict[int, list[int]] | None:
     """Run propagation alone (no search, so no row order) from the declared
     domains, narrowed to ``domains`` where given, and return the pruned
-    domains, or None on contradiction. A given value outside the declared
-    domain is ignored."""
+    domains of the model's ids, or None on contradiction. A given value
+    outside the declared domain is ignored."""
     view = engine._view(model)
     compiled = view.compiled
     doms = compiled.initial_state()
@@ -128,4 +128,4 @@ def propagate_domains(
     search = engine._Search(view, Budget())
     if search.propagate(doms, search.off | compiled.row_order, search.on) is None:
         return None
-    return {i: compiled.values(i, d) for i, d in enumerate(doms)}
+    return {i: compiled.values(i, d) for i, d in enumerate(doms[: compiled.n_ids])}

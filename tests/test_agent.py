@@ -58,6 +58,22 @@ class FaultInjectingFormalizer:
         return self.inner.gen_constraints(data_structure_source, puzzle_text)
 
 
+class FixedFormalizer:
+    """Emits the same program at every attempt."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def gen_data_structure(self, puzzle_text, expected_format):
+        return SourceText(self.text, "fixed")
+
+    def gen_constraints(self, data_structure_source, puzzle_text):
+        return SourceText("", "fixed")
+
+
+_ONE_ROW = "class C:\n    a: Domain[int, range(1, 3)]\ndef v(x: C) -> None:\n"
+
+
 class TestPipeline:
     def test_oracle_solves_worked_example_in_one_attempt(self, zebra_instance):
         result = run_pipeline(
@@ -200,6 +216,27 @@ class TestPipeline:
             assert view is same_view and view.compiled.model is builds[attempt]
             assert counters(outcome, report) == expected[attempt]
 
+    def test_a_program_that_fails_check_fails_semantic(self):
+        formalizer = FixedFormalizer(_ONE_ROW + "    assume(x.b == 1)\n")
+        config = PipelineConfig(max_attempts=2)
+        result = run_pipeline("one row", ExpectedFormat(("a",)), formalizer, config)
+        assert result.status is PipelineStatus.FAILED_SEMANTIC
+        diagnostic = "formalizer attempt #{}:4:13: UnknownName: class 'C' has no field 'b'"
+        assert result.log == [("check", diagnostic.format(1)), ("check", diagnostic.format(2))]
+
+    def test_a_format_column_the_rows_lack_fails_semantic(self):
+        # the program solves, but the expected format names a column that
+        # is no field of the row class
+        formalizer = FixedFormalizer(_ONE_ROW + "    assume(x.a == 2)\n")
+        config = PipelineConfig(max_attempts=1)
+        result = run_pipeline("one row", ExpectedFormat(("a", "color")), formalizer, config)
+        assert result.status is PipelineStatus.FAILED_SEMANTIC
+        assert result.solution is None
+        assert [stage for stage, _ in result.log] == ["format"]
+        assert run_pipeline("one row", ExpectedFormat(("a",)), formalizer, config).formatted == {
+            "rows": [{"a": 2}]
+        }
+
     def test_ambiguity_check_off_by_default(self, zebra_instance):
         clues = tuple(c for i, c in enumerate(zebra_instance.clues) if i != 1)
         loose = dataclasses.replace(zebra_instance, clues=clues)
@@ -322,6 +359,36 @@ class TestCheckSolution:
             check_solution(
                 zebra_dsl_program, SolutionTable(("wrong",), ({"wrong": 1},))
             )
+
+    def test_wrong_row_count_raises(self):
+        from conftest import compile_source
+
+        program, _ = compile_source(
+            "class R:\n    n: Unique[Domain[int, range(1, 3)]]\n"
+            "class S:\n    rows: list[R, 2]\n"
+            "def v(x: S) -> None:\n"
+            "    assume(x.rows[0].n >= 1)\n"
+        )
+        for rows in (({"n": 1},), ({"n": 1}, {"n": 2}, {"n": 2})):
+            with pytest.raises(ShapeError, match=f"table has {len(rows)} rows, expected 2"):
+                check_solution(program, SolutionTable(("n",), rows, "n"))
+
+    def test_a_nondet_inside_an_assume_tries_every_pick(self):
+        # the first pick makes the assume false, so the search goes on to
+        # the next; a table where every pick does fails
+        from conftest import compile_source
+
+        program, _ = compile_source(
+            "class E:\n    p: Unique[Domain[int, range(1, 3)]]\n"
+            "    g: Domain[int, range(0, 3)]\n"
+            "class S:\n    items: list[E, 2]\n"
+            "def v(s: S) -> None:\n"
+            "    assume(nondet(s.items).g == 2)\n"
+        )
+        passing = ({"p": 1, "g": 1}, {"p": 2, "g": 2})
+        assert check_solution(program, SolutionTable(("p", "g"), passing, "p"))
+        failing = ({"p": 1, "g": 1}, {"p": 2, "g": 0})
+        assert not check_solution(program, SolutionTable(("p", "g"), failing, "p"))
 
     def test_row_missing_a_column_raises(self):
         from conftest import compile_source

@@ -250,6 +250,16 @@ class TestPretty:
         assert parse(pretty(program)) == program
 
 
+# Pieces of the programs in ``TestCheck.test_semantic_diagnostics``: a class
+# with an int and a str field, its entry function, a row class, a list of two
+# such rows with its entry function, and a last line that holds.
+_HEAD = 'class C:\n    a: Domain[int, range(1, 3)]\n    name: Domain[str, "x", "y"]\n'
+_ENTRY = "def v(x: C) -> None:\n"
+_ROW = "class E:\n    p: Domain[int, range(1, 3)]\n"
+_ROWS = _ROW + "class S:\n    items: list[E, 2]\ndef v(s: S) -> None:\n"
+_TRUE = "    assume(1 == 1)\n"
+
+
 class TestCheck:
     def test_worked_example_checks(self, zebra_program):
         assert zebra_program.entry.name == "validate"
@@ -376,6 +386,109 @@ class TestCheck:
         with pytest.raises(SemanticError) as info:
             check(parse(src))
         assert info.value.category == category
+
+    @pytest.mark.parametrize(
+        "src,diagnostic",
+        [
+            pytest.param(
+                _HEAD + "class C:\n    b: Domain[int, range(1, 3)]\n" + _ENTRY + _TRUE,
+                "f:4:1: TypeMismatch: duplicate class 'C'",
+                id="duplicate-class",
+            ),
+            pytest.param(
+                "class C:\n    xs: list[int, 3]\n" + _ENTRY + _TRUE,
+                "f:2:5: TypeMismatch: scalar lists are not supported; list element must be a class",
+                id="scalar-list",
+            ),
+            pytest.param(
+                "class C:\n    cs: list[C, 2]\n" + _ENTRY + _TRUE,
+                "f:2:5: TypeMismatch: a class cannot contain a list of itself",
+                id="list-of-itself",
+            ),
+            pytest.param(
+                _ROW + "class G:\n    es: list[E, 2]\n"
+                "class C:\n    gs: list[G, 2]\n" + _ENTRY + _TRUE,
+                "f:6:5: TypeMismatch: list element class 'G' must hold only scalar fields",
+                id="list-in-element",
+            ),
+            pytest.param(
+                _ROW + "class C:\n    e: Unique[E]\n" + _ENTRY + _TRUE,
+                "f:4:5: UniqueWithoutDomain: 'Unique' requires a finite domain, not a class",
+                id="unique-class",
+            ),
+            pytest.param(
+                _ROW + "class C:\n    e: E\n" + _ENTRY + _TRUE,
+                "f:4:5: TypeMismatch: class-typed fields must be fixed-size lists (use list[C, n])",
+                id="class-field",
+            ),
+            pytest.param(
+                'class C:\n    s: Domain[str, "a", "a"]\n' + _ENTRY + _TRUE,
+                "f:2:5: TypeMismatch: duplicate value in string domain",
+                id="duplicate-value",
+            ),
+            pytest.param(
+                _HEAD + "def v(x: D) -> None:\n" + _TRUE,
+                "f:4:1: UnknownName: unknown parameter type 'D'",
+                id="unknown-parameter-type",
+            ),
+            pytest.param(
+                _HEAD + _ENTRY + "    x = 1\n" + _TRUE,
+                "f:5:5: TypeMismatch: cannot rebind parameter 'x'",
+                id="rebound-parameter",
+            ),
+            pytest.param(
+                _ROWS + "    x = s.items\n" + _TRUE,
+                "f:6:5: TypeMismatch: lists cannot be bound to locals",
+                id="list-local",
+            ),
+            pytest.param(
+                _ROWS.replace("list[E, 2]\n", "list[E, 2]\n    more: list[E, 2]\n") + _TRUE,
+                "f:6:1: TypeMismatch: result class 'S' may declare at most one list field",
+                id="two-lists",
+            ),
+            pytest.param(
+                _ROWS.replace("list[E, 2]\n", "list[E, 2]\n    n: Domain[int, range(1, 3)]\n")
+                + _TRUE,
+                "f:6:1: TypeMismatch: result class 'S' cannot mix list and scalar fields",
+                id="list-and-scalar",
+            ),
+            pytest.param(
+                _HEAD + _ENTRY + "    assume(x.a.b == 1)\n",
+                "f:5:15: TypeMismatch: field access on a non-object value",
+                id="field-of-int",
+            ),
+            pytest.param(
+                _HEAD + _ENTRY + "    assume(x.a[0] == 1)\n",
+                "f:5:15: TypeMismatch: indexing a non-list value",
+                id="index-of-int",
+            ),
+            pytest.param(
+                _HEAD + _ENTRY + "    assume(abs(x.name) == 1)\n",
+                "f:5:12: TypeMismatch: abs requires an integer",
+                id="abs-of-string",
+            ),
+            pytest.param(
+                _HEAD + _ENTRY + "    assume(x.name + 1 == 2)\n",
+                "f:5:19: TypeMismatch: operator '+' requires integers",
+                id="string-plus-int",
+            ),
+            pytest.param(
+                _HEAD + _ENTRY + "    assume(1 and 2)\n",
+                "f:5:12: TypeMismatch: 'and' requires boolean operands",
+                id="and-of-ints",
+            ),
+            pytest.param(
+                _HEAD + _ENTRY + "    assume(not 1)\n",
+                "f:5:12: TypeMismatch: 'not' requires a boolean operand",
+                id="not-of-int",
+            ),
+        ],
+    )
+    def test_semantic_diagnostics(self, src, diagnostic):
+        # each program parses, and check rejects it with this one diagnostic
+        with pytest.raises(SemanticError) as info:
+            check(parse(SourceText(src, "f")), "f")
+        assert info.value.diagnostic() == diagnostic
 
     def test_empty_body_rejected_for_constructed_ast(self):
         cls = ClassDecl("C", (FieldDecl("f", "int", False, IntRange(1, 3)),))

@@ -477,9 +477,12 @@ class TestOracleAgreement:
 
 
 def _outcome(compiled, solver, propagator, doms):
-    """Domains, dirty ids and propagation count after one propagator call,
-    or the propagation count at which it raised Contradiction."""
-    masks = [compiled.mask(i, d) for i, d in enumerate(doms)]
+    """Domains, the constant selector's mask, dirty ids and propagation count
+    after one propagator call, or the propagation count at which it raised
+    Contradiction. ``doms`` holds the model's ids; the constant selector,
+    the state's last entry, starts as declared."""
+    constant = compiled.declared[compiled.n_ids :]
+    masks = [compiled.mask(i, d) for i, d in enumerate(doms)] + constant
     dirty: set[int] = set()
     before = solver.stats.propagations
     function, args = propagator
@@ -487,7 +490,8 @@ def _outcome(compiled, solver, propagator, doms):
         function(solver, masks, dirty, *args)
     except engine.Contradiction:
         return "contradiction", solver.stats.propagations - before
-    return [compiled.values(i, m) for i, m in enumerate(masks)], sorted(dirty), solver.stats.propagations - before
+    domains = [compiled.values(i, m) for i, m in enumerate(masks[: compiled.n_ids])]
+    return domains, masks[compiled.n_ids :], sorted(dirty), solver.stats.propagations - before
 
 
 def _sub_domains(compiled, rng: random.Random) -> list[list[int]]:
@@ -559,9 +563,26 @@ def selector_model(domains, tables, constraints) -> ConstraintModel:
     return model
 
 
+# A one-row program whose parameter is the row, and rows indexed directly:
+# each field of ``x`` in the first, and of ``s.items[i]`` in the second, is a
+# plain variable.
+_PLAIN_VARIABLES = {
+    "one row": (
+        "class C:\n    a: Domain[int, range(0, 4)]\n    b: Domain[int, range(2, 7)]\n"
+        "def v(x: C) -> None:\n"
+    ),
+    "rows": (
+        "class E:\n    p: Domain[int, range(0, 4)]\n    q: Domain[int, range(1, 6)]\n"
+        "class S:\n    items: list[E, 3]\n"
+        "def v(s: S) -> None:\n    x = nondet(s.items)\n"
+    ),
+}
+
+
 class TestDedicatedPropagators:
     """A dedicated propagator removes exactly the values the generic
-    singleton tests remove, in the same order, and fails in the same states."""
+    singleton tests remove, counts the same propagations, and fails in the
+    same states."""
 
     @settings(max_examples=60, deadline=None)
     @given(programs(max_entities=3, max_fields=3, max_domain=4), st.randoms(use_true_random=False))
@@ -615,6 +636,9 @@ class TestDedicatedPropagators:
                 CCmp("<=", e, f),
                 CCmp("==", CBin("-", g, f), CLit(1)),
                 CCmp("==", CAbs(CBin("+", CBin("-", e, g), CLit(1))), CLit(2)),
+                # the first element negative: the pair is read swapped
+                CCmp("==", CBin("-", CLit(3), e), CBin("-", CLit(0), f)),
+                CCmp("<", CBin("-", CLit(1), e), CBin("-", CLit(1), f)),
             ],
         )
         # and again with g's mask base at 2, so that a pair's shifts are offset
@@ -625,6 +649,32 @@ class TestDedicatedPropagators:
         for m in (model, shifted):
             assert not any(_is_generic(m))
             assert_matches_generic(m, rng, trials=300)
+
+    @pytest.mark.parametrize(
+        "shape,clue,propagator",
+        [
+            ("one row", "assume(x.a >= 1)", "_propagate_elem_in"),
+            ("one row", "assert x.a + 1 == x.b", "_propagate_elem_pair"),
+            ("one row", "assert x.b - x.a == 3 or x.a - x.b == 1", "_propagate_elem_pair"),
+            ("one row", "assert x.b > x.a + 1", "_propagate_less_vars"),
+            ("one row", "assert x.a < x.a", "_propagate_generic"),
+            ("rows", "assert s.items[0].p == s.items[1].p - 1", "_propagate_elem_pair"),
+            ("rows", "assert s.items[2].p != 1", "_propagate_elem_in"),
+            ("rows", "assert x.p <= s.items[2].p + 1", "_propagate_elem_pair"),
+            ("rows", "assert x.p < s.items[2].p", "_propagate_elem_pair"),
+            ("rows", "assert s.items[2].p < x.p", "_propagate_elem_pair"),
+            ("rows", "assert s.items[0].q >= s.items[1].p", "_propagate_less_vars"),
+        ],
+    )
+    def test_plain_variables_are_elements_of_the_constant_selector(self, shape, clue, propagator):
+        # a plain variable reads as the element of the constant selector, so
+        # it meets literals, another plain variable or an element as an
+        # element does; a threshold between two distinct plain variables
+        # runs on bounds alone, and one variable on both sides stays generic
+        model = _model(_PLAIN_VARIABLES[shape] + "    " + clue + "\n")
+        compiled = engine.CompiledModel(model)
+        assert compiled.propagators[compiled.n_groups][0].__name__ == propagator
+        assert_matches_generic(compiled, random.Random(11), trials=200)
 
     @pytest.mark.parametrize(
         "clue",
@@ -646,15 +696,17 @@ class TestDedicatedPropagators:
             assert solve(model).status is Status.UNSAT
 
     @pytest.mark.parametrize(
-        "clue,generic",
+        "clue,generic,first",
         [
-            ("assume(abs(a.p - b.p) == 1)", True),
-            ("assume(a.p == b.p - 1)", False),  # one side's set of 40 stays exact
-            ("assume(a.p < b.p)", False),  # bounds only: no set arithmetic
-            ("assume(a.p - b.p == 1 or b.p - a.p == 1)", True),
+            ("assume(abs(a.p - b.p) == 1)", True, 0),
+            ("assume(a.p == b.p - 1)", False, 0),  # one side's set of 40 stays exact
+            ("assume(a.p < b.p)", False, 0),  # bounds only: no set arithmetic
+            ("assume(a.p - b.p == 1 or b.p - a.p == 1)", True, 0),
+            ("assume(a.p + b.p == 1)", True, 0),
+            ("assume(a.p * b.p == 2)", True, 1),
         ],
     )
-    def test_wide_domains_keep_the_generic_range_collapse(self, clue, generic):
+    def test_wide_domains_keep_the_generic_range_collapse(self, clue, generic, first):
         # 40 x 40 candidate differences exceed _SET_CAP, where the generic
         # evaluator widens a difference set to its range
         src = (
@@ -666,15 +718,17 @@ class TestDedicatedPropagators:
         model = _model(src)
         assert _is_generic(model) == [generic]
         assert_matches_generic(model, random.Random(5))
-        # even values only: no two differ by 1, but 20 x 20 = 400 pairs stay
-        # within the cap and the generic proves it; over range(0, 80), 40 x 40
-        # do not, so the range collapse keeps the domains
-        evens = list(range(0, 40, 2))
+        # values of one parity only, even from 0 or odd from 1: no two differ
+        # by 1 or sum to 1, and no two odd ones multiply to 2, but 20 x 20 =
+        # 400 pairs stay within the cap and the generic proves it; over
+        # range(0, 80), 40 x 40 do not, so the range collapse of -, + and *
+        # keeps the domains
+        alike = list(range(first, 40, 2))
         if generic:
-            assert propagate_domains(model, {0: evens, 1: evens}) is None
+            assert propagate_domains(model, {0: alike, 1: alike}) is None
             wide = _model(src.replace("range(0, 40)", "range(0, 80)"))
-            evens = list(range(0, 80, 2))
-            assert propagate_domains(wide, {0: evens, 1: evens}) is not None
+            alike = list(range(first, 80, 2))
+            assert propagate_domains(wide, {0: alike, 1: alike}) is not None
 
 
 # Each rendered clue line, rewritten into another spelling with the same
@@ -704,6 +758,28 @@ _RESTATEMENTS = (
     (re.compile(r"assume\((\S+) == (.+)\)$"), r"assume((\1) == (\2))"),
     (re.compile(r"assert (\S+) == (.+)$"), r"assert (\1\n            == \2)"),
 )
+
+
+# Each pin of a rendered puzzle (a row picked by one value and held at, or
+# away from, a position) restated as a field of the row at that position, as
+# the prompt's constant indexing allows.
+_PIN = re.compile(
+    r"    (\w+) = nondet\(solution\.houses\)\n"
+    r'    assume\(\1\.(\w+) == ("[^"]*")\)\n'
+    r"    assert \1\.house_number (==|!=) (\d+)\n"
+)
+
+
+def _direct_indexed(text: str, n: int) -> str:
+    """A rendered puzzle with each pin restated by direct indexing, and
+    each of its ``n`` rows held at its own position."""
+    text, pins = _PIN.subn(
+        lambda m: f"    assert solution.houses[{int(m[5]) - 1}].{m[2]} {m[4]} {m[3]}\n", text
+    )
+    head = "def validate(solution: PuzzleSolution) -> None:\n"
+    rows = "".join(f"    assert solution.houses[{i}].house_number == {i + 1}\n" for i in range(n))
+    assert pins and text.count(head) == 1
+    return text.replace(head, head + rows)
 
 
 def _rewritten(text: str, rewrites=_REWRITES) -> str:
@@ -764,6 +840,23 @@ class TestMetamorphicRewrites:
         assert dump_model(model_restated) != dump_model(model)
         assert not any(_is_generic(model_restated))
         assert _search_record(model_restated) == _search_record(model)
+
+    @pytest.mark.parametrize("seed,n,f", [(1, 4, 4), (2, 4, 4), (3, 5, 5), (4, 5, 5), (5, 6, 6)])
+    def test_direct_indexing(self, seed, n, f):
+        # every restated constraint names plain variables: each is read as
+        # a relation over elements of the constant selector, so none is
+        # generic, and the search counts what the generic evaluator counts
+        instance = generate_puzzle(seed, n, f)
+        model = _model(_direct_indexed(render_dsl(instance).text, n))
+        assert not any(_is_generic(model))
+        record = _search_record(model)
+        assert record[0] == instance.truth.key() and not record[3]
+
+        def generic(compiled, expr, scope):
+            return engine._Search._propagate_generic, (expr, scope)
+
+        with mock.patch.object(engine.CompiledModel, "_propagator", generic):
+            assert _search_record(model) == record
 
     def test_restated_zebra(self):
         model = _model((DATA_DIR / "zebra_4x4.lpy").read_text(encoding="utf-8"))
@@ -1538,6 +1631,17 @@ def _wide_program(n: int) -> str:
     )
 
 
+def _pair_program(n: int, clue: str) -> str:
+    """One row whose two fields range over range(0, n), picked twice as
+    ``a`` and ``b``, and one assert."""
+    return (
+        f"class E:\n    v: Domain[int, range(0, {n})]\n    w: Domain[int, range(0, {n})]\n"
+        "class S:\n    items: list[E, 1]\n"
+        "def f(s: S) -> None:\n    a = nondet(s.items)\n    b = nondet(s.items)\n"
+        f"    assert {clue}\n"
+    )
+
+
 def _mask_loop_group_pass(search, doms: list[int], dirty: set[int], group: tuple[int, ...]) -> bool:
     """``_group_pass`` as it tested each var against a Hall interval by a
     mask (``doms[v] & ~interval``): the reference for its bit tests."""
@@ -1633,6 +1737,35 @@ class TestWideDomains:
         if n == 10**3:
             assert report is not None and report.ambiguous
 
+    @pytest.mark.parametrize(
+        "clue,n",
+        [
+            # generic, since a set of n differences passes _SET_CAP: a set
+            # per tested value
+            ("a.v == b.w - 1", 10**4),
+            # the pair propagator: a mask test per tested value
+            ("a.v < b.w", 10**5),
+        ],
+    )
+    @pytest.mark.parametrize("search", ["solve", "find_second"])
+    def test_each_tested_value_counts_against_the_budget(self, clue, n, search):
+        # one propagator run tests every value of both wide vars, so the
+        # deadline is read inside that run, not only between runs
+        model = _model(_pair_program(n, clue))
+        budget = Budget(max_time=0.5)
+        found = None  # unless the run ends before the deadline
+        start = time.perf_counter()
+        try:
+            if search == "solve":
+                found = solve(model, budget).is_sat
+            else:
+                first = decode(model, dict(enumerate([0, 1, 0, 0])))  # v = 0, w = 1
+                found = find_second(model, first, budget).ambiguous
+        except BudgetExceeded:
+            pass
+        assert time.perf_counter() - start <= budget.max_time + self.SLACK
+        assert found in (None, True)
+
     def test_a_wide_domain_compiles_without_listing_its_values(self, zebra_model):
         # compilation runs before any budget starts, so it must not grow
         # with the number of values: each declared mask is one run of bits
@@ -1640,10 +1773,12 @@ class TestWideDomains:
         start = time.perf_counter()
         compiled = engine.CompiledModel(model)
         assert time.perf_counter() - start < self.SLACK
-        assert compiled.declared == [(1 << 10**6) - 1] * 3 + [0b111]
+        # the model's ids, then the constant selector: one value, 0
+        assert compiled.declared == [(1 << 10**6) - 1] * 3 + [0b111, 1]
         for model in (zebra_model, _model(_wide_program(1000))):
             compiled = engine.CompiledModel(model)
-            assert compiled.declared == [compiled.mask(i, model.domain_of(i)) for i in range(model.n_ids)]
+            declared = [compiled.mask(i, model.domain_of(i)) for i in range(model.n_ids)]
+            assert compiled.declared == declared + [1]
 
     def test_verify_does_not_list_a_wide_domain(self):
         # verify runs after the solve clock stops, so testing each value
