@@ -5,22 +5,22 @@ the language guide, user prompt = the step's instructions plus the puzzle),
 and extracts the first fenced code block from the reply. The request goes
 through ``urllib.request`` on a connection of its own, to an http or https
 endpoint only, with TLS verified against the system trust store; a redirect
-is an error, not followed. Every request and reply can be appended to a JSONL
-transcript; replaying a transcript through the same extraction path
-reproduces a pipeline run bit for bit.
+is an error, not followed. The HTTP stack (``urllib.request``, ``http.client``
+and ``ssl``) loads on the first request, so the offline paths (the oracle and
+replay formalizers, and every command but ``bench --formalizer llm``) never
+import it. Every request and reply can be appended to a JSONL transcript;
+replaying a transcript through the same extraction path reproduces a pipeline
+run bit for bit.
 """
 
 from __future__ import annotations
 
-import http.client
+import functools
 import json
 import os
 import re
 import threading
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from ..errors import ExtractionError, TransportError
@@ -36,15 +36,19 @@ TEMPERATURE = 0.0
 _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
 
 
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    """Turns every 3xx into an HTTPError: a followed redirect would carry the
-    API key to the new host, and a POST turned into a GET yields no completion."""
+@functools.cache
+def _opener():
+    """The opener for every request, built on the first. It turns every 3xx
+    into an HTTPError: a followed redirect would carry the API key to the new
+    host, and a POST turned into a GET yields no completion. Two threads that
+    race here build two equal openers, which is harmless."""
+    import urllib.request
 
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        return None
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            return None
 
-
-_OPENER = urllib.request.build_opener(_NoRedirect)
+    return urllib.request.build_opener(NoRedirect)
 
 
 @dataclass(frozen=True)
@@ -73,6 +77,8 @@ class Prompts:
 
     @staticmethod
     def load() -> "Prompts":
+        from importlib import resources
+
         base = resources.files("logicforge.agent") / "prompts"
         return Prompts(
             (base / "language_guide.md").read_text(encoding="utf-8"),
@@ -137,6 +143,10 @@ class LlmFormalizer:
         return SourceText(extract_code_block(reply), "llm:constraints")
 
     def _complete(self, user_prompt: str) -> tuple[str, dict]:
+        import http.client
+        import urllib.error
+        import urllib.request
+
         payload = {
             "model": self.config.model,
             "messages": [
@@ -157,7 +167,7 @@ class LlmFormalizer:
                 raise TransportError(
                     f"request failed: endpoint scheme {request.type!r} is not http or https"
                 )
-            with _OPENER.open(request, timeout=self.config.timeout) as resp:
+            with _opener().open(request, timeout=self.config.timeout) as resp:
                 status, data = resp.status, resp.read()
         except urllib.error.HTTPError as exc:
             exc.close()
@@ -171,6 +181,10 @@ class LlmFormalizer:
             reply = body["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed completion response: {exc}") from exc
+        if not isinstance(reply, str):
+            raise TransportError(
+                f"malformed completion response: content is {type(reply).__name__}, not a string"
+            )
         return reply, payload
 
 
@@ -190,6 +204,14 @@ class ReplayFormalizer:
         if self._next >= len(self.entries):
             raise ExtractionError("transcript exhausted")
         entry = self.entries[self._next]
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("step"), str)
+            and isinstance(entry.get("response_text"), str)
+        ):
+            raise ExtractionError(
+                f"transcript entry {self._next} has no string step and response_text"
+            )
         if entry["step"] != step:
             raise ExtractionError(
                 f"transcript expects step {entry['step']!r}, pipeline asked for {step!r}"

@@ -10,7 +10,6 @@ step with no feedback to the formalizer.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Protocol
@@ -29,8 +28,6 @@ from ..frontend.parser import SourceText, parse
 from ..model.decode import SolutionTable, decode, json_columns
 from ..model.lower import lower
 from ..solver.engine import Budget, compile_model, find_second, solve
-
-log = logging.getLogger(__name__)
 
 
 class Formalizer(Protocol):
@@ -132,7 +129,6 @@ def run_pipeline(
         except _AttemptFailed as failed:
             attempt_log.append((failed.stage, failed.summary))
             status = failed.status
-            log.debug("attempt %d failed at %s: %s", attempt, failed.stage, failed.summary)
             continue
         attempt_log.append(("solved", ""))
         return PipelineResult(PipelineStatus.SOLVED, attempt, table, formatted, attempt_log)

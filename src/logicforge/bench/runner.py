@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -94,6 +93,9 @@ def run_bench(
     config: PipelineConfig | None = None,
 ) -> EvalReport:
     """Run the pipeline over every task and aggregate accuracies."""
+    # imported on the first run, not with the module: it loads logging too
+    from concurrent.futures import ThreadPoolExecutor, as_completed
+
     if not tasks:
         raise LogicForgeError("no tasks to run")
     if concurrency < 1:

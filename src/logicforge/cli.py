@@ -128,8 +128,9 @@ def cmd_bench(args) -> int:
     pipeline_config = PipelineConfig(
         max_attempts=args.max_attempts, ambiguity_check=args.ambiguity_check
     )
-    if args.out:
-        check_out_path(args.out)
+    for path in (args.out, args.transcript):
+        if path:
+            check_out_path(path)
     if args.dataset:
         tasks, errors = load_dataset(args.dataset)
         for err in errors:

@@ -317,3 +317,19 @@ class TestFileErrors:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not out.parent.exists()
+
+    def test_bench_transcript_into_a_missing_directory(self, tmp_path, capsys, monkeypatch):
+        # the endpoint is a closed port: the path is refused before any request
+        monkeypatch.setenv("LOGIC_AGENT_ENDPOINT", "http://127.0.0.1:9/v1/chat/completions")
+        monkeypatch.setenv("LOGIC_AGENT_MODEL", "any")
+        monkeypatch.setattr(cli, "generate_tasks", mock.Mock(side_effect=AssertionError))
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"seed": 4, "shapes": [{"size": "2x3", "count": 2}]}))
+        transcript = tmp_path / "absent" / "t.jsonl"
+        argv = ["bench", "--gen-spec", str(spec_path), "--formalizer", "llm", "--transcript", str(transcript)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {transcript}: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not transcript.parent.exists()

@@ -1,7 +1,6 @@
 """LLM formalizer against a local stub chat-completion server."""
 
 import json
-import os
 import subprocess
 import sys
 import threading
@@ -178,8 +177,13 @@ class TestTransportFailures:
             (200, b"not json", "malformed completion response"),
             (200, b'{"id": "x"}', "malformed completion response"),
             (None, None, "request failed"),
+            (200, None, "malformed completion response"),
+            (200, ["text"], "malformed completion response"),
         ],
-        ids=["status-201", "body-not-json", "no-choices", "closed-without-reply"],
+        ids=[
+            "status-201", "body-not-json", "no-choices", "closed-without-reply",
+            "content-null", "content-list",
+        ],
     )
     def test_stub_reply_is_transport_error(self, stub_server, status, reply, message):
         endpoint, handler = stub_server
@@ -259,18 +263,41 @@ class _CompletionTarget(BaseHTTPRequestHandler):
 
 
 def test_agent_and_cli_import_no_http_package():
-    """The client speaks HTTP through the standard library alone."""
+    """The client speaks HTTP through the standard library alone, and loads
+    that stack only when it sends a request: importing the package and
+    solving offline load none of it."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    code = "import sys, logicforge.agent, logicforge.cli; print('requests' in sys.modules)"
+    zebra = str(Path(__file__).resolve().parent / "data" / "zebra_4x4.lpy")
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import logicforge, logicforge.agent, logicforge.bench, logicforge.cli\n"
+        "assert logicforge.cli.main(['solve', sys.argv[1]]) == 0\n"
+        "stack = {'http.client', 'urllib.request', 'urllib.error', 'ssl', 'email', 'logging',\n"
+        "         'concurrent.futures', 'importlib.resources', 'requests'}\n"
+        "print('loaded:', sorted(stack & (set(sys.modules) - before)))\n"
+        "from logicforge.agent import ExpectedFormat, LlmClientConfig, LlmFormalizer, Prompts\n"
+        "from logicforge.errors import TransportError\n"
+        "config = LlmClientConfig('http://127.0.0.1:9/v1/chat/completions', 'any', timeout=5)\n"
+        "formalizer = LlmFormalizer(config, Prompts('guide', '{puzzle} {expected_format}', ''))\n"
+        "try:\n"
+        "    formalizer.gen_data_structure('p', ExpectedFormat(('a',)))\n"
+        "except TransportError as exc:\n"
+        "    print('TransportError:', exc)\n"
+    )
+    # -S leaves site-packages off the path, so only src and the standard
+    # library can be imported
     out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, "-S", "-c", code, zebra],
+        env={"PYTHONPATH": src},
         capture_output=True,
         text=True,
-        check=True,
+        timeout=120,
     )
-    assert out.stdout.strip() == "False"
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[-2] == "loaded: []"
+    assert lines[-1].startswith("TransportError: request failed: ")
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +333,27 @@ class TestFormalizerFailures:
         report = run_bench(two_tasks, lambda task: ReplayFormalizer(transcript), concurrency=2, out_path=out)
         assert report.status_counts == {"FailedFormalize": len(two_tasks)}
         assert out.exists()
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"step": "data_structure"},
+            {"response_text": f"```\n{FIG_BLOCK}```"},
+            {"step": "data_structure", "response_text": None},
+            {"step": 1, "response_text": f"```\n{FIG_BLOCK}```"},
+            ["data_structure", f"```\n{FIG_BLOCK}```"],
+        ],
+        ids=["no-response-text", "no-step", "response-text-null", "step-not-string", "not-an-object"],
+    )
+    def test_malformed_transcript_entry_fails_formalize(self, two_tasks, tmp_path, entry):
+        transcript = tmp_path / "bad.jsonl"
+        transcript.write_text("\n" + json.dumps(entry) + "\n")
+        task = two_tasks[0]
+        config = PipelineConfig(max_attempts=2)
+        result = run_pipeline(task.text, task.fmt, ReplayFormalizer(transcript), config)
+        assert result.status is PipelineStatus.FAILED_FORMALIZE
+        message = "transcript entry 0 has no string step and response_text"
+        assert result.log == [("formalize", message)] * config.max_attempts
 
 
 class TestPromptAssets:
