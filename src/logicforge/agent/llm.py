@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,9 +31,6 @@ MODEL_ENV = "LOGIC_AGENT_MODEL"
 API_KEY_ENV = "LOGIC_AGENT_API_KEY"
 
 TEMPERATURE = 0.0
-
-_FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
-
 
 @functools.cache
 def _opener():
@@ -88,11 +84,24 @@ class Prompts:
 
 
 def extract_code_block(reply: str) -> str:
-    """The body of the first fenced code block in a model reply."""
-    match = _FENCE_RE.search(reply)
-    if match is None:
-        raise ExtractionError("reply contains no fenced code block")
-    return match.group(1)
+    """The body of the first fenced code block in a model reply: from the
+    first ``` whose info string holds no backtick and ends at a newline, up
+    to the next ```. Once such a fence has no closing ```, neither has any
+    later one."""
+    start = reply.find("```")
+    newline = -1
+    while start >= 0:
+        if newline < start:
+            newline = reply.find("\n", start)
+            if newline < 0:
+                break
+        if reply.find("`", start + 3, newline) < 0:
+            end = reply.find("```", newline + 1)
+            if end < 0:
+                break
+            return reply[newline + 1 : end]
+        start = reply.find("```", start + 1)
+    raise ExtractionError("reply contains no fenced code block")
 
 
 class TranscriptWriter:

@@ -46,10 +46,9 @@ nothing. Each search state also carries one int mask of inert items, which
 are never scheduled: the items that are off, and each dedicated propagator
 whose last run left a state that entails it (Schulte and Stuckey's subsumed
 propagators: a literal mask once its selector is fixed, leaving its var in
-the mask, a pair once both selectors and both vars are fixed, ``V1 - V2 < m``
-once ``max(V1) - min(V2) < m``, a group once every var is fixed). Such an
-item would change nothing in the state's subtree; a child copies the mask,
-so backtracking restores it. The items still run in the order of a full
+the mask, a pair once both selectors and both vars are fixed, a group once
+every var is fixed). Such an item would change nothing in the state's
+subtree; a child copies the mask, so backtracking restores it. The items still run in the order of a full
 pass over the work list followed by a FIFO queue, minus runs that change
 nothing, so each removal, contradiction point and propagation count is that
 of the full pass. The work list, the watch lists and the inert mask are int
@@ -92,8 +91,9 @@ lowest and highest value, kept as two small ints, and builds an interval's
 mask only where the interval prunes, so its cost per interval does not grow
 with the width of the masks. The time budget is read at each decision and
 every ``_CLOCK_EVERY`` units of propagation work: an item run, a tested
-value or an interval start of a Hall pass. So no propagation call, however
-wide its domains or group, outruns the budget by more than that.
+value, a var tested against a support mask or an interval start of a Hall
+pass. So no propagation call, however wide its domains or group, outruns
+the budget by more than that.
 
 The fixpoint of a root is unique (every propagator only narrows, and
 removes at least as much from a narrower state), so it does not depend on
@@ -121,11 +121,17 @@ relation get a dedicated propagator:
 
 * one element against literals (``E == L``, ``L <= E``, ``E + 1 != L``, or
   an ``or`` of such over one element): E takes a value of a literal mask;
-* two elements of distinct selectors, or two distinct plain variables: a
-  difference set, ``E1 - E2`` in D (``==`` gives one difference,
-  ``abs(E1 - E2) == L`` two or none, an ``or`` over the pair the union), or a
-  threshold, ``E1 - E2 < m`` (``<`` and ``<=`` with any offset), by bounds
-  alone between two plain variables, as for the row order.
+* two elements of distinct selectors, or two distinct plain variables (the
+  row order's among them): a difference set, ``E1 - E2`` in D (``==`` gives
+  one difference, ``abs(E1 - E2) == L`` two or none, an ``or`` over the pair
+  the union), an excluded difference, ``E1 - E2 != k``, or a threshold,
+  ``E1 - E2 < m`` (``<`` and ``<=`` with any offset). Each is read as the
+  support one side's mask gives the other, kept with its mirror: the other
+  side shifted by each difference, ORed; every value but the other side's,
+  once that side is single; a prefix below max(E2) + m, or a suffix above
+  min(E1) - m. One propagator tests each choice and picked var against one
+  such mask, never value by value (support reasoning; Bessiere, "Constraint
+  propagation", Handbook of Constraint Programming, 2006).
 
 An ``==`` is read only where no set the generic arithmetic builds can pass
 ``_SET_CAP`` and widen to its range. Each removes exactly the values the
@@ -361,51 +367,57 @@ def _bases(lows: list[int], ties) -> list[int]:
     return base
 
 
-def _elem_values(doms, sel: int, table) -> int:
-    """Mask of the values elem(sel, table) can take."""
+def _elem_values(doms, sel: int, table, var: int = -1) -> int:
+    """Mask of the values elem(sel, table) can take through vars other than
+    ``var``."""
+    choices = doms[sel]
+    if not choices & (choices - 1):
+        v = table[choices.bit_length() - 1]
+        return 0 if v == var else doms[v]
     out = 0
-    for i in _bits(doms[sel]):
-        out |= doms[table[i]]
+    for i in _bits(choices):
+        v = table[i]
+        if v != var:
+            out |= doms[v]
     return out
 
 
-def _elem_values_except(doms, sel: int, table, var: int) -> tuple[int, bool]:
-    """Mask of the values of elem(sel, table) reached through vars other
-    than ``var``, and whether ``var`` itself is reachable."""
+# The support of a relation: the mask of the values of one side that some
+# value of a mask of the other side satisfies it with. Bit j of ys is the
+# value d + j in the bits of xs (d: the difference of the bases), so x - y = k
+# is the shift t = d + k. Each relation is kept with its mirror, the support
+# the other way: xs & support(ys) and ys & mirror(xs) are both zero or both
+# not, and an empty mask supports nothing.
+def _shifted(shifts: tuple[int, ...], ys: int) -> int:
+    """x - y in a set of differences: ys shifted by each t, ORed."""
     out = 0
-    hit = False
-    for i in _bits(doms[sel]):
-        v = table[i]
-        if v == var:
-            hit = True
-        else:
-            out |= doms[v]
-    return out, hit
-
-
-# Relations over value masks xs and ys, bit j of ys being value d + j in the
-# bits of xs (d: the difference of the bases), truthy when some x of xs and y
-# of ys satisfy them. A shift t matches bit j of ys with bit j + t of xs.
-
-
-def _less(d: int, xs: int, ys: int) -> bool:
-    """min(xs) < max(ys), the lowest bit of xs below the highest of ys; x - y < m at d + m."""
-    return (xs & -xs).bit_length() < ys.bit_length() + d
-
-
-def _shifted(shifts: tuple[int, ...], xs: int, ys: int) -> bool:
-    """x - y in a set of differences, each k at the shift t = d + k."""
     for t in shifts:
-        if xs & (ys << t if t >= 0 else ys >> -t):
-            return True
-    return False
+        out |= ys << t if t >= 0 else ys >> -t
+    return out
+
+
+def _other_than(shifts: tuple[int, ...], ys: int) -> int:
+    """x - y != k: every bit once ys holds two values, else all but ys shifted."""
+    if ys & (ys - 1):
+        return -1
+    return ~_shifted(shifts, ys) if ys else 0
+
+
+def _below(t: int, width: int, ys: int) -> int:
+    """x - y < m at t = d + m: the bits below max(ys) + t."""
+    return (1 << min(max(ys.bit_length() - 1 + t, 0), width)) - 1 if ys else 0
+
+
+def _above(t: int, width: int, xs: int) -> int:
+    """The mirror of ``_below``: the bits above min(xs) - t."""
+    return -1 << min(max((xs & -xs).bit_length() - t, 0), width) if xs else 0
 
 
 def _union(a: tuple | None, b: tuple | None) -> tuple | None:
     """The reading of ``a or b``: one element's literal masks joined, or one
     pair's difference sets in either operand order; None for the rest."""
     if a is None or b is None or (a[1] is not None and not isinstance(a[2], set)):
-        return None  # a threshold joins nothing
+        return None  # a threshold or an excluded difference joins nothing
     (x, y, ra), (x2, y2, rb) = a, b
     if (x2, y2) == (y, x) and isinstance(rb, set):
         x2, y2, rb = x, y, {-k for k in rb}
@@ -486,7 +498,7 @@ class CompiledModel:
         start = len(self.propagators)
         pos = self.position_vars or []
         for a, b in zip(pos, pos[1:]):
-            self._add((_Search._propagate_less_vars, (a, b, self.base[b] - self.base[a])), (a, b))
+            self._add(self._pair(self.constant, (a,), self.constant, (b,), 0), (a, b))
         self.row_order = (1 << len(self.propagators)) - (1 << start)
         # the active constraints of a parent view -> its root fixpoint
         self.roots: dict[tuple[int, ...], tuple[list[int] | None, int, int]] = {}
@@ -590,16 +602,28 @@ class CompiledModel:
         x, y, relation = reading
         if y is None:
             return _Search._propagate_elem_in, (x.selector, x.table, relation)
-        d = self.base[y.table[0]] - self.base[x.table[0]]
-        if isinstance(relation, set):
-            # a shift by the widest mask's width or more meets no bit
-            shifts = sorted(d + k for k in relation if abs(d + k) < self.width)
-            relation = partial(_shifted, tuple(shifts))
-        elif x.selector == y.selector:  # two plain variables: by bounds, not value by value
-            return _Search._propagate_less_vars, (x.table[0], y.table[0], d + relation)
+        return self._pair(x.selector, x.table, y.selector, y.table, relation)
+
+    def _pair(self, s1: int, t1, s2: int, t2, relation) -> tuple[Callable[..., bool], tuple]:
+        """The pair propagator of x - y in ``relation`` (a set of differences),
+        not in it (a frozenset) or below it (an int), x = elem(s1, t1) and y =
+        elem(s2, t2): each side with its support, in selector order, and
+        whether bit 0 supports bit 0 (a var on both sides has one base)."""
+        d = self.base[t2[0]] - self.base[t1[0]]
+        width = self.width
+        if isinstance(relation, int):
+            t = d + relation
+            support, mirror = partial(_below, t, width), partial(_above, t, width)
+            reflexive = t > 0
         else:
-            relation = partial(_less, d + relation)
-        return _Search._propagate_elem_pair, (x.selector, x.table, y.selector, y.table, relation)
+            # a shift by the widest mask's width or more meets no bit
+            shifts = [d + k for k in relation if abs(d + k) < width]
+            join = _shifted if isinstance(relation, set) else _other_than
+            support = partial(join, tuple(shifts))
+            mirror = partial(join, tuple([-t for t in shifts]))
+            reflexive = (0 in shifts) == isinstance(relation, set)
+        sides = (s1, t1, s2, t2, support), (s2, t2, s1, t1, mirror)
+        return _Search._propagate_elem_pair, (sides if s1 <= s2 else sides[::-1], reflexive)
 
     def _sum(self, expr: CExpr, sign: int, terms: list) -> int | None:
         """``sign`` times ``expr`` read as a sum of elements and literals: each
@@ -622,9 +646,10 @@ class CompiledModel:
         """The relation ``expr`` states over elements it names once each (a
         plain variable as the constant selector's), the rest literals: ``(x,
         None, mask)``, x takes a value of the literal mask; ``(x, y, diffs)``,
-        x - y is in ``diffs``; ``(x, y, m)``, x - y < m; x and y of distinct
-        selectors or distinct plain variables. None for the rest, and for an
-        ``==`` where a generic set could pass _SET_CAP and widen to its range."""
+        x - y is in ``diffs``; ``(x, y, frozenset({k}))``, x - y != k; ``(x,
+        y, m)``, x - y < m; x and y of distinct selectors or distinct plain
+        variables. None for the rest, and for an ``==`` where a generic set
+        could pass _SET_CAP and widen to its range."""
         if type(expr) is not CCmp:
             if type(expr) is CBool and expr.op == "or":
                 return reduce(_union, map(self._reading, expr.parts))
@@ -654,7 +679,7 @@ class CompiledModel:
             sign, x = terms[0]
             i = -sign * (c + rest) - self.base[x.table[0]]
             return x, None, _literal_mask(op, sign, i, self.width)
-        if len(terms) != 2 or op == "!=":
+        if len(terms) != 2:
             return None
         (s1, x), (s2, y) = terms
         if s1 == s2 or x.selector == y.selector and (x == y or x.selector != self.constant):
@@ -663,7 +688,9 @@ class CompiledModel:
             x, y = y, x
         if absolute:  # abs(x - y + c) == -rest
             return x, y, {-rest - c, rest - c} if rest <= 0 else set()
-        return x, y, {-c - rest} if op == "==" else (op == "<=") - c - rest
+        if op == "<" or op == "<=":
+            return x, y, (op == "<=") - c - rest
+        return x, y, (set if op == "==" else frozenset)({-c - rest})
 
 
 @dataclass(frozen=True)
@@ -985,9 +1012,9 @@ class _Search:
     # Each one mirrors _propagate_generic step by step for one relation: the
     # same initial entailment check, then the selector values in selector-id
     # order, then the variables those fixed selectors (or the constraint
-    # itself) name, each value tested in domain order. Each returns whether
-    # the state it leaves entails the constraint, so that no narrower state
-    # lets it prune.
+    # itself) name, each value tested in domain order or all at once against
+    # a mask. Each returns whether the state it leaves entails the
+    # constraint, so that no narrower state lets it prune.
 
     def _propagate_elem_in(
         self, doms: list[int], dirty: set[int], sel: int, table, allow: int
@@ -1010,81 +1037,49 @@ class _Search:
             self._remove(doms, var, drop, dirty)
         return True  # the selector is fixed and its var lies within the mask
 
-    def _propagate_elem_pair(
-        self, doms: list[int], dirty: set[int], s1: int, t1, s2: int, t2, relation
-    ) -> bool:
-        """relation(xs, ys) says whether values xs of elem(s1, t1) and ys of
-        elem(s2, t2) can satisfy the constraint: s1 != s2, or both are the
-        constant selector, whose elements are two distinct plain variables."""
-        if not relation(_elem_values(doms, s1, t1), _elem_values(doms, s2, t2)):
+    def _propagate_elem_pair(self, doms: list[int], dirty: set[int], sides, reflexive: bool) -> bool:
+        """A relation between elements of distinct selectors, or of the
+        constant selector (two distinct plain variables). A side is (its
+        selector and table, the other side's, ``supported``): the mask of its
+        values some value of a mask of the other side supports. A picked var
+        is its side's one value, so the other side's other vars support it."""
+        sel, table, other, other_table, supported = sides[0]
+        if not _elem_values(doms, sel, table) & supported(_elem_values(doms, other, other_table)):
             raise Contradiction()
-        ordered = ((s1, t1), (s2, t2)) if s1 < s2 else ((s2, t2), (s1, t1))
         # pinning one selector leaves the other side's value set unchanged
-        for sel, _ in ordered:
+        for sel, table, other, other_table, supported in sides:
             choices = doms[sel]
             if not choices & (choices - 1):
                 continue
+            allow = supported(_elem_values(doms, other, other_table))
             bad = 0
-            if sel == s1:
-                ys = _elem_values(doms, s2, t2)
-                for i in self._tested(_bits(choices)):
-                    if not relation(doms[t1[i]], ys):
-                        bad |= 1 << i
-            else:
-                xs = _elem_values(doms, s1, t1)
-                for i in self._tested(_bits(choices)):
-                    if not relation(xs, doms[t2[i]]):
-                        bad |= 1 << i
+            for i in self._tested(_bits(choices)):
+                if not doms[table[i]] & allow:
+                    bad |= 1 << i
             if bad:
                 self._remove(doms, sel, bad, dirty)
-        test_vars: dict[int, None] = {}
-        for sel, table in ordered:
-            choice = doms[sel]
-            if not choice & (choice - 1):
-                test_vars[table[choice.bit_length() - 1]] = None
-        for var in test_vars:
-            dom = doms[var]
-            if not dom & (dom - 1):
-                continue
-            xs, x_hit = _elem_values_except(doms, s1, t1, var)
-            ys, y_hit = _elem_values_except(doms, s2, t2, var)
-            bad = 0
-            for i in self._tested(_bits(dom)):
-                a = 1 << i
-                if not relation(xs | a if x_hit else xs, ys | a if y_hit else ys):
-                    bad |= a
-            if bad:
-                self._remove(doms, var, bad, dirty)
-        # entailed once both selectors and both vars are fixed
-        for sel, table in ordered:
+        entailed = True  # once both selectors and both vars are fixed
+        tested = -1  # a var both fixed selectors pick is tested once
+        for sel, table, other, other_table, supported in sides:
             choice = doms[sel]
             if choice & (choice - 1):
-                return False
-            dom = doms[table[choice.bit_length() - 1]]
-            if dom & (dom - 1):
-                return False
-        return True
-
-    def _propagate_less_vars(
-        self, doms: list[int], dirty: set[int], a: int, b: int, d: int
-    ) -> bool:
-        """V_a - V_b < m over two distinct plain variables (the row order at
-        m = 0), d being base(b) - base(a) + m. Once the check holds, min(a)
-        and max(b) survive both prunings, so each var's removals do not
-        depend on the other's, nor on their order."""
-        xs, ys = doms[a], doms[b]
-        if not _less(d, xs, ys):
-            raise Contradiction()
-        top = ys.bit_length() - 1 + d  # max(b) as a bit of a, above min(a)
-        above = xs >> top << top
-        if above:
-            self._remove(doms, a, above, dirty)
-        low = (xs & -xs).bit_length() - 1 - d  # min(a) as a bit of b, below max(b)
-        below = ys & ((2 << low) - 1) if low >= 0 else 0
-        if below:
-            self._remove(doms, b, below, dirty)
-        # entailed once max(a) < min(b)
-        return doms[a].bit_length() < (doms[b] & -doms[b]).bit_length() + d
+                entailed = False
+                continue
+            var = table[choice.bit_length() - 1]
+            dom = doms[var]
+            if dom & (dom - 1) and var != tested:
+                tested = var
+                self.countdown -= 1
+                if not self.countdown:
+                    self._read_clock()
+                # and it supports itself where the other side reaches it, if reflexive
+                if not (reflexive and var in [other_table[i] for i in _bits(doms[other])]):
+                    bad = dom & ~supported(_elem_values(doms, other, other_table, var))
+                    if bad:
+                        self._remove(doms, var, bad, dirty)
+                        dom = doms[var]
+            entailed = entailed and not dom & (dom - 1)
+        return entailed
 
     # -- search --------------------------------------------------------------
 

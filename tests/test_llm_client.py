@@ -1,6 +1,7 @@
 """LLM formalizer against a local stub chat-completion server."""
 
 import json
+import re
 import subprocess
 import sys
 import threading
@@ -8,6 +9,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from logicforge.agent import ExpectedFormat, PipelineConfig, PipelineStatus, run_pipeline
 from logicforge.agent.llm import (
@@ -88,6 +91,12 @@ def make_formalizer(endpoint, **kwargs) -> LlmFormalizer:
     return LlmFormalizer(config, prompts)
 
 
+# The fence pattern that extract_code_block's search replaces: the reference
+# it must agree with on every reply.
+_FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
+_REPLY_PIECES = ("```", "````", "`", "\n", "\r\n", "python", " ", "x = 1", "``")
+
+
 class TestExtraction:
     def test_fenced_block_extracted(self):
         reply = f"Sure, here you go:\n```python\n{FIG_BLOCK}```\nHope that helps."
@@ -100,6 +109,22 @@ class TestExtraction:
     def test_first_of_two_blocks_is_used(self):
         reply = f"```\n{FIG_BLOCK}```\nand also\n```\nsecond block\n```"
         assert extract_code_block(reply) == FIG_BLOCK
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from(_REPLY_PIECES), max_size=12).map("".join))
+    @example("````python\nx = 1\n````")  # four backticks
+    @example("```py`thon\nx\n```\n```\ny\n```")  # a backtick in the info string
+    @example("prose\n```python\nunterminated")
+    @example("```\n```")  # empty
+    @example("```a\r\nx\r\n```\r\n```b\r\ny```")  # two blocks, CRLF
+    def test_matches_the_fence_pattern(self, reply):
+        # the first block as the regular expression the search replaced finds it
+        match = _FENCE_RE.search(reply)
+        if match is None:
+            with pytest.raises(ExtractionError):
+                extract_code_block(reply)
+        else:
+            assert extract_code_block(reply) == match.group(1)
 
 
 class TestClient:

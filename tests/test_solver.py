@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import math
 import random
 import re
 import subprocess
@@ -9,7 +10,9 @@ import sys
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
+from typing import Callable
 from unittest import mock
 
 import pytest
@@ -452,6 +455,24 @@ class TestOracleAgreement:
         report = find_second(model, decode(model, outcome.assignment))
         assert report.ambiguous == (len(tables) >= 2)
 
+    @pytest.mark.parametrize("clue", ["a.v < b.w", "a.v != b.w", "a.v < b.v", "a.v != b.v"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pair_programs_agree(self, clue, n):
+        # the pair propagator's readings of a threshold and of `!=`, across
+        # two fields and over one field on both sides
+        model = _model(_pair_program(n, clue))
+        tables = {decode(model, a).key() for a in brute_force(model)}
+        outcome = solve(model)
+        if outcome.status is Status.UNSAT:
+            assert not tables
+            return
+        first = decode(model, outcome.assignment)
+        assert first.key() in tables
+        report = find_second(model, first)
+        assert report.ambiguous == (len(tables) >= 2)
+        if report.ambiguous:
+            assert report.second.key() in tables - {first.key()}
+
     @settings(max_examples=40, deadline=None)
     @given(programs(max_entities=3, max_fields=2, max_domain=3))
     def test_propagation_never_removes_solution_values(self, program):
@@ -639,6 +660,12 @@ class TestDedicatedPropagators:
                 # the first element negative: the pair is read swapped
                 CCmp("==", CBin("-", CLit(3), e), CBin("-", CLit(0), f)),
                 CCmp("<", CBin("-", CLit(1), e), CBin("-", CLit(1), f)),
+                # an excluded difference, and offsets past every mask's width
+                CCmp("!=", e, f),
+                CCmp("!=", CBin("-", g, CLit(1)), e),
+                CCmp("!=", e, CBin("+", f, CLit(100))),
+                CCmp("<", e, CBin("-", f, CLit(100))),
+                CCmp("<=", e, CBin("+", g, CLit(100))),
             ],
         )
         # and again with g's mask base at 2, so that a pair's shifts are offset
@@ -656,21 +683,24 @@ class TestDedicatedPropagators:
             ("one row", "assume(x.a >= 1)", "_propagate_elem_in"),
             ("one row", "assert x.a + 1 == x.b", "_propagate_elem_pair"),
             ("one row", "assert x.b - x.a == 3 or x.a - x.b == 1", "_propagate_elem_pair"),
-            ("one row", "assert x.b > x.a + 1", "_propagate_less_vars"),
+            ("one row", "assert x.b > x.a + 1", "_propagate_elem_pair"),
+            ("one row", "assert x.a != x.b", "_propagate_elem_pair"),
             ("one row", "assert x.a < x.a", "_propagate_generic"),
             ("rows", "assert s.items[0].p == s.items[1].p - 1", "_propagate_elem_pair"),
             ("rows", "assert s.items[2].p != 1", "_propagate_elem_in"),
             ("rows", "assert x.p <= s.items[2].p + 1", "_propagate_elem_pair"),
             ("rows", "assert x.p < s.items[2].p", "_propagate_elem_pair"),
             ("rows", "assert s.items[2].p < x.p", "_propagate_elem_pair"),
-            ("rows", "assert s.items[0].q >= s.items[1].p", "_propagate_less_vars"),
+            ("rows", "assert s.items[0].q >= s.items[1].p", "_propagate_elem_pair"),
+            ("rows", "assert s.items[0].q != s.items[1].p", "_propagate_elem_pair"),
+            ("rows", "assert x.p != s.items[2].p", "_propagate_elem_pair"),
         ],
     )
     def test_plain_variables_are_elements_of_the_constant_selector(self, shape, clue, propagator):
         # a plain variable reads as the element of the constant selector, so
         # it meets literals, another plain variable or an element as an
-        # element does; a threshold between two distinct plain variables
-        # runs on bounds alone, and one variable on both sides stays generic
+        # element does, the row order's threshold and a `!=` included, and
+        # one variable on both sides stays generic
         model = _model(_PLAIN_VARIABLES[shape] + "    " + clue + "\n")
         compiled = engine.CompiledModel(model)
         assert compiled.propagators[compiled.n_groups][0].__name__ == propagator
@@ -1642,6 +1672,35 @@ def _pair_program(n: int, clue: str) -> str:
     )
 
 
+def _plain_pair_program(n: int, clue: str) -> str:
+    """One row, the parameter, whose two fields range over range(0, n): two
+    plain variables, and one assert."""
+    return (
+        f"class C:\n    a: Domain[int, range(0, {n})]\n    b: Domain[int, range(0, {n})]\n"
+        f"def v(p: C) -> None:\n    assert {clue}\n"
+    )
+
+
+def cpu_growth(runner: Callable[[int], Callable[[], object]], n: int, floor: float = 0.2) -> float:
+    """How the CPU time of ``runner(k)()`` grows from k = n to k = 4n: the
+    ratio of the two, each timed as the min of 3 runs of a loop of as many
+    calls as take at least ``floor`` seconds at n. Linear work reads about
+    4, quadratic about 16; fixed costs read lower."""
+
+    def timed(run: Callable[[], object], calls: int) -> float:
+        best = float("inf")
+        for _ in range(3):
+            start = time.process_time()
+            for _ in range(calls):
+                run()
+            best = min(best, time.process_time() - start)
+        return best
+
+    small, large = runner(n), runner(4 * n)
+    calls = max(1, math.ceil(floor / max(timed(small, 1), 1e-6)))
+    return timed(large, calls) / timed(small, calls)
+
+
 def _mask_loop_group_pass(search, doms: list[int], dirty: set[int], group: tuple[int, ...]) -> bool:
     """``_group_pass`` as it tested each var against a Hall interval by a
     mask (``doms[v] & ~interval``): the reference for its bit tests."""
@@ -1743,8 +1802,6 @@ class TestWideDomains:
             # generic, since a set of n differences passes _SET_CAP: a set
             # per tested value
             ("a.v == b.w - 1", 10**4),
-            # the pair propagator: a mask test per tested value
-            ("a.v < b.w", 10**5),
         ],
     )
     @pytest.mark.parametrize("search", ["solve", "find_second"])
@@ -1765,6 +1822,26 @@ class TestWideDomains:
             pass
         assert time.perf_counter() - start <= budget.max_time + self.SLACK
         assert found in (None, True)
+
+    @pytest.mark.parametrize(
+        "program,clue",
+        [
+            (_pair_program, "a.v < b.w"),
+            (_pair_program, "a.v != b.w"),
+            (_pair_program, "a.v < b.v"),  # one var on both sides: unsat
+            (_plain_pair_program, "p.a != p.b"),
+        ],
+        ids=lambda value: getattr(value, "__name__", value),
+    )
+    def test_pair_relations_grow_linearly(self, program, clue):
+        # the pair propagator tests each var against one support mask, so a
+        # solve grows with the width of the masks, not with its square
+        def runner(k: int):
+            return partial(solve, _model(program(k, clue)), Budget(max_time=5.0))
+
+        n = 25_000
+        ratio = cpu_growth(runner, n)
+        assert ratio < 6, f"solve CPU time grows {ratio:.1f}x from n = {n} to {4 * n}"
 
     def test_a_wide_domain_compiles_without_listing_its_values(self, zebra_model):
         # compilation runs before any budget starts, so it must not grow
