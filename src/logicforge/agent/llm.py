@@ -19,11 +19,11 @@ import functools
 import json
 import os
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 from ..errors import ExtractionError, TransportError
 from ..frontend.parser import SourceText
+from ..records import Frozen
 from .pipeline import ExpectedFormat
 
 ENDPOINT_ENV = "LOGIC_AGENT_ENDPOINT"
@@ -47,12 +47,9 @@ def _opener():
     return urllib.request.build_opener(NoRedirect)
 
 
-@dataclass(frozen=True)
-class LlmClientConfig:
-    endpoint: str
-    model: str
-    api_key: str = ""
-    timeout: float = 120.0
+class LlmClientConfig(Frozen):
+    def __init__(self, endpoint: str, model: str, api_key: str = "", timeout: float = 120.0):
+        vars(self).update(endpoint=endpoint, model=model, api_key=api_key, timeout=timeout)
 
     @staticmethod
     def from_env() -> "LlmClientConfig":
@@ -65,11 +62,11 @@ class LlmClientConfig:
         return LlmClientConfig(endpoint, model, os.environ.get(API_KEY_ENV, ""))
 
 
-@dataclass(frozen=True)
-class Prompts:
-    language_guide: str
-    data_structure: str
-    constraints: str
+class Prompts(Frozen):
+    def __init__(self, language_guide: str, data_structure: str, constraints: str):
+        vars(self).update(
+            language_guide=language_guide, data_structure=data_structure, constraints=constraints
+        )
 
     @staticmethod
     def load() -> "Prompts":

@@ -10,7 +10,6 @@ step with no feedback to the formalizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from enum import Enum
 from typing import Protocol
 
@@ -27,6 +26,7 @@ from ..frontend.check import check
 from ..frontend.parser import SourceText, parse
 from ..model.decode import SolutionTable, decode, json_columns
 from ..model.lower import lower
+from ..records import Frozen, Record
 from ..solver.engine import Budget, compile_model, find_second, solve
 
 
@@ -40,13 +40,12 @@ class Formalizer(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class ExpectedFormat:
+class ExpectedFormat(Frozen):
     """Output column order; ``position`` optionally renames the position
     column of the decoded table in the formatted document."""
 
-    columns: tuple[str, ...]
-    position: str | None = None
+    def __init__(self, columns: tuple[str, ...], position: str | None = None):
+        vars(self).update(columns=columns, position=position)
 
     def to_json_dict(self) -> dict:
         d: dict = {"columns": list(self.columns)}
@@ -63,15 +62,16 @@ class ExpectedFormat:
         return ExpectedFormat(columns, position)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    max_attempts: int = 5
-    budget: Budget = dc_field(default_factory=Budget)
-    ambiguity_check: bool = False
+class PipelineConfig(Frozen):
+    """``budget`` defaults to a fresh ``Budget()``."""
 
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise LogicForgeError(f"max_attempts must be at least 1, not {self.max_attempts}")
+    def __init__(
+        self, max_attempts: int = 5, budget: Budget | None = None, ambiguity_check: bool = False
+    ):
+        if max_attempts < 1:
+            raise LogicForgeError(f"max_attempts must be at least 1, not {max_attempts}")
+        budget = Budget() if budget is None else budget
+        vars(self).update(max_attempts=max_attempts, budget=budget, ambiguity_check=ambiguity_check)
 
 
 class PipelineStatus(Enum):
@@ -84,13 +84,19 @@ class PipelineStatus(Enum):
     FAILED_AMBIGUOUS = "FailedAmbiguous"
 
 
-@dataclass
-class PipelineResult:
-    status: PipelineStatus
-    attempts: int
-    solution: SolutionTable | None
-    formatted: dict | None
-    log: list[tuple[str, str]]  # one (stage, summary) per attempt
+class PipelineResult(Record):
+    __hash__ = None
+
+    def __init__(
+        self,
+        status: PipelineStatus,
+        attempts: int,
+        solution: SolutionTable | None,
+        formatted: dict | None,
+        log: list[tuple[str, str]],  # one (stage, summary) per attempt
+    ):
+        self.status, self.attempts, self.solution = status, attempts, solution
+        self.formatted, self.log = formatted, log
 
     def to_json_dict(self) -> dict:
         return {

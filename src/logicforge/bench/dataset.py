@@ -9,26 +9,29 @@ be adapted by converting them to this schema.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 from ..agent.pipeline import ExpectedFormat
 from ..errors import DatasetError, GenerationError, SchemaError
 from ..model.decode import SolutionTable
+from ..records import Frozen
 from .puzzle import POSITION_FIELD, PuzzleInstance
 from .score import parse_size
 
 _REQUIRED = ("id", "size", "text", "format", "truth")
 
 
-@dataclass(frozen=True)
-class PuzzleTask:
-    id: str
-    size: str
-    text: str
-    fmt: ExpectedFormat
-    truth: SolutionTable
-    instance: PuzzleInstance | None = None
+class PuzzleTask(Frozen):
+    def __init__(
+        self,
+        id: str,
+        size: str,
+        text: str,
+        fmt: ExpectedFormat,
+        truth: SolutionTable,
+        instance: PuzzleInstance | None = None,
+    ):
+        vars(self).update(id=id, size=size, text=text, fmt=fmt, truth=truth, instance=instance)
 
     def to_json_dict(self) -> dict:
         d = {

@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
 
 from ..errors import BudgetExceeded, GenerationError
 from ..frontend.check import check
 from ..frontend.parser import parse  # noqa: F401 - uncalled; the perfbench tracer wraps it
 from ..model.decode import SolutionTable, decode
 from ..model.lower import lower
+from ..records import Frozen
 from ..solver.engine import Budget, CompiledModel, ModelView, find_second, solve
 
 POSITION_FIELD = "house_number"
@@ -66,14 +66,18 @@ LEFT_OF = "left_of"
 NEXT_TO = "next_to"
 
 
-@dataclass(frozen=True)
-class Clue:
-    kind: str
-    feat_a: str
-    value_a: str
-    feat_b: str | None = None  # None for positional clues
-    value_b: str | None = None
-    pos: int | None = None  # 1-based house number for positional clues
+class Clue(Frozen):
+    def __init__(
+        self,
+        kind: str,
+        feat_a: str,
+        value_a: str,
+        feat_b: str | None = None,  # None for positional clues
+        value_b: str | None = None,
+        pos: int | None = None,  # 1-based house number for positional clues
+    ):
+        vars(self).update(kind=kind, feat_a=feat_a, value_a=value_a)
+        vars(self).update(feat_b=feat_b, value_b=value_b, pos=pos)
 
     def to_json_dict(self) -> dict:
         d: dict = {"kind": self.kind, "feat_a": self.feat_a, "value_a": self.value_a}
@@ -91,21 +95,24 @@ class Clue:
         )
 
 
-@dataclass(frozen=True)
-class Feature:
-    name: str
-    values: tuple[str, ...]
+class Feature(Frozen):
+    def __init__(self, name: str, values: tuple[str, ...]):
+        vars(self).update(name=name, values=values)
 
 
-@dataclass(frozen=True)
-class PuzzleInstance:
-    id: str
-    n_entities: int
-    n_features: int
-    features: tuple[Feature, ...]
-    clues: tuple[Clue, ...]
-    text: str
-    truth: SolutionTable
+class PuzzleInstance(Frozen):
+    def __init__(
+        self,
+        id: str,
+        n_entities: int,
+        n_features: int,
+        features: tuple[Feature, ...],
+        clues: tuple[Clue, ...],
+        text: str,
+        truth: SolutionTable,
+    ):
+        vars(self).update(id=id, n_entities=n_entities, n_features=n_features, features=features)
+        vars(self).update(clues=clues, text=text, truth=truth)
 
     @property
     def size(self) -> str:
@@ -225,18 +232,11 @@ def generate_puzzle(
     candidates = _sample_candidates(rng, features, truth, n_entities)
     clues = _minimal_unique_set(rng, candidates, features, truth_table, n_entities, budget)
 
-    instance = PuzzleInstance(
-        id=puzzle_id or f"{n_entities}x{n_features}-{seed}",
-        n_entities=n_entities,
-        n_features=n_features,
-        features=features,
-        clues=tuple(clues),
-        text="",
-        truth=truth_table,
-    )
     from .render import render_text  # late import: render depends on this module
 
-    return replace(instance, text=render_text(instance))
+    head = (puzzle_id or f"{n_entities}x{n_features}-{seed}", n_entities, n_features, features)
+    text = render_text(PuzzleInstance(*head, tuple(clues), "", truth_table))
+    return PuzzleInstance(*head, tuple(clues), text, truth_table)
 
 
 def _truth_table(

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 from ..agent.pipeline import PipelineConfig, PipelineStatus, run_pipeline
 from ..errors import LogicForgeError
+from ..records import Frozen
 from .dataset import PuzzleTask, task_from_instance
 from .puzzle import generate_puzzle
 from .render import OracleFormalizer
@@ -24,24 +24,21 @@ from .score import EvalReport, TaskResult, parse_size, score
 FormalizerFactory = Callable[[PuzzleTask], object]
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(Frozen):
     """Generate tasks on the fly from an int ``seed``: ``shapes`` maps size
     strings to counts, each an int of at least 0."""
 
-    seed: int
-    shapes: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, seed: int, shapes: tuple[tuple[str, int], ...]):
         # a bool is an int, and a JSON true is no seed
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise LogicForgeError(f"seed must be an integer, not {self.seed!r}")
-        for size, count in self.shapes:
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise LogicForgeError(f"seed must be an integer, not {seed!r}")
+        for size, count in shapes:
             # a bool is an int, and a JSON true is no count
             if isinstance(count, bool) or not isinstance(count, int) or count < 0:
                 raise LogicForgeError(
                     f"shape {size}: count must be an integer of at least 0, not {count!r}"
                 )
+        vars(self).update(seed=seed, shapes=shapes)
 
     @staticmethod
     def from_json_dict(d: dict) -> "GenSpec":

@@ -7,10 +7,9 @@ correct cells but its full cell count to the denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import GenerationError, LogicForgeError
 from ..model.decode import SolutionTable
+from ..records import Frozen, Record
 
 EASY_SHAPES = frozenset({(2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3)})
 
@@ -35,16 +34,20 @@ def parse_size(size: str) -> tuple[int, int]:
     return entities, feats
 
 
-@dataclass(frozen=True)
-class TaskResult:
-    task_id: str
-    size: str
-    status: str
-    truth: SolutionTable
-    predicted: SolutionTable | None = None
-    attempts: int = 0
-    elapsed: float = 0.0
-    log: tuple[tuple[str, str], ...] = ()  # the pipeline's (stage, summary) per attempt
+class TaskResult(Frozen):
+    def __init__(
+        self,
+        task_id: str,
+        size: str,
+        status: str,
+        truth: SolutionTable,
+        predicted: SolutionTable | None = None,
+        attempts: int = 0,
+        elapsed: float = 0.0,
+        log: tuple[tuple[str, str], ...] = (),  # the pipeline's (stage, summary) per attempt
+    ):
+        vars(self).update(task_id=task_id, size=size, status=status, truth=truth)
+        vars(self).update(predicted=predicted, attempts=attempts, elapsed=elapsed, log=log)
 
     def to_json_dict(self) -> dict:
         return {
@@ -58,12 +61,14 @@ class TaskResult:
         }
 
 
-@dataclass
-class SplitScore:
-    count: int = 0
-    puzzles_correct: int = 0
-    cells_correct: int = 0
-    cells_total: int = 0
+class SplitScore(Record):
+    __hash__ = None
+
+    def __init__(
+        self, count: int = 0, puzzles_correct: int = 0, cells_correct: int = 0, cells_total: int = 0
+    ):
+        self.count, self.puzzles_correct = count, puzzles_correct
+        self.cells_correct, self.cells_total = cells_correct, cells_total
 
     @property
     def puzzle_accuracy(self) -> float:
@@ -81,14 +86,20 @@ class SplitScore:
         }
 
 
-@dataclass
-class EvalReport:
-    results: list[TaskResult]
-    overall: SplitScore
-    easy: SplitScore
-    hard: SplitScore
-    status_counts: dict[str, int]
-    wall_clock: float = 0.0
+class EvalReport(Record):
+    __hash__ = None
+
+    def __init__(
+        self,
+        results: list[TaskResult],
+        overall: SplitScore,
+        easy: SplitScore,
+        hard: SplitScore,
+        status_counts: dict[str, int],
+        wall_clock: float = 0.0,
+    ):
+        self.results, self.overall, self.easy, self.hard = results, overall, easy, hard
+        self.status_counts, self.wall_clock = status_counts, wall_clock
 
     @property
     def puzzle_accuracy(self) -> float:

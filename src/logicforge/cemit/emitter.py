@@ -10,8 +10,6 @@ checker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..frontend.ast import (
     INT,
     Abs,
@@ -33,6 +31,7 @@ from ..frontend.ast import (
     StrLit,
 )
 from ..frontend.check import CheckedProgram
+from ..records import Frozen
 
 _PRELUDE = """\
 #include <stdbool.h>
@@ -75,10 +74,9 @@ size_t __CPROVER_nondet_array_index(size_t length) {
 """
 
 
-@dataclass(frozen=True)
-class CHarness:
-    text: str
-    sections: dict[str, tuple[int, int]]  # name -> [start, end) byte range
+class CHarness(Frozen):
+    def __init__(self, text: str, sections: dict[str, tuple[int, int]]):
+        vars(self).update(text=text, sections=sections)  # name -> [start, end) byte range
 
     def section_text(self, name: str) -> str:
         start, end = self.sections[name]

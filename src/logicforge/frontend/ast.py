@@ -1,9 +1,10 @@
 """AST node types for the search DSL.
 
-Nodes are slotted, hashable dataclasses, and no code mutates a node after
+Nodes are slotted, hashable records (``logicforge.records``), each with
+an ``__init__`` that assigns its slots, and no code mutates a node after
 building it, since trees share subtrees. Nothing enforces this at run time:
-a frozen dataclass, which sets each field through ``object.__setattr__``,
-costs several times as much to build. ``tests/test_ir.py`` checks that no
+a ``Frozen`` node would set each field through ``object.__setattr__`` or its
+``__dict__``, and cost more to build. ``tests/test_ir.py`` checks that no
 stage writes a node.
 
 Each node's ``pos`` is the offset of its first token in ``DslProgram.text``:
@@ -19,19 +20,21 @@ resolves to ``0:0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Union
+
+from ..records import Record
 
 INT = "int"
 STR = "str"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Pos:
+class Pos(Record):
     """A line and column, both from 1, as a diagnostic shows them."""
 
-    line: int = 0
-    col: int = 0
+    __slots__ = ("line", "col")
+
+    def __init__(self, line: int = 0, col: int = 0):
+        self.line, self.col = line, col
 
 
 NO_POS = -1
@@ -44,27 +47,33 @@ def locate(text: str, offset: int) -> Pos:
     return Pos(text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 
-def _pos_field():
-    return field(default=NO_POS, compare=False, repr=False)
+class Node(Record):
+    """A node with a ``pos``, which equality, hash and repr leave out."""
+
+    __slots__ = ()
+    _hidden = ("pos",)
 
 
 # --- domains -----------------------------------------------------------------
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class IntRange:
+class IntRange(Record):
     """Half-open integer range [lo, hi)."""
 
-    lo: int
-    hi: int
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: int, hi: int):
+        self.lo, self.hi = lo, hi
 
     def values(self) -> range:
         return range(self.lo, self.hi)
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class EnumValues:
-    values: tuple[str, ...]
+class EnumValues(Record):
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[str, ...]):
+        self.values = values
 
 
 DomainSpec = Union[IntRange, EnumValues]
@@ -73,25 +82,31 @@ DomainSpec = Union[IntRange, EnumValues]
 # --- declarations ------------------------------------------------------------
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class FieldDecl:
-    name: str
-    base: str  # "int", "str", or a class name
-    unique: bool = False
-    domain: DomainSpec | None = None
-    list_len: int | None = None
-    pos: int = _pos_field()
+class FieldDecl(Node):
+    __slots__ = ("name", "base", "unique", "domain", "list_len", "pos")
+
+    def __init__(
+        self,
+        name: str,
+        base: str,  # "int", "str", or a class name
+        unique: bool = False,
+        domain: DomainSpec | None = None,
+        list_len: int | None = None,
+        pos: int = NO_POS,
+    ):
+        self.name, self.base, self.unique = name, base, unique
+        self.domain, self.list_len, self.pos = domain, list_len, pos
 
     @property
     def is_class_ref(self) -> bool:
         return self.base not in (INT, STR)
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class ClassDecl:
-    name: str
-    fields: tuple[FieldDecl, ...]
-    pos: int = _pos_field()
+class ClassDecl(Node):
+    __slots__ = ("name", "fields", "pos")
+
+    def __init__(self, name: str, fields: tuple[FieldDecl, ...], pos: int = NO_POS):
+        self.name, self.fields, self.pos = name, fields, pos
 
     def field_named(self, name: str) -> FieldDecl | None:
         for f in self.fields:
@@ -103,77 +118,83 @@ class ClassDecl:
 # --- expressions -------------------------------------------------------------
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class IntLit:
-    value: int
-    pos: int = _pos_field()
+class IntLit(Node):
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value: int, pos: int = NO_POS):
+        self.value, self.pos = value, pos
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class StrLit:
-    value: str
-    pos: int = _pos_field()
+class StrLit(Node):
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value: str, pos: int = NO_POS):
+        self.value, self.pos = value, pos
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class LocalRef:
-    name: str
-    pos: int = _pos_field()
+class LocalRef(Node):
+    __slots__ = ("name", "pos")
+
+    def __init__(self, name: str, pos: int = NO_POS):
+        self.name, self.pos = name, pos
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class FieldAccess:
-    obj: "Expr"
-    field: str
-    pos: int = _pos_field()
+class FieldAccess(Node):
+    __slots__ = ("obj", "field", "pos")
+
+    def __init__(self, obj: Expr, field: str, pos: int = NO_POS):
+        self.obj, self.field, self.pos = obj, field, pos
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Index:
-    obj: "Expr"
-    index: int
-    pos: int = _pos_field()
+class Index(Node):
+    __slots__ = ("obj", "index", "pos")
+
+    def __init__(self, obj: Expr, index: int, pos: int = NO_POS):
+        self.obj, self.index, self.pos = obj, index, pos
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Nondet:
-    arg: "Expr"
-    pos: int = _pos_field()
+class Nondet(Node):
+    __slots__ = ("arg", "pos")
+
+    def __init__(self, arg: Expr, pos: int = NO_POS):
+        self.arg, self.pos = arg, pos
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Abs:
-    arg: "Expr"
-    pos: int = _pos_field()
+class Abs(Node):
+    __slots__ = ("arg", "pos")
+
+    def __init__(self, arg: Expr, pos: int = NO_POS):
+        self.arg, self.pos = arg, pos
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Binary:
-    op: str  # + - *
-    left: "Expr"
-    right: "Expr"
-    pos: int = _pos_field()
+class Binary(Node):
+    __slots__ = ("op", "left", "right", "pos")
+
+    def __init__(self, op: str, left: Expr, right: Expr, pos: int = NO_POS):  # op: + - *
+        self.op, self.left = op, left
+        self.right, self.pos = right, pos
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Compare:
-    op: str  # == != < <= > >=
-    left: "Expr"
-    right: "Expr"
-    pos: int = _pos_field()
+class Compare(Node):
+    __slots__ = ("op", "left", "right", "pos")
+
+    def __init__(self, op: str, left: Expr, right: Expr, pos: int = NO_POS):  # == != < <= > >=
+        self.op, self.left = op, left
+        self.right, self.pos = right, pos
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class BoolOp:
-    op: str  # and | or
-    operands: tuple["Expr", ...]
-    pos: int = _pos_field()
+class BoolOp(Node):
+    __slots__ = ("op", "operands", "pos")
+
+    def __init__(self, op: str, operands: tuple[Expr, ...], pos: int = NO_POS):  # and | or
+        self.op, self.operands, self.pos = op, operands, pos
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Not:
-    operand: "Expr"
-    pos: int = _pos_field()
+class Not(Node):
+    __slots__ = ("operand", "pos")
+
+    def __init__(self, operand: Expr, pos: int = NO_POS):
+        self.operand, self.pos = operand, pos
 
 
 Expr = Union[
@@ -184,42 +205,48 @@ Expr = Union[
 # --- statements --------------------------------------------------------------
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Assign:
-    target: str
-    value: Expr
-    pos: int = _pos_field()
+class Assign(Node):
+    __slots__ = ("target", "value", "pos")
+
+    def __init__(self, target: str, value: Expr, pos: int = NO_POS):
+        self.target, self.value, self.pos = target, value, pos
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Assume:
-    expr: Expr
-    pos: int = _pos_field()
+class Assume(Node):
+    __slots__ = ("expr", "pos")
+
+    def __init__(self, expr: Expr, pos: int = NO_POS):
+        self.expr, self.pos = expr, pos
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Assert:
-    expr: Expr
-    pos: int = _pos_field()
+class Assert(Node):
+    __slots__ = ("expr", "pos")
+
+    def __init__(self, expr: Expr, pos: int = NO_POS):
+        self.expr, self.pos = expr, pos
 
 
 Stmt = Union[Assign, Assume, Assert]
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class FuncDecl:
-    name: str
-    param_name: str
-    param_type: str
-    body: tuple[Stmt, ...]
-    pos: int = _pos_field()
+class FuncDecl(Node):
+    __slots__ = ("name", "param_name", "param_type", "body", "pos")
+
+    def __init__(
+        self, name: str, param_name: str, param_type: str, body: tuple[Stmt, ...], pos: int = NO_POS
+    ):
+        self.name, self.param_name, self.param_type = name, param_name, param_type
+        self.body, self.pos = body, pos
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class DslProgram:
-    classes: tuple[ClassDecl, ...]
-    functions: tuple[FuncDecl, ...]
-    text: str = field(default="", compare=False, repr=False)  # the parsed text the offsets index
+class DslProgram(Record):
+    __slots__ = ("classes", "functions", "text")
+    _hidden = ("text",)  # the parsed text the offsets index
+
+    def __init__(
+        self, classes: tuple[ClassDecl, ...], functions: tuple[FuncDecl, ...], text: str = ""
+    ):
+        self.classes, self.functions, self.text = classes, functions, text
 
 
 def children(expr: Expr) -> tuple[Expr, ...]:

@@ -9,9 +9,8 @@ class of one row of the result table, for lowering and solution checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import SemanticError
+from ..records import Record
 from .ast import (
     INT,
     STR,
@@ -44,49 +43,53 @@ _INT_ONLY_OPS = frozenset({"<", "<=", ">", ">="})
 
 # Semantic types. Strings are always tied to the field they were read from,
 # which carries the enum domain used for coding and membership checks.
-@dataclass(slots=True, unsafe_hash=True)
-class TInt:
-    pass
+class TInt(Record):
+    __slots__ = ()
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TBool:
-    pass
+class TBool(Record):
+    __slots__ = ()
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TStrField:
-    class_name: str
-    field_name: str
+class TStrField(Record):
+    __slots__ = ("class_name", "field_name")
+
+    def __init__(self, class_name: str, field_name: str):
+        self.class_name, self.field_name = class_name, field_name
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TStrLit:
-    value: str
+class TStrLit(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: str):
+        self.value = value
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TObj:
-    class_name: str
+class TObj(Record):
+    __slots__ = ("class_name",)
+
+    def __init__(self, class_name: str):
+        self.class_name = class_name
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class TList:
-    class_name: str
-    size: int
+class TList(Record):
+    __slots__ = ("class_name", "size")
+
+    def __init__(self, class_name: str, size: int):
+        self.class_name, self.size = class_name, size
 
 
 T_INT = TInt()
 T_BOOL = TBool()
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class CheckedProgram:
+class CheckedProgram(Record):
     """A semantically valid program: one entry function over a known class."""
 
-    program: DslProgram
-    entry: FuncDecl
-    classes: dict[str, ClassDecl]
+    __slots__ = ("program", "entry", "classes")
+
+    def __init__(self, program: DslProgram, entry: FuncDecl, classes: dict[str, ClassDecl]):
+        self.program, self.entry, self.classes = program, entry, classes
 
     @property
     def param_class(self) -> ClassDecl:

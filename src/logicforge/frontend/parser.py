@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import keyword
 import re
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress
 
 from ..errors import DslSyntaxError
@@ -92,6 +91,7 @@ from .ast import (
     children,
     locate,
 )
+from ..records import Frozen
 
 RESERVED = frozenset({"assume", "nondet", "abs"})
 
@@ -109,12 +109,11 @@ MAX_NESTING = 50
 MAX_DIGITS = 640
 
 
-@dataclass(frozen=True)
-class SourceText:
+class SourceText(Frozen):
     """A unit of DSL source plus a label used in diagnostics."""
 
-    text: str
-    origin: str = "<string>"
+    def __init__(self, text: str, origin: str = "<string>"):
+        vars(self).update(text=text, origin=origin)
 
 
 def parse(source: SourceText | str) -> DslProgram:

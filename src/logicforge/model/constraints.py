@@ -9,11 +9,11 @@ and is expanded during propagation rather than at lowering time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from ..errors import InternalError
 from ..frontend.ast import EnumValues, IntRange
+from ..records import Record
 
 Domain = Union[IntRange, EnumValues]
 
@@ -25,11 +25,11 @@ def domain_values(domain: Domain) -> range:
     return range(len(domain.values))
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Var:
-    id: int
-    name: str
-    domain: Domain
+class Var(Record):
+    __slots__ = ("id", "name", "domain")
+
+    def __init__(self, id: int, name: str, domain: Domain):
+        self.id, self.name, self.domain = id, name, domain
 
     def values(self) -> range:
         return domain_values(self.domain)
@@ -40,12 +40,11 @@ class Var:
         return value
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class SelectorVar:
-    id: int
-    list_len: int
-    element_class: str
-    name: str = ""
+class SelectorVar(Record):
+    __slots__ = ("id", "list_len", "element_class", "name")
+
+    def __init__(self, id: int, list_len: int, element_class: str, name: str = ""):
+        self.id, self.list_len, self.element_class, self.name = id, list_len, element_class, name
 
     def values(self) -> range:
         return range(self.list_len)
@@ -54,51 +53,60 @@ class SelectorVar:
 # --- constraint expressions ---------------------------------------------------
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class CLit:
-    value: int
+class CLit(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class CVar:
-    var: int
+class CVar(Record):
+    __slots__ = ("var",)
+
+    def __init__(self, var: int):
+        self.var = var
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class CElem:
+class CElem(Record):
     """Value of ``table[selector]``: a variable chosen by a selector."""
 
-    selector: int
-    table: tuple[int, ...]
+    __slots__ = ("selector", "table")
+
+    def __init__(self, selector: int, table: tuple[int, ...]):
+        self.selector, self.table = selector, table
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class CBin:
-    op: str  # + - *
-    left: "CExpr"
-    right: "CExpr"
+class CBin(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: CExpr, right: CExpr):  # op: + - *
+        self.op, self.left, self.right = op, left, right
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class CAbs:
-    arg: "CExpr"
+class CAbs(Record):
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: CExpr):
+        self.arg = arg
 
 
 # The comparison operators of the model, the only ones lowering emits
 CMP_OPS = frozenset({"==", "!=", "<", "<="})
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class CCmp:
-    op: str  # one of CMP_OPS
-    left: "CExpr"
-    right: "CExpr"
+class CCmp(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: CExpr, right: CExpr):  # op: one of CMP_OPS
+        self.op, self.left, self.right = op, left, right
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class CBool:
-    op: str  # and | or  (empty "and" is true, empty "or" is false)
-    parts: tuple["CExpr", ...]
+class CBool(Record):
+    __slots__ = ("op", "parts")
+
+    # op: and | or  (empty "and" is true, empty "or" is false)
+    def __init__(self, op: str, parts: tuple[CExpr, ...]):
+        self.op, self.parts = op, parts
 
 
 CExpr = Union[CLit, CVar, CElem, CBin, CAbs, CCmp, CBool]
@@ -116,35 +124,47 @@ def walk_cexpr(expr: CExpr):
             yield from walk_cexpr(p)
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Scope:
+class Scope(Record):
     """The ids one constraint reads, as lowering builds it: the distinct
     ``(selector, table)`` pair of each of its ``CElem`` nodes and the var of
     each ``CVar``, both ascending. A selector read through two fields has a
     pair per table."""
 
-    elems: tuple[tuple[int, tuple[int, ...]], ...]
-    vars: tuple[int, ...]
+    __slots__ = ("elems", "vars")
+
+    def __init__(self, elems: tuple[tuple[int, tuple[int, ...]], ...], vars: tuple[int, ...]):
+        self.elems, self.vars = elems, vars
 
 
 # --- layout (for decoding) ----------------------------------------------------
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class InstanceLayout:
-    rows: tuple[dict[str, int], ...]  # per row: field name -> var id
-    columns: tuple[str, ...]
-    position_field: str | None  # the single unique int-domain field, if any
+class InstanceLayout(Record):
+    __slots__ = ("rows", "columns", "position_field")
+
+    def __init__(
+        self,
+        rows: tuple[dict[str, int], ...],  # per row: field name -> var id
+        columns: tuple[str, ...],
+        position_field: str | None,  # the single unique int-domain field, if any
+    ):
+        self.rows, self.columns, self.position_field = rows, columns, position_field
 
 
-@dataclass
-class ConstraintModel:
-    vars: list[Var]
-    selectors: list[SelectorVar]
-    alldiff_groups: list[tuple[int, ...]]
-    constraints: list[CExpr]
-    scopes: list[Scope]  # one per constraint, in the same order
-    layout: InstanceLayout
+class ConstraintModel(Record):
+    __hash__ = None  # mutable: its lists are built once per model, not once per node
+
+    def __init__(
+        self,
+        vars: list[Var],
+        selectors: list[SelectorVar],
+        alldiff_groups: list[tuple[int, ...]],
+        constraints: list[CExpr],
+        scopes: list[Scope],  # one per constraint, in the same order
+        layout: InstanceLayout,
+    ):
+        self.vars, self.selectors, self.alldiff_groups = vars, selectors, alldiff_groups
+        self.constraints, self.scopes, self.layout = constraints, scopes, layout
 
     @property
     def n_ids(self) -> int:

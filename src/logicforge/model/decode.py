@@ -8,19 +8,21 @@ describe the same table compare equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import DecodeError
+from ..records import Frozen
 from .constraints import ConstraintModel
 
 Cell = int | str
 
 
-@dataclass(frozen=True)
-class SolutionTable:
-    columns: tuple[str, ...]
-    rows: tuple[dict[str, Cell], ...]
-    position_field: str | None = None
+class SolutionTable(Frozen):
+    def __init__(
+        self,
+        columns: tuple[str, ...],
+        rows: tuple[dict[str, Cell], ...],
+        position_field: str | None = None,
+    ):
+        vars(self).update(columns=columns, rows=rows, position_field=position_field)
 
     def row_key(self, index: int) -> Cell:
         if self.position_field is not None:

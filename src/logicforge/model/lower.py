@@ -19,8 +19,6 @@ comparisons in one form (``_compare``), with no ``not``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import InternalError
 from ..frontend.ast import (
     Abs,
@@ -55,14 +53,14 @@ from .constraints import (
     SelectorVar,
     Var,
 )
+from ..records import Frozen
 
 
-@dataclass(frozen=True)
-class _SelObj:
+class _SelObj(Frozen):
     """A row chosen by a selector over the rows."""
 
-    selector: int
-    rows: tuple[dict[str, int], ...]
+    def __init__(self, selector: int, rows: tuple[dict[str, int], ...]):
+        vars(self).update(selector=selector, rows=rows)
 
 
 def lower(program: CheckedProgram) -> ConstraintModel:

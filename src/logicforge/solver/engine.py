@@ -157,7 +157,6 @@ from __future__ import annotations
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial, reduce
 from itertools import chain
@@ -179,12 +178,15 @@ from ..model.constraints import (
     Scope,
 )
 from ..model.decode import SolutionTable, decode
+from ..records import Frozen, Record
 
 
-@dataclass(frozen=True)
-class Budget:
-    max_decisions: int = 10_000_000
-    max_time: float = 30.0
+class Budget(Frozen):
+    max_decisions = 10_000_000
+    max_time = 30.0
+
+    def __init__(self, max_decisions: int = max_decisions, max_time: float = max_time):
+        vars(self).update(max_decisions=max_decisions, max_time=max_time)
 
     def after(self, spent: SolveStats) -> Budget:
         """What is left of this budget once a search has spent ``spent``."""
@@ -196,28 +198,25 @@ class Status(Enum):
     UNSAT = "unsat"
 
 
-@dataclass
-class SolveStats:
-    decisions: int = 0
-    propagations: int = 0
-    elapsed: float = 0.0
+class SolveStats(Record):
+    __hash__ = None
+
+    def __init__(self, decisions: int = 0, propagations: int = 0, elapsed: float = 0.0):
+        self.decisions, self.propagations, self.elapsed = decisions, propagations, elapsed
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
-    status: Status
-    assignment: dict[int, int] | None
-    stats: SolveStats
+class SolveOutcome(Frozen):
+    def __init__(self, status: Status, assignment: dict[int, int] | None, stats: SolveStats):
+        vars(self).update(status=status, assignment=assignment, stats=stats)
 
     @property
     def is_sat(self) -> bool:
         return self.status is Status.SAT
 
 
-@dataclass(frozen=True)
-class AmbiguityReport:
-    second: SolutionTable | None
-    stats: SolveStats  # of the uniqueness search
+class AmbiguityReport(Frozen):
+    def __init__(self, second: SolutionTable | None, stats: SolveStats):
+        vars(self).update(second=second, stats=stats)  # stats: of the uniqueness search
 
     @property
     def ambiguous(self) -> bool:
@@ -693,8 +692,7 @@ class CompiledModel:
         return x, y, (set if op == "==" else frozenset)({-c - rest})
 
 
-@dataclass(frozen=True)
-class ModelView:
+class ModelView(Frozen):
     """A compiled model with only the constraints at ``active`` on: ascending
     indices into ``compiled.model.constraints``. It is what ``solve`` and
     ``find_second`` search; a plain model is compiled with all of them on.
@@ -705,9 +703,12 @@ class ModelView:
     view that orders rows starts from its parent's root fixpoint, which the
     compiled model caches (``CompiledModel.fixpoint``)."""
 
-    compiled: CompiledModel
-    active: tuple[int, ...]
-    parent: ModelView | None = field(default=None, repr=False, compare=False)
+    _hidden = ("parent",)
+
+    def __init__(
+        self, compiled: CompiledModel, active: tuple[int, ...], parent: ModelView | None = None
+    ):
+        vars(self).update(compiled=compiled, active=active, parent=parent)
 
     def plus(self, indices) -> ModelView:
         """This view with the constraints at ``indices`` on as well, derived
@@ -1142,13 +1143,15 @@ class _Search:
         if ident is None:
             yield [base + d.bit_length() - 1 for base, d in zip(self.base, doms)]
             return
-        base = self.base[ident]
-        for i in _bits(doms[ident]):
+        base, rest = self.base[ident], doms[ident]
+        while rest:  # lowest value first, one at a time, however wide the domain
+            bit = rest & -rest
+            rest ^= bit
             self._tick()
             if self.trace:
-                self.trace(f"decide {ident}={base + i}")
+                self.trace(f"decide {ident}={base + bit.bit_length() - 1}")
             child = list(doms)
-            child[ident] = 1 << i
+            child[ident] = bit
             child_inert = self.propagate(child, inert, self.watchers[ident])
             if child_inert is not None:
                 for found in self.solutions(child, child_inert):
@@ -1156,7 +1159,7 @@ class _Search:
                     if ident >= self.n_vars:
                         return
             if self.trace:
-                self.trace(f"backtrack {ident}={base + i}")
+                self.trace(f"backtrack {ident}={base + bit.bit_length() - 1}")
 
     def from_root(self, view: ModelView) -> Iterator[list[int]]:
         """Propagate the root of ``view`` (under ``clock``) and return the

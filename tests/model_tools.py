@@ -4,8 +4,6 @@ stable text dump, the inverse of ``decode``, and propagation alone."""
 
 from __future__ import annotations
 
-import dataclasses
-
 from logicforge.errors import DecodeError
 from logicforge.frontend.ast import EnumValues, IntRange
 from logicforge.model.constraints import (
@@ -24,6 +22,8 @@ from logicforge.model.constraints import (
 from logicforge.model.decode import SolutionTable
 from logicforge.solver import Budget, engine
 
+from record_tools import replace
+
 
 def reference_scope(expr: CExpr) -> Scope:
     """The scope of ``expr`` found by walking its tree: the one lowering must
@@ -39,7 +39,7 @@ def reference_scope(expr: CExpr) -> Scope:
 
 def cut(model: ConstraintModel, indices) -> ConstraintModel:
     """``model`` with only the constraints at ``indices``, and their scopes."""
-    return dataclasses.replace(
+    return replace(
         model,
         constraints=[model.constraints[i] for i in indices],
         scopes=[model.scopes[i] for i in indices],

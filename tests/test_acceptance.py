@@ -5,7 +5,6 @@ as the suite progresses). Criterion 8 documents what a desk-scale run cannot
 reproduce and verifies the recorded-transcript replay contract instead.
 """
 
-import dataclasses
 import json
 import time
 
@@ -38,6 +37,7 @@ from logicforge.solver import Status, brute_force, find_second, solve
 
 from conftest import DATA_DIR
 from model_tools import orders_rows
+from record_tools import replace
 from test_agent import BrokenFormalizer, FaultInjectingFormalizer
 
 EXPECTED_4X4 = {
@@ -158,12 +158,12 @@ class TestCriterion2OracleEquivalence:
         # unsat and ambiguous variants must agree with the oracle as well
         clues = list(zebra_instance.clues)
         clues[0] = Clue(LEFT_OF, "name", "alice", "name", "alice")
-        unsat = dataclasses.replace(zebra_instance, clues=tuple(clues))
+        unsat = replace(zebra_instance, clues=tuple(clues))
         model = lower(check(parse(render_dsl(unsat))))
         assert solve(model).status is Status.UNSAT
         assert brute_force(model) == []
 
-        loose = dataclasses.replace(zebra_instance, clues=zebra_instance.clues[1:])
+        loose = replace(zebra_instance, clues=zebra_instance.clues[1:])
         _assert_find_second_agrees(lower(check(parse(render_dsl(loose)))))
 
         # one more position than rows (rows ordered by position), and rows
@@ -187,7 +187,7 @@ class TestCriterion3RecoveryEdges:
     def test_a_contradiction_unsat_and_fault_then_correct(self, zebra_instance):
         clues = list(zebra_instance.clues)
         clues[1] = Clue(LEFT_OF, "book", "fantasy", "book", "fantasy")
-        broken = dataclasses.replace(zebra_instance, clues=tuple(clues))
+        broken = replace(zebra_instance, clues=tuple(clues))
         model = lower(check(parse(render_dsl(broken))))
         assert solve(model).status is Status.UNSAT
 
@@ -205,7 +205,7 @@ class TestCriterion3RecoveryEdges:
         _passed(3, "(b) unparseable output fails FailedSyntax after max attempts")
 
     def test_c_ambiguity_detected_when_enabled(self, zebra_instance):
-        loose = dataclasses.replace(zebra_instance, clues=tuple(zebra_instance.clues[1:]))
+        loose = replace(zebra_instance, clues=tuple(zebra_instance.clues[1:]))
         config = PipelineConfig(max_attempts=2, ambiguity_check=True)
         result = run_pipeline(loose.text, self.FMT, OracleFormalizer(loose), config)
         assert result.status is PipelineStatus.FAILED_AMBIGUOUS
@@ -223,7 +223,7 @@ class TestCriterion4AssertAssumeInterchangeable:
             for s in fn.body
         )
         # replace keeps the program's text, against which diagnostics resolve
-        return dataclasses.replace(program, functions=(dataclasses.replace(fn, body=body),))
+        return replace(program, functions=(replace(fn, body=body),))
 
     def test_flipping_statements_changes_nothing(self):
         tasks = generate_tasks(GenSpec(seed=808, shapes=(("3x3", 10), ("3x4", 10), ("4x4", 5))))

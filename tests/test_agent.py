@@ -1,6 +1,5 @@
 """Pipeline orchestration, the table oracle, formatting, and replay."""
 
-import dataclasses
 import json
 
 import pytest
@@ -24,6 +23,8 @@ from logicforge.frontend.parser import SourceText
 from logicforge.model import decode, lower
 from logicforge.model.decode import SolutionTable
 from logicforge.solver import Budget, engine, find_second, solve
+
+from record_tools import replace
 
 
 ZEBRA_FORMAT = ExpectedFormat(
@@ -104,7 +105,7 @@ class TestPipeline:
         # strictly left of themselves
         clues = list(zebra_instance.clues)
         clues[1] = Clue(LEFT_OF, "book", "fantasy", "book", "fantasy")
-        broken = dataclasses.replace(zebra_instance, clues=tuple(clues))
+        broken = replace(zebra_instance, clues=tuple(clues))
         result = run_pipeline(broken.text, ZEBRA_FORMAT, OracleFormalizer(broken))
         assert result.status is PipelineStatus.FAILED_UNSAT
         assert result.attempts == 5  # default max_attempts
@@ -113,7 +114,7 @@ class TestPipeline:
     def test_ambiguity_check_flags_underconstrained_puzzle(self, zebra_instance):
         # dropping the "fantasy in house 2" pin admits a second table
         clues = tuple(c for i, c in enumerate(zebra_instance.clues) if i != 1)
-        loose = dataclasses.replace(zebra_instance, clues=clues)
+        loose = replace(zebra_instance, clues=clues)
         config = PipelineConfig(max_attempts=2, ambiguity_check=True)
         result = run_pipeline(loose.text, ZEBRA_FORMAT, OracleFormalizer(loose), config)
         assert result.status is PipelineStatus.FAILED_AMBIGUOUS
@@ -124,7 +125,7 @@ class TestPipeline:
         # dropping the "fantasy in house 2" pin admits a second table, which
         # the ambiguity search, resuming solve's, finds after decisions of its own
         clues = tuple(c for i, c in enumerate(zebra_instance.clues) if i != 1)
-        loose = dataclasses.replace(zebra_instance, clues=clues)
+        loose = replace(zebra_instance, clues=clues)
         model = lower(check(parse(render_dsl(loose))))
         view = engine.compile_model(model)
         outcome = solve(view)
@@ -153,7 +154,7 @@ class TestPipeline:
         # an ambiguous program, then the correct one: each attempt runs solve
         # and find_second over one compiled model, one search
         clues = tuple(c for i, c in enumerate(zebra_instance.clues) if i != 1)
-        loose = dataclasses.replace(zebra_instance, clues=clues)
+        loose = replace(zebra_instance, clues=clues)
         sources = []
         for instance in (loose, zebra_instance):
             oracle = OracleFormalizer(instance)
@@ -172,12 +173,12 @@ class TestPipeline:
             model = lower(check(parse(SourceText(ds.text + "\n" + cs.text, "<test>"))))
             outcome = solve(model)
             report = find_second(model, decode(model, outcome.assignment))
-            resumed = dataclasses.replace(
+            resumed = replace(
                 report.stats,
                 decisions=report.stats.decisions - outcome.stats.decisions,
                 propagations=report.stats.propagations - outcome.stats.propagations,
             )
-            expected.append(counters(outcome, dataclasses.replace(report, stats=resumed)))
+            expected.append(counters(outcome, replace(report, stats=resumed)))
 
         builds, searches = [], []
         original_init = engine.CompiledModel.__init__
@@ -239,7 +240,7 @@ class TestPipeline:
 
     def test_ambiguity_check_off_by_default(self, zebra_instance):
         clues = tuple(c for i, c in enumerate(zebra_instance.clues) if i != 1)
-        loose = dataclasses.replace(zebra_instance, clues=clues)
+        loose = replace(zebra_instance, clues=clues)
         result = run_pipeline(loose.text, ZEBRA_FORMAT, OracleFormalizer(loose))
         assert result.status is PipelineStatus.SOLVED
 

@@ -1,6 +1,5 @@
 """Puzzle generation, rendering, dataset files, metrics, and the runner."""
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -53,6 +52,7 @@ from logicforge.solver import Budget, brute_force, find_second, solve
 
 from conftest import chained_condition, nested_condition
 from model_tools import encode, orders_rows
+from record_tools import replace
 
 
 def make_table(cells_by_house: dict[int, dict[str, str]]) -> SolutionTable:
@@ -151,8 +151,8 @@ ROW_CLUE = Assert(
 def with_row_clue(program):
     """The program with ROW_CLUE as the last statement of its validator."""
     (validator,) = program.functions
-    validator = dataclasses.replace(validator, body=validator.body + (ROW_CLUE,))
-    return dataclasses.replace(program, functions=(validator,))
+    validator = replace(validator, body=validator.body + (ROW_CLUE,))
+    return replace(program, functions=(validator,))
 
 
 def lowered_subset(features, clues, n, row_clue=False):
@@ -458,13 +458,13 @@ def with_value(instance, old, new):
 
     features = tuple(Feature(f.name, tuple(map(swap, f.values))) for f in instance.features)
     clues = tuple(
-        dataclasses.replace(c, value_a=swap(c.value_a), value_b=swap(c.value_b))
+        replace(c, value_a=swap(c.value_a), value_b=swap(c.value_b))
         for c in instance.clues
     )
     rows = tuple({k: swap(v) for k, v in row.items()} for row in instance.truth.rows)
-    truth = dataclasses.replace(instance.truth, rows=rows)
+    truth = replace(instance.truth, rows=rows)
     assert truth != instance.truth
-    return dataclasses.replace(instance, features=features, clues=clues, truth=truth)
+    return replace(instance, features=features, clues=clues, truth=truth)
 
 
 class TestRenderDsl:
@@ -477,7 +477,7 @@ class TestRenderDsl:
         assert "assert abs(name_1.house_number - book_2.house_number) == 1" in source.text
 
     def test_zero_clue_instance_renders_and_is_ambiguous(self, zebra_instance):
-        bare = dataclasses.replace(zebra_instance, clues=())
+        bare = replace(zebra_instance, clues=())
         model = lower(check(parse(render_dsl(bare))))
         outcome = solve(model)
         assert outcome.is_sat

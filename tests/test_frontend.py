@@ -1,6 +1,5 @@
 """Lexer, parser, pretty-printer, and semantic checker."""
 
-import dataclasses
 import re
 import sys
 import threading
@@ -35,10 +34,12 @@ from logicforge.frontend.ast import (
 )
 from logicforge.frontend.parser import MAX_NESTING
 from logicforge.model import decode, lower
+from logicforge.records import Record
 from logicforge.solver import Budget, find_second, solve
 
 from conftest import DATA_DIR, chained_condition, lines_executed, nested_condition
 from reference import reference_parse
+from record_tools import replace
 from strategies import programs
 
 FIG_STYLE_SOURCE = """\
@@ -511,10 +512,10 @@ class TestCheck:
         # syntax tree meets them first in check
         program = parse(zebra_source)
         house, solution = program.classes
-        houses = dataclasses.replace(solution.fields[0], **change)
-        solution = dataclasses.replace(solution, fields=(houses,))
+        houses = replace(solution.fields[0], **change)
+        solution = replace(solution, fields=(houses,))
         with pytest.raises(SemanticError) as info:
-            check(dataclasses.replace(program, classes=(house, solution)))
+            check(replace(program, classes=(house, solution)))
         assert (info.value.category, info.value.message) == (category, message)
 
     def test_check_is_deterministic_and_pure(self, zebra_source):
@@ -695,10 +696,10 @@ def _positions(node) -> list:
     if isinstance(node, tuple):
         return [pos for item in node for pos in _positions(item)]
     found = []
-    if dataclasses.is_dataclass(node):
-        for f in dataclasses.fields(node):
-            value = getattr(node, f.name)
-            found += [value] if f.name == "pos" else _positions(value)
+    if isinstance(node, Record):
+        for name in node._fields:
+            value = getattr(node, name)
+            found += [value] if name == "pos" else _positions(value)
     return found
 
 

@@ -287,10 +287,12 @@ class _CompletionTarget(BaseHTTPRequestHandler):
         pass
 
 
-def test_agent_and_cli_import_no_http_package():
+def test_agent_and_cli_import_no_http_package_nor_dataclasses():
     """The client speaks HTTP through the standard library alone, and loads
     that stack only when it sends a request: importing the package and
-    solving offline load none of it."""
+    solving offline load none of it. Nor do they load ``dataclasses`` or
+    ``inspect``: the value classes are plain ``Record`` subclasses, so a cold
+    start builds no class by generating and ``exec``-ing method source."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     zebra = str(Path(__file__).resolve().parent / "data" / "zebra_4x4.lpy")
     code = (
@@ -299,7 +301,8 @@ def test_agent_and_cli_import_no_http_package():
         "import logicforge, logicforge.agent, logicforge.bench, logicforge.cli\n"
         "assert logicforge.cli.main(['solve', sys.argv[1]]) == 0\n"
         "stack = {'http.client', 'urllib.request', 'urllib.error', 'ssl', 'email', 'logging',\n"
-        "         'concurrent.futures', 'importlib.resources', 'requests'}\n"
+        "         'concurrent.futures', 'importlib.resources', 'requests', 'dataclasses',\n"
+        "         'inspect'}\n"
         "print('loaded:', sorted(stack & (set(sys.modules) - before)))\n"
         "from logicforge.agent import ExpectedFormat, LlmClientConfig, LlmFormalizer, Prompts\n"
         "from logicforge.errors import TransportError\n"

@@ -1,6 +1,5 @@
 """Lowering, model validation, dumping, and decoding."""
 
-import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -29,6 +28,7 @@ from logicforge.solver import brute, brute_force
 
 from conftest import DATA_DIR, compile_source
 from model_tools import cut, dump_model, encode, reference_scope
+from record_tools import replace
 from strategies import programs, scalar_programs
 
 CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "corpus.jsonl"
@@ -173,7 +173,7 @@ class TestAssertAssume:
         original = dump_model(lower(check(program)))
         for old, new in ((Assert, Assume), (Assume, Assert)):
             body = tuple(new(s.expr, s.pos) if isinstance(s, old) else s for s in fn.body)
-            swapped = dataclasses.replace(program, functions=(dataclasses.replace(fn, body=body),))
+            swapped = replace(program, functions=(replace(fn, body=body),))
             assert dump_model(lower(check(swapped))) == original
 
     def test_one_constraint_per_statement_in_program_order(self):
@@ -414,7 +414,7 @@ class TestScalarResultClass:
     @pytest.mark.parametrize("row", [{"slot": 4, "color": "green"}, {"slot": 2, "color": "blue"}])
     def test_check_solution_rejects_an_out_of_domain_table(self, row):
         checked, model = compile_source(SCALAR_SOURCE)
-        table = dataclasses.replace(decode(model, {0: 1, 1: 1}), rows=(row,))
+        table = replace(decode(model, {0: 1, 1: 1}), rows=(row,))
         assert not check_solution(checked, table)
 
 
@@ -457,8 +457,8 @@ class TestFuzzLowering:
         except SemanticError:
             return
         model = lower(checked)
-        slots = dataclasses.replace(model.layout, position_field=None)
-        held_model = dataclasses.replace(model, layout=slots)
+        slots = replace(model.layout, position_field=None)
+        held_model = replace(model, layout=slots)
         try:
             tables = brute_force(cut(held_model, []), cap=20_000)
             held = {tuple(sorted(a.items())) for a in brute_force(held_model, cap=20_000)}

@@ -1,6 +1,5 @@
 """Solver: propagation behaviour, search outcomes, ambiguity, brute force."""
 
-import dataclasses
 import gc
 import math
 import random
@@ -8,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -51,6 +51,7 @@ from logicforge.solver import (
 
 from conftest import DATA_DIR, compile_source, lines_executed
 from model_tools import cut, dump_model, orders_rows, propagate_domains, reference_scope
+from record_tools import replace
 from strategies import programs, scalar_programs
 
 TAUTOLOGY = '    anyone = nondet(s.items)\n    assume(anyone.f == anyone.f)\n'
@@ -286,7 +287,7 @@ class TestFindSecond:
 
         for drop in (2, 7):  # clue indices to remove (0-based)
             clues = tuple(c for i, c in enumerate(zebra_instance.clues) if i != drop)
-            weakened = dataclasses.replace(zebra_instance, clues=clues)
+            weakened = replace(zebra_instance, clues=clues)
             model = lower(check(parse(render_dsl(weakened))))
             outcome = solve(model)
             assert outcome.is_sat
@@ -334,7 +335,7 @@ class TestFindSecond:
             for f in puzzle.features
             for i in range(n)
         )
-        text = render_dsl(dataclasses.replace(puzzle, clues=clues)).text
+        text = render_dsl(replace(puzzle, clues=clues)).text
         model = _model(_off_by_one(text, n))
         assert model.vars[model.layout.rows[0][POSITION_FIELD]].values() == range(1, n + 2)
         first = decode(model, solve(model).assignment)
@@ -378,7 +379,7 @@ class TestBruteForce:
             for f in puzzle.features
             for i in range(n)
         )
-        text = render_dsl(dataclasses.replace(puzzle, clues=clues)).text
+        text = render_dsl(replace(puzzle, clues=clues)).text
         model = _model(_off_by_one(text, n))
         assert orders_rows(model)
         solutions = brute_force(model, cap=100_000)
@@ -1037,7 +1038,7 @@ class TestEventDrivenPropagation:
     def test_generated_puzzles(self, seed, n, f):
         instance = generate_puzzle(seed, n, f)
         text = render_dsl(instance).text
-        false_clue = dataclasses.replace(instance, clues=instance.clues + (_false_clue(instance),))
+        false_clue = replace(instance, clues=instance.clues + (_false_clue(instance),))
         model = _model(text)
         unsat = _model(render_dsl(false_clue).text)
         assert solve(unsat).status is Status.UNSAT
@@ -1093,7 +1094,7 @@ class TestCachedOrderedRoot:
         # before the row order runs in a full pass, after it from the cache
         beyond = Clue(AT_POSITION, feature, instance.truth.rows[0][feature], pos=n + 1)
         failing = [
-            _model(render_dsl(dataclasses.replace(instance, clues=instance.clues + (clue,))).text)
+            _model(render_dsl(replace(instance, clues=instance.clues + (clue,))).text)
             for clue in (_false_clue(instance), beyond)
         ]
         failed = 0
@@ -1345,7 +1346,7 @@ def _one_swap(table):
     column = table.columns[-1]
     rows = [dict(row) for row in table.rows]
     rows[0][column], rows[1][column] = rows[1][column], rows[0][column]
-    return dataclasses.replace(table, rows=tuple(rows))
+    return replace(table, rows=tuple(rows))
 
 
 class TestResumedSearch:
@@ -1379,7 +1380,7 @@ class TestResumedSearch:
     def test_generated_puzzles(self, seed, n, f):
         instance = generate_puzzle(seed, n, f)
         text = render_dsl(instance).text
-        false_clue = dataclasses.replace(instance, clues=instance.clues + (_false_clue(instance),))
+        false_clue = replace(instance, clues=instance.clues + (_false_clue(instance),))
         # the truth, and a single swap of it, as first tables too
         others = (instance.truth, _one_swap(instance.truth))
         verdicts = set()
@@ -1399,7 +1400,7 @@ class TestResumedSearch:
     )
     def test_generated_puzzles_match_brute_force(self, seed, n, f, slack):
         instance = generate_puzzle(seed, n, f)
-        false_clue = dataclasses.replace(instance, clues=instance.clues + (_false_clue(instance),))
+        false_clue = replace(instance, clues=instance.clues + (_false_clue(instance),))
         for source in (render_dsl(instance).text, render_dsl(false_clue).text):
             model = _model(_off_by_one(source, n) if slack else source)
             every = range(len(model.constraints))
@@ -1842,6 +1843,19 @@ class TestWideDomains:
         n = 25_000
         ratio = cpu_growth(runner, n)
         assert ratio < 6, f"solve CPU time grows {ratio:.1f}x from n = {n} to {4 * n}"
+
+    def test_a_wide_branch_takes_its_values_one_at_a_time(self):
+        # the search walks the branched var's mask lowest bit first, so its
+        # first decision lists none of the 10**7 values, and the clock runs
+        model = _model(_pair_program(10**7, "a.v != b.w"))
+        tracemalloc.start()
+        try:
+            outcome = solve(model, Budget(max_time=1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outcome.is_sat
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
     def test_a_wide_domain_compiles_without_listing_its_values(self, zebra_model):
         # compilation runs before any budget starts, so it must not grow
