@@ -18,6 +18,7 @@ some order.
 from __future__ import annotations
 
 import itertools
+from operator import add, eq, ge, gt, le, lt, mul, ne, sub
 
 from ..errors import ShapeError
 from ..frontend.ast import (
@@ -126,6 +127,9 @@ def _run_stmts(stmts: list, env: dict[str, object]) -> bool:
     return True
 
 
+_OPS = {"+": add, "-": sub, "*": mul, "==": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
+
+
 def _eval(expr: Expr, env: dict[str, object], picks: dict[int, dict]):
     """Concrete evaluation; ``picks`` maps nondet node ids to chosen rows."""
 
@@ -144,26 +148,8 @@ def _eval(expr: Expr, env: dict[str, object], picks: dict[int, dict]):
             return picks[id(e)]
         if isinstance(e, Abs):
             return abs(go(e.arg))
-        if isinstance(e, Binary):
-            left, right = go(e.left), go(e.right)
-            if e.op == "+":
-                return left + right
-            if e.op == "-":
-                return left - right
-            return left * right
-        if isinstance(e, Compare):
-            left, right = go(e.left), go(e.right)
-            if e.op == "==":
-                return left == right
-            if e.op == "!=":
-                return left != right
-            if e.op == "<":
-                return left < right
-            if e.op == "<=":
-                return left <= right
-            if e.op == ">":
-                return left > right
-            return left >= right
+        if isinstance(e, (Binary, Compare)):
+            return _OPS[e.op](go(e.left), go(e.right))
         if isinstance(e, BoolOp):
             if e.op == "and":
                 return all(go(p) for p in e.operands)

@@ -201,6 +201,14 @@ def _swaps(
     return swaps
 
 
+def check_shape(n_entities: int, n_features: int) -> None:
+    """Refuse a shape the generator does not make."""
+    if not (2 <= n_entities <= 6 and 2 <= n_features <= 6):
+        raise GenerationError(
+            f"unsupported shape {n_entities}x{n_features}: entities and features must be in 2..6"
+        )
+
+
 def generate_puzzle(
     seed: int | str,
     n_entities: int,
@@ -211,10 +219,7 @@ def generate_puzzle(
     """Deterministically generate a puzzle with a certified-unique solution.
 
     ``budget`` bounds each uniqueness check's search, and the final solve."""
-    if not (2 <= n_entities <= 6 and 2 <= n_features <= 6):
-        raise GenerationError(
-            f"unsupported shape {n_entities}x{n_features}: entities and features must be in 2..6"
-        )
+    check_shape(n_entities, n_features)
     rng = random.Random(f"logicforge:{seed}:{n_entities}x{n_features}")
     budget = budget or Budget()
 

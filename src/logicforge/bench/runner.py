@@ -17,7 +17,7 @@ from ..agent.pipeline import PipelineConfig, PipelineStatus, run_pipeline
 from ..errors import LogicForgeError
 from ..records import Frozen
 from .dataset import PuzzleTask, task_from_instance
-from .puzzle import generate_puzzle
+from .puzzle import check_shape, generate_puzzle
 from .render import OracleFormalizer
 from .score import EvalReport, TaskResult, parse_size, score
 
@@ -26,13 +26,16 @@ FormalizerFactory = Callable[[PuzzleTask], object]
 
 class GenSpec(Frozen):
     """Generate tasks on the fly from an int ``seed``: ``shapes`` maps size
-    strings to counts, each an int of at least 0."""
+    strings, each ``NxM`` of a shape the generator makes, to counts, each an
+    int of at least 0. A bad shape or count fails here, before any puzzle is
+    generated."""
 
     def __init__(self, seed: int, shapes: tuple[tuple[str, int], ...]):
         # a bool is an int, and a JSON true is no seed
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise LogicForgeError(f"seed must be an integer, not {seed!r}")
         for size, count in shapes:
+            check_shape(*parse_size(size))
             # a bool is an int, and a JSON true is no count
             if isinstance(count, bool) or not isinstance(count, int) or count < 0:
                 raise LogicForgeError(

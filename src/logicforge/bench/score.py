@@ -26,7 +26,7 @@ def classify_shape(n_entities: int, n_features: int) -> str:
 
 def parse_size(size: str) -> tuple[int, int]:
     """``"NxM"`` as (entities N, features M)."""
-    parts = size.lower().split("x")
+    parts = str(size).lower().split("x")  # a JSON spec may hold any value
     try:
         entities, feats = map(int, parts)
     except ValueError:

@@ -17,7 +17,6 @@ from .bench.runner import (
     oracle_formalizer_factory,
     run_bench,
 )
-from .bench.score import parse_size
 from .cemit import emit
 from .errors import LogicForgeError
 from .frontend import SourceText, check, parse
@@ -101,7 +100,6 @@ def cmd_check_ambiguity(args) -> int:
 
 def cmd_gen(args) -> int:
     # a bad size or count leaves no output directory behind
-    parse_size(args.size)
     spec = GenSpec(args.seed, ((args.size, args.count),))
     out_dir = Path(args.out)
     dataset_path = out_dir / "dataset.jsonl"

@@ -89,11 +89,11 @@ time.
 The Hall-interval pass tests each var against an interval by the var's
 lowest and highest value, kept as two small ints, and builds an interval's
 mask only where the interval prunes, so its cost per interval does not grow
-with the width of the masks. The time budget is read at each decision and
-every ``_CLOCK_EVERY`` units of propagation work: an item run, a tested
-value, a var tested against a support mask or an interval start of a Hall
-pass. So no propagation call, however wide its domains or group, outruns
-the budget by more than that.
+with the width of the masks. The time budget is read at each decision, at
+each value the generic evaluator tests (a test walks sets as wide as the
+domains), and every ``_CLOCK_EVERY`` units of other propagation work: an
+item run, a tested value, a var tested against a support mask or an interval
+start of a Hall pass. So no propagation call outruns it by more than that.
 
 The fixpoint of a root is unique (every propagator only narrows, and
 removes at least as much from a narrower state), so it does not depend on
@@ -133,8 +133,12 @@ relation get a dedicated propagator:
   such mask, never value by value (support reasoning; Bessiere, "Constraint
   propagation", Handbook of Constraint Programming, 2006).
 
-An ``==`` is read only where no set the generic arithmetic builds can pass
-``_SET_CAP`` and widen to its range. Each removes exactly the values the
+The generic evaluator reads only the state: a singleton test pins a value by
+writing its bit into a copy of the state, and an element takes the values
+``_elem_values`` gives. Its arithmetic widens a set to its range only where
+two sets of more than one value each multiply past ``_SET_CAP``, so an ``==``
+is read unless both its elements are on one side (``x - y == k``) and their
+declared value counts multiply past it. Each removes exactly the values the
 generic singleton tests remove and fails in the same states, so no fixpoint,
 count or assignment depends on which one ran. The generic evaluator serves
 the rest (``and``, one selector on both sides, ...).
@@ -271,18 +275,28 @@ def _verify(model: ConstraintModel, assignment: dict[int, int], constraints) -> 
 
 # --- abstract evaluation -------------------------------------------------------
 
-_SET_CAP = 512  # beyond this, collapse to a contiguous range (still sound)
+_SET_CAP = 512  # two sets of more than one value whose sizes multiply past this widen
 
 
-def _apply_bin(op: str, ls: frozenset[int] | set[int], rs) -> set[int]:
-    if len(ls) * len(rs) > _SET_CAP:
-        lo_l, hi_l, lo_r, hi_r = min(ls), max(ls), min(rs), max(rs)
+def _bounds(values) -> tuple[int, int]:
+    return (values[0], values[-1]) if type(values) is range else (min(values), max(values))
+
+
+def _apply_bin(op: str, ls, rs) -> set[int] | range:
+    """The values of ``a op b`` over ``ls`` and ``rs``, each a set or a range.
+    Exact unless both hold more than one value and their sizes multiply past
+    _SET_CAP, or one is a range: then the range between the result's bounds
+    (still sound), which no consumer lists. So a literal never widens a set:
+    ``E + L``, ``E - L`` and ``E * L`` are exact at any width."""
+    widened = type(ls) is range or type(rs) is range
+    if widened or min(len(ls), len(rs)) > 1 and len(ls) * len(rs) > _SET_CAP:
+        (lo_l, hi_l), (lo_r, hi_r) = _bounds(ls), _bounds(rs)
         if op == "+":
-            return set(range(lo_l + lo_r, hi_l + hi_r + 1))
+            return range(lo_l + lo_r, hi_l + hi_r + 1)
         if op == "-":
-            return set(range(lo_l - hi_r, hi_l - lo_r + 1))
+            return range(lo_l - hi_r, hi_l - lo_r + 1)
         corners = [a * b for a in (lo_l, hi_l) for b in (lo_r, hi_r)]
-        return set(range(min(corners), max(corners) + 1))
+        return range(min(corners), max(corners) + 1)
     if op == "+":
         return {a + b for a in ls for b in rs}
     if op == "-":
@@ -291,15 +305,15 @@ def _apply_bin(op: str, ls: frozenset[int] | set[int], rs) -> set[int]:
 
 
 def _cmp_sets(op: str, ls, rs) -> tuple[bool, bool]:
-    """(can be true, can be false) for a comparison over value sets."""
-    if op == "==":
-        both = bool(ls & rs)
-        single = len(ls) == 1 == len(rs) and ls == rs
-        return both, not single
-    if op == "!=":
-        can_eq, can_ne = _cmp_sets("==", ls, rs)
-        return can_ne, can_eq
-    lo_l, hi_l, lo_r, hi_r = min(ls), max(ls), min(rs), max(rs)
+    """(can be true, can be false) for a comparison over two value sets or ranges."""
+    if op == "==" or op == "!=":
+        if type(ls) is range:
+            ls, rs = rs, ls
+        # two ranges meet where one holds the other's start
+        both = rs[0] in ls or ls[0] in rs if type(ls) is range else any(map(rs.__contains__, ls))
+        single = both and len(ls) == 1 == len(rs)
+        return (both, not single) if op == "==" else (not single, both)
+    (lo_l, hi_l), (lo_r, hi_r) = _bounds(ls), _bounds(rs)
     if op == "<":
         return lo_l < hi_r, hi_l >= lo_r
     assert op == "<="
@@ -665,15 +679,13 @@ class CompiledModel:
         rest = self._sum(right, -1, terms)  # so the terms, c and rest sum to left - right
         if rest is None or (absolute and len(terms) != n):
             return None
-        if op == "==" and self.width ** len(terms) > _SET_CAP:
-            # the generic evaluator widens a sum whose two sets' sizes multiply
-            # past the cap; on a side they are at most the product of its
-            # elements' declared value counts, each at most the width
+        if op == "==" and self.width**2 > _SET_CAP and 1 not in (n, len(terms) - n):
+            # both elements on one side (x - y == k), whose sets' sizes, at
+            # most their declared value counts, may pass the cap and widen
             declared = self.declared
-            for side, part in ((left, terms[:n]), (right, terms[n:])):
-                sizes = (_elem_values(declared, e.selector, e.table).bit_count() for _, e in part)
-                if type(side) is CBin and prod(sizes) > _SET_CAP:
-                    return None
+            sizes = (_elem_values(declared, e.selector, e.table).bit_count() for _, e in terms)
+            if prod(sizes) > _SET_CAP:
+                return None
         if len(terms) == 1 and not absolute:  # sign * x + c + rest op 0
             sign, x = terms[0]
             i = -sign * (c + rest) - self.base[x.table[0]]
@@ -776,42 +788,28 @@ class _Search:
 
     # -- abstract evaluation over current domains --------------------------
 
-    def _aset(self, expr: CExpr, doms, pin_id: int, pin_val: int) -> set[int]:
+    def _aset(self, expr: CExpr, doms) -> set[int] | range:
         if isinstance(expr, CLit):
             return {expr.value}
         if isinstance(expr, CVar):
-            if expr.var == pin_id:
-                return {pin_val}
             return set(_values(self.base[expr.var], doms[expr.var]))
-        if isinstance(expr, CElem):
-            if expr.selector == pin_id:
-                choices = [pin_val]
-            else:
-                choices = _bits(doms[expr.selector])
-            out: set[int] = set()
-            for j in choices:
-                v = expr.table[j]
-                if v == pin_id:
-                    out.add(pin_val)
-                else:
-                    out.update(_values(self.base[v], doms[v]))
-            return out
+        if isinstance(expr, CElem):  # a table's vars share one base
+            table = expr.table
+            return set(_values(self.base[table[0]], _elem_values(doms, expr.selector, table)))
         if isinstance(expr, CBin):
-            return _apply_bin(
-                expr.op,
-                self._aset(expr.left, doms, pin_id, pin_val),
-                self._aset(expr.right, doms, pin_id, pin_val),
-            )
+            return _apply_bin(expr.op, self._aset(expr.left, doms), self._aset(expr.right, doms))
         assert isinstance(expr, CAbs)
-        return {abs(v) for v in self._aset(expr.arg, doms, pin_id, pin_val)}
+        values = self._aset(expr.arg, doms)
+        if type(values) is range:  # the magnitudes of its bounds, and 0 if it holds it
+            lo, hi = sorted(map(abs, _bounds(values)))
+            return range(0 if 0 in values else lo, hi + 1)
+        return {abs(v) for v in values}
 
-    def _abool(self, expr: CExpr, doms, pin_id: int = -1, pin_val: int = 0) -> tuple[bool, bool]:
+    def _abool(self, expr: CExpr, doms) -> tuple[bool, bool]:
         if isinstance(expr, CCmp):
-            ls = self._aset(expr.left, doms, pin_id, pin_val)
-            rs = self._aset(expr.right, doms, pin_id, pin_val)
-            return _cmp_sets(expr.op, ls, rs)
+            return _cmp_sets(expr.op, self._aset(expr.left, doms), self._aset(expr.right, doms))
         if isinstance(expr, CBool):
-            pairs = [self._abool(p, doms, pin_id, pin_val) for p in expr.parts]
+            pairs = [self._abool(p, doms) for p in expr.parts]
             if expr.op == "and":
                 return all(t for t, _ in pairs), any(f for _, f in pairs)
             return any(t for t, _ in pairs), all(f for _, f in pairs)
@@ -999,11 +997,13 @@ class _Search:
         return False  # entailment is not tested
 
     def _prune_generic(self, doms: list[int], dirty: set[int], expr: CExpr, ident: int) -> None:
-        """Remove the values of ``ident`` whose singleton test fails."""
-        base = self.base[ident]
+        """Remove each value of ``ident`` that fails its singleton test in a pinned state copy."""
+        pinned = list(doms)
         bad = 0
-        for i in self._tested(_bits(doms[ident])):
-            if not self._abool(expr, doms, ident, base + i)[0]:
+        for i in _bits(doms[ident]):
+            self._read_clock()  # a test walks sets as wide as the domains
+            pinned[ident] = 1 << i
+            if not self._abool(expr, pinned)[0]:
                 bad |= 1 << i
         if bad:
             self._remove(doms, ident, bad, dirty)

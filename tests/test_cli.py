@@ -171,6 +171,14 @@ class TestGenAndBench:
         assert err.startswith("error: ") and "NxM" in err and "Traceback" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("size", ["7x3", "1x4"])
+    def test_gen_rejects_a_shape_out_of_range(self, tmp_path, capsys, size):
+        out_dir = tmp_path / "puzzles"
+        assert main(["gen", "--seed", "1", "--size", size, "-o", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: unsupported shape {size}: ") and "Traceback" not in err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("count", ["-1", "-2"])
     def test_gen_rejects_a_negative_count(self, tmp_path, capsys, count):
         out_dir = tmp_path / "puzzles"
@@ -213,13 +221,28 @@ class TestGenAndBench:
         spec = GenSpec.from_json_dict({"seed": 4, "shapes": [{"size": "2x3", "count": 0}]})
         assert spec.shapes == (("2x3", 0),) and generate_tasks(spec) == []
 
-    def test_bench_rejects_a_gen_spec_size_not_of_the_form_nxm(self, tmp_path, capsys):
+    @pytest.mark.parametrize("size", ["3", 44], ids=["string", "number"])
+    def test_bench_rejects_a_gen_spec_size_not_of_the_form_nxm(self, tmp_path, capsys, size):
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({"seed": 4, "shapes": [{"size": "3", "count": 1}]}))
+        spec_path.write_text(json.dumps({"seed": 4, "shapes": [{"size": size, "count": 1}]}))
         assert main(["bench", "--gen-spec", str(spec_path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "NxM" in captured.err
         assert captured.out == ""
+
+    def test_bench_rejects_a_gen_spec_shape_out_of_range_before_generating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the spec is checked whole when it is built, so the valid shape
+        # ahead of the bad one is never generated
+        monkeypatch.setattr(cli, "generate_tasks", mock.Mock(side_effect=AssertionError))
+        shapes = [{"size": "2x3", "count": 1}, {"size": "7x3", "count": 1}]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"seed": 4, "shapes": shapes}))
+        assert main(["bench", "--gen-spec", str(spec_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unsupported shape 7x3: ")
+        assert "Traceback" not in captured.err and captured.out == ""
 
     @pytest.mark.parametrize(
         "text,reason",

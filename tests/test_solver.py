@@ -593,6 +593,12 @@ _PLAIN_VARIABLES = {
         "class C:\n    a: Domain[int, range(0, 4)]\n    b: Domain[int, range(2, 7)]\n"
         "def v(x: C) -> None:\n"
     ),
+    # b has more values than _SET_CAP, but a literal never widens a set, so
+    # an `==` over it is read as a relation too
+    "one wide row": (
+        "class C:\n    a: Domain[int, range(0, 4)]\n    b: Domain[int, range(2, 602)]\n"
+        "def v(x: C) -> None:\n"
+    ),
     "rows": (
         "class E:\n    p: Domain[int, range(0, 4)]\n    q: Domain[int, range(1, 6)]\n"
         "class S:\n    items: list[E, 3]\n"
@@ -687,6 +693,7 @@ class TestDedicatedPropagators:
             ("one row", "assert x.b > x.a + 1", "_propagate_elem_pair"),
             ("one row", "assert x.a != x.b", "_propagate_elem_pair"),
             ("one row", "assert x.a < x.a", "_propagate_generic"),
+            ("one wide row", "assert x.a == x.b - 1", "_propagate_elem_pair"),
             ("rows", "assert s.items[0].p == s.items[1].p - 1", "_propagate_elem_pair"),
             ("rows", "assert s.items[2].p != 1", "_propagate_elem_in"),
             ("rows", "assert x.p <= s.items[2].p + 1", "_propagate_elem_pair"),
@@ -760,6 +767,56 @@ class TestDedicatedPropagators:
             wide = _model(src.replace("range(0, 40)", "range(0, 80)"))
             alike = list(range(first, 80, 2))
             assert propagate_domains(wide, {0: alike, 1: alike}) is not None
+
+    def test_a_literal_never_widens_a_set(self):
+        # a set widens to its range only where both sides hold more than one
+        # value; the widened range is read by its bounds, never listed
+        wide = set(range(600))
+        assert engine._apply_bin("-", wide, {1}) == set(range(-1, 599))
+        assert len(engine._apply_bin("*", wide, {100000})) == 600
+        products = engine._apply_bin("*", wide, wide)
+        assert products == range(0, 599 * 599 + 1)
+        assert engine._apply_bin("-", products, {1}) == range(-1, 599 * 599)
+        assert engine._cmp_sets("==", {-5, 7}, products) == (True, True)
+        assert engine._cmp_sets("!=", products, range(-9, 0)) == (True, False)
+        assert engine._cmp_sets("<", products, {0}) == (False, True)
+
+    # small sets, or sets large enough that two of them multiply past the cap
+    _VALUES = st.one_of(
+        st.sets(st.integers(-40, 40), min_size=1, max_size=4),
+        st.sets(st.integers(-40, 40), min_size=23, max_size=30),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from("+-*"),
+        _VALUES,
+        _VALUES,
+        _VALUES | _VALUES.map(lambda v: range(min(v), max(v) + 1)),
+        st.sampled_from(["==", "!=", "<", "<="]),
+    )
+    def test_set_arithmetic_matches_the_plain_sets(self, op, ls, rs, other, cmp):
+        # exact where a side holds one value or the sizes multiply within the
+        # cap, else the range of the exact bounds; a comparison of it with a
+        # set or a range answers as over the plain values, and soundly for
+        # == and != where it widened
+        plain = {engine._OPS[op](a, b) for a in ls for b in rs}
+        got = engine._apply_bin(op, ls, rs)
+        if min(len(ls), len(rs)) == 1 or len(ls) * len(rs) <= engine._SET_CAP:
+            assert got == plain
+        else:
+            assert got == range(min(plain), max(plain) + 1)
+        test = engine._OPS[cmp]
+        for left, right, pairs in (
+            (got, other, [(a, b) for a in plain for b in other]),
+            (other, got, [(b, a) for a in plain for b in other]),
+        ):
+            holds = any(test(a, b) for a, b in pairs)
+            fails = not all(test(a, b) for a, b in pairs)
+            can_hold, can_fail = engine._cmp_sets(cmp, left, right)
+            assert can_hold >= holds and can_fail >= fails
+            if type(got) is set or cmp in ("<", "<="):
+                assert (can_hold, can_fail) == (holds, fails)
 
 
 # Each rendered clue line, rewritten into another spelling with the same
@@ -1800,9 +1857,9 @@ class TestWideDomains:
     @pytest.mark.parametrize(
         "clue,n",
         [
-            # generic, since a set of n differences passes _SET_CAP: a set
-            # per tested value
-            ("a.v == b.w - 1", 10**4),
+            # generic, since one selector is on both sides: a set per
+            # tested value
+            ("a.v == a.w - 1", 10**4),
         ],
     )
     @pytest.mark.parametrize("search", ["solve", "find_second"])
@@ -1831,6 +1888,8 @@ class TestWideDomains:
             (_pair_program, "a.v != b.w"),
             (_pair_program, "a.v < b.v"),  # one var on both sides: unsat
             (_plain_pair_program, "p.a != p.b"),
+            (_pair_program, "a.v == b.w - 1"),
+            (_plain_pair_program, "p.a == p.b - 1"),
         ],
         ids=lambda value: getattr(value, "__name__", value),
     )
@@ -1855,6 +1914,28 @@ class TestWideDomains:
         finally:
             tracemalloc.stop()
         assert outcome.is_sat
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MB"
+
+    def test_a_widened_product_is_kept_as_its_bounds(self):
+        # 10**5 x 10**5 products pass _SET_CAP: their range is never listed,
+        # so the generic evaluator tests each value at the cost of a set of
+        # 10**5, and the deadline, read at each value, stops it
+        model = _model(_plain_pair_program(10**5, "p.a * p.b >= 0"))
+        budget = Budget(max_time=1.0)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded):
+            solve(model, budget)
+        assert time.perf_counter() - start <= budget.max_time + self.SLACK
+        # the root test reads both wide sets and their product, traced apart,
+        # since tracing each int the tested values allocate slows them 8x
+        compiled = engine.CompiledModel(model)
+        search = engine._Search(compiled.view(()), budget)
+        tracemalloc.start()
+        try:
+            assert search._abool(model.constraints[0], compiled.initial_state()) == (True, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
     def test_a_wide_domain_compiles_without_listing_its_values(self, zebra_model):
